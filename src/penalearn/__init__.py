@@ -24,7 +24,6 @@ from .errors import (
 from .nn import (
     AdamState,
     ForwardTrace,
-    Gradients,
     Mlp,
     adam_step,
     init_mlp,
@@ -33,7 +32,6 @@ from .nn import (
     mlp_backward,
     mlp_forward,
     save_model,
-    training_mac_estimate,
 )
 from .bench import (
     BenchAggregates,
@@ -53,9 +51,6 @@ from .penalty import (
     eq_penalty,
     ineq_penalty,
     loss_terms_batch,
-    penalty_value,
-    total_loss,
-    total_loss_batch,
     violation_report,
     violation_report_batch,
 )
@@ -63,7 +58,6 @@ from .problems import (
     Constraint,
     ParamSet,
     ProblemSpec,
-    eval_constraints,
     eval_objective,
     make_problem,
     problem_names,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .bench import emit_csv, run_benchmark, table_repro
 from .errors import PenalearnError, RegistryError, UsageError
-from .nn import Mlp, load_model, save_model
+from .nn import Mlp, load_model, save_model, write_text_atomic
 from .oracle import OracleConfig, solve
 from .penalty import PenaltyConfig
 from .problems import ParamSet, ProblemSpec, make_problem, problem_names, sample_params
@@ -118,8 +117,6 @@ _KEYS: tuple[_Key, ...] = (
          "initial descent step size"),
     _Key("count", int, 20, ">= 1", lambda v: v >= 1,
          "instances to sample for eval/bench"),
-    _Key("threads", int, 1, ">= 1", lambda v: v >= 1,
-         "worker cap; 1 is the strict-deterministic mode (current modules always use one worker)"),
     _Key("model", str, None, "file path", lambda v: True,
          "model file to load (eval/bench/table) "),
     _Key("out", str, None, "file path", lambda v: True,
@@ -159,7 +156,6 @@ class RunConfig:
     descent_steps: int
     descent_lr: float
     count: int
-    threads: int
     model: Optional[str]
     out: Optional[str]
     params: Optional[tuple[float, ...]]
@@ -300,25 +296,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-
-def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so failures leave no output."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".penalearn-tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _load_model_for(cfg: RunConfig, spec: ProblemSpec) -> Mlp:

@@ -2,6 +2,13 @@
 
 Everything is plain float64 numpy.  Networks are value objects: forward passes
 share them freely, and updates return new instances instead of mutating.
+
+Parameter layout: an Mlp keeps all of its parameters in one contiguous
+float64 vector ``params`` in model-file order W0, b0, W1, b1, ..., each weight
+row-major.  ``weights`` and ``biases`` are reshaped views into that vector.
+Gradients and the ADAM moments are flat vectors in the same layout, so an
+ADAM step is a handful of whole-vector operations.  Because ADAM is
+elementwise, that gives the same bits as updating tensor by tensor.
 """
 
 from __future__ import annotations
@@ -9,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,12 +45,25 @@ def _check_layer_sizes(layer_sizes):
     return sizes
 
 
+def _split(sizes, flat):
+    """Views of the flat vector ``flat`` as (weights, biases) tuples."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        stop = start + fan_out * fan_in
+        weights.append(flat[start:stop].reshape(fan_out, fan_in))
+        biases.append(flat[stop:stop + fan_out])
+        start = stop + fan_out
+    return tuple(weights), tuple(biases)
+
+
 @dataclass(frozen=True)
 class Mlp:
     """Feed-forward network: tanh hidden layers, identity output layer.
 
     ``weights[t]`` has shape (layer_sizes[t+1], layer_sizes[t]), rows are
-    fan-out, and ``biases[t]`` has length layer_sizes[t+1].
+    fan-out, and ``biases[t]`` has length layer_sizes[t+1].  Construction
+    copies the given tensors into the flat ``params`` vector (see the module
+    docstring) after checking their shapes and finiteness.
     """
 
     layer_sizes: tuple[int, ...]
@@ -51,12 +71,10 @@ class Mlp:
     biases: tuple[np.ndarray, ...]
     hidden_activation: str = "tanh"
     output_activation: str = "identity"
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = _check_layer_sizes(self.layer_sizes)
-        object.__setattr__(self, "layer_sizes", sizes)
-        object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "biases", tuple(self.biases))
         if self.hidden_activation not in HIDDEN_ACTIVATIONS:
             raise ValueError(f"unsupported hidden activation {self.hidden_activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
@@ -66,7 +84,10 @@ class Mlp:
                 f"expected {len(sizes) - 1} weight/bias tensors, got "
                 f"{len(self.weights)}/{len(self.biases)}"
             )
+        tensors = []
         for t, (w, b) in enumerate(zip(self.weights, self.biases)):
+            w = np.asarray(w, dtype=float)
+            b = np.asarray(b, dtype=float)
             want = (sizes[t + 1], sizes[t])
             if w.shape != want:
                 raise DimensionError(f"weight {t} has shape {w.shape}, expected {want}")
@@ -76,6 +97,29 @@ class Mlp:
                 )
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise NonFiniteError(f"layer {t} contains non-finite parameters")
+            tensors += [w.ravel(), b]
+        self._bind(sizes, np.concatenate(tensors))
+
+    def _bind(self, sizes, params):
+        object.__setattr__(self, "layer_sizes", sizes)
+        object.__setattr__(self, "params", params)
+        weights, biases = _split(sizes, params)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
+
+    @classmethod
+    def _from_params(cls, sizes, params, hidden_activation="tanh",
+                     output_activation="identity") -> "Mlp":
+        """Wrap a flat vector without re-validating it.
+
+        For internal callers whose sizes are already checked and whose vector
+        is known finite or is guarded elsewhere (the training loss check).
+        """
+        net = object.__new__(cls)
+        object.__setattr__(net, "hidden_activation", hidden_activation)
+        object.__setattr__(net, "output_activation", output_activation)
+        net._bind(sizes, params)
+        return net
 
     @property
     def input_dim(self) -> int:
@@ -90,7 +134,7 @@ class Mlp:
         return len(self.layer_sizes) - 1
 
     def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
 
 def init_mlp(layer_sizes, seed=0) -> Mlp:
@@ -117,20 +161,6 @@ class ForwardTrace:
     @property
     def batch_size(self) -> int:
         return self.inputs.shape[0]
-
-
-@dataclass(frozen=True)
-class Gradients:
-    """Parameter gradients, shape-matching an Mlp's weights and biases."""
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-
-    def scaled(self, factor: float) -> "Gradients":
-        return Gradients(
-            weights=tuple(w * factor for w in self.weights),
-            biases=tuple(b * factor for b in self.biases),
-        )
 
 
 def mlp_forward(net: Mlp, batch: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
@@ -177,12 +207,13 @@ def _check_trace(net: Mlp, trace: ForwardTrace):
 
 def mlp_backward(
     net: Mlp, trace: ForwardTrace, upstream: np.ndarray
-) -> tuple[Gradients, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-mode gradients for the summed batch loss.
 
     ``upstream`` is dL/d(output) per sample, shape (batch, k).  Returns the
-    gradients of sum-over-batch L with respect to every weight and bias, plus
-    dL/d(input) per sample for diagnostics.
+    gradient of sum-over-batch L with respect to every parameter, as one flat
+    vector in the layout of ``net.params``, plus dL/d(input) per sample for
+    diagnostics.
     """
     upstream = np.asarray(upstream, dtype=float)
     _check_trace(net, trace)
@@ -192,28 +223,27 @@ def mlp_backward(
             f"({trace.batch_size}, {net.output_dim})"
         )
 
-    weight_grads: list[np.ndarray] = [None] * net.num_layers  # type: ignore[list-item]
-    bias_grads: list[np.ndarray] = [None] * net.num_layers  # type: ignore[list-item]
+    grad = np.empty_like(net.params)
+    weight_grads, bias_grads = _split(net.layer_sizes, grad)
     delta = upstream  # identity output layer: dL/dz_last = upstream
     for t in range(net.num_layers - 1, -1, -1):
         a_prev = trace.inputs if t == 0 else trace.post_activations[t - 1]
-        weight_grads[t] = delta.T @ a_prev
-        bias_grads[t] = delta.sum(axis=0)
+        weight_grads[t][...] = delta.T @ a_prev
+        bias_grads[t][...] = delta.sum(axis=0)
         delta = delta @ net.weights[t]
         if t > 0:
             # tanh'(z) = 1 - tanh(z)^2, and post_activations[t-1] = tanh(z)
             delta = delta * (1.0 - trace.post_activations[t - 1] ** 2)
-    return Gradients(tuple(weight_grads), tuple(bias_grads)), delta
+    return grad, delta
 
 
 @dataclass(frozen=True)
 class AdamState:
-    """First/second moment accumulators plus the ADAM hyperparameters."""
+    """First/second moment vectors, in the layout of ``Mlp.params``, plus the
+    ADAM hyperparameters."""
 
-    m_weights: tuple[np.ndarray, ...]
-    m_biases: tuple[np.ndarray, ...]
-    v_weights: tuple[np.ndarray, ...]
-    v_biases: tuple[np.ndarray, ...]
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -224,11 +254,8 @@ class AdamState:
     def for_net(cls, net: Mlp, learning_rate=1e-3, beta1=0.9, beta2=0.999,
                 epsilon=1e-8) -> "AdamState":
         return cls(
-            m_weights=tuple(np.zeros_like(w) for w in net.weights),
-            m_biases=tuple(np.zeros_like(b) for b in net.biases),
-            v_weights=tuple(np.zeros_like(w) for w in net.weights),
-            v_biases=tuple(np.zeros_like(b) for b in net.biases),
-            step_count=0,
+            m=np.zeros_like(net.params),
+            v=np.zeros_like(net.params),
             beta1=float(beta1),
             beta2=float(beta2),
             epsilon=float(epsilon),
@@ -236,66 +263,28 @@ class AdamState:
         )
 
 
-def _check_shapes_match(net: Mlp, tensors_w, tensors_b, what: str):
-    if len(tensors_w) != net.num_layers or len(tensors_b) != net.num_layers:
-        raise DimensionError(f"{what} layer count does not match the net")
-    for t in range(net.num_layers):
-        if tensors_w[t].shape != net.weights[t].shape:
-            raise DimensionError(
-                f"{what} weight {t} has shape {tensors_w[t].shape}, "
-                f"net expects {net.weights[t].shape}"
-            )
-        if tensors_b[t].shape != net.biases[t].shape:
-            raise DimensionError(
-                f"{what} bias {t} has shape {tensors_b[t].shape}, "
-                f"net expects {net.biases[t].shape}"
-            )
-
-
-def adam_step(net: Mlp, state: AdamState, grads: Gradients) -> tuple[Mlp, AdamState]:
+def adam_step(net: Mlp, state: AdamState, grad: np.ndarray) -> tuple[Mlp, AdamState]:
     """One bias-corrected ADAM update; returns the new net and state.
 
-    Update per tensor: m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2, then
+    ``grad`` is a flat gradient in the layout of ``net.params``.  Update:
+    m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2, then
     param <- param - lr * m_hat / sqrt(v_hat + eps) with the usual 1-b^t
-    bias corrections.
+    bias corrections.  The inputs are left unchanged.
     """
-    _check_shapes_match(net, grads.weights, grads.biases, "gradient")
-    _check_shapes_match(net, state.m_weights, state.m_biases, "adam state")
-
+    if not np.shape(grad) == state.m.shape == state.v.shape == net.params.shape:
+        raise DimensionError(
+            f"gradient and ADAM moments must have shape {net.params.shape}, got "
+            f"{np.shape(grad)}, {state.m.shape} and {state.v.shape}"
+        )
     t = state.step_count + 1
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-
-    def update(param, m, v, g):
-        m_new = state.beta1 * m + (1.0 - state.beta1) * g
-        v_new = state.beta2 * v + (1.0 - state.beta2) * g * g
-        step = state.learning_rate * (m_new / c1) / np.sqrt(v_new / c2 + state.epsilon)
-        return param - step, m_new, v_new
-
-    new_w, new_b = [], []
-    m_w, m_b, v_w, v_b = [], [], [], []
-    for layer in range(net.num_layers):
-        w, mw, vw = update(net.weights[layer], state.m_weights[layer],
-                           state.v_weights[layer], grads.weights[layer])
-        b, mb, vb = update(net.biases[layer], state.m_biases[layer],
-                           state.v_biases[layer], grads.biases[layer])
-        new_w.append(w)
-        new_b.append(b)
-        m_w.append(mw)
-        m_b.append(mb)
-        v_w.append(vw)
-        v_b.append(vb)
-
-    new_net = replace(net, weights=tuple(new_w), biases=tuple(new_b))
-    new_state = replace(
-        state,
-        m_weights=tuple(m_w),
-        m_biases=tuple(m_b),
-        v_weights=tuple(v_w),
-        v_biases=tuple(v_b),
-        step_count=t,
-    )
-    return new_net, new_state
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    step = state.learning_rate * (m / c1) / np.sqrt(v / c2 + state.epsilon)
+    new_net = Mlp._from_params(net.layer_sizes, net.params - step,
+                               net.hidden_activation, net.output_activation)
+    return new_net, replace(state, m=m, v=v, step_count=t)
 
 
 def mac_count(layer_sizes) -> int:
@@ -303,14 +292,6 @@ def mac_count(layer_sizes) -> int:
     layer-size products n*m1 + m1*m2 + ... + m_l*k."""
     sizes = _check_layer_sizes(layer_sizes)
     return sum(a * b for a, b in zip(sizes[:-1], sizes[1:]))
-
-
-def training_mac_estimate(layer_sizes, epochs: int, samples: int) -> int:
-    """Total forward-MAC budget of a training run: epochs * samples * mac_count.
-
-    A cost proxy only; backward-pass constant factors are not modeled.
-    """
-    return int(epochs) * int(samples) * mac_count(layer_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -322,30 +303,43 @@ def _format_tensor(t: np.ndarray) -> str:
     return " ".join(f"{v:.17g}" for v in t.ravel())
 
 
-def save_model(net: Mlp, path) -> None:
-    """Write the network to ``path`` atomically (temp file + rename)."""
-    lines = [MODEL_FORMAT_HEADER, " ".join(str(s) for s in net.layer_sizes)]
-    for w, b in zip(net.weights, net.biases):
-        lines.append(_format_tensor(w))
-        lines.append(_format_tensor(b))
-    text = "\n".join(lines) + "\n"
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` via a sibling temp file and rename, so failures leave no
+    output.  The file gets mode 0o666 minus the umask and "\n" line ends."""
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".penalearn-tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        try:
             os.unlink(tmp)
+        except OSError:
+            pass
         raise
 
 
+def save_model(net: Mlp, path) -> None:
+    """Write the network to ``path`` atomically (temp file + rename)."""
+    lines = [MODEL_FORMAT_HEADER, " ".join(str(s) for s in net.layer_sizes)]
+    for w, b in zip(net.weights, net.biases):
+        lines.append(_format_tensor(w))
+        lines.append(_format_tensor(b))
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
 def load_model(path) -> Mlp:
-    """Read a model file written by save_model; exact weight round trip."""
+    """Read a model file written by save_model; exact weight round trip.
+
+    Every tensor line is parsed straight into its slice of the flat parameter
+    vector; a malformed or non-finite value raises ModelFormatError with the
+    line number.
+    """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -361,14 +355,12 @@ def load_model(path) -> Mlp:
         raise ModelFormatError(f"bad layer-sizes line: {exc}", line_number=2) from exc
     sizes = _check_layer_sizes(sizes)
 
-    weights, biases = [], []
+    params = np.empty(sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:])))
+    start = 0
     lineno = 2
     for t in range(len(sizes) - 1):
         fan_out, fan_in = sizes[t + 1], sizes[t]
-        for kind, count, shape in (
-            ("weight", fan_out * fan_in, (fan_out, fan_in)),
-            ("bias", fan_out, (fan_out,)),
-        ):
+        for kind, count in (("weight", fan_out * fan_in), ("bias", fan_out)):
             lineno += 1
             if lineno > len(lines):
                 raise ModelFormatError(
@@ -388,13 +380,16 @@ def load_model(path) -> Mlp:
                     f"expected {count}",
                     line_number=lineno,
                 )
-            if kind == "weight":
-                weights.append(values.reshape(shape))
-            else:
-                biases.append(values)
+            if not np.all(np.isfinite(values)):
+                raise ModelFormatError(
+                    f"non-finite value in {kind} tensor for layer {t}",
+                    line_number=lineno,
+                )
+            params[start:start + count] = values
+            start += count
     extra = [ln for ln in lines[lineno:] if ln.strip()]
     if extra:
         raise ModelFormatError(
             "trailing content after final tensor", line_number=lineno + 1
         )
-    return Mlp(layer_sizes=sizes, weights=tuple(weights), biases=tuple(biases))
+    return Mlp._from_params(sizes, params)

@@ -52,6 +52,12 @@ class OracleConfig:
             raise ValueError(f"starts must be >= 0, got {self.starts}")
         if self.descent_steps < 1:
             raise ValueError(f"descent_steps must be >= 1, got {self.descent_steps}")
+        if not self.descent_lr > 0:
+            raise ValueError(f"descent_lr must be positive, got {self.descent_lr}")
+        if self.grid_bounds is not None and any(
+            not lo <= hi for lo, hi in self.grid_bounds
+        ):
+            raise ValueError(f"grid_bounds need lo <= hi, got {self.grid_bounds}")
 
     def bounds_for(self, dim: int) -> tuple[tuple[float, float], ...]:
         if self.grid_bounds is not None:

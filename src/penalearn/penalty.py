@@ -40,7 +40,7 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.mode not in PENALTY_MODES:
             raise ValueError(f"mode must be one of {PENALTY_MODES}, got {self.mode!r}")
-        if self.gamma < 1.0:
+        if not self.gamma >= 1.0:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if not self.indicator_big > 0:
             raise ValueError(f"indicator_big must be positive, got {self.indicator_big}")
@@ -198,32 +198,6 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig):
         omega += values.sum(axis=1)
         grad += np.einsum("bj,bjk->bk", derivs, ce.eq_grads)
     return f0 + omega, f0, omega, grad
-
-
-def total_loss(x, p, problem, cfg: PenaltyConfig):
-    """Penalized loss and its exact gradient in x for a single point.
-
-    Accepts 1-d ``x`` (length k) and ``p`` (length d); returns a float loss
-    and a length-k gradient vector.
-    """
-    x1 = np.atleast_2d(np.asarray(x, dtype=float))
-    p1 = np.atleast_2d(np.asarray(p, dtype=float))
-    loss, _, _, grad = loss_terms_batch(x1, p1, problem, cfg)
-    return float(loss[0]), grad[0]
-
-
-def total_loss_batch(x, p, problem, cfg: PenaltyConfig):
-    """Batch form of total_loss: (batch,) losses and (batch, k) gradients."""
-    loss, _, _, grad = loss_terms_batch(x, p, problem, cfg)
-    return loss, grad
-
-
-def penalty_value(x, p, problem, cfg: PenaltyConfig) -> float:
-    """The penalty term alone at a single point."""
-    x1 = np.atleast_2d(np.asarray(x, dtype=float))
-    p1 = np.atleast_2d(np.asarray(p, dtype=float))
-    _, _, omega, _ = loss_terms_batch(x1, p1, problem, cfg)
-    return float(omega[0])
 
 
 def violation_report_batch(x, p, problem, eq_tolerance=0.0):

@@ -241,11 +241,6 @@ def eval_objective(spec: ProblemSpec, x, p):
     return float(f[0]), g[0]
 
 
-def eval_constraints(spec: ProblemSpec, x, p) -> ConstraintEval:
-    """ConstraintEval at a single point (batch dimension of one)."""
-    return spec.constraint_eval(x, p)
-
-
 def sample_params(spec: ProblemSpec, count: int, seed: int = 0) -> ParamSet:
     """Uniform parameter samples within the spec ranges, one row each."""
     if count < 1:

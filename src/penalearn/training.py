@@ -76,6 +76,13 @@ class TrainConfig:
             raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+        if not self.adam_epsilon > 0:
+            raise ConfigError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
+        if not self.feas_tolerance >= 0:
+            raise ConfigError(f"feas_tolerance must be >= 0, got {self.feas_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -142,15 +149,11 @@ def _fold_input_transform(net: Mlp, mid: np.ndarray, half: np.ndarray) -> Mlp:
     W' = W/half (columnwise) and b' = b - W (mid/half); the fold is exact up
     to one float rounding per entry.
     """
-    w0 = net.weights[0] / half[None, :]
-    b0 = net.biases[0] - net.weights[0] @ (mid / half)
-    from dataclasses import replace
-
-    return replace(
-        net,
-        weights=(w0,) + net.weights[1:],
-        biases=(b0,) + net.biases[1:],
-    )
+    folded = Mlp._from_params(net.layer_sizes, net.params.copy(),
+                              net.hidden_activation, net.output_activation)
+    folded.weights[0][...] = net.weights[0] / half[None, :]
+    folded.biases[0][...] = net.biases[0] - net.weights[0] @ (mid / half)
+    return folded
 
 
 def _resolve_shape(spec: ProblemSpec, cfg: TrainConfig) -> tuple[int, ...]:
@@ -230,9 +233,7 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
 
 
 def _batch_loss_guarded(outputs, raw_params, spec, cfg, epoch, idx):
-    from .penalty import total_loss_batch
-
-    loss, grad_x = total_loss_batch(outputs, raw_params, spec, cfg.penalty)
+    loss, _, _, grad_x = loss_terms_batch(outputs, raw_params, spec, cfg.penalty)
     bad = ~np.isfinite(loss)
     if bad.any():
         sample = int(idx[int(np.argmax(bad))])

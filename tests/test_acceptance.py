@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from penalearn import (
-    Gradients,
     Mlp,
     OracleConfig,
     PenaltyConfig,
@@ -24,7 +23,6 @@ from penalearn import (
     make_problem,
     mlp_backward,
     mlp_forward,
-    penalty_value,
     problem_names,
     run_benchmark,
     sample_params,
@@ -105,13 +103,12 @@ def test_criterion_1_gradient_fidelity():
             if not _smooth_config(spec, net, p_row, pcfg):
                 continue
             _, grads, _ = _chain_loss_and_grads(net, p_row, spec, pcfg)
-            direction = Gradients(
+            direction = Mlp(
+                layer_sizes=shape,
                 weights=tuple(rng.normal(size=w.shape) for w in net.weights),
                 biases=tuple(rng.normal(size=b.shape) for b in net.biases),
             )
-            analytic = sum(
-                float(np.sum(g * v)) for g, v in zip(grads.weights, direction.weights)
-            ) + sum(float(np.sum(g * v)) for g, v in zip(grads.biases, direction.biases))
+            analytic = float(grads @ direction.params)
             h = 1e-6
             lp, _, _ = _chain_loss_and_grads(_perturbed(net, direction, h), p_row, spec, pcfg)
             lm, _, _ = _chain_loss_and_grads(_perturbed(net, direction, -h), p_row, spec, pcfg)
@@ -325,7 +322,8 @@ def test_criterion_9_penalty_algebra():
     theta = 2 * np.pi * rng.random(200)
     Xf = np.column_stack([inside * np.cos(theta), inside * np.sin(theta)])
     for i in range(200):
-        assert penalty_value(Xf[i], P[i], spec, cfg) == 0.0
+        _, _, omega_i, _ = loss_terms_batch(Xf[i:i + 1], P[i:i + 1], spec, cfg)
+        assert omega_i[0] == 0.0
 
     eta = 1e8
     for eps in (1e-6, 1e-9):

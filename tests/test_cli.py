@@ -5,6 +5,16 @@ import os
 import numpy as np
 import pytest
 
+from penalearn import (
+    ConfigError,
+    ModelFormatError,
+    OracleConfig,
+    PenaltyConfig,
+    TrainConfig,
+    init_mlp,
+    load_model,
+    save_model,
+)
 from penalearn.cli import main, parse_config_file
 from penalearn.errors import UsageError
 
@@ -24,7 +34,7 @@ def test_help_exits_zero_and_lists_keys(capsys):
     text = capsys.readouterr().out
     for flag in (
         "--problem", "--seed", "--epochs", "--eta", "--gamma", "--penalty-mode",
-        "--net-shape", "--grid-points", "--starts", "--threads", "--params",
+        "--net-shape", "--grid-points", "--starts", "--params",
     ):
         assert flag in text
     assert "range:" in text and "default:" in text
@@ -201,3 +211,36 @@ def test_failed_run_leaves_no_partial_output(tmp_path):
     assert code == 1
     assert not target.exists()
     assert not (tmp_path / "missing-dir").exists()
+
+
+def _model_with_bad_bias(tmp_path, token):
+    """A valid model file whose first bias line (line 4) holds ``token``."""
+    path = tmp_path / "m.model"
+    save_model(init_mlp((2, 3, 2), seed=1), path)
+    lines = path.read_text().splitlines()
+    lines[3] = f"0 {token} 0"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "make,exc",
+    [
+        (lambda _: TrainConfig(beta1=1.5), ConfigError),
+        (lambda _: TrainConfig(beta2=0.0), ConfigError),
+        (lambda _: TrainConfig(adam_epsilon=0.0), ConfigError),
+        (lambda _: TrainConfig(feas_tolerance=-0.1), ConfigError),
+        (lambda _: PenaltyConfig(gamma=float("nan")), ValueError),
+        (lambda _: OracleConfig(descent_lr=0.0), ValueError),
+        (lambda _: OracleConfig(grid_bounds=((1.0, -1.0), (-6.0, 6.0))), ValueError),
+        (lambda d: load_model(_model_with_bad_bias(d, "nan")), ModelFormatError),
+        (lambda d: load_model(_model_with_bad_bias(d, "inf")), ModelFormatError),
+    ],
+    ids=["beta1", "beta2", "adam_epsilon", "feas_tolerance", "gamma_nan",
+         "descent_lr", "grid_bounds", "model_nan", "model_inf"],
+)
+def test_library_rejects_what_the_cli_rejects(tmp_path, make, exc):
+    with pytest.raises(exc) as info:
+        make(tmp_path)
+    if exc is ModelFormatError:
+        assert info.value.line_number == 4

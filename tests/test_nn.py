@@ -6,7 +6,6 @@ import pytest
 from penalearn import (
     AdamState,
     DimensionError,
-    Gradients,
     Mlp,
     ModelFormatError,
     ModelVersionError,
@@ -18,7 +17,6 @@ from penalearn import (
     mlp_backward,
     mlp_forward,
     save_model,
-    training_mac_estimate,
 )
 
 SHAPES = [(2, 20, 20, 2), (2, 10, 20, 20, 20, 10, 2), (5, 10, 20, 20, 20, 10, 2), (3, 4, 1)]
@@ -104,13 +102,12 @@ def test_backward_matches_finite_differences():
         upstream = rng.normal(size=(6, shape[-1]))
         _, grads, _ = _loss_and_param_grads(net, batch, upstream)
 
-        direction = Gradients(
+        direction = Mlp(
+            layer_sizes=shape,
             weights=tuple(rng.normal(size=w.shape) for w in net.weights),
             biases=tuple(rng.normal(size=b.shape) for b in net.biases),
         )
-        analytic = sum(
-            float(np.sum(g * d)) for g, d in zip(grads.weights, direction.weights)
-        ) + sum(float(np.sum(g * d)) for g, d in zip(grads.biases, direction.biases))
+        analytic = float(grads @ direction.params)
         h = 1e-6
         lp, _, _ = _loss_and_param_grads(_perturbed(net, direction, h), batch, upstream)
         lm, _, _ = _loss_and_param_grads(_perturbed(net, direction, -h), batch, upstream)
@@ -144,10 +141,7 @@ def test_adam_single_step_from_zero_state():
     w2 = np.zeros((1, 1))
     net = Mlp(layer_sizes=(1, 1, 1), weights=(w1, w2), biases=(np.zeros(1), np.zeros(1)))
     state = AdamState.for_net(net)
-    grads = Gradients(
-        weights=(np.ones((1, 1)), np.zeros((1, 1))),
-        biases=(np.zeros(1), np.zeros(1)),
-    )
+    grads = np.array([1.0, 0.0, 0.0, 0.0])  # W0, b0, W1, b1
     new_net, new_state = adam_step(net, state, grads)
     np.testing.assert_allclose(new_net.weights[0][0, 0], -0.000999999995, rtol=0, atol=1e-15)
     assert new_net.weights[1][0, 0] == 0.0
@@ -169,11 +163,7 @@ def test_adam_sequence_matches_scalar_recomputation():
     w = 0.3
     m = v = 0.0
     for t, g in enumerate(gs, start=1):
-        grads = Gradients(
-            weights=(np.array([[g]]), np.zeros((1, 1))),
-            biases=(np.zeros(1), np.zeros(1)),
-        )
-        net, state = adam_step(net, state, grads)
+        net, state = adam_step(net, state, np.array([g, 0.0, 0.0, 0.0]))
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         m_hat = m / (1 - b1**t)
@@ -195,8 +185,35 @@ def test_mac_count_is_sum_of_consecutive_products():
         assert mac_count(sizes) == sum(a * b for a, b in zip(sizes, sizes[1:]))
 
 
-def test_training_mac_estimate_scales():
-    assert training_mac_estimate((2, 20, 20, 2), epochs=5000, samples=1000) == 480 * 5000 * 1000
+def test_adam_flat_update_matches_per_tensor_bits():
+    """The flat-vector step must give exactly the per-tensor recursion's bits."""
+    rng = np.random.default_rng(31)
+    net = init_mlp((3, 5, 4, 2), seed=8)
+    lr, b1, b2, eps = 3e-3, 0.8, 0.99, 1e-8
+    state = AdamState.for_net(net, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+    params = [a.copy() for pair in zip(net.weights, net.biases) for a in pair]
+    m = [np.zeros_like(a) for a in params]
+    v = [np.zeros_like(a) for a in params]
+    for t in range(1, 8):
+        gs = [rng.normal(size=a.shape) for a in params]
+        old, old_params = net, net.params.copy()
+        net, state = adam_step(net, state, np.concatenate([g.ravel() for g in gs]))
+        assert np.array_equal(old.params, old_params), "adam_step mutated its input"
+        for i, g in enumerate(gs):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            step = lr * (m[i] / (1.0 - b1**t)) / np.sqrt(v[i] / (1.0 - b2**t) + eps)
+            params[i] = params[i] - step
+        got = [a for pair in zip(net.weights, net.biases) for a in pair]
+        assert all(np.array_equal(a, b) for a, b in zip(got, params))
+    assert state.step_count == 7
+
+
+def test_adam_rejects_mismatched_gradient():
+    net = init_mlp((2, 3, 1))
+    state = AdamState.for_net(net)
+    with pytest.raises(DimensionError):
+        adam_step(net, state, np.zeros(net.parameter_count() + 1))
 
 
 def test_model_round_trip_is_exact(tmp_path):
@@ -205,6 +222,7 @@ def test_model_round_trip_is_exact(tmp_path):
     save_model(net, path)
     back = load_model(path)
     assert back.layer_sizes == net.layer_sizes
+    assert np.array_equal(back.params, net.params)
     for a, b in zip(back.weights, net.weights):
         assert np.array_equal(a, b)
     for a, b in zip(back.biases, net.biases):

@@ -9,13 +9,17 @@ from penalearn import (
     eq_penalty,
     ineq_penalty,
     make_problem,
-    penalty_value,
-    total_loss,
     violation_report,
 )
 from penalearn.penalty import loss_terms_batch
 
 RB = make_problem("rosenbrock-1c")
+
+
+def _at_point(x, p, cfg):
+    """loss_terms_batch on one point: (loss, objective, penalty, gradient)."""
+    loss, f0, omega, grad = loss_terms_batch(x[None, :], p[None, :], RB, cfg)
+    return float(loss[0]), float(f0[0]), float(omega[0]), grad[0]
 
 
 def test_ineq_penalty_reference_values():
@@ -108,7 +112,7 @@ def test_zero_penalty_inside_feasible_set():
         th = 2 * np.pi * rng.random()
         x = np.array([r * np.cos(th), r * np.sin(th)])
         p = np.array([rng.uniform(0, 30), rng.uniform(0, 1)])
-        assert penalty_value(x, p, RB, cfg) == 0.0
+        assert _at_point(x, p, cfg)[2] == 0.0
 
 
 def test_penalty_positive_outside_feasible_set():
@@ -116,14 +120,14 @@ def test_penalty_positive_outside_feasible_set():
     x = np.array([1.5, 0.0])  # disk residual 1.25
     p = np.array([1.0, 1.0])
     expected = 1e8 * (1.5**2 - 1.0) ** 2
-    np.testing.assert_allclose(penalty_value(x, p, RB, cfg), expected, rtol=1e-15)
+    np.testing.assert_allclose(_at_point(x, p, cfg)[2], expected, rtol=1e-15)
 
 
 def test_total_loss_reduces_to_objective_when_feasible():
     cfg = PenaltyConfig()
     x = np.array([0.3, 0.2])
     p = np.array([2.0, 0.5])
-    loss, _ = total_loss(x, p, RB, cfg)
+    loss = _at_point(x, p, cfg)[0]
     f0 = 2.0 * (0.2 - 0.09) ** 2 + (0.5 - 0.3) ** 2
     np.testing.assert_allclose(loss, f0, rtol=1e-15)
 
@@ -138,13 +142,13 @@ def test_loss_gradient_matches_finite_differences():
         residual = x @ x - 1.0
         if abs(residual) < 1e-3:  # stay clear of the kink
             continue
-        _, grad = total_loss(x, p, RB, cfg)
+        grad = _at_point(x, p, cfg)[3]
         h = 1e-6
         for j in range(2):
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            fd = (total_loss(xp, p, RB, cfg)[0] - total_loss(xm, p, RB, cfg)[0]) / (2 * h)
+            fd = (_at_point(xp, p, cfg)[0] - _at_point(xm, p, cfg)[0]) / (2 * h)
             assert abs(fd - grad[j]) / max(abs(grad[j]), 1.0) < 1e-5
         checked += 1
 
@@ -183,7 +187,7 @@ def test_batch_and_scalar_paths_agree():
     P = np.column_stack([rng.uniform(0, 30, 20), rng.uniform(0, 1, 20)])
     loss_b, _, omega_b, grad_b = loss_terms_batch(X, P, RB, cfg)
     for i in range(20):
-        loss_s, grad_s = total_loss(X[i], P[i], RB, cfg)
+        loss_s, _, omega_s, grad_s = _at_point(X[i], P[i], cfg)
         assert loss_s == loss_b[i]
         assert np.array_equal(grad_s, grad_b[i])
-        assert penalty_value(X[i], P[i], RB, cfg) == omega_b[i]
+        assert omega_s == omega_b[i]
