@@ -47,6 +47,7 @@ from .bench import (
 from .oracle import OracleConfig, OracleSolution, grid_scan, solve
 from .penalty import (
     ConstraintEval,
+    LossTerms,
     PenaltyConfig,
     eq_penalty,
     ineq_penalty,
@@ -58,7 +59,6 @@ from .problems import (
     Constraint,
     ParamSet,
     ProblemSpec,
-    eval_objective,
     make_problem,
     problem_names,
     sample_params,

@@ -56,14 +56,15 @@ def _split(sizes, flat):
     return tuple(weights), tuple(biases)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mlp:
     """Feed-forward network: tanh hidden layers, identity output layer.
 
     ``weights[t]`` has shape (layer_sizes[t+1], layer_sizes[t]), rows are
     fan-out, and ``biases[t]`` has length layer_sizes[t+1].  Construction
     copies the given tensors into the flat ``params`` vector (see the module
-    docstring) after checking their shapes and finiteness.
+    docstring) after checking their shapes and finiteness.  Equality is
+    identity; compare ``layer_sizes`` and ``params`` for value equality.
     """
 
     layer_sizes: tuple[int, ...]
@@ -71,7 +72,7 @@ class Mlp:
     biases: tuple[np.ndarray, ...]
     hidden_activation: str = "tanh"
     output_activation: str = "identity"
-    params: np.ndarray = field(init=False, repr=False, compare=False)
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sizes = _check_layer_sizes(self.layer_sizes)

@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import OracleError, UnsupportedError
-from .penalty import eq_penalty, ineq_penalty, violation_report_batch
+from .penalty import PenaltyConfig, loss_terms_batch
+from .penalty import violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ProblemSpec
 
 GRID_CHUNK = 200_000
@@ -52,6 +53,8 @@ class OracleConfig:
             raise ValueError(f"starts must be >= 0, got {self.starts}")
         if self.descent_steps < 1:
             raise ValueError(f"descent_steps must be >= 1, got {self.descent_steps}")
+        if not self.gamma >= 1.0:
+            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if not self.descent_lr > 0:
             raise ValueError(f"descent_lr must be positive, got {self.descent_lr}")
         if self.grid_bounds is not None and any(
@@ -78,33 +81,18 @@ class OracleSolution:
     method: str  # "grid" or "descent"
 
 
-def _penalized(spec: ProblemSpec, p: np.ndarray, X: np.ndarray, eta: float, gamma: float):
-    """f0 + penalty and gradient for many x at one parameter vector.
+def _stage_penalty(cfg: OracleConfig, eta: float) -> PenaltyConfig:
+    return PenaltyConfig(eta_ineq=eta, eta_eq=eta, gamma=cfg.gamma)
 
-    Unlike the training-loss path this never raises on non-finite trial
-    points; such rows simply carry inf/nan and lose the line search.
+
+def _evaluate(spec: ProblemSpec, p: np.ndarray, X: np.ndarray, pcfg: PenaltyConfig):
+    """Penalized terms for many x at one parameter vector.
+
+    Never raises on non-finite trial points; such rows simply carry inf/nan
+    and lose the line search.
     """
     P = np.broadcast_to(p, (X.shape[0], p.size))
-    with np.errstate(all="ignore"):
-        loss, grad = spec.objective(X, P)
-        loss = loss.copy()
-        grad = grad.copy()
-        ce = spec.constraint_eval(X, P)
-        if ce.n_ineq:
-            v, d = ineq_penalty(ce.ineq_values, eta, gamma)
-            loss += v.sum(axis=1)
-            grad += np.einsum("bi,bik->bk", d, ce.ineq_grads)
-        if ce.n_eq:
-            v, d = eq_penalty(ce.eq_values, eta, gamma)
-            loss += v.sum(axis=1)
-            grad += np.einsum("bj,bjk->bk", d, ce.eq_grads)
-    return loss, grad
-
-
-def _worst_violation(spec: ProblemSpec, p: np.ndarray, X: np.ndarray) -> np.ndarray:
-    P = np.broadcast_to(p, (X.shape[0], p.size))
-    max_ineq, max_eq, _ = violation_report_batch(X, P, spec, 0.0)
-    return np.maximum(max_ineq, max_eq)
+    return loss_terms_batch(X, P, spec, pcfg, strict=False)
 
 
 def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSolution:
@@ -127,15 +115,15 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
 
     best_feas = None  # (f0, x)
     best_any = None   # (penalized, x)
-    eta_final = cfg.eta_schedule[-1]
+    pcfg = _stage_penalty(cfg, cfg.eta_schedule[-1])
     for lo_idx in range(0, points.shape[0], GRID_CHUNK):
         X = points[lo_idx:lo_idx + GRID_CHUNK]
-        with np.errstate(all="ignore"):
-            f0, _ = spec.objective(X, np.broadcast_to(p, (X.shape[0], p.size)))
-        viol = _worst_violation(spec, p, X)
-        pen, _ = _penalized(spec, p, X, eta_final, cfg.gamma)
+        terms = _evaluate(spec, p, X, pcfg)
+        f0 = terms.objective
+        max_ineq, max_eq, _ = terms.constraints.violations()
+        viol = np.maximum(max_ineq, max_eq)
 
-        pen = np.where(np.isfinite(pen), pen, np.inf)
+        pen = np.where(np.isfinite(terms.loss), terms.loss, np.inf)
         i = int(np.argmin(pen))
         if best_any is None or pen[i] < best_any[0]:
             best_any = (float(pen[i]), X[i].copy())
@@ -147,12 +135,13 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
                 best_feas = (float(f_masked[i]), X[i].copy())
 
     x_best = best_feas[1] if best_feas is not None else best_any[1]
-    f_best, _ = spec.objective(x_best[None, :], p[None, :])
-    viol = float(_worst_violation(spec, p, x_best[None, :])[0])
+    # re-evaluated alone: a 1-row call need not match its row in the chunk bit for bit
+    terms = _evaluate(spec, p, x_best[None, :], pcfg)
+    max_ineq, max_eq, _ = terms.constraints.violations()
     return OracleSolution(
         x=x_best,
-        objective=float(f_best[0]),
-        max_violation=viol,
+        objective=float(terms.objective[0]),
+        max_violation=float(np.maximum(max_ineq, max_eq)[0]),
         solve_time_s=time.perf_counter() - t0,
         method="grid",
     )
@@ -166,8 +155,11 @@ def _descend_batch(spec, p, X0, eta, cfg: OracleConfig):
     Returns the final points and a per-row finite flag.
     """
 
+    pcfg = _stage_penalty(cfg, eta)
+
     def fg(X):
-        return _penalized(spec, p, X, eta, cfg.gamma)
+        terms = _evaluate(spec, p, X, pcfg)
+        return terms.loss, terms.grad
 
     X = X0.copy()
     F, G = fg(X)
@@ -259,11 +251,11 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
         raise OracleError(f"all {X.shape[0]} starts diverged on {spec.name}")
 
     X = X[ok]
-    f0, _ = spec.objective(X, np.broadcast_to(p, (X.shape[0], p.size)))
-    viol = _worst_violation(spec, p, X)
-    pen, _ = _penalized(spec, p, X, cfg.eta_schedule[-1], cfg.gamma)
-    f0 = np.where(np.isfinite(f0), f0, np.inf)
-    pen = np.where(np.isfinite(pen), pen, np.inf)
+    terms = _evaluate(spec, p, X, _stage_penalty(cfg, cfg.eta_schedule[-1]))
+    max_ineq, max_eq, _ = terms.constraints.violations()
+    viol = np.maximum(max_ineq, max_eq)
+    f0 = np.where(np.isfinite(terms.objective), terms.objective, np.inf)
+    pen = np.where(np.isfinite(terms.loss), terms.loss, np.inf)
 
     # value-based key so the winner is independent of evaluation order
     def key(i):

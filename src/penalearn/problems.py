@@ -229,18 +229,6 @@ def make_problem(name: str) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # operations
 
-def eval_objective(spec: ProblemSpec, x, p):
-    """Objective value and gradient at a single point (1-d x and p)."""
-    x1 = np.atleast_2d(np.asarray(x, dtype=float))
-    p1 = np.atleast_2d(np.asarray(p, dtype=float))
-    if x1.shape[1] != spec.decision_dim:
-        raise DimensionError(f"x has length {x1.shape[1]}, expected {spec.decision_dim}")
-    if p1.shape[1] != spec.param_dim:
-        raise DimensionError(f"p has length {p1.shape[1]}, expected {spec.param_dim}")
-    f, g = spec.objective(x1, p1)
-    return float(f[0]), g[0]
-
-
 def sample_params(spec: ProblemSpec, count: int, seed: int = 0) -> ParamSet:
     """Uniform parameter samples within the spec ranges, one row each."""
     if count < 1:

@@ -25,7 +25,8 @@ from .nn import (
     mlp_forward,
     save_model,
 )
-from .penalty import PenaltyConfig, loss_terms_batch, violation_report, violation_report_batch
+from .penalty import PenaltyConfig, loss_terms_batch
+from .penalty import violation_report, violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ParamSet, ProblemSpec, sample_params
 
 __all__ = [
@@ -173,16 +174,14 @@ def _resolve_shape(spec: ProblemSpec, cfg: TrainConfig) -> tuple[int, ...]:
 
 def _log_entry(epoch, net, inputs, raw_params, spec, cfg, t0) -> TrainLogEntry:
     outputs, _ = mlp_forward(net, inputs)
-    loss, f0, omega, _ = loss_terms_batch(outputs, raw_params, spec, cfg.penalty)
-    max_ineq, max_eq, _ = violation_report_batch(
-        outputs, raw_params, spec, cfg.penalty.eq_tolerance
-    )
+    terms = loss_terms_batch(outputs, raw_params, spec, cfg.penalty)
+    max_ineq, max_eq, _ = terms.constraints.violations(cfg.penalty.eq_tolerance)
     worst = np.maximum(max_ineq, max_eq)
     return TrainLogEntry(
         epoch=int(epoch),
-        mean_loss=float(loss.mean()),
-        mean_objective=float(f0.mean()),
-        mean_penalty=float(omega.mean()),
+        mean_loss=float(terms.loss.mean()),
+        mean_objective=float(terms.objective.mean()),
+        mean_penalty=float(terms.penalty.mean()),
         feasible_frac=float((worst <= cfg.feas_tolerance).mean()),
         elapsed_s=time.perf_counter() - t0,
     )
@@ -233,7 +232,8 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
 
 
 def _batch_loss_guarded(outputs, raw_params, spec, cfg, epoch, idx):
-    loss, _, _, grad_x = loss_terms_batch(outputs, raw_params, spec, cfg.penalty)
+    terms = loss_terms_batch(outputs, raw_params, spec, cfg.penalty)
+    loss = terms.loss
     bad = ~np.isfinite(loss)
     if bad.any():
         sample = int(idx[int(np.argmax(bad))])
@@ -251,7 +251,7 @@ def _batch_loss_guarded(outputs, raw_params, spec, cfg, epoch, idx):
             epoch=epoch,
             sample_index=sample,
         )
-    return loss, grad_x
+    return loss, terms.grad
 
 
 def evaluate(
@@ -266,29 +266,30 @@ def evaluate(
         raise DimensionError(
             f"net input dim {net.input_dim} != problem param dim {spec.param_dim}"
         )
-    from .problems import eval_objective
-
+    if net.output_dim != spec.decision_dim:
+        raise DimensionError(
+            f"net output dim {net.output_dim} != problem decision dim {spec.decision_dim}"
+        )
     reports = []
     for row in params.values:
         t0 = time.perf_counter()
         out, _ = mlp_forward(net, row[None, :])
         dt = time.perf_counter() - t0
         x = out[0]
-        f0, _ = eval_objective(spec, x, row)
-        ce = spec.constraint_eval(x[None, :], row[None, :])
-        max_ineq, max_eq, feasible = violation_report(
-            x, row, spec, cfg.eq_tolerance
-        )
+        # objective and residuals only: the penalty and its gradient go unread here
+        f0, _ = spec.objective(out, row[None, :])
+        ce = spec.constraint_eval(out, row[None, :])
+        max_ineq, max_eq, feasible = ce.violations(cfg.eq_tolerance)
         reports.append(
             EvalReport(
                 params=row.copy(),
                 x=x.copy(),
-                objective=f0,
+                objective=float(f0[0]),
                 ineq_residuals=ce.ineq_values[0].copy(),
                 eq_residuals=ce.eq_values[0].copy(),
-                max_ineq_violation=max_ineq,
-                max_eq_violation=max_eq,
-                feasible=feasible,
+                max_ineq_violation=float(max_ineq[0]),
+                max_eq_violation=float(max_eq[0]),
+                feasible=bool(feasible[0]),
                 forward_time_s=dt,
             )
         )

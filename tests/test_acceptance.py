@@ -7,6 +7,7 @@ what the implementation happens to achieve.
 
 import os
 import time
+import zlib
 
 import numpy as np
 
@@ -51,9 +52,9 @@ SPEEDUP_THRESHOLD = float(os.environ.get("PENALEARN_SPEEDUP_THRESHOLD", "10"))
 
 def _chain_loss_and_grads(net, p_row, spec, pcfg):
     out, trace = mlp_forward(net, p_row)
-    loss, _, _, gx = loss_terms_batch(out, p_row, spec, pcfg)
-    grads, _ = mlp_backward(net, trace, gx)
-    return float(loss[0]), grads, out[0]
+    terms = loss_terms_batch(out, p_row, spec, pcfg)
+    grads, _ = mlp_backward(net, trace, terms.grad)
+    return float(terms.loss[0]), grads, out[0]
 
 
 def _perturbed(net, direction, h):
@@ -85,7 +86,7 @@ def test_criterion_1_gradient_fidelity():
     for name in problem_names():
         spec = make_problem(name)
         d, k = spec.param_dim, spec.decision_dim
-        rng = np.random.default_rng(abs(hash(name)) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         lows = np.array([r[0] for r in spec.param_ranges])
         highs = np.array([r[1] for r in spec.param_ranges])
         checked = attempts = 0
@@ -191,8 +192,8 @@ def test_criterion_5_indicator_pathology():
     rng = np.random.default_rng(55)
     X = rng.uniform(-3, 3, size=(500, 2))
     P = np.column_stack([rng.uniform(0, 30, 500), rng.uniform(0, 1, 500)])
-    _, _, _, grad_ind = loss_terms_batch(X, P, spec, PenaltyConfig(mode="indicator"))
-    _, _, _, grad_obj = loss_terms_batch(X, P, spec, PenaltyConfig(mode="none"))
+    grad_ind = loss_terms_batch(X, P, spec, PenaltyConfig(mode="indicator")).grad
+    _, grad_obj = spec.objective(X, P)
     assert np.array_equal(grad_ind, grad_obj), "indicator added gradient signal"
 
     cfg = dict(epochs=200, seed=0)
@@ -315,14 +316,14 @@ def test_criterion_9_penalty_algebra():
 
     X = rng.uniform(-3, 3, size=(400, 2))
     P = np.column_stack([rng.uniform(0, 30, 400), rng.uniform(0, 1, 400)])
-    _, _, omega, _ = loss_terms_batch(X, P, spec, cfg)
+    omega = loss_terms_batch(X, P, spec, cfg).penalty
     assert np.all(omega >= 0.0), "penalty went negative"
 
     inside = 0.95 * np.sqrt(rng.random(200))
     theta = 2 * np.pi * rng.random(200)
     Xf = np.column_stack([inside * np.cos(theta), inside * np.sin(theta)])
     for i in range(200):
-        _, _, omega_i, _ = loss_terms_batch(Xf[i:i + 1], P[i:i + 1], spec, cfg)
+        omega_i = loss_terms_batch(Xf[i:i + 1], P[i:i + 1], spec, cfg).penalty
         assert omega_i[0] == 0.0
 
     eta = 1e8

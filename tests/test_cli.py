@@ -231,13 +231,16 @@ def _model_with_bad_bias(tmp_path, token):
         (lambda _: TrainConfig(adam_epsilon=0.0), ConfigError),
         (lambda _: TrainConfig(feas_tolerance=-0.1), ConfigError),
         (lambda _: PenaltyConfig(gamma=float("nan")), ValueError),
+        (lambda _: PenaltyConfig(mode="none"), ValueError),
+        (lambda _: OracleConfig(gamma=0.5), ValueError),
         (lambda _: OracleConfig(descent_lr=0.0), ValueError),
         (lambda _: OracleConfig(grid_bounds=((1.0, -1.0), (-6.0, 6.0))), ValueError),
         (lambda d: load_model(_model_with_bad_bias(d, "nan")), ModelFormatError),
         (lambda d: load_model(_model_with_bad_bias(d, "inf")), ModelFormatError),
     ],
     ids=["beta1", "beta2", "adam_epsilon", "feas_tolerance", "gamma_nan",
-         "descent_lr", "grid_bounds", "model_nan", "model_inf"],
+         "penalty_mode_none", "oracle_gamma", "descent_lr", "grid_bounds",
+         "model_nan", "model_inf"],
 )
 def test_library_rejects_what_the_cli_rejects(tmp_path, make, exc):
     with pytest.raises(exc) as info:

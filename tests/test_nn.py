@@ -216,6 +216,12 @@ def test_adam_rejects_mismatched_gradient():
         adam_step(net, state, np.zeros(net.parameter_count() + 1))
 
 
+def test_net_equality_is_identity():
+    net = init_mlp((2, 3, 1), seed=0)
+    assert net == net
+    assert (net == init_mlp((2, 3, 1), seed=0)) is False
+
+
 def test_model_round_trip_is_exact(tmp_path):
     net = init_mlp((2, 10, 20, 20, 20, 10, 2), seed=99)
     path = tmp_path / "model.txt"

@@ -18,8 +18,8 @@ RB = make_problem("rosenbrock-1c")
 
 def _at_point(x, p, cfg):
     """loss_terms_batch on one point: (loss, objective, penalty, gradient)."""
-    loss, f0, omega, grad = loss_terms_batch(x[None, :], p[None, :], RB, cfg)
-    return float(loss[0]), float(f0[0]), float(omega[0]), grad[0]
+    t = loss_terms_batch(x[None, :], p[None, :], RB, cfg)
+    return float(t.loss[0]), float(t.objective[0]), float(t.penalty[0]), t.grad[0]
 
 
 def test_ineq_penalty_reference_values():
@@ -100,7 +100,16 @@ def test_config_validation():
 def test_per_constraint_eta_broadcast():
     cfg = PenaltyConfig(eta_ineq=5e7)
     etas, _ = cfg.resolved_etas(3, 0)
-    assert np.array_equal(etas, np.full(3, 5e7))
+    assert np.array_equal(np.broadcast_to(etas, 3), np.full(3, 5e7))
+    # a scalar weight gives the same bits as the same weight per constraint
+    spec = make_problem("rosenbrock-3c")
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-3, 3, size=(50, 2))
+    P = np.column_stack([rng.uniform(0, 30, 50), rng.uniform(0, 1, 50)])
+    a = loss_terms_batch(X, P, spec, cfg)
+    b = loss_terms_batch(X, P, spec, PenaltyConfig(eta_ineq=(5e7, 5e7, 5e7)))
+    assert np.array_equal(a.loss, b.loss)
+    assert np.array_equal(a.grad, b.grad)
 
 
 def test_zero_penalty_inside_feasible_set():
@@ -156,12 +165,12 @@ def test_loss_gradient_matches_finite_differences():
 def test_indicator_gradient_is_pure_objective_gradient():
     """The pathology under test: violations add loss but no gradient signal."""
     ind = PenaltyConfig(mode="indicator")
-    none = PenaltyConfig(mode="none")
     rng = np.random.default_rng(4)
     X = rng.uniform(-3, 3, size=(200, 2))
     P = np.column_stack([rng.uniform(0, 30, 200), rng.uniform(0, 1, 200)])
-    loss_i, f0_i, omega_i, grad_i = loss_terms_batch(X, P, RB, ind)
-    loss_n, _, _, grad_n = loss_terms_batch(X, P, RB, none)
+    t = loss_terms_batch(X, P, RB, ind)
+    loss_i, f0_i, omega_i, grad_i = t.loss, t.objective, t.penalty, t.grad
+    _, grad_n = RB.objective(X, P)
     assert np.array_equal(grad_i, grad_n)
     violated = (X**2).sum(axis=1) > 1.0
     assert np.any(violated)
@@ -185,7 +194,8 @@ def test_batch_and_scalar_paths_agree():
     rng = np.random.default_rng(5)
     X = rng.uniform(-2, 2, size=(20, 2))
     P = np.column_stack([rng.uniform(0, 30, 20), rng.uniform(0, 1, 20)])
-    loss_b, _, omega_b, grad_b = loss_terms_batch(X, P, RB, cfg)
+    b = loss_terms_batch(X, P, RB, cfg)
+    loss_b, omega_b, grad_b = b.loss, b.penalty, b.grad
     for i in range(20):
         loss_s, _, omega_s, grad_s = _at_point(X[i], P[i], cfg)
         assert loss_s == loss_b[i]
