@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end tour of the command line: train, evaluate, query the oracle,
 # benchmark, and print the reference table.  Works from any directory once
-# the package is installed.  About 30 seconds.
+# the package is installed.  About 10 seconds.
 set -e
 
 PENALEARN="${PENALEARN:-python3 -m penalearn.cli}"

@@ -25,12 +25,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bench import emit_csv, run_benchmark, table_repro
-from .errors import PenalearnError, RegistryError, UsageError
+from .errors import ConfigError, PenalearnError, RegistryError, UsageError
 from .nn import Mlp, load_model, save_model, write_text_atomic
 from .oracle import OracleConfig, solve
 from .penalty import PenaltyConfig
 from .problems import ParamSet, ProblemSpec, make_problem, problem_names, sample_params
-from .training import TrainConfig, eval_reports_csv, evaluate, train
+from .training import TrainConfig, eval_reports_csv, evaluate, resolve_net_shape, train
 
 SEED_ENV_VAR = "PENALEARN_SEED"
 
@@ -58,75 +58,91 @@ def _parse_float_tuple(text: str) -> tuple[float, ...]:
         raise ValueError(f"expected comma-separated decimals, got {text!r}") from exc
 
 
+def _parse_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError("must be >= 1")
+    return count
+
+
 @dataclass(frozen=True)
 class _Key:
-    """One config key: file-format name, parser, default, range, description."""
+    """One config key: file-format name, parser, range, description, and the
+    config fields it sets, as (config class, field name) pairs.
+
+    Keys that set no field are the CLI's own; ``RunConfig`` holds them.
+    Defaults and range checks live in the config dataclasses.
+    """
 
     name: str
     parse: Callable[[str], object]
-    default: object
     range_desc: str
-    check: Callable[[object], bool]
     help: str
+    sets: tuple[tuple[type, str], ...] = ()
     flag_only: bool = False
 
 
+def _sets(cls, *fields: str) -> tuple[tuple[type, str], ...]:
+    return tuple((cls, f) for f in fields)
+
+
 _KEYS: tuple[_Key, ...] = (
-    _Key("problem", str, None, "one of the registry names",
-         lambda v: True, "problem to operate on"),
-    _Key("seed", int, 0, "integer >= 0", lambda v: v >= 0,
-         f"RNG seed; falls back to ${SEED_ENV_VAR} when set neither here nor in the config file"),
-    _Key("epochs", int, 5000, ">= 1", lambda v: v >= 1, "training epochs"),
-    _Key("samples", int, 1000, ">= 1", lambda v: v >= 1,
-         "training parameter vectors sampled uniformly from the problem ranges"),
-    _Key("batch_size", int, 100, ">= 1 and <= samples", lambda v: v >= 1,
-         "minibatch size"),
-    _Key("learning_rate", float, 1e-3, "> 0", lambda v: v > 0, "ADAM step size"),
-    _Key("beta1", float, 0.9, "in (0, 1)", lambda v: 0 < v < 1,
-         "ADAM first-moment decay"),
-    _Key("beta2", float, 0.999, "in (0, 1)", lambda v: 0 < v < 1,
-         "ADAM second-moment decay"),
-    _Key("adam_epsilon", float, 1e-8, "> 0", lambda v: v > 0,
-         "ADAM denominator offset"),
-    _Key("eta", float, 1e8, "> 0", lambda v: v > 0,
-         "penalty weight applied to every constraint"),
-    _Key("gamma", float, 2.0, ">= 1", lambda v: v >= 1,
-         "penalty exponent; values below 1 break penalty smoothness at the boundary"),
-    _Key("penalty_mode", str, "piecewise", "piecewise | indicator",
-         lambda v: v in ("piecewise", "indicator"),
-         "piecewise is the trainable penalty; indicator is the zero-gradient diagnostic"),
-    _Key("indicator_big", float, 1e12, "> 0", lambda v: v > 0,
-         "loss added per violated constraint in indicator mode"),
-    _Key("log_every", int, 100, ">= 1", lambda v: v >= 1,
-         "epochs between training-log rows"),
-    _Key("net_shape", _parse_int_tuple, None,
-         "comma-separated layer sizes, e.g. 2,20,20,2",
-         lambda v: len(v) >= 3 and all(s >= 1 for s in v),
-         "network layer sizes; default is the problem's published shape"),
-    _Key("feas_tolerance", float, 0.1, ">= 0", lambda v: v >= 0,
-         "violation threshold for the training log's feasible fraction"),
-    _Key("normalize_inputs", _parse_bool, True, "true | false", lambda v: True,
-         "rescale parameters to [-1, 1] before layer 0 (folded into the saved model)"),
-    _Key("grid_points", int, 201, ">= 2", lambda v: v >= 2,
-         "oracle grid resolution per dimension"),
-    _Key("starts", int, 16, ">= 0", lambda v: v >= 0,
-         "random descent starts (the grid point is always added when the dimension allows)"),
-    _Key("descent_steps", int, 400, ">= 1", lambda v: v >= 1,
-         "descent iterations per penalty-weight stage"),
-    _Key("descent_lr", float, 1e-2, "> 0", lambda v: v > 0,
-         "initial descent step size"),
-    _Key("count", int, 20, ">= 1", lambda v: v >= 1,
-         "instances to sample for eval/bench"),
-    _Key("model", str, None, "file path", lambda v: True,
-         "model file to load (eval/bench/table) "),
-    _Key("out", str, None, "file path", lambda v: True,
+    _Key("problem", str, "one of the registry names", "problem to operate on"),
+    _Key("seed", int, "integer >= 0",
+         f"RNG seed; falls back to ${SEED_ENV_VAR} when set neither here nor in the config file",
+         _sets(TrainConfig, "seed") + _sets(OracleConfig, "seed")),
+    _Key("epochs", int, ">= 1", "training epochs", _sets(TrainConfig, "epochs")),
+    _Key("samples", int, ">= 1",
+         "training parameter vectors sampled uniformly from the problem ranges",
+         _sets(TrainConfig, "sample_count")),
+    _Key("batch_size", int, ">= 1 and <= samples", "minibatch size",
+         _sets(TrainConfig, "batch_size")),
+    _Key("learning_rate", float, "> 0", "ADAM step size", _sets(TrainConfig, "learning_rate")),
+    _Key("beta1", float, "in (0, 1)", "ADAM first-moment decay", _sets(TrainConfig, "beta1")),
+    _Key("beta2", float, "in (0, 1)", "ADAM second-moment decay", _sets(TrainConfig, "beta2")),
+    _Key("adam_epsilon", float, "> 0", "ADAM denominator offset",
+         _sets(TrainConfig, "adam_epsilon")),
+    _Key("eta", float, "> 0", "penalty weight applied to every constraint",
+         _sets(PenaltyConfig, "eta_ineq", "eta_eq")),
+    _Key("gamma", float, ">= 1",
+         "penalty exponent; values below 1 break penalty smoothness at the boundary",
+         _sets(PenaltyConfig, "gamma") + _sets(OracleConfig, "gamma")),
+    _Key("penalty_mode", str, "piecewise | indicator",
+         "piecewise is the trainable penalty; indicator is the zero-gradient diagnostic",
+         _sets(PenaltyConfig, "mode")),
+    _Key("indicator_big", float, "> 0",
+         "loss added per violated constraint in indicator mode",
+         _sets(PenaltyConfig, "indicator_big")),
+    _Key("log_every", int, ">= 1", "epochs between training-log rows",
+         _sets(TrainConfig, "log_every")),
+    _Key("net_shape", _parse_int_tuple, "comma-separated layer sizes, e.g. 2,20,20,2",
+         "network layer sizes; default is the problem's published shape",
+         _sets(TrainConfig, "net_shape")),
+    _Key("feas_tolerance", float, ">= 0",
+         "violation threshold for the training log's feasible fraction",
+         _sets(TrainConfig, "feas_tolerance")),
+    _Key("normalize_inputs", _parse_bool, "true | false",
+         "rescale parameters to [-1, 1] before layer 0 (folded into the saved model)",
+         _sets(TrainConfig, "normalize_inputs")),
+    _Key("grid_points", int, ">= 2", "oracle grid resolution per dimension",
+         _sets(OracleConfig, "grid_points_per_dim")),
+    _Key("starts", int, ">= 0",
+         "random descent starts (the grid point is always added when the dimension allows)",
+         _sets(OracleConfig, "starts")),
+    _Key("descent_steps", int, ">= 1", "descent iterations per penalty-weight stage",
+         _sets(OracleConfig, "descent_steps")),
+    _Key("descent_lr", float, "> 0", "initial descent step size",
+         _sets(OracleConfig, "descent_lr")),
+    _Key("count", _parse_count, ">= 1", "instances to sample for eval/bench"),
+    _Key("model", str, "file path", "model file to load (eval/bench/table) "),
+    _Key("out", str, "file path",
          "output path; defaults to <problem>-derived names in the working directory"),
-    _Key("params", _parse_float_tuple, None, "comma-separated decimals",
-         lambda v: len(v) >= 1,
+    _Key("params", _parse_float_tuple, "comma-separated decimals",
          "one explicit parameter vector (oracle, single-instance eval)", flag_only=True),
 )
 
 _KEY_BY_NAME = {k.name: k for k in _KEYS}
+_KEY_BY_FIELD = {fld: k.name for k in _KEYS for _, fld in k.sets}
 
 
 @dataclass(frozen=True)
@@ -135,70 +151,20 @@ class RunConfig:
 
     command: str
     problem: str
-    seed: int
-    epochs: int
-    samples: int
-    batch_size: int
-    learning_rate: float
-    beta1: float
-    beta2: float
-    adam_epsilon: float
-    eta: float
-    gamma: float
-    penalty_mode: str
-    indicator_big: float
-    log_every: int
-    net_shape: Optional[tuple[int, ...]]
-    feas_tolerance: float
-    normalize_inputs: bool
-    grid_points: int
-    starts: int
-    descent_steps: int
-    descent_lr: float
-    count: int
-    model: Optional[str]
-    out: Optional[str]
-    params: Optional[tuple[float, ...]]
-
-    def penalty_config(self) -> PenaltyConfig:
-        return PenaltyConfig(
-            mode=self.penalty_mode,
-            eta_ineq=self.eta,
-            eta_eq=self.eta,
-            gamma=self.gamma,
-            indicator_big=self.indicator_big,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            sample_count=self.samples,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            learning_rate=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            adam_epsilon=self.adam_epsilon,
-            penalty=self.penalty_config(),
-            log_every=self.log_every,
-            net_shape=self.net_shape,
-            feas_tolerance=self.feas_tolerance,
-            normalize_inputs=self.normalize_inputs,
-        )
-
-    def oracle_config(self) -> OracleConfig:
-        return OracleConfig(
-            grid_points_per_dim=self.grid_points,
-            starts=self.starts,
-            descent_steps=self.descent_steps,
-            descent_lr=self.descent_lr,
-            gamma=self.gamma,
-            seed=self.seed,
-        )
+    penalty: PenaltyConfig
+    train: TrainConfig
+    oracle: OracleConfig
+    count: int = 20
+    model: Optional[str] = None
+    out: Optional[str] = None
+    params: Optional[tuple[float, ...]] = None
 
 
 def parse_config_file(path: str) -> dict:
-    """Read the documented ``key = value`` format; reject unknown keys."""
+    """Read the documented ``key = value`` format; reject unknown keys.
+
+    Returns ``{key: (value, "path:line")}``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -222,76 +188,75 @@ def parse_config_file(path: str) -> dict:
             raise UsageError(
                 f"{path}:{lineno}: unknown config key {key!r}; accepted keys: {accepted}"
             )
-        values[key] = _convert(spec, value, f"{path}:{lineno}")
+        where = f"{path}:{lineno}"
+        values[key] = (_convert(spec, value, where), where)
     return values
 
 
 def _convert(spec: _Key, text: str, where: str):
     try:
-        value = spec.parse(text)
+        return spec.parse(text)
     except ValueError as exc:
         raise UsageError(f"{where}: key {spec.name!r}: {exc}") from exc
-    if not spec.check(value):
-        raise UsageError(
-            f"{where}: key {spec.name!r} out of range (must be {spec.range_desc}), "
-            f"got {text}"
-        )
-    return value
 
 
-def _env_seed() -> Optional[int]:
+def _env_seed() -> dict:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
-        return None
+        return {}
+    where = f"${SEED_ENV_VAR}"
     try:
-        seed = int(raw)
+        return {"seed": (int(raw), where)}
     except ValueError as exc:
-        raise UsageError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if seed < 0:
-        raise UsageError(f"${SEED_ENV_VAR} must be >= 0, got {seed}")
-    return seed
+        raise UsageError(f"{where} must be an integer, got {raw!r}") from exc
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults < environment seed < config file < flags, then validate."""
-    values = {k.name: k.default for k in _KEYS}
-    env = _env_seed()
-    if env is not None:
-        values["seed"] = env
+    """Merge environment seed < config file < flags over the config
+    dataclasses' defaults, and let the dataclasses validate."""
+    given = _env_seed()
     if args.config:
-        values.update(parse_config_file(args.config))
+        given.update(parse_config_file(args.config))
     for key in _KEY_BY_NAME:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            values[key] = flag_value
+            given[key] = (flag_value, "flag --" + key.replace("_", "-"))
 
-    if not values["problem"]:
+    kwargs = {PenaltyConfig: {}, TrainConfig: {}, OracleConfig: {}}
+    own = {}  # the CLI's own keys, which set no config field
+    for key, (value, _) in given.items():
+        sets = _KEY_BY_NAME[key].sets
+        for cls, fld in sets:
+            kwargs[cls][fld] = value
+        if not sets:
+            own[key] = value
+
+    if not own.get("problem"):
         raise UsageError(
             f"no problem selected; pass --problem or put 'problem = <name>' in the "
             f"config file (registry: {', '.join(problem_names())})"
         )
     try:
-        spec = make_problem(values["problem"])
+        spec = make_problem(own["problem"])
     except RegistryError as exc:
         raise UsageError(str(exc)) from exc
-    if values["batch_size"] > values["samples"]:
-        raise UsageError(
-            f"batch_size ({values['batch_size']}) exceeds samples ({values['samples']})"
-        )
-    shape = values["net_shape"]
-    if shape is not None:
-        if shape[0] != spec.param_dim or shape[-1] != spec.decision_dim:
-            raise UsageError(
-                f"net_shape {shape} must start with the parameter dimension "
-                f"({spec.param_dim}) and end with the decision dimension "
-                f"({spec.decision_dim}) for {spec.name}"
-            )
-    if values["params"] is not None and len(values["params"]) != spec.param_dim:
+    try:
+        penalty = PenaltyConfig(**kwargs[PenaltyConfig])
+        train_cfg = TrainConfig(penalty=penalty, **kwargs[TrainConfig])
+        oracle_cfg = OracleConfig(**kwargs[OracleConfig])
+        resolve_net_shape(spec, train_cfg)
+    except ConfigError as exc:
+        key = _KEY_BY_FIELD[exc.field]
+        where = f"{given[key][1]}: key {key!r}" if key in given else f"key {key!r} (default)"
+        raise UsageError(f"{where}: {exc}") from exc
+    params = own.get("params")
+    if params is not None and len(params) != spec.param_dim:
         raise UsageError(
             f"--params needs {spec.param_dim} decimals for {spec.name}, "
-            f"got {len(values['params'])}"
+            f"got {len(params)}"
         )
-    return RunConfig(command=args.command, **values)
+    return RunConfig(command=args.command, penalty=penalty, train=train_cfg,
+                     oracle=oracle_cfg, **own)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +291,7 @@ def _fmt_vec(v) -> str:
 
 def _cmd_train(cfg: RunConfig) -> int:
     spec = make_problem(cfg.problem)
-    net, log = train(spec, cfg.train_config())
+    net, log = train(spec, cfg.train)
     model_path = _default_out(cfg, ".model")
     log_path = (
         model_path[: -len(".model")] if model_path.endswith(".model") else model_path
@@ -335,7 +300,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     write_text_atomic(log_path, log.to_csv())
     final = log.final()
     print(
-        f"trained {cfg.problem}: {cfg.epochs} epochs, final loss "
+        f"trained {cfg.problem}: {cfg.train.epochs} epochs, final loss "
         f"{final.mean_loss:.6g}, feasible fraction {final.feasible_frac:.3f}"
     )
     print(f"model -> {model_path}")
@@ -349,8 +314,8 @@ def _cmd_eval(cfg: RunConfig) -> int:
     if cfg.params is not None:
         values = np.array([cfg.params])
     else:
-        values = sample_params(spec, cfg.count, cfg.seed).values
-    reports = evaluate(net, spec, ParamSet(values=values, seed=cfg.seed), cfg.penalty_config())
+        values = sample_params(spec, cfg.count, cfg.train.seed).values
+    reports = evaluate(net, spec, ParamSet(values=values, seed=cfg.train.seed), cfg.penalty)
     out = _default_out(cfg, ".eval.csv")
     write_text_atomic(out, eval_reports_csv(reports))
     feasible = sum(1 for r in reports if r.feasible)
@@ -363,7 +328,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     spec = make_problem(cfg.problem)
     if cfg.params is None:
         raise UsageError("oracle requires --params c1,c2,... (one parameter vector)")
-    sol = solve(spec, np.array(cfg.params), cfg.oracle_config())
+    sol = solve(spec, np.array(cfg.params), cfg.oracle)
     print(
         f"problem={cfg.problem} params={_fmt_vec(cfg.params)} x={_fmt_vec(sol.x)} "
         f"objective={sol.objective:.10g} max_violation={sol.max_violation:.3e} "
@@ -375,8 +340,8 @@ def _cmd_oracle(cfg: RunConfig) -> int:
 def _cmd_bench(cfg: RunConfig) -> int:
     spec = make_problem(cfg.problem)
     net = _load_model_for(cfg, spec)
-    params = sample_params(spec, cfg.count, cfg.seed)
-    report = run_benchmark(spec, net, cfg.oracle_config(), params)
+    params = sample_params(spec, cfg.count, cfg.train.seed)
+    report = run_benchmark(spec, net, cfg.oracle, params)
     out = _default_out(cfg, ".bench.csv")
     write_text_atomic(out, emit_csv(report))
     a = report.aggregates
@@ -393,7 +358,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
 def _cmd_table(cfg: RunConfig) -> int:
     spec = make_problem(cfg.problem)
     net = _load_model_for(cfg, spec)
-    repro = table_repro(cfg.problem, net, cfg.oracle_config())
+    repro = table_repro(cfg.problem, net, cfg.oracle)
     sys.stdout.write(repro.text())
     if cfg.out:
         write_text_atomic(cfg.out, repro.csv())
@@ -408,6 +373,22 @@ _COMMANDS = {
     "bench": _cmd_bench,
     "table": _cmd_table,
 }
+
+
+_OWN_DEFAULT_TEXT = {
+    "problem": "required",
+    "model": "required for eval/bench/table",
+    "out": "derived from problem name",
+    "params": "sampled instead",
+}
+
+
+def _default_text(key: _Key):
+    if key.name in _OWN_DEFAULT_TEXT:
+        return _OWN_DEFAULT_TEXT[key.name]
+    cls, fld = key.sets[0] if key.sets else (RunConfig, key.name)
+    default = cls.__dataclass_fields__[fld].default
+    return "problem-specific" if default is None else default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,17 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="FILE", help="key = value config file")
         for key in _KEYS:
             flag = "--" + key.name.replace("_", "-")
-            default_text = "problem-specific" if key.default is None else key.default
-            if key.name in ("problem", "model", "out", "params"):
-                default_text = {"problem": "required", "model": "required for "
-                                "eval/bench/table", "out": "derived from problem name",
-                                "params": "sampled instead"}[key.name]
             p.add_argument(
                 flag,
                 metavar=key.name.upper(),
                 type=lambda text, k=key, f=flag: _convert(k, text, f"flag {f}"),
                 default=None,
-                help=f"{key.help} (default: {default_text}; range: {key.range_desc})",
+                help=f"{key.help} (default: {_default_text(key)}; range: {key.range_desc})",
             )
     return parser
 

@@ -43,8 +43,18 @@ class ModelVersionError(ModelFormatError):
     """A model file has an unsupported format version header."""
 
 
-class ConfigError(PenalearnError):
-    """Invalid configuration value."""
+class ConfigError(PenalearnError, ValueError):
+    """Invalid configuration value; ``field`` names the offending config field."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
+def require(ok, field, value, rule):
+    """Raise ``ConfigError`` for ``field`` unless ``ok``; ``rule`` says what is allowed."""
+    if not ok:
+        raise ConfigError(f"{field} must be {rule}, got {value!r}", field)
 
 
 class BenchFormatError(PenalearnError):

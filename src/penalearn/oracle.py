@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OracleError, UnsupportedError
+from .errors import OracleError, UnsupportedError, require
 from .penalty import PenaltyConfig, loss_terms_batch
 from .penalty import violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ProblemSpec
@@ -39,28 +39,19 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grid_points_per_dim < 2:
-            raise ValueError(
-                f"grid_points_per_dim must be >= 2, got {self.grid_points_per_dim}"
-            )
+        require(self.grid_points_per_dim >= 2, "grid_points_per_dim",
+                self.grid_points_per_dim, ">= 2")
         sched = tuple(float(e) for e in self.eta_schedule)
-        if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
-            raise ValueError(f"eta_schedule must be strictly increasing, got {sched}")
-        if sched[-1] < 1e8:
-            raise ValueError(f"eta_schedule must end at >= 1e8, got {sched[-1]:g}")
+        require(sched and all(b > a for a, b in zip(sched, sched[1:])) and sched[-1] >= 1e8,
+                "eta_schedule", sched, "strictly increasing, ending at >= 1e8")
         object.__setattr__(self, "eta_schedule", sched)
-        if self.starts < 0:
-            raise ValueError(f"starts must be >= 0, got {self.starts}")
-        if self.descent_steps < 1:
-            raise ValueError(f"descent_steps must be >= 1, got {self.descent_steps}")
-        if not self.gamma >= 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if not self.descent_lr > 0:
-            raise ValueError(f"descent_lr must be positive, got {self.descent_lr}")
-        if self.grid_bounds is not None and any(
-            not lo <= hi for lo, hi in self.grid_bounds
-        ):
-            raise ValueError(f"grid_bounds need lo <= hi, got {self.grid_bounds}")
+        require(self.starts >= 0, "starts", self.starts, ">= 0")
+        require(self.descent_steps >= 1, "descent_steps", self.descent_steps, ">= 1")
+        require(self.gamma >= 1.0, "gamma", self.gamma, ">= 1")
+        require(self.descent_lr > 0, "descent_lr", self.descent_lr, "> 0")
+        require(self.grid_bounds is None or all(lo <= hi for lo, hi in self.grid_bounds),
+                "grid_bounds", self.grid_bounds, "lo <= hi in every dimension")
+        require(self.seed >= 0, "seed", self.seed, ">= 0")
 
     def bounds_for(self, dim: int) -> tuple[tuple[float, float], ...]:
         if self.grid_bounds is not None:

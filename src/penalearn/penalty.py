@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError
+from .errors import DimensionError, NonFiniteError, require
 
 Etas = Union[float, Sequence[float]]
 
@@ -48,18 +48,13 @@ class PenaltyConfig:
     eq_tolerance: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in PENALTY_MODES:
-            raise ValueError(f"mode must be one of {PENALTY_MODES}, got {self.mode!r}")
-        if not self.gamma >= 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if not self.indicator_big > 0:
-            raise ValueError(f"indicator_big must be positive, got {self.indicator_big}")
-        if self.eq_tolerance < 0:
-            raise ValueError(f"eq_tolerance must be >= 0, got {self.eq_tolerance}")
+        require(self.mode in PENALTY_MODES, "mode", self.mode, f"one of {PENALTY_MODES}")
+        require(self.gamma >= 1.0, "gamma", self.gamma, ">= 1")
+        require(self.indicator_big > 0, "indicator_big", self.indicator_big, "> 0")
+        require(self.eq_tolerance >= 0, "eq_tolerance", self.eq_tolerance, ">= 0")
         for name in ("eta_ineq", "eta_eq"):
             arr = np.array(getattr(self, name), dtype=float, ndmin=1)
-            if np.any(arr < 0):
-                raise ValueError(f"{name} entries must be >= 0")
+            require(np.all(arr > 0), name, getattr(self, name), "> 0 in every entry")
             # a single weight is kept as a float: it broadcasts to the same
             # bits as a per-constraint array, without one on every evaluation
             object.__setattr__(self, f"_{name}", arr.item() if arr.size == 1 else arr)

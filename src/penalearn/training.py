@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, TrainingDivergedError
+from .errors import DimensionError, TrainingDivergedError, require
 from .nn import (
     AdamState,
     Mlp,
@@ -36,6 +36,7 @@ __all__ = [
     "EvalReport",
     "train",
     "evaluate",
+    "resolve_net_shape",
     "save_model",
     "load_model",
 ]
@@ -64,26 +65,21 @@ class TrainConfig:
     divergence_limit: float = 1e15
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.sample_count < 1:
-            raise ConfigError(f"sample_count must be >= 1, got {self.sample_count}")
-        if not 1 <= self.batch_size <= self.sample_count:
-            raise ConfigError(
-                f"batch_size must be in [1, sample_count], got {self.batch_size} "
-                f"with sample_count {self.sample_count}"
-            )
-        if self.log_every < 1:
-            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        require(self.epochs >= 1, "epochs", self.epochs, ">= 1")
+        require(self.sample_count >= 1, "sample_count", self.sample_count, ">= 1")
+        require(1 <= self.batch_size <= self.sample_count, "batch_size", self.batch_size,
+                f"in [1, sample_count = {self.sample_count}]")
+        require(self.seed >= 0, "seed", self.seed, ">= 0")
+        require(self.log_every >= 1, "log_every", self.log_every, ">= 1")
+        require(self.learning_rate > 0, "learning_rate", self.learning_rate, "> 0")
         for name in ("beta1", "beta2"):
-            if not 0 < getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
-        if not self.adam_epsilon > 0:
-            raise ConfigError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
-        if not self.feas_tolerance >= 0:
-            raise ConfigError(f"feas_tolerance must be >= 0, got {self.feas_tolerance}")
+            value = getattr(self, name)
+            require(0 < value < 1, name, value, "in (0, 1)")
+        require(self.adam_epsilon > 0, "adam_epsilon", self.adam_epsilon, "> 0")
+        shape = self.net_shape
+        require(shape is None or (len(shape) >= 3 and all(s >= 1 for s in shape)),
+                "net_shape", shape, "3 or more layer sizes, each >= 1")
+        require(self.feas_tolerance >= 0, "feas_tolerance", self.feas_tolerance, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -157,18 +153,15 @@ def _fold_input_transform(net: Mlp, mid: np.ndarray, half: np.ndarray) -> Mlp:
     return folded
 
 
-def _resolve_shape(spec: ProblemSpec, cfg: TrainConfig) -> tuple[int, ...]:
+def resolve_net_shape(spec: ProblemSpec, cfg: TrainConfig) -> tuple[int, ...]:
+    """The configured layer sizes, or the problem's published shape when unset.
+
+    ``ConfigError`` (field ``net_shape``) unless the shape maps the problem's
+    parameter dimension to its decision dimension.
+    """
     shape = tuple(cfg.net_shape) if cfg.net_shape else tuple(spec.default_net_shape)
-    if not shape:
-        raise ConfigError(f"no net shape configured for problem {spec.name}")
-    if shape[0] != spec.param_dim:
-        raise ConfigError(
-            f"net input dim {shape[0]} != problem param dim {spec.param_dim}"
-        )
-    if shape[-1] != spec.decision_dim:
-        raise ConfigError(
-            f"net output dim {shape[-1]} != problem decision dim {spec.decision_dim}"
-        )
+    require(bool(shape) and shape[0] == spec.param_dim and shape[-1] == spec.decision_dim,
+            "net_shape", shape, f"({spec.param_dim}, ..., {spec.decision_dim}) for {spec.name}")
     return shape
 
 
@@ -194,7 +187,7 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
     parameter gradient is the gradient of the batch mean of objective +
     penalty.  Fully deterministic for a fixed config.
     """
-    shape = _resolve_shape(spec, cfg)
+    shape = resolve_net_shape(spec, cfg)
     params = sample_params(spec, cfg.sample_count, cfg.seed)
     raw = params.values
     mid, half = _input_transform(spec, cfg.normalize_inputs)

@@ -132,11 +132,13 @@ def test_config_file_roundtrip(tmp_path):
         "batch_size = 20\n"
         "seed = 5\n"
     )
-    values = parse_config_file(str(cfg))
+    parsed = parse_config_file(str(cfg))
+    values = {key: value for key, (value, _) in parsed.items()}
     assert values == {
         "problem": "rosenbrock-1c", "epochs": 30, "samples": 80,
         "batch_size": 20, "seed": 5,
     }
+    assert parsed["seed"][1] == f"{cfg}:6"
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -230,16 +232,22 @@ def _model_with_bad_bias(tmp_path, token):
         (lambda _: TrainConfig(beta2=0.0), ConfigError),
         (lambda _: TrainConfig(adam_epsilon=0.0), ConfigError),
         (lambda _: TrainConfig(feas_tolerance=-0.1), ConfigError),
-        (lambda _: PenaltyConfig(gamma=float("nan")), ValueError),
-        (lambda _: PenaltyConfig(mode="none"), ValueError),
-        (lambda _: OracleConfig(gamma=0.5), ValueError),
-        (lambda _: OracleConfig(descent_lr=0.0), ValueError),
-        (lambda _: OracleConfig(grid_bounds=((1.0, -1.0), (-6.0, 6.0))), ValueError),
+        (lambda _: PenaltyConfig(gamma=float("nan")), ConfigError),
+        (lambda _: PenaltyConfig(mode="none"), ConfigError),
+        (lambda _: OracleConfig(gamma=0.5), ConfigError),
+        (lambda _: OracleConfig(descent_lr=0.0), ConfigError),
+        (lambda _: OracleConfig(grid_bounds=((1.0, -1.0), (-6.0, 6.0))), ConfigError),
+        (lambda _: TrainConfig(seed=-1), ConfigError),
+        (lambda _: OracleConfig(seed=-1), ConfigError),
+        (lambda _: PenaltyConfig(eta_ineq=0.0, eta_eq=0.0), ConfigError),
+        (lambda _: TrainConfig(net_shape=(2, 2)), ConfigError),
+        (lambda _: TrainConfig(net_shape=(2, 0, 2)), ConfigError),
         (lambda d: load_model(_model_with_bad_bias(d, "nan")), ModelFormatError),
         (lambda d: load_model(_model_with_bad_bias(d, "inf")), ModelFormatError),
     ],
     ids=["beta1", "beta2", "adam_epsilon", "feas_tolerance", "gamma_nan",
          "penalty_mode_none", "oracle_gamma", "descent_lr", "grid_bounds",
+         "train_seed", "oracle_seed", "eta_zero", "net_shape_short", "net_shape_zero",
          "model_nan", "model_inf"],
 )
 def test_library_rejects_what_the_cli_rejects(tmp_path, make, exc):
@@ -247,3 +255,31 @@ def test_library_rejects_what_the_cli_rejects(tmp_path, make, exc):
         make(tmp_path)
     if exc is ModelFormatError:
         assert info.value.line_number == 4
+    else:
+        assert isinstance(info.value, ValueError) and info.value.field
+
+
+@pytest.mark.parametrize(
+    "argv,env,cfg_text,where",
+    [
+        (["--gamma", "0.5"], None, None, "flag --gamma: key 'gamma'"),
+        ([], None, "problem = rosenbrock-1c\ngamma = 0.5\n", "run.cfg:2: key 'gamma'"),
+        ([], "-1", None, "$PENALEARN_SEED: key 'seed'"),
+        (["--samples", "100"], None, "problem = rosenbrock-1c\nbatch_size = 500\n",
+         "run.cfg:2: key 'batch_size'"),
+    ],
+    ids=["flag", "config_file", "env_seed", "cross_field"],
+)
+def test_config_errors_name_key_and_origin(tmp_path, monkeypatch, capsys,
+                                           argv, env, cfg_text, where):
+    monkeypatch.delenv("PENALEARN_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("PENALEARN_SEED", env)
+    if cfg_text is None:
+        argv = ["--problem", "rosenbrock-1c"] + argv
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        argv = ["--config", str(cfg)] + argv
+    assert run(["train"] + argv) == 2
+    assert where in capsys.readouterr().err
