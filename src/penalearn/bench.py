@@ -20,7 +20,6 @@ import numpy as np
 from .errors import BenchFormatError, OracleError, UnsupportedError
 from .nn import Mlp, mac_count, mlp_forward
 from .oracle import OracleConfig, solve
-from .penalty import violation_report_batch
 from .problems import ParamSet, ProblemSpec, make_problem
 
 FEAS_TOL_LOOSE = 0.1
@@ -138,17 +137,20 @@ def aggregate_rows(rows, macs: int) -> BenchAggregates:
     )
 
 
-def _dnn_solution(spec: ProblemSpec, net: Mlp, p: np.ndarray, reps: int):
+def _forward_timed(net: Mlp, p: np.ndarray, reps: int):
     """Forward the net on one parameter row, timing over ``reps`` repetitions."""
     row = p[None, :]
     t0 = time.perf_counter_ns()
     for _ in range(reps):
         out, _ = mlp_forward(net, row)
-    t_fwd = (time.perf_counter_ns() - t0) / reps
-    x = out[0]
-    f0, _ = spec.objective(x[None, :], row)
-    max_ineq, max_eq, _ = violation_report_batch(x[None, :], row, spec, 0.0)
-    return x, float(f0[0]), float(max(max_ineq[0], max_eq[0])), float(t_fwd)
+    return out[0], float((time.perf_counter_ns() - t0) / reps)
+
+
+def _score(spec: ProblemSpec, X: np.ndarray, P: np.ndarray):
+    """Objective and worst violation (equalities exact) of every row, in one pass."""
+    f0, _ = spec.objective(X, P)
+    max_ineq, max_eq, _ = spec.constraint_eval(X, P).violations(0.0)
+    return f0, np.maximum(max_ineq, max_eq)
 
 
 def run_benchmark(
@@ -160,41 +162,48 @@ def run_benchmark(
 ) -> BenchReport:
     """Score the net against the oracle on every row of ``params``.
 
-    Forward timing averages at least ``MIN_FORWARD_REPS`` repetitions to
-    dampen clock granularity.  An oracle failure flags the row (NaN oracle
+    Each row's forward is timed alone, averaging at least
+    ``MIN_FORWARD_REPS`` repetitions to dampen clock granularity, and its
+    oracle solve is timed alone right after; the net outputs are scored in
+    one pass at the end.  An oracle failure flags the row (NaN oracle
     columns) rather than aborting the run.
     """
     if params is None:
         raise ValueError("params is required")
     reps = max(int(forward_reps), MIN_FORWARD_REPS)
     k = spec.decision_dim
-    rows = []
-    for p in np.atleast_2d(params.values):
-        x_dnn, f0_dnn, viol_dnn, t_fwd = _dnn_solution(spec, net, p, reps)
+    P = np.atleast_2d(params.values)
+    macs = mac_count(net.layer_sizes)
+    if not len(P):
+        return BenchReport(problem=spec.name, mac_count=macs, rows=())
+    dnn, oracle_runs = [], []
+    for p in P:
+        dnn.append(_forward_timed(net, p, reps))
         try:
             t0 = time.perf_counter_ns()
             sol = solve(spec, p, oracle_cfg)
             t_oracle = float(time.perf_counter_ns() - t0)
-            x_oracle = sol.x
-            f0_oracle = sol.objective
-            gap = f0_dnn - f0_oracle
+            oracle_runs.append((sol.x, sol.objective, t_oracle))
         except (OracleError, UnsupportedError):
-            x_oracle = np.full(k, np.nan)
-            f0_oracle = gap = t_oracle = float("nan")
+            oracle_runs.append((np.full(k, np.nan), float("nan"), float("nan")))
+    f0_dnn, viol_dnn = _score(spec, np.stack([x for x, _ in dnn]), P)
+    rows = []
+    for p, (x_dnn, t_fwd), (x_oracle, f0_oracle, t_oracle), f0, viol in zip(
+            P, dnn, oracle_runs, f0_dnn.tolist(), viol_dnn.tolist()):
         rows.append(
             BenchRow(
                 params=p.copy(),
                 x_dnn=x_dnn,
                 x_oracle=x_oracle,
-                f0_dnn=f0_dnn,
+                f0_dnn=f0,
                 f0_oracle=f0_oracle,
-                gap=gap,
-                viol_dnn=viol_dnn,
+                gap=f0 - f0_oracle,
+                viol_dnn=viol,
                 t_fwd_ns=t_fwd,
                 t_oracle_ns=t_oracle,
             )
         )
-    return BenchReport(problem=spec.name, mac_count=mac_count(net.layer_sizes), rows=tuple(rows))
+    return BenchReport(problem=spec.name, mac_count=macs, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +426,13 @@ def table_repro(
             f"no reference table for {spec_name!r}; have {sorted(TABLE_CASES)}"
         )
     spec = make_problem(spec_name)
+    cases = TABLE_CASES[spec_name]
+    P = np.array([case.params for case in cases])
+    X = np.stack([mlp_forward(net, p[None, :])[0][0] for p in P])
+    _, viol_dnn = _score(spec, X, P)
     rows = []
-    for case in TABLE_CASES[spec_name]:
-        p = np.array(case.params)
+    for case, p, x_dnn, viol in zip(cases, P, X, viol_dnn):
         sol = solve(spec, p, oracle_cfg)
-        x_dnn = mlp_forward(net, p[None, :])[0][0]
-        max_ineq, max_eq, _ = violation_report_batch(x_dnn[None, :], p[None, :], spec, 0.0)
         rows.append(
             TableRow(
                 params=case.params,
@@ -430,7 +440,7 @@ def table_repro(
                 x_oracle=sol.x,
                 x_dnn=x_dnn,
                 viol_oracle=sol.max_violation,
-                viol_dnn=float(max(max_ineq[0], max_eq[0])),
+                viol_dnn=float(viol),
             )
         )
     banner = INFEASIBLE_BANNER if spec.known_infeasible else None

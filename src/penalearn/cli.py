@@ -17,6 +17,7 @@ place, so a failed run leaves no partial output.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -53,9 +54,13 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
 
 def _parse_float_tuple(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated decimals, got {text!r}") from exc
+        values = tuple(float(tok) for tok in text.split(","))
+        ok = all(math.isfinite(v) for v in values)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"expected comma-separated finite decimals, got {text!r}")
+    return values
 
 
 def _parse_count(text: str) -> int:
@@ -137,7 +142,7 @@ _KEYS: tuple[_Key, ...] = (
     _Key("model", str, "file path", "model file to load (eval/bench/table) "),
     _Key("out", str, "file path",
          "output path; defaults to <problem>-derived names in the working directory"),
-    _Key("params", _parse_float_tuple, "comma-separated decimals",
+    _Key("params", _parse_float_tuple, "comma-separated finite decimals",
          "one explicit parameter vector (oracle, single-instance eval)", flag_only=True),
 )
 

@@ -122,6 +122,19 @@ def test_bad_flag_values_exit_2(capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--problem", "ackley-1c", "--params", "inf,1,1,1,1"],
+    ["oracle", "--problem", "rosenbrock-1c", "--params", "nan,1"],
+    ["oracle", "--problem", "rosenbrock-1c", "--params", "1e999,1"],
+])
+def test_non_finite_params_exit_2_naming_the_flag(argv, tmp_path, capsys):
+    model = tmp_path / "m.model"
+    save_model(init_mlp((5, 4, 2), seed=0), str(model))
+    assert run(argv + ["--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "--params" in err and "finite" in err
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -14,17 +14,21 @@ from penalearn import (
     PenaltyConfig,
     ProblemSpec,
     TrainConfig,
+    eval_reports_csv,
     evaluate,
     grid_scan,
     init_mlp,
     loss_terms_batch,
     make_problem,
+    mlp_forward,
+    problem_names,
     sample_params,
     solve,
     train,
     violation_report_batch,
 )
 from penalearn import oracle
+from penalearn.problems import ParamSet
 
 
 class _Counts:
@@ -107,7 +111,7 @@ def test_training_log_and_evaluate_evaluate_once(monkeypatch):
 
     before = counts.both()
     evaluate(net, counts.spec, sample_params(counts.spec, 5, seed=1))
-    assert counts.both() == (before[0] + 5, before[1] + 5)
+    assert counts.both() == (before[0] + 1, before[1] + 1)
 
 
 def _nan_on_row_3():
@@ -162,3 +166,66 @@ def test_evaluate_rejects_wrong_output_dim():
     spec = make_problem("rosenbrock-1c")
     with pytest.raises(DimensionError):
         evaluate(init_mlp((2, 4, 3), seed=0), spec, sample_params(spec, 2, seed=0))
+
+
+def _toy_with_equality():
+    """One inequality and one equality; |h| is within 1e-3 on about half the rows."""
+    def obj(X, P):
+        e, w = np.exp(X[:, 0]), P[:, 0] * X[:, 1]
+        return e * np.cos(w), np.stack([e * np.cos(w), -P[:, 0] * e * np.sin(w)], axis=1)
+
+    def ineq(X, P):
+        return X[:, 0] + X[:, 1], np.ones_like(X)
+
+    def eq(X, P):
+        g = np.zeros_like(X)
+        g[:, 0] = 2.0 * P[:, 1] * X[:, 0]
+        return P[:, 1] * (1.0 + X[:, 0] ** 2), g
+
+    return ProblemSpec(
+        name="toy-eq",
+        decision_dim=2,
+        param_dim=2,
+        objective=obj,
+        inequalities=(Constraint(ineq, 0.5),),
+        equalities=(Constraint(eq, 0.0),),
+        param_ranges=((0.0, 3.0), (-2e-3, 2e-3)),
+        default_net_shape=(2, 8, 2),
+    )
+
+
+@pytest.mark.parametrize("name", problem_names() + ("toy-eq",))
+def test_batched_evaluate_matches_row_by_row_scoring(name):
+    if name == "toy-eq":
+        spec, cfg = _toy_with_equality(), PenaltyConfig(eq_tolerance=1e-3)
+    else:
+        spec, cfg = make_problem(name), PenaltyConfig()
+    net = init_mlp(spec.default_net_shape, seed=4)
+    params = sample_params(spec, 64, seed=9)
+    reports = evaluate(net, spec, params, cfg)
+    assert len(reports) == 64
+    for r, row in zip(reports, params.values):
+        x = mlp_forward(net, row[None])[0][0]
+        f0, _ = spec.objective(x[None], row[None])
+        ce = spec.constraint_eval(x[None], row[None])
+        max_ineq, max_eq, feasible = ce.violations(cfg.eq_tolerance)
+        assert np.array_equal(r.params, row)
+        assert np.array_equal(r.x, x)
+        assert r.objective == f0[0]
+        assert np.array_equal(r.ineq_residuals, ce.ineq_values[0])
+        assert np.array_equal(r.eq_residuals, ce.eq_values[0])
+        assert r.max_ineq_violation == max_ineq[0]
+        assert r.max_eq_violation == max_eq[0]
+        assert r.feasible == feasible[0]
+    if name == "toy-eq":  # both outcomes of the equality tolerance are exercised
+        assert 0 < sum(r.max_eq_violation <= 1e-3 for r in reports) < 64
+        assert 0 < sum(r.feasible for r in reports) < 64
+
+
+def test_evaluate_on_zero_rows_scores_nothing(monkeypatch):
+    counts = _Counts(monkeypatch)
+    net = init_mlp(counts.spec.default_net_shape, seed=0)
+    reports = evaluate(net, counts.spec, ParamSet(values=np.zeros((0, 2)), seed=0))
+    assert reports == []
+    assert counts.both() == (0, 0)
+    assert eval_reports_csv(reports) == "# empty evaluation\n"
