@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -110,8 +111,8 @@ _KEYS: tuple[_Key, ...] = (
     _Key("eta", float, "> 0", "penalty weight applied to every constraint",
          _sets(PenaltyConfig, "eta_ineq", "eta_eq")),
     _Key("gamma", float, ">= 1",
-         "penalty exponent; values below 1 break penalty smoothness at the boundary",
-         _sets(PenaltyConfig, "gamma") + _sets(OracleConfig, "gamma")),
+         "training penalty exponent; values below 1 break penalty smoothness at the boundary",
+         _sets(PenaltyConfig, "gamma")),
     _Key("penalty_mode", str, "piecewise | indicator",
          "piecewise is the trainable penalty; indicator is the zero-gradient diagnostic",
          _sets(PenaltyConfig, "mode")),
@@ -134,7 +135,7 @@ _KEYS: tuple[_Key, ...] = (
     _Key("starts", int, ">= 0",
          "random descent starts (the grid point is always added when the dimension allows)",
          _sets(OracleConfig, "starts")),
-    _Key("descent_steps", int, ">= 1", "descent iterations per penalty-weight stage",
+    _Key("descent_steps", int, ">= 1", "descent iterations per multiplier stage",
          _sets(OracleConfig, "descent_steps")),
     _Key("descent_lr", float, "> 0", "initial descent step size",
          _sets(OracleConfig, "descent_lr")),
@@ -433,8 +434,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_negative_params(argv: list[str]) -> list[str]:
+    """Rewrite ``--params -0.5,0.5`` as ``--params=-0.5,0.5``.
+
+    argparse reads a token that starts with '-' and is not a plain number as
+    an option, so a vector with a negative first entry would lose its flag.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--params" and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_params(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
         cfg = build_run_config(args)

@@ -1,14 +1,23 @@
 """Per-instance numerical solver used to score network outputs.
 
 Two routes: an exhaustive grid scan (the independent brute-force check, viable
-for decision dimension <= 3) and multi-start penalized gradient descent with an
-increasing penalty-weight schedule.  Descent runs all starts as one batch and
-uses Barzilai-Borwein step lengths under a nonmonotone backtracking safeguard;
+for decision dimension <= 3) and multi-start gradient descent on a quadratic
+augmented Lagrangian (the method of multipliers: Hestenes 1969, Powell 1969;
+Nocedal & Wright, *Numerical Optimization*, ch. 17).  Each stage descends
+objective + eta * sum(max(0, r + s)^2) + eta * sum((h + s)^2) at a fixed
+eta = 1e2, where each start row carries a residual shift ``s`` (the multiplier
+is 2 * eta * s).  After a stage the shift becomes max(0, s + r) for
+inequalities and s + h for equalities; a row stops once no shift moved by more
+than ``feasible_tol / 10`` (then its worst violation is at most that, and no
+inequality with a positive multiplier sits further inside its boundary), or
+after 12 stages.  Descent runs all starts as one batch and uses
+Barzilai-Borwein step lengths under a nonmonotone backtracking safeguard;
 ``descent_lr`` is the initial and fallback step size.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -23,6 +32,11 @@ from .problems import ProblemSpec
 GRID_CHUNK = 200_000
 _MAX_HALVINGS = 45
 _NONMONOTONE_WINDOW = 10
+_AL_MAX_STAGES = 12
+# every augmented-Lagrangian stage descends at this fixed weight
+_STAGE_PENALTY = PenaltyConfig(eta_ineq=1e2, eta_eq=1e2, gamma=2.0)
+# rows that stay infeasible are ranked by objective + penalty at the training default
+_RANK_PENALTY = PenaltyConfig()
 
 
 @dataclass(frozen=True)
@@ -32,22 +46,15 @@ class OracleConfig:
     starts: int = 16
     descent_steps: int = 400
     descent_lr: float = 1e-2
-    eta_schedule: tuple[float, ...] = (1e2, 1e4, 1e6, 1e8)
     tolerance: float = 1e-10
-    gamma: float = 2.0
     feasible_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         require(self.grid_points_per_dim >= 2, "grid_points_per_dim",
                 self.grid_points_per_dim, ">= 2")
-        sched = tuple(float(e) for e in self.eta_schedule)
-        require(sched and all(b > a for a, b in zip(sched, sched[1:])) and sched[-1] >= 1e8,
-                "eta_schedule", sched, "strictly increasing, ending at >= 1e8")
-        object.__setattr__(self, "eta_schedule", sched)
         require(self.starts >= 0, "starts", self.starts, ">= 0")
         require(self.descent_steps >= 1, "descent_steps", self.descent_steps, ">= 1")
-        require(self.gamma >= 1.0, "gamma", self.gamma, ">= 1")
         require(self.descent_lr > 0, "descent_lr", self.descent_lr, "> 0")
         require(self.grid_bounds is None or all(lo <= hi for lo, hi in self.grid_bounds),
                 "grid_bounds", self.grid_bounds, "lo <= hi in every dimension")
@@ -69,21 +76,28 @@ class OracleSolution:
     objective: float
     max_violation: float
     solve_time_s: float
-    method: str  # "grid" or "descent"
+    method: str  # "grid" (the undescended grid point won) or "descent"
 
 
-def _stage_penalty(cfg: OracleConfig, eta: float) -> PenaltyConfig:
-    return PenaltyConfig(eta_ineq=eta, eta_eq=eta, gamma=cfg.gamma)
-
-
-def _evaluate(spec: ProblemSpec, p: np.ndarray, X: np.ndarray, pcfg: PenaltyConfig):
+def _evaluate(spec: ProblemSpec, p: np.ndarray, X: np.ndarray, pcfg: PenaltyConfig,
+              shift=None):
     """Penalized terms for many x at one parameter vector.
 
     Never raises on non-finite trial points; such rows simply carry inf/nan
     and lose the line search.
     """
     P = np.broadcast_to(p, (X.shape[0], p.size))
-    return loss_terms_batch(X, P, spec, pcfg, strict=False)
+    return loss_terms_batch(X, P, spec, pcfg, strict=False, shift=shift)
+
+
+@functools.lru_cache(maxsize=4)
+def _mesh(bounds: tuple[tuple[float, float], ...], points_per_dim: int) -> np.ndarray:
+    """The scan's grid points, one per row; built once per (bounds, resolution)."""
+    axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in bounds]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    points.flags.writeable = False
+    return points
 
 
 def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSolution:
@@ -91,7 +105,7 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
 
     Returns the feasible grid point with the lowest objective, or, when no
     grid point is feasible, the point minimizing objective + penalty at the
-    final schedule weight.
+    default ``PenaltyConfig`` weight.
     """
     p = np.asarray(p, dtype=float).ravel()
     k = spec.decision_dim
@@ -99,17 +113,12 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
         raise UnsupportedError(f"grid scan supports decision dim <= 3, got {k}")
     t0 = time.perf_counter()
 
-    bounds = cfg.bounds_for(k)
-    axes = [np.linspace(lo, hi, cfg.grid_points_per_dim) for lo, hi in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-
+    points = _mesh(cfg.bounds_for(k), cfg.grid_points_per_dim)
     best_feas = None  # (f0, x)
     best_any = None   # (penalized, x)
-    pcfg = _stage_penalty(cfg, cfg.eta_schedule[-1])
     for lo_idx in range(0, points.shape[0], GRID_CHUNK):
         X = points[lo_idx:lo_idx + GRID_CHUNK]
-        terms = _evaluate(spec, p, X, pcfg)
+        terms = _evaluate(spec, p, X, _RANK_PENALTY)
         f0 = terms.objective
         max_ineq, max_eq, _ = terms.constraints.violations()
         viol = np.maximum(max_ineq, max_eq)
@@ -127,7 +136,7 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
 
     x_best = best_feas[1] if best_feas is not None else best_any[1]
     # re-evaluated alone: a 1-row call need not match its row in the chunk bit for bit
-    terms = _evaluate(spec, p, x_best[None, :], pcfg)
+    terms = _evaluate(spec, p, x_best[None, :], _RANK_PENALTY)
     max_ineq, max_eq, _ = terms.constraints.violations()
     return OracleSolution(
         x=x_best,
@@ -138,22 +147,23 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
     )
 
 
-def _descend_batch(spec, p, X0, eta, cfg: OracleConfig):
-    """Run every start through nonmonotone BB descent at one penalty weight.
+def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
+    """Run every start through nonmonotone BB descent on one stage's loss.
 
-    Rows converge (line-search failure, zero gradient, or sub-tolerance move)
+    The loss is the stage penalty with each row's residual ``shift``.  Rows
+    converge (line-search failure, zero gradient, or sub-tolerance move)
     independently; finished rows are frozen while the rest keep iterating.
-    Returns the final points and a per-row finite flag.
+    Returns the final points, a per-row finite flag, and the unshifted
+    residuals at the final points (inequality columns first, as ``shift``).
     """
 
-    pcfg = _stage_penalty(cfg, eta)
-
-    def fg(X):
-        terms = _evaluate(spec, p, X, pcfg)
-        return terms.loss, terms.grad
+    def fg(X, S):
+        terms = _evaluate(spec, p, X, _STAGE_PENALTY, shift=S)
+        ce = terms.constraints
+        return terms.loss, terms.grad, np.hstack([ce.ineq_values, ce.eq_values])
 
     X = X0.copy()
-    F, G = fg(X)
+    F, G, R = fg(X, shift)
     ok = np.isfinite(F) & np.isfinite(G).all(axis=1)
     active = ok.copy()
     step = cfg.descent_lr / (1.0 + np.linalg.norm(np.where(ok[:, None], G, 0.0), axis=1))
@@ -169,21 +179,21 @@ def _descend_batch(spec, p, X0, eta, cfg: OracleConfig):
         ref = history.max(axis=1)
         t = step.copy()
         accepted = np.zeros(X.shape[0], dtype=bool)
-        X_new, F_new, G_new = X.copy(), F.copy(), G.copy()
+        X_new, F_new, G_new, R_new = X.copy(), F.copy(), G.copy(), R.copy()
         for _ in range(_MAX_HALVINGS):
             trial = active & ~accepted
             if not trial.any():
                 break
             idx = np.flatnonzero(trial)
             Xt = X[idx] - t[idx, None] * G[idx]
-            Ft, Gt = fg(Xt)
+            Ft, Gt, Rt = fg(Xt, shift[idx])
             good = (
                 np.isfinite(Ft)
                 & np.isfinite(Gt).all(axis=1)
                 & (Ft <= ref[idx] - 1e-4 * t[idx] * gnorm2[idx])
             )
             gi = idx[good]
-            X_new[gi], F_new[gi], G_new[gi] = Xt[good], Ft[good], Gt[good]
+            X_new[gi], F_new[gi], G_new[gi], R_new[gi] = Xt[good], Ft[good], Gt[good], Rt[good]
             accepted[gi] = True
             bad = idx[~good]
             t[bad] *= 0.5
@@ -204,20 +214,26 @@ def _descend_batch(spec, p, X0, eta, cfg: OracleConfig):
         X = np.where(upd, X_new, X)
         F = np.where(active, F_new, F)
         G = np.where(upd, G_new, G)
+        R = np.where(upd, R_new, R)
         history[active, hist_pos] = F[active]
         hist_pos = (hist_pos + 1) % _NONMONOTONE_WINDOW
         active &= moved > cfg.tolerance * (1.0 + np.linalg.norm(X, axis=1))
 
-    return X, ok
+    return X, ok, R
 
 
 def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSolution:
-    """Multi-start penalized descent over the eta schedule.
+    """Multi-start descent on an augmented Lagrangian, checked against the grid.
 
     Starts are sampled uniformly in the grid bounds (seeded), plus one start
-    from the grid scan when the dimension permits.  The best final iterate is
-    chosen feasible-first, then by objective; with no feasible finisher the
-    ranking falls back to objective + final-eta penalty.
+    from the grid scan when the dimension permits.  Each start runs up to 12
+    multiplier stages of ``descent_steps`` BB steps at eta = 1e2, and stops
+    once a stage moves none of its shifts by more than ``feasible_tol / 10``.
+    The final iterates and the undescended grid point are ranked
+    feasible-first, then by objective, so the result is never worse than
+    ``grid_scan``; with no feasible candidate the ranking falls back to
+    objective + penalty at the default ``PenaltyConfig`` (a least-penalty
+    compromise).  ``method`` says whether the grid point or a descent won.
     """
     p = np.asarray(p, dtype=float).ravel()
     k = spec.decision_dim
@@ -228,21 +244,36 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
     lows = np.array([b[0] for b in bounds])
     highs = np.array([b[1] for b in bounds])
     starts = [lows + (highs - lows) * rng.random(k) for _ in range(cfg.starts)]
-    if k <= 3:
-        starts.append(grid_scan(spec, p, cfg).x)
+    grid_x = grid_scan(spec, p, cfg).x if k <= 3 else None
+    if grid_x is not None:
+        starts.append(grid_x)
     if not starts:
         raise OracleError(f"no starting points configured for {spec.name}")
 
     X = np.stack(starts)
+    n_ineq = len(spec.inequalities)
+    shift = np.zeros((X.shape[0], n_ineq + len(spec.equalities)))
     ok = np.ones(X.shape[0], dtype=bool)
-    for eta in cfg.eta_schedule:
-        X, stage_ok = _descend_batch(spec, p, X, eta, cfg)
-        ok &= stage_ok
+    running = ok.copy()
+    for _ in range(_AL_MAX_STAGES):
+        idx = np.flatnonzero(running)
+        X[idx], stage_ok, R = _descend_batch(spec, p, X[idx], shift[idx], cfg)
+        ok[idx] &= stage_ok
+        before = shift[idx]
+        shift[idx, :n_ineq] = np.maximum(0.0, before[:, :n_ineq] + R[:, :n_ineq])
+        shift[idx, n_ineq:] = before[:, n_ineq:] + R[:, n_ineq:]
+        # a shift moves by its constraint's violation, or by how far an
+        # inequality with a positive multiplier sits inside its boundary
+        settled = (np.abs(shift[idx] - before) <= cfg.feasible_tol / 10).all(axis=1)
+        running[idx] = ok[idx] & ~settled
+        if not running.any():
+            break
     if not ok.any():
         raise OracleError(f"all {X.shape[0]} starts diverged on {spec.name}")
 
-    X = X[ok]
-    terms = _evaluate(spec, p, X, _stage_penalty(cfg, cfg.eta_schedule[-1]))
+    # the grid point goes first: it wins ties, so method == "grid" iff x is it
+    X = X[ok] if grid_x is None else np.vstack([grid_x[None, :], X[ok]])
+    terms = _evaluate(spec, p, X, _RANK_PENALTY)
     max_ineq, max_eq, _ = terms.constraints.violations()
     viol = np.maximum(max_ineq, max_eq)
     f0 = np.where(np.isfinite(terms.objective), terms.objective, np.inf)
@@ -260,5 +291,5 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
         objective=float(f0[best]),
         max_violation=float(viol[best]),
         solve_time_s=time.perf_counter() - t0,
-        method="descent",
+        method="grid" if grid_x is not None and best == 0 else "descent",
     )

@@ -160,12 +160,18 @@ class LossTerms:
     constraints: ConstraintEval
 
 
-def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True) -> LossTerms:
+def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
+                     shift=None) -> LossTerms:
     """Penalized loss of a batch: x (batch, k), p (batch, d) -> ``LossTerms``.
 
     ``strict`` checks shapes and raises ``NonFiniteError`` on the first
     non-finite objective or constraint value or gradient; ``strict=False``
     never raises and lets non-finite rows through.
+
+    ``shift`` (batch, n_ineq + n_eq), inequality columns first, is added to
+    the residuals before the penalty: the oracle's augmented-Lagrangian
+    stages charge eta * max(0, r + s)^gamma and eta * |h + s|^gamma.
+    ``constraints`` keeps the unshifted residuals.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -192,22 +198,26 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True) -> 
                 _require_finite(ce.eq_values[:, j], ce.eq_grads[:, j, :], j)
 
         eta_i, eta_j = cfg.resolved_etas(ce.n_ineq, ce.n_eq)
+        r_ineq, r_eq = ce.ineq_values, ce.eq_values
+        if shift is not None:
+            r_ineq = r_ineq + shift[:, :ce.n_ineq]
+            r_eq = r_eq + shift[:, ce.n_ineq:]
         omega = np.zeros(x.shape[0])
         grad = g0.copy()
         if cfg.mode == "indicator":
             if ce.n_ineq:
-                omega += (ce.ineq_values > 0.0).sum(axis=1)
+                omega += (r_ineq > 0.0).sum(axis=1)
             if ce.n_eq:
-                omega += (np.abs(ce.eq_values) > cfg.eq_tolerance).sum(axis=1)
+                omega += (np.abs(r_eq) > cfg.eq_tolerance).sum(axis=1)
             # the indicator is flat on both sides of the boundary: zero gradient
             omega *= cfg.indicator_big
         else:
             if ce.n_ineq:
-                values, derivs = ineq_penalty(ce.ineq_values, eta_i, cfg.gamma)
+                values, derivs = ineq_penalty(r_ineq, eta_i, cfg.gamma)
                 omega += values.sum(axis=1)
                 grad += np.einsum("bi,bik->bk", derivs, ce.ineq_grads)
             if ce.n_eq:
-                values, derivs = eq_penalty(ce.eq_values, eta_j, cfg.gamma)
+                values, derivs = eq_penalty(r_eq, eta_j, cfg.gamma)
                 omega += values.sum(axis=1)
                 grad += np.einsum("bj,bjk->bk", derivs, ce.eq_grads)
         return LossTerms(f0 + omega, f0, omega, grad, ce)

@@ -88,6 +88,21 @@ def test_eval_single_instance(tmp_path, capsys):
     assert lines[0].startswith("c1,c2,x1,x2,f0,")
 
 
+def test_oracle_accepts_a_negative_first_param(capsys):
+    assert run(["oracle", "--problem", "rosenbrock-1c", "--params", "-0.5,0.5"]) == 0
+    assert "params=(-0.5, 0.5)" in capsys.readouterr().out
+
+
+def test_eval_accepts_a_negative_first_param(tmp_path):
+    model = tmp_path / "m.model"
+    run(["train", "--problem", "rosenbrock-1c", "--out", str(model)] + FAST_TRAIN)
+    out = tmp_path / "e.csv"
+    assert run(["eval", "--problem", "rosenbrock-1c", "--model", str(model),
+                "--params", "-0.5,0.5", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert [float(v) for v in row[:2]] == [-0.5, 0.5]
+
+
 def test_bench_and_table(tmp_path, capsys):
     model = tmp_path / "m.model"
     run(["train", "--problem", "rosenbrock-1c", "--out", str(model)] + FAST_TRAIN)
@@ -247,7 +262,6 @@ def _model_with_bad_bias(tmp_path, token):
         (lambda _: TrainConfig(feas_tolerance=-0.1), ConfigError),
         (lambda _: PenaltyConfig(gamma=float("nan")), ConfigError),
         (lambda _: PenaltyConfig(mode="none"), ConfigError),
-        (lambda _: OracleConfig(gamma=0.5), ConfigError),
         (lambda _: OracleConfig(descent_lr=0.0), ConfigError),
         (lambda _: OracleConfig(grid_bounds=((1.0, -1.0), (-6.0, 6.0))), ConfigError),
         (lambda _: TrainConfig(seed=-1), ConfigError),
@@ -259,7 +273,7 @@ def _model_with_bad_bias(tmp_path, token):
         (lambda d: load_model(_model_with_bad_bias(d, "inf")), ModelFormatError),
     ],
     ids=["beta1", "beta2", "adam_epsilon", "feas_tolerance", "gamma_nan",
-         "penalty_mode_none", "oracle_gamma", "descent_lr", "grid_bounds",
+         "penalty_mode_none", "descent_lr", "grid_bounds",
          "train_seed", "oracle_seed", "eta_zero", "net_shape_short", "net_shape_zero",
          "model_nan", "model_inf"],
 )

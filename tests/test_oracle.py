@@ -11,8 +11,10 @@ from penalearn import (
     UnsupportedError,
     grid_scan,
     make_problem,
+    sample_params,
     solve,
 )
+from penalearn import oracle
 
 
 def _toy_clamped():
@@ -109,6 +111,69 @@ def test_contradictory_constraints_yield_compromise_with_violation():
     sol = solve(spec, np.array([1.0, 1.0]))
     assert sol.max_violation > 0.1
     assert np.all(np.isfinite(sol.x))
+    # the least-penalty compromise of the earlier increasing-weight schedule
+    np.testing.assert_allclose(sol.x, [-1.1646082247335354, -0.4658432933346955],
+                               rtol=0, atol=1e-3)
+
+
+# rosenbrock-1c instances near the top of the c2 range, where the constraint is
+# active, and the objective a 4000-step run of the earlier increasing-weight
+# penalty schedule reached on each (its default 400 steps stopped infeasible)
+DEFECT_CASES = [
+    ((1.53144824, 0.90670082), 0.013466218377639692),
+    ((3.63833795, 0.93441975), 0.02126856517281774),
+    ((5.92806906, 0.94266640), 0.024000007350024027),
+    ((4.35651982, 0.98591676), 0.03881796314039347),
+]
+
+
+@pytest.mark.parametrize("params,reference", DEFECT_CASES)
+def test_solve_converges_where_the_constraint_is_active(params, reference):
+    cfg = OracleConfig()
+    sol = solve(make_problem("rosenbrock-1c"), np.array(params), cfg)
+    assert sol.max_violation <= cfg.feasible_tol
+    assert sol.objective <= reference + 1e-12
+
+
+def test_solve_never_worse_than_grid_across_the_range():
+    spec = make_problem("rosenbrock-1c")
+    params = sample_params(spec, 40, seed=3).values
+    params[:, 1] = np.linspace(0.0, 1.0, 40)
+    cfg = OracleConfig()
+    for p in params:
+        g = grid_scan(spec, p, cfg)
+        s = solve(spec, p, cfg)
+        assert g.max_violation <= cfg.feasible_tol  # the origin is a feasible grid point
+        assert s.max_violation <= cfg.feasible_tol, p
+        assert s.objective <= g.objective, p
+
+
+def test_method_names_the_winning_candidate():
+    # descent refines every rosenbrock-1c grid point; ackley-1c's optimum, the
+    # origin, is a grid point no descent improves on
+    methods = []
+    for name in ("rosenbrock-1c", "ackley-1c"):
+        spec = make_problem(name)
+        for p in sample_params(spec, 4, seed=4).values:
+            s = solve(spec, p)
+            assert (s.method == "grid") == np.array_equal(s.x, grid_scan(spec, p).x), p
+            methods.append(s.method)
+    assert methods == ["descent"] * 4 + ["grid"] * 4
+
+
+def test_grid_mesh_cache_gives_the_same_bits():
+    spec = make_problem("rosenbrock-1c")
+    params = sample_params(spec, 40, seed=5).values
+    cold = []
+    for p in params:
+        oracle._mesh.cache_clear()
+        cold.append(grid_scan(spec, p))
+    warm = [grid_scan(spec, p) for p in params]
+    assert oracle._mesh.cache_info().hits >= len(params)
+    for c, w in zip(cold, warm):
+        assert np.array_equal(c.x, w.x)
+        assert c.objective == w.objective
+        assert c.max_violation == w.max_violation
 
 
 def test_ackley_origin_found_within_grid_cell():
@@ -124,13 +189,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(grid_points_per_dim=1)
     with pytest.raises(ValueError):
-        OracleConfig(eta_schedule=(1e4, 1e2, 1e8))
-    with pytest.raises(ValueError):
-        OracleConfig(eta_schedule=(1e2, 1e4))  # ends below 1e8
-    with pytest.raises(ValueError):
         OracleConfig(starts=-1)
     with pytest.raises(ValueError):
         OracleConfig(descent_steps=0)
+    # the fixed-weight multiplier stages replaced the schedule and its exponent
+    for removed in ("eta_schedule", "gamma"):
+        with pytest.raises(TypeError):
+            OracleConfig(**{removed: 2.0})
 
 
 def test_grid_bounds_must_match_dimension():

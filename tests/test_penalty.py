@@ -201,3 +201,20 @@ def test_batch_and_scalar_paths_agree():
         assert loss_s == loss_b[i]
         assert np.array_equal(grad_s, grad_b[i])
         assert omega_s == omega_b[i]
+
+
+def test_shift_moves_the_residual_the_penalty_sees():
+    cfg = PenaltyConfig(eta_ineq=1e2, eta_eq=1e2)
+    X = np.array([[0.6, 0.7], [0.1, 0.2], [0.9, 0.9]])
+    P = np.tile([1.0, 1.0], (3, 1))
+    shift = np.array([[0.0], [0.5], [0.25]])
+    plain = loss_terms_batch(X, P, RB, cfg)
+    shifted = loss_terms_batch(X, P, RB, cfg, shift=shift)
+    r = plain.constraints.ineq_values
+    np.testing.assert_array_equal(shifted.constraints.ineq_values, r)
+    np.testing.assert_array_equal(shifted.objective, plain.objective)
+    np.testing.assert_array_equal(shifted.penalty, ineq_penalty(r + shift, 1e2, 2.0)[0][:, 0])
+    # a zero shift charges exactly what no shift charges
+    zero = loss_terms_batch(X, P, RB, cfg, shift=np.zeros((3, 1)))
+    np.testing.assert_array_equal(zero.loss, plain.loss)
+    np.testing.assert_array_equal(zero.grad, plain.grad)
