@@ -291,6 +291,20 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join("%.10g" % float(c) for c in v) + ")"
 
 
+def _warn_params_out_of_range(spec: ProblemSpec, params) -> None:
+    """One stderr line per ``--params`` entry outside ``spec.param_ranges``.
+
+    Such values still run; the ranges are where training samples instances,
+    so results outside them are extrapolation."""
+    for i, (value, (lo, hi)) in enumerate(zip(params, spec.param_ranges), start=1):
+        if not lo <= value <= hi:
+            print(
+                f"penalearn: warning: --params c{i} = {value:g} is outside "
+                f"{spec.name}'s range [{lo:g}, {hi:g}]",
+                file=sys.stderr,
+            )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -318,6 +332,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
     spec = make_problem(cfg.problem)
     net = _load_model_for(cfg, spec)
     if cfg.params is not None:
+        _warn_params_out_of_range(spec, cfg.params)
         values = np.array([cfg.params])
     else:
         values = sample_params(spec, cfg.count, cfg.train.seed).values
@@ -334,6 +349,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     spec = make_problem(cfg.problem)
     if cfg.params is None:
         raise UsageError("oracle requires --params c1,c2,... (one parameter vector)")
+    _warn_params_out_of_range(spec, cfg.params)
     sol = solve(spec, np.array(cfg.params), cfg.oracle)
     print(
         f"problem={cfg.problem} params={_fmt_vec(cfg.params)} x={_fmt_vec(sol.x)} "

@@ -29,7 +29,9 @@ from .penalty import PenaltyConfig, loss_terms_batch
 from .penalty import violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ProblemSpec
 
-GRID_CHUNK = 200_000
+# grid rows per evaluation: a (rows, 2) temporary is then 64 KiB, small enough
+# that the scan reuses freed memory instead of first-touching fresh pages
+GRID_CHUNK = 4096
 _MAX_HALVINGS = 45
 _NONMONOTONE_WINDOW = 10
 _AL_MAX_STAGES = 12

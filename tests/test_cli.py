@@ -103,6 +103,29 @@ def test_eval_accepts_a_negative_first_param(tmp_path):
     assert [float(v) for v in row[:2]] == [-0.5, 0.5]
 
 
+@pytest.mark.parametrize("argv,warned", [
+    (["eval", "--params", "1e308,1"], ["c1 = 1e+308 is outside rosenbrock-1c's range [0, 30]"]),
+    (["oracle", "--params", "-0.5,0.5"], ["c1 = -0.5 is outside rosenbrock-1c's range [0, 30]"]),
+    (["oracle", "--params", "31,1.5"], ["c1 = 31 is outside", "c2 = 1.5 is outside "
+                                        "rosenbrock-1c's range [0, 1]"]),
+    (["oracle", "--params", "1,1"], []),
+])
+def test_out_of_range_params_warn_on_stderr_only(argv, warned, tmp_path, capsys):
+    model = tmp_path / "m.model"
+    save_model(init_mlp((2, 4, 2), seed=0), str(model))
+    out = tmp_path / "e.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(argv + ["--problem", "rosenbrock-1c", "--model", str(model),
+                           "--out", str(out)])
+    assert code == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == len(warned)
+    for line, text in zip(lines, warned):
+        assert line.startswith("penalearn: warning: --params ") and text in line
+    assert "warning" not in captured.out
+
+
 def test_bench_and_table(tmp_path, capsys):
     model = tmp_path / "m.model"
     run(["train", "--problem", "rosenbrock-1c", "--out", str(model)] + FAST_TRAIN)

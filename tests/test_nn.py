@@ -10,6 +10,7 @@ from penalearn import (
     ModelFormatError,
     ModelVersionError,
     NonFiniteError,
+    TraceError,
     adam_step,
     init_mlp,
     load_model,
@@ -77,6 +78,52 @@ def test_forward_matches_hand_computation():
     expected = (np.tanh(x * w1.T + b1) @ w2.T) + b2
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
     assert trace.post_activations[0] is not None
+
+
+def _reference_forward(net, batch):
+    """Out-of-place forward: a fresh array for every product, sum and tanh."""
+    post = []
+    a = batch
+    for t, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w.T + b
+        a = z if t == net.num_layers - 1 else np.tanh(z)
+        post.append(a)
+    return a, post
+
+
+@pytest.mark.parametrize("shape", [(2, 20, 20, 2), (5, 10, 20, 20, 20, 10, 2)])
+@pytest.mark.parametrize("batch_size", [1, 7, 100, 4096])
+def test_forward_matches_out_of_place_reference_bits(shape, batch_size):
+    rng = np.random.default_rng(batch_size)
+    net = init_mlp(shape, seed=4)
+    # nonzero biases, so the in-place bias add is exercised
+    net = Mlp._from_params(net.layer_sizes,
+                           net.params + rng.normal(scale=0.3, size=net.params.size))
+    batch = rng.uniform(-1.0, 1.0, size=(batch_size, shape[0]))
+    before = batch.copy()
+    out, trace = mlp_forward(net, batch)
+    ref_out, ref_post = _reference_forward(net, before)
+    assert np.array_equal(batch, before)
+    assert trace.inputs is batch
+    assert np.array_equal(out, ref_out)
+    assert len(trace.post_activations) == len(ref_post)
+    for got, want in zip(trace.post_activations, ref_post):
+        assert np.array_equal(got, want)
+    assert trace.post_activations[-1] is out
+
+
+def test_backward_rejects_stale_trace():
+    net = init_mlp((2, 3, 1), seed=0)
+    upstream = np.ones((4, 1))
+    _, wider = mlp_forward(init_mlp((2, 5, 1), seed=0), np.zeros((4, 2)))
+    with pytest.raises(TraceError, match="layer 0 has shape"):
+        mlp_backward(net, wider, upstream)
+    _, deeper = mlp_forward(init_mlp((2, 3, 3, 1), seed=0), np.zeros((4, 2)))
+    with pytest.raises(TraceError, match="trace has 3 layers"):
+        mlp_backward(net, deeper, upstream)
+    _, other_input = mlp_forward(init_mlp((3, 3, 1), seed=0), np.zeros((4, 3)))
+    with pytest.raises(TraceError, match="input dim"):
+        mlp_backward(net, other_input, upstream)
 
 
 def _loss_and_param_grads(net, batch, upstream):

@@ -176,6 +176,25 @@ def test_grid_mesh_cache_gives_the_same_bits():
         assert c.max_violation == w.max_violation
 
 
+@pytest.mark.parametrize(
+    "name", ["rosenbrock-1c", "rosenbrock-3c", "ackley-1c", "ackley-3c"]
+)
+def test_grid_scan_bits_do_not_depend_on_chunk_size(monkeypatch, name):
+    # on the -3c problems no grid point is feasible, so the least-penalty
+    # winner is compared across chunk borders
+    spec = make_problem(name)
+    params = sample_params(spec, 20, seed=9).values
+    results = {}
+    for chunk in (1000, 4096, 200_000):
+        monkeypatch.setattr(oracle, "GRID_CHUNK", chunk)
+        results[chunk] = [grid_scan(spec, p) for p in params]
+    for chunk in (1000, 4096):
+        for got, want in zip(results[chunk], results[200_000]):
+            assert np.array_equal(got.x, want.x)
+            assert got.objective == want.objective
+            assert got.max_violation == want.max_violation
+
+
 def test_ackley_origin_found_within_grid_cell():
     spec = make_problem("ackley-1c")
     cfg = OracleConfig()
