@@ -11,13 +11,17 @@ from penalearn import (
     ModelVersionError,
     NonFiniteError,
     TraceError,
+    TrainConfig,
     adam_step,
     init_mlp,
     load_model,
     mac_count,
+    make_problem,
     mlp_backward,
     mlp_forward,
+    sample_params,
     save_model,
+    train,
 )
 
 SHAPES = [(2, 20, 20, 2), (2, 10, 20, 20, 20, 10, 2), (5, 10, 20, 20, 20, 10, 2), (3, 4, 1)]
@@ -92,24 +96,53 @@ def _reference_forward(net, batch):
 
 
 @pytest.mark.parametrize("shape", [(2, 20, 20, 2), (5, 10, 20, 20, 20, 10, 2)])
-@pytest.mark.parametrize("batch_size", [1, 7, 100, 4096])
+@pytest.mark.parametrize("batch_size", [0, 1, 7, 100, 4096])
 def test_forward_matches_out_of_place_reference_bits(shape, batch_size):
     rng = np.random.default_rng(batch_size)
     net = init_mlp(shape, seed=4)
     # nonzero biases, so the in-place bias add is exercised
     net = Mlp._from_params(net.layer_sizes,
                            net.params + rng.normal(scale=0.3, size=net.params.size))
-    batch = rng.uniform(-1.0, 1.0, size=(batch_size, shape[0]))
-    before = batch.copy()
-    out, trace = mlp_forward(net, batch)
-    ref_out, ref_post = _reference_forward(net, before)
-    assert np.array_equal(batch, before)
-    assert trace.inputs is batch
-    assert np.array_equal(out, ref_out)
-    assert len(trace.post_activations) == len(ref_post)
-    for got, want in zip(trace.post_activations, ref_post):
-        assert np.array_equal(got, want)
-    assert trace.post_activations[-1] is out
+    tall = rng.uniform(-1.0, 1.0, size=(2 * batch_size, shape[0]))
+    # row-major, every second row of a taller array, and column-major inputs
+    for batch in (tall[:batch_size].copy(), tall[::2],
+                  np.asfortranarray(tall[:batch_size])):
+        before = batch.copy()
+        out, trace = mlp_forward(net, batch)
+        ref_out, ref_post = _reference_forward(net, before)
+        assert np.array_equal(batch, before)
+        assert trace.inputs is batch
+        assert np.array_equal(out, ref_out)
+        assert len(trace.post_activations) == len(ref_post)
+        for got, want in zip(trace.post_activations, ref_post):
+            assert np.array_equal(got, want)
+        assert trace.post_activations[-1] is out
+
+
+def _assert_forward_matches_reference(net, batch):
+    out, _ = mlp_forward(net, batch)
+    assert np.array_equal(out, _reference_forward(net, batch)[0])
+
+
+def test_forward_sees_in_place_parameter_writes():
+    rng = np.random.default_rng(3)
+    net = init_mlp((2, 20, 20, 2), seed=1)
+    batch = rng.uniform(-1.0, 1.0, size=(5, 2))
+    before, _ = mlp_forward(net, batch)
+    net.params[...] = rng.normal(size=net.params.size)
+    _assert_forward_matches_reference(net, batch)
+    assert not np.array_equal(mlp_forward(net, batch)[0], before)
+    net.weights[0][...] *= 2.0
+    net.biases[-1][...] += 1.0
+    _assert_forward_matches_reference(net, batch)
+
+    # train() rewrites layer 0 of its returned net in place (the input fold)
+    spec = make_problem("rosenbrock-1c")
+    folded, _ = train(spec, TrainConfig(epochs=2, sample_count=40, batch_size=20, seed=0))
+    raw = sample_params(spec, 9, seed=2).values
+    _assert_forward_matches_reference(folded, raw)
+    folded.params[...] = rng.normal(size=folded.params.size)
+    _assert_forward_matches_reference(folded, raw)
 
 
 def test_backward_rejects_stale_trace():
