@@ -3,9 +3,11 @@
 Produces one row per parameter vector (network output, oracle output,
 objective gap, worst violation, timings) plus aggregate statistics, and
 reproduces the bundled reference instances whose interior-point baseline
-solutions are known.  Reports serialize to CSV with aggregates in a trailing
-``#`` comment block; ``parse_csv(emit_csv(r))`` reconstructs ``r`` exactly
-(timing columns included, since they are data once measured).
+solutions are known.  The network's columns are ``training.evaluate``'s
+values, the same ones ``penalearn eval`` writes: one timed batch-1 forward
+per row, then one scoring pass.  Reports serialize to CSV with aggregates
+in a trailing ``#`` comment block; ``parse_csv(emit_csv(r))`` reconstructs
+``r`` exactly (timing columns included, since they are data once measured).
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import BenchFormatError, OracleError, UnsupportedError
-from .nn import Mlp, mac_count, mlp_forward
+from .nn import Mlp, mac_count
 from .oracle import OracleConfig, solve
 from .problems import ParamSet, ProblemSpec, make_problem
+from .training import evaluate
 
 FEAS_TOL_LOOSE = 0.1
 FEAS_TOL_STRICT = 1e-3
-MIN_FORWARD_REPS = 100
 
 
 def _float_eq(a: float, b: float) -> bool:
@@ -137,73 +139,47 @@ def aggregate_rows(rows, macs: int) -> BenchAggregates:
     )
 
 
-def _forward_timed(net: Mlp, p: np.ndarray, reps: int):
-    """Forward the net on one parameter row, timing over ``reps`` repetitions."""
-    row = p[None, :]
-    t0 = time.perf_counter_ns()
-    for _ in range(reps):
-        out, _ = mlp_forward(net, row)
-    return out[0], float((time.perf_counter_ns() - t0) / reps)
-
-
-def _score(spec: ProblemSpec, X: np.ndarray, P: np.ndarray):
-    """Objective and worst violation (equalities exact) of every row, in one pass."""
-    f0, _ = spec.objective(X, P)
-    max_ineq, max_eq, _ = spec.constraint_eval(X, P).violations(0.0)
-    return f0, np.maximum(max_ineq, max_eq)
-
-
 def run_benchmark(
     spec: ProblemSpec,
     net: Mlp,
     oracle_cfg: OracleConfig = OracleConfig(),
     params: Optional[ParamSet] = None,
-    forward_reps: int = 2 * MIN_FORWARD_REPS,
 ) -> BenchReport:
     """Score the net against the oracle on every row of ``params``.
 
-    Each row's forward is timed alone, averaging at least
-    ``MIN_FORWARD_REPS`` repetitions to dampen clock granularity, and its
-    oracle solve is timed alone right after; the net outputs are scored in
-    one pass at the end.  An oracle failure flags the row (NaN oracle
-    columns) rather than aborting the run.
+    The net's side of each row is ``evaluate``'s report for it: ``x_dnn``,
+    ``f0_dnn``, ``viol_dnn`` (the worse of its two worst violations) and
+    ``t_fwd_ns`` from one timed batch-1 forward, the same values
+    ``penalearn eval`` writes.  Each row's oracle solve is then timed alone.
+    An oracle failure flags the row (NaN oracle columns) rather than aborting
+    the run; a net that does not match the problem raises ``DimensionError``.
     """
     if params is None:
         raise ValueError("params is required")
-    reps = max(int(forward_reps), MIN_FORWARD_REPS)
     k = spec.decision_dim
-    P = np.atleast_2d(params.values)
-    macs = mac_count(net.layer_sizes)
-    if not len(P):
-        return BenchReport(problem=spec.name, mac_count=macs, rows=())
-    dnn, oracle_runs = [], []
-    for p in P:
-        dnn.append(_forward_timed(net, p, reps))
+    rows = []
+    for r in evaluate(net, spec, params):
         try:
             t0 = time.perf_counter_ns()
-            sol = solve(spec, p, oracle_cfg)
+            sol = solve(spec, r.params, oracle_cfg)
             t_oracle = float(time.perf_counter_ns() - t0)
-            oracle_runs.append((sol.x, sol.objective, t_oracle))
+            x_oracle, f0_oracle = sol.x, sol.objective
         except (OracleError, UnsupportedError):
-            oracle_runs.append((np.full(k, np.nan), float("nan"), float("nan")))
-    f0_dnn, viol_dnn = _score(spec, np.stack([x for x, _ in dnn]), P)
-    rows = []
-    for p, (x_dnn, t_fwd), (x_oracle, f0_oracle, t_oracle), f0, viol in zip(
-            P, dnn, oracle_runs, f0_dnn.tolist(), viol_dnn.tolist()):
+            x_oracle, f0_oracle, t_oracle = np.full(k, np.nan), float("nan"), float("nan")
         rows.append(
             BenchRow(
-                params=p.copy(),
-                x_dnn=x_dnn,
+                params=r.params,
+                x_dnn=r.x,
                 x_oracle=x_oracle,
-                f0_dnn=f0,
+                f0_dnn=r.objective,
                 f0_oracle=f0_oracle,
-                gap=f0 - f0_oracle,
-                viol_dnn=viol,
-                t_fwd_ns=t_fwd,
+                gap=r.objective - f0_oracle,
+                viol_dnn=float(np.maximum(r.max_ineq_violation, r.max_eq_violation)),
+                t_fwd_ns=r.forward_time_s * 1e9,
                 t_oracle_ns=t_oracle,
             )
         )
-    return BenchReport(problem=spec.name, mac_count=macs, rows=tuple(rows))
+    return BenchReport(problem=spec.name, mac_count=mac_count(net.layer_sizes), rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -420,27 +396,30 @@ class TableRepro:
 def table_repro(
     spec_name: str, net: Mlp, oracle_cfg: OracleConfig = OracleConfig()
 ) -> TableRepro:
-    """Side-by-side comparison on the fixed reference parameter sets."""
+    """Side-by-side comparison on the fixed reference parameter sets.
+
+    ``x_dnn`` and ``viol_dnn`` are ``evaluate``'s values for each case, as in
+    ``run_benchmark``; a net that does not match the problem raises
+    ``DimensionError``.
+    """
     if spec_name not in TABLE_CASES:
         raise UnsupportedError(
             f"no reference table for {spec_name!r}; have {sorted(TABLE_CASES)}"
         )
     spec = make_problem(spec_name)
     cases = TABLE_CASES[spec_name]
-    P = np.array([case.params for case in cases])
-    X = np.stack([mlp_forward(net, p[None, :])[0][0] for p in P])
-    _, viol_dnn = _score(spec, X, P)
+    params = ParamSet(values=np.array([case.params for case in cases]), seed=0)
     rows = []
-    for case, p, x_dnn, viol in zip(cases, P, X, viol_dnn):
-        sol = solve(spec, p, oracle_cfg)
+    for case, r in zip(cases, evaluate(net, spec, params)):
+        sol = solve(spec, r.params, oracle_cfg)
         rows.append(
             TableRow(
                 params=case.params,
                 x_baseline=case.baseline_x,
                 x_oracle=sol.x,
-                x_dnn=x_dnn,
+                x_dnn=r.x,
                 viol_oracle=sol.max_violation,
-                viol_dnn=float(viol),
+                viol_dnn=float(np.maximum(r.max_ineq_violation, r.max_eq_violation)),
             )
         )
     banner = INFEASIBLE_BANNER if spec.known_infeasible else None

@@ -49,9 +49,6 @@ from .errors import (
 
 MODEL_FORMAT_HEADER = "penalearn-model v1"
 
-HIDDEN_ACTIVATIONS = ("tanh",)
-OUTPUT_ACTIVATIONS = ("identity",)
-
 
 def _check_layer_sizes(layer_sizes):
     sizes = tuple(int(s) for s in layer_sizes)
@@ -93,17 +90,11 @@ class Mlp:
     layer_sizes: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    hidden_activation: str = "tanh"
-    output_activation: str = "identity"
     params: np.ndarray = field(init=False, repr=False)
     _layers: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         sizes = _check_layer_sizes(self.layer_sizes)
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unsupported hidden activation {self.hidden_activation!r}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unsupported output activation {self.output_activation!r}")
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise DimensionError(
                 f"expected {len(sizes) - 1} weight/bias tensors, got "
@@ -135,16 +126,13 @@ class Mlp:
                            tuple((w.T, b[None, :]) for w, b in zip(weights, biases)))
 
     @classmethod
-    def _from_params(cls, sizes, params, hidden_activation="tanh",
-                     output_activation="identity") -> "Mlp":
+    def _from_params(cls, sizes, params) -> "Mlp":
         """Wrap a flat vector without re-validating it.
 
         For internal callers whose sizes are already checked and whose vector
         is known finite or is guarded elsewhere (the training loss check).
         """
         net = object.__new__(cls)
-        object.__setattr__(net, "hidden_activation", hidden_activation)
-        object.__setattr__(net, "output_activation", output_activation)
         net._bind(sizes, params)
         return net
 
@@ -159,9 +147,6 @@ class Mlp:
     @property
     def num_layers(self) -> int:
         return len(self.layer_sizes) - 1
-
-    def parameter_count(self) -> int:
-        return self.params.size
 
 
 def init_mlp(layer_sizes, seed=0) -> Mlp:
@@ -311,8 +296,7 @@ def adam_step(net: Mlp, state: AdamState, grad: np.ndarray) -> tuple[Mlp, AdamSt
     m = state.beta1 * state.m + (1.0 - state.beta1) * grad
     v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
     step = state.learning_rate * (m / c1) / np.sqrt(v / c2 + state.epsilon)
-    new_net = Mlp._from_params(net.layer_sizes, net.params - step,
-                               net.hidden_activation, net.output_activation)
+    new_net = Mlp._from_params(net.layer_sizes, net.params - step)
     return new_net, replace(state, m=m, v=v, step_count=t)
 
 

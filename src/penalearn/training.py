@@ -43,6 +43,8 @@ __all__ = [
 
 TRAIN_LOG_COLUMNS = ("epoch", "mean_loss", "mean_objective", "mean_penalty",
                      "feasible_frac", "elapsed_s")
+# a batch mean loss above this stops training with TrainingDivergedError
+DIVERGENCE_LIMIT = 1e15
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ class TrainConfig:
     net_shape: Optional[tuple[int, ...]] = None
     feas_tolerance: float = 0.1
     normalize_inputs: bool = True
-    divergence_limit: float = 1e15
 
     def __post_init__(self):
         require(self.epochs >= 1, "epochs", self.epochs, ">= 1")
@@ -146,8 +147,7 @@ def _fold_input_transform(net: Mlp, mid: np.ndarray, half: np.ndarray) -> Mlp:
     W' = W/half (columnwise) and b' = b - W (mid/half); the fold is exact up
     to one float rounding per entry.
     """
-    folded = Mlp._from_params(net.layer_sizes, net.params.copy(),
-                              net.hidden_activation, net.output_activation)
+    folded = Mlp._from_params(net.layer_sizes, net.params.copy())
     folded.weights[0][...] = net.weights[0] / half[None, :]
     folded.biases[0][...] = net.biases[0] - net.weights[0] @ (mid / half)
     return folded
@@ -236,11 +236,11 @@ def _batch_loss_guarded(outputs, raw_params, spec, cfg, epoch, idx):
             sample_index=sample,
         )
     mean = float(loss.mean())
-    if mean > cfg.divergence_limit:
+    if mean > DIVERGENCE_LIMIT:
         sample = int(idx[int(np.argmax(loss))])
         raise TrainingDivergedError(
             f"mean loss {mean:.3g} exceeded divergence limit "
-            f"{cfg.divergence_limit:.3g} at epoch {epoch} (worst sample {sample})",
+            f"{DIVERGENCE_LIMIT:.3g} at epoch {epoch} (worst sample {sample})",
             epoch=epoch,
             sample_index=sample,
         )

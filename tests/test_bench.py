@@ -6,14 +6,17 @@ import pytest
 from penalearn import (
     BenchFormatError,
     BenchReport,
+    DimensionError,
     OracleConfig,
     ProblemSpec,
     UnsupportedError,
     aggregate_rows,
     emit_csv,
+    evaluate,
     init_mlp,
     make_problem,
     parse_csv,
+    problem_names,
     run_benchmark,
     sample_params,
     table_repro,
@@ -174,3 +177,31 @@ def test_table_repro_unknown_problem(rosenbrock_model):
     _, net, _ = rosenbrock_model
     with pytest.raises(UnsupportedError):
         table_repro("sphere", net)
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_bench_and_table_take_the_net_side_from_evaluate(name):
+    spec = make_problem(name)
+    net = init_mlp(spec.default_net_shape, seed=0)
+    params = sample_params(spec, 3, seed=5)
+    report = run_benchmark(spec, net, OracleConfig(), params)
+    for row, r in zip(report.rows, evaluate(net, spec, params), strict=True):
+        assert np.array_equal(row.params, r.params)
+        assert np.array_equal(row.x_dnn, r.x)
+        assert row.f0_dnn == r.objective
+        assert row.viol_dnn == np.maximum(r.max_ineq_violation, r.max_eq_violation)
+
+    cases = ParamSet(values=np.array([c.params for c in TABLE_CASES[name]]), seed=0)
+    repro = table_repro(name, net)
+    for row, r in zip(repro.rows, evaluate(net, spec, cases), strict=True):
+        assert np.array_equal(row.x_dnn, r.x)
+        assert row.viol_dnn == np.maximum(r.max_ineq_violation, r.max_eq_violation)
+
+
+def test_bench_and_table_reject_a_mismatched_net():
+    spec = make_problem("rosenbrock-1c")
+    net = init_mlp((2, 4, 1), seed=0)
+    with pytest.raises(DimensionError):
+        run_benchmark(spec, net, OracleConfig(), sample_params(spec, 2, seed=0))
+    with pytest.raises(DimensionError):
+        table_repro("rosenbrock-1c", net)

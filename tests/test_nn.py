@@ -293,7 +293,7 @@ def test_adam_rejects_mismatched_gradient():
     net = init_mlp((2, 3, 1))
     state = AdamState.for_net(net)
     with pytest.raises(DimensionError):
-        adam_step(net, state, np.zeros(net.parameter_count() + 1))
+        adam_step(net, state, np.zeros(net.params.size + 1))
 
 
 def test_net_equality_is_identity():

@@ -1,0 +1,102 @@
+"""Print a SHA-256 prefix of every deterministic output the CLI writes.
+
+Runs ``penalearn`` in process, in a temporary directory: ``train`` (60
+epochs), ``eval`` (20 rows), ``bench`` (3 rows) and ``table`` on all four
+problems at seeds 0, 1 and 7, plus ``oracle`` on 20 sampled instances each of
+rosenbrock-1c and ackley-1c.  Timing values (``elapsed_s``, ``t_fwd_ns``,
+``t_oracle_ns``, ``median_t_*``, ``speedup`` and ``time_s``) are dropped
+before hashing; everything else, model files included, is hashed as written.
+One ``<sha256 prefix> <artifact>`` line per output.
+
+A refactor that should not change results runs this on the parent commit and
+on the change and diffs the two outputs.  Run from a checkout's root:
+
+    PYTHONPATH=src python3 tools/output_digest.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+# one BLAS thread: the thread count may change how a matrix product rounds
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from penalearn.cli import main  # noqa: E402
+from penalearn.problems import make_problem, problem_names, sample_params  # noqa: E402
+
+SEEDS = (0, 1, 7)
+ORACLE_PROBLEMS = ("rosenbrock-1c", "ackley-1c")
+TIMING = {"elapsed_s", "t_fwd_ns", "t_oracle_ns", "median_t_fwd_ns",
+          "median_t_oracle_ns", "speedup", "time_s"}
+
+
+def drop_timing(text: str) -> str:
+    """Remove timing CSV columns (named in the header) and ``key=value`` tokens."""
+    out, drop = [], set()
+    for i, line in enumerate(text.splitlines()):
+        if line.startswith("#") or "=" in line:
+            out.append(" ".join(t for t in line.split(" ")
+                                if t.partition("=")[0] not in TIMING))
+            continue
+        cells = line.split(",")
+        if i == 0:
+            drop = {j for j, c in enumerate(cells) if c in TIMING}
+        out.append(",".join(c for j, c in enumerate(cells) if j not in drop))
+    return "\n".join(out) + "\n"
+
+
+def run(argv) -> str:
+    """``penalearn argv`` in process; its stdout, or SystemExit on failure."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = main([str(a) for a in argv])
+    if status != 0:
+        raise SystemExit(f"penalearn {' '.join(map(str, argv))} exited {status}")
+    return buf.getvalue()
+
+
+def outputs():
+    """Yield (artifact name, bytes to hash), in a fixed order."""
+    for name in problem_names():
+        for seed in SEEDS:
+            stem = f"{name}-s{seed}"
+            common = ["--problem", name, "--seed", seed]
+            run(["train", *common, "--epochs", 60, "--out", f"{stem}.model"])
+            run(["eval", *common, "--model", f"{stem}.model", "--count", 20,
+                 "--out", f"{stem}.eval.csv"])
+            run(["bench", *common, "--model", f"{stem}.model", "--count", 3,
+                 "--out", f"{stem}.bench.csv"])
+            table = run(["table", *common, "--model", f"{stem}.model",
+                         "--out", f"{stem}.table.csv"])
+            with open(f"{stem}.model", "rb") as fh:
+                yield f"{stem}.model", fh.read()
+            for suffix in (".trainlog.csv", ".eval.csv", ".bench.csv", ".table.csv"):
+                with open(stem + suffix) as fh:
+                    yield stem + suffix, drop_timing(fh.read()).encode()
+            yield f"{stem}.table.txt", table.encode()
+    for name in ORACLE_PROBLEMS:
+        lines = [
+            run(["oracle", "--problem", name,
+                 "--params=" + ",".join(repr(float(v)) for v in p)])
+            for p in sample_params(make_problem(name), 20, 0).values
+        ]
+        yield f"{name}.oracle.txt", drop_timing("".join(lines)).encode()
+
+
+def digest_lines():
+    """Generate the outputs in a temporary directory; one line per artifact."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="penalearn-digest-") as tmp:
+        os.chdir(tmp)
+        try:
+            for artifact, data in outputs():
+                yield f"{hashlib.sha256(data).hexdigest()[:12]} {artifact}"
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    for line in digest_lines():
+        print(line, flush=True)
