@@ -2,6 +2,12 @@
 
 Everything is plain float64 numpy.  Networks are value objects: forward passes
 share them freely, and updates return new instances instead of mutating.
+Inside a call, fresh arrays are written in place: the backward pass writes
+each weight and bias gradient straight into the flat gradient and forms
+tanh' in place, and the ADAM step builds its new moments and parameters in
+its own fresh arrays.  A net, trace, gradient or state passed in is never
+written, and each value goes through the same operations in the same order
+as the out-of-place formulas, so the bits are the same.
 
 The forward pass makes one array per layer: the matrix product allocates it,
 and the bias add and tanh then work in place.  At large batches most of a
@@ -35,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -242,12 +248,14 @@ def mlp_backward(
     delta = upstream  # identity output layer: dL/dz_last = upstream
     for t in range(net.num_layers - 1, -1, -1):
         a_prev = trace.inputs if t == 0 else trace.post_activations[t - 1]
-        weight_grads[t][...] = delta.T @ a_prev
-        bias_grads[t][...] = delta.sum(axis=0)
-        delta = delta @ net.weights[t]
+        np.matmul(delta.T, a_prev, out=weight_grads[t])
+        delta.sum(axis=0, out=bias_grads[t])
+        delta = delta @ net.weights[t]  # a fresh array; `upstream` is never written
         if t > 0:
             # tanh'(z) = 1 - tanh(z)^2, and post_activations[t-1] = tanh(z)
-            delta = delta * (1.0 - trace.post_activations[t - 1] ** 2)
+            slope = a_prev ** 2
+            np.subtract(1.0, slope, out=slope)
+            delta *= slope
     return grad, delta
 
 
@@ -290,14 +298,23 @@ def adam_step(net: Mlp, state: AdamState, grad: np.ndarray) -> tuple[Mlp, AdamSt
             f"gradient and ADAM moments must have shape {net.params.shape}, got "
             f"{np.shape(grad)}, {state.m.shape} and {state.v.shape}"
         )
+    b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.learning_rate
     t = state.step_count + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    step = state.learning_rate * (m / c1) / np.sqrt(v / c2 + state.epsilon)
-    new_net = Mlp._from_params(net.layer_sizes, net.params - step)
-    return new_net, replace(state, m=m, v=v, step_count=t)
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    # the formulas above, operation for operation, written into fresh arrays
+    m = b1 * state.m
+    m += (1.0 - b1) * grad
+    v = (1.0 - b2) * grad
+    v *= grad
+    v += b2 * state.v
+    den = v / c2
+    den += eps
+    step = m / c1
+    step *= lr
+    step /= np.sqrt(den, out=den)
+    np.subtract(net.params, step, out=step)
+    return Mlp._from_params(net.layer_sizes, step), AdamState(m, v, t, b1, b2, eps, lr)
 
 
 def mac_count(layer_sizes) -> int:

@@ -14,12 +14,15 @@ and feasibility come from ``ConstraintEval.violations`` on those residuals.
 Training calls it with ``strict=True`` (shapes checked, a non-finite value
 raises ``NonFiniteError`` naming the constraint and the sample); the oracle
 calls it with ``strict=False`` (no checks, floating-point warnings silenced,
-non-finite rows come back as inf/nan and lose the line search).
+non-finite rows come back as inf/nan and lose the line search).  Strict mode
+tests the objective's and the constraints' outputs with one whole-array test
+each and runs the per-constraint diagnosis only when a test fails.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -165,8 +168,9 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
     """Penalized loss of a batch: x (batch, k), p (batch, d) -> ``LossTerms``.
 
     ``strict`` checks shapes and raises ``NonFiniteError`` on the first
-    non-finite objective or constraint value or gradient; ``strict=False``
-    never raises and lets non-finite rows through.
+    non-finite objective or constraint value or gradient, looked for only
+    when a whole-array test fails; ``strict=False`` never raises and lets
+    non-finite rows through.
 
     ``shift`` (batch, n_ineq + n_eq), inequality columns first, is added to
     the residuals before the penalty: the oracle's augmented-Lagrangian
@@ -188,10 +192,10 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
             raise DimensionError(f"batch mismatch: x rows {x.shape[0]}, p rows {p.shape[0]}")
     with contextlib.nullcontext() if strict else np.errstate(all="ignore"):
         f0, g0 = problem.objective(x, p)
-        if strict:
+        if strict and not _all_finite(f0, g0):
             _require_finite(f0, g0, constraint_index=None)
         ce = problem.constraint_eval(x, p)
-        if strict:
+        if strict and not _all_finite(ce.ineq_values, ce.ineq_grads, ce.eq_values, ce.eq_grads):
             for i in range(ce.n_ineq):
                 _require_finite(ce.ineq_values[:, i], ce.ineq_grads[:, i, :], i)
             for j in range(ce.n_eq):
@@ -223,23 +227,21 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
         return LossTerms(f0 + omega, f0, omega, grad, ce)
 
 
+def _all_finite(*arrays):
+    # a.a is finite iff every entry is, or else it overflowed: a false alarm
+    # that only costs the diagnosis, which then finds nothing
+    return all(math.isfinite(np.vdot(a, a)) for a in arrays)
+
+
 def _require_finite(values, grads, constraint_index):
-    bad = ~np.isfinite(np.asarray(values))
+    """Raise ``NonFiniteError`` at the first non-finite value, else gradient row."""
+    bad, what = ~np.isfinite(np.asarray(values)), "evaluated to a non-finite value"
+    if not bad.any():
+        bad, what = ~np.isfinite(np.asarray(grads)).all(axis=-1), "gradient is non-finite"
     if bad.any():
         which = "objective" if constraint_index is None else f"constraint {constraint_index}"
-        raise NonFiniteError(
-            f"{which} evaluated to a non-finite value",
-            constraint_index=constraint_index,
-            sample_index=int(np.argmax(bad)),
-        )
-    bad = ~np.isfinite(np.asarray(grads)).all(axis=-1)
-    if bad.any():
-        which = "objective" if constraint_index is None else f"constraint {constraint_index}"
-        raise NonFiniteError(
-            f"{which} gradient is non-finite",
-            constraint_index=constraint_index,
-            sample_index=int(np.argmax(bad)),
-        )
+        raise NonFiniteError(f"{which} {what}", constraint_index=constraint_index,
+                             sample_index=int(np.argmax(bad)))
 
 
 def violation_report_batch(x, p, problem, eq_tolerance=0.0):

@@ -66,11 +66,11 @@ class ProblemSpec:
         n, k = x.shape[0], self.decision_dim
 
         def stack(cons):
-            values = np.zeros((n, len(cons)))
-            grads = np.zeros((n, len(cons), k))
+            values = np.empty((n, len(cons)))
+            grads = np.empty((n, len(cons), k))
             for i, c in enumerate(cons):
                 v, g = c.fn(x, p)
-                values[:, i] = v - c.bound
+                np.subtract(v, c.bound, out=values[:, i])
                 grads[:, i, :] = g
             return values, grads
 
@@ -98,9 +98,10 @@ def rosenbrock_objective(x, p):
     c1, c2 = p[:, 0], p[:, 1]
     d = x2 - x1 * x1
     f = c1 * d * d + (c2 - x1) ** 2
-    g1 = -4.0 * c1 * x1 * d - 2.0 * (c2 - x1)
-    g2 = 2.0 * c1 * d
-    return f, np.stack([g1, g2], axis=1)
+    g = np.empty((len(f), 2))
+    np.subtract(-4.0 * c1 * x1 * d, 2.0 * (c2 - x1), out=g[:, 0])
+    np.multiply(2.0 * c1, d, out=g[:, 1])
+    return f, g
 
 
 def ackley_objective(x, p):
@@ -118,9 +119,10 @@ def ackley_objective(x, p):
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_u = np.where(u > 0.0, 1.0 / np.where(u > 0.0, u, 1.0), 0.0)
     coef = c1 * c2 * exp1 * c3 * inv_u
-    g1 = coef * x1 + 2.0 * np.pi * c4 * np.sin(2.0 * np.pi * x1) * exp2
-    g2 = coef * x2 + 2.0 * np.pi * c4 * np.sin(2.0 * np.pi * x2) * exp2
-    return f, np.stack([g1, g2], axis=1)
+    g = np.empty((len(f), 2))
+    np.add(coef * x1, 2.0 * np.pi * c4 * np.sin(2.0 * np.pi * x1) * exp2, out=g[:, 0])
+    np.add(coef * x2, 2.0 * np.pi * c4 * np.sin(2.0 * np.pi * x2) * exp2, out=g[:, 1])
+    return f, g
 
 
 # constraint evaluators

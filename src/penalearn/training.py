@@ -8,6 +8,7 @@ back into the weights.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -208,11 +209,14 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
     n = cfg.sample_count
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
+        # permuted once per epoch, so each batch is a slice, not a copy
+        epoch_inputs, epoch_raw = inputs[order], raw[order]
         for lo_idx in range(0, n, cfg.batch_size):
-            idx = order[lo_idx:lo_idx + cfg.batch_size]
-            outputs, trace = mlp_forward(net, inputs[idx])
+            batch = slice(lo_idx, lo_idx + cfg.batch_size)
+            idx = order[batch]
+            outputs, trace = mlp_forward(net, epoch_inputs[batch])
             loss, grad_x = _batch_loss_guarded(
-                outputs, raw[idx], spec, cfg, epoch, idx
+                outputs, epoch_raw[batch], spec, cfg, epoch, idx
             )
             upstream = grad_x / idx.size  # gradient of the batch mean
             grads, _ = mlp_backward(net, trace, upstream)
@@ -227,15 +231,15 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
 def _batch_loss_guarded(outputs, raw_params, spec, cfg, epoch, idx):
     terms = loss_terms_batch(outputs, raw_params, spec, cfg.penalty)
     loss = terms.loss
-    bad = ~np.isfinite(loss)
-    if bad.any():
-        sample = int(idx[int(np.argmax(bad))])
+    mean = float(loss.sum()) / loss.size  # loss.mean()'s bits, without its wrapper
+    # a non-finite loss makes the mean non-finite, so finite batches skip the scan
+    if not math.isfinite(mean) and not np.isfinite(loss).all():
+        sample = int(idx[int(np.argmax(~np.isfinite(loss)))])
         raise TrainingDivergedError(
             f"non-finite loss at epoch {epoch}, sample {sample}",
             epoch=epoch,
             sample_index=sample,
         )
-    mean = float(loss.mean())
     if mean > DIVERGENCE_LIMIT:
         sample = int(idx[int(np.argmax(loss))])
         raise TrainingDivergedError(
@@ -260,7 +264,8 @@ def evaluate(
     batched forward may round differently in the last bit.  Scoring is one
     objective, one constraint and one violations pass over all outputs; the
     problem evaluators are elementwise per row, so each report holds the
-    same bits as scoring its row alone.
+    same bits as scoring its row alone.  ``DimensionError`` when the net or
+    ``params.values``, which must be (rows, param_dim), does not fit ``spec``.
     """
     cfg = cfg if cfg is not None else PenaltyConfig()
     if net.input_dim != spec.param_dim:
@@ -272,6 +277,9 @@ def evaluate(
             f"net output dim {net.output_dim} != problem decision dim {spec.decision_dim}"
         )
     P = params.values
+    if np.ndim(P) != 2 or np.shape(P)[1] != spec.param_dim:
+        raise DimensionError(f"params.values has shape {np.shape(P)}, expected "
+                             f"(rows, {spec.param_dim}) for {spec.name}")
     if len(P) == 0:
         return []
     outputs, times = [], []

@@ -14,6 +14,7 @@ from penalearn import (
     PenaltyConfig,
     ProblemSpec,
     TrainConfig,
+    TrainingDivergedError,
     eval_reports_csv,
     evaluate,
     grid_scan,
@@ -149,6 +150,70 @@ def test_strict_split_on_a_non_finite_constraint():
         loss_terms_batch(X, P, spec, PenaltyConfig(), strict=True)
     assert info.value.constraint_index == 0
     assert info.value.sample_index == 3
+
+
+def _toy(objective_grad_nan_row=None, residual=None, constraint_grad=None):
+    """A feasible toy (x in [-1, 1]^2, residuals x1 - 10 and x2 - 10) with
+    one value spoiled: the objective gradient at a row, the second
+    constraint's residual column, or the first constraint's gradient."""
+    def obj(X, P):
+        g = 2 * X
+        if objective_grad_nan_row is not None:
+            g[objective_grad_nan_row, 0] = np.nan
+        return (X**2).sum(axis=1), g
+
+    def coordinate(j, values=None, grads=None):
+        def fn(X, P):
+            g = np.zeros_like(X)
+            g[:, j] = 1.0
+            return (X[:, j] if values is None else values), (g if grads is None else grads)
+        return fn
+
+    return ProblemSpec(
+        name="toy-spoiled",
+        decision_dim=2,
+        param_dim=1,
+        objective=obj,
+        inequalities=(Constraint(coordinate(0, grads=constraint_grad), 10.0),
+                      Constraint(coordinate(1, values=residual), 10.0)),
+        param_ranges=((0.0, 1.0),),
+    )
+
+
+def _spoil(a, index, value):
+    a[index] = value
+    return a
+
+
+@pytest.mark.parametrize("mode", ["piecewise", "indicator"])
+@pytest.mark.parametrize("spec, where, message", [
+    # a -inf residual carries no penalty, so the loss alone would stay finite
+    (_toy(residual=_spoil(np.full(6, -1.0), 4, -np.inf)), (1, 4), "constraint 1 evaluated"),
+    # feasible rows: the penalty derivative is 0 and the gradient goes unused
+    (_toy(constraint_grad=_spoil(np.ones((6, 2)), (2, 0), np.nan)), (0, 2), "constraint 0 gradient"),
+    (_toy(constraint_grad=_spoil(np.ones((6, 2)), (5, 1), np.inf)), (0, 5), "constraint 0 gradient"),
+    (_toy(objective_grad_nan_row=3), (None, 3), "objective gradient"),
+], ids=["-inf residual", "nan constraint gradient", "inf constraint gradient",
+        "nan objective gradient"])
+def test_strict_mode_names_values_the_loss_does_not_show(spec, where, message, mode):
+    X = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
+    with pytest.raises(NonFiniteError, match=message) as info:
+        loss_terms_batch(X, np.zeros((6, 1)), spec, PenaltyConfig(mode=mode))
+    assert (info.value.constraint_index, info.value.sample_index) == where
+
+
+def test_a_finite_residual_whose_penalty_overflows_ends_as_divergence():
+    def huge(X, P):
+        return np.full(len(X), 1e200), np.ones_like(X)
+
+    spec = ProblemSpec(name="toy-overflow", decision_dim=2, param_dim=1,
+                       objective=lambda X, P: ((X**2).sum(axis=1), 2 * X),
+                       inequalities=(Constraint(huge, 0.0),), param_ranges=((0.0, 1.0),),
+                       default_net_shape=(1, 4, 2))
+    with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as info:
+        train(spec, TrainConfig(epochs=1, sample_count=20, batch_size=10))
+    assert info.value.epoch == 1
+    assert "non-finite loss" in str(info.value)
 
 
 def test_record_carries_the_residuals_it_was_built_from():

@@ -6,6 +6,7 @@ import pytest
 from penalearn import (
     ConfigError,
     DimensionError,
+    OracleConfig,
     PenaltyConfig,
     TrainConfig,
     TrainingDivergedError,
@@ -14,10 +15,12 @@ from penalearn import (
     init_mlp,
     load_model,
     make_problem,
+    run_benchmark,
     sample_params,
     save_model,
     train,
 )
+from penalearn.problems import ParamSet
 from penalearn.training import TRAIN_LOG_COLUMNS
 
 FAST = dict(epochs=40, sample_count=60, batch_size=20, log_every=10, seed=0)
@@ -98,6 +101,16 @@ def test_divergence_raises_with_location():
     assert info.value.epoch is not None
 
 
+def test_divergence_gate_reports_epoch_sample_and_mean():
+    with pytest.raises(TrainingDivergedError) as info:
+        train(make_problem("rosenbrock-1c"), TrainConfig(learning_rate=1e6))
+    assert info.value.epoch == 1
+    assert info.value.sample_index == 91
+    assert str(info.value) == (
+        "mean loss 2.59e+35 exceeded divergence limit 1e+15 at epoch 1 (worst sample 91)"
+    )
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=0)
@@ -144,6 +157,17 @@ def test_evaluate_rejects_mismatched_model():
     wrong = init_mlp((2, 4, 2), seed=0)
     with pytest.raises(DimensionError):
         evaluate(wrong, spec, sample_params(spec, 3, seed=0))
+
+
+@pytest.mark.parametrize("values", [np.array([5.0, 0.1]), np.zeros((3, 3)), np.zeros(0)])
+def test_evaluate_rejects_params_of_the_wrong_shape(values):
+    spec = make_problem("rosenbrock-1c")
+    net = init_mlp(spec.default_net_shape, seed=0)
+    params = ParamSet(values=values, seed=0)
+    for score in (lambda: evaluate(net, spec, params),
+                  lambda: run_benchmark(spec, net, OracleConfig(), params)):
+        with pytest.raises(DimensionError, match=r"expected \(rows, 2\)"):
+            score()
 
 
 def test_eval_reports_csv_layout():
