@@ -10,9 +10,10 @@ is 2 * eta * s).  After a stage the shift becomes max(0, s + r) for
 inequalities and s + h for equalities; a row stops once no shift moved by more
 than ``feasible_tol / 10`` (then its worst violation is at most that, and no
 inequality with a positive multiplier sits further inside its boundary), or
-after 12 stages.  Descent runs all starts as one batch and uses
-Barzilai-Borwein step lengths under a nonmonotone backtracking safeguard;
-``descent_lr`` is the initial and fallback step size.
+after 12 stages.  Descent runs all starts as one batch, which a start leaves
+as soon as it finishes, with Barzilai-Borwein step lengths under a
+nonmonotone backtracking safeguard; ``descent_lr`` is the initial and
+fallback step size.
 """
 
 from __future__ import annotations
@@ -81,15 +82,14 @@ class OracleSolution:
     method: str  # "grid" (the undescended grid point won) or "descent"
 
 
-def _evaluate(spec: ProblemSpec, p: np.ndarray, X: np.ndarray, pcfg: PenaltyConfig,
+def _evaluate(spec: ProblemSpec, P: np.ndarray, X: np.ndarray, pcfg: PenaltyConfig,
               shift=None):
     """Penalized terms for many x at one parameter vector.
 
-    Never raises on non-finite trial points; such rows simply carry inf/nan
-    and lose the line search.
+    ``P`` is that vector broadcast to at least ``X``'s rows.  Never raises on
+    non-finite trial points; such rows carry inf/nan and lose the line search.
     """
-    P = np.broadcast_to(p, (X.shape[0], p.size))
-    return loss_terms_batch(X, P, spec, pcfg, strict=False, shift=shift)
+    return loss_terms_batch(X, P[:X.shape[0]], spec, pcfg, strict=False, shift=shift)
 
 
 @functools.lru_cache(maxsize=4)
@@ -116,11 +116,12 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
     t0 = time.perf_counter()
 
     points = _mesh(cfg.bounds_for(k), cfg.grid_points_per_dim)
+    P = np.broadcast_to(p, (GRID_CHUNK, p.size))
     best_feas = None  # (f0, x)
     best_any = None   # (penalized, x)
     for lo_idx in range(0, points.shape[0], GRID_CHUNK):
         X = points[lo_idx:lo_idx + GRID_CHUNK]
-        terms = _evaluate(spec, p, X, _RANK_PENALTY)
+        terms = _evaluate(spec, P, X, _RANK_PENALTY)
         f0 = terms.objective
         max_ineq, max_eq, _ = terms.constraints.violations()
         viol = np.maximum(max_ineq, max_eq)
@@ -138,7 +139,7 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
 
     x_best = best_feas[1] if best_feas is not None else best_any[1]
     # re-evaluated alone: a 1-row call need not match its row in the chunk bit for bit
-    terms = _evaluate(spec, p, x_best[None, :], _RANK_PENALTY)
+    terms = _evaluate(spec, P, x_best[None, :], _RANK_PENALTY)
     max_ineq, max_eq, _ = terms.constraints.violations()
     return OracleSolution(
         x=x_best,
@@ -153,75 +154,85 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     """Run every start through nonmonotone BB descent on one stage's loss.
 
     The loss is the stage penalty with each row's residual ``shift``.  Rows
-    converge (line-search failure, zero gradient, or sub-tolerance move)
-    independently; finished rows are frozen while the rest keep iterating.
-    Returns the final points, a per-row finite flag, and the unshifted
-    residuals at the final points (inequality columns first, as ``shift``).
+    finish (line-search failure, zero gradient, or sub-tolerance move)
+    independently; a finished row's point and residuals are written out and
+    it leaves the working arrays.  No row's arithmetic depends on another's,
+    so its bits do not depend on which rows descend beside it.  Returns the
+    final points, a per-row finite flag, and the unshifted residuals at the
+    final points (inequality columns first, as ``shift``).
     """
+    P = np.broadcast_to(p, (X0.shape[0], p.size))
 
     def fg(X, S):
-        terms = _evaluate(spec, p, X, _STAGE_PENALTY, shift=S)
+        terms = _evaluate(spec, P, X, _STAGE_PENALTY, shift=S)
         ce = terms.constraints
-        return terms.loss, terms.grad, np.hstack([ce.ineq_values, ce.eq_values])
+        R = (ce.eq_values if not ce.n_ineq else ce.ineq_values if not ce.n_eq
+             else np.hstack([ce.ineq_values, ce.eq_values]))
+        return terms.loss, terms.grad, R
 
     X = X0.copy()
     F, G, R = fg(X, shift)
     ok = np.isfinite(F) & np.isfinite(G).all(axis=1)
-    active = ok.copy()
     step = cfg.descent_lr / (1.0 + np.linalg.norm(np.where(ok[:, None], G, 0.0), axis=1))
-    history = np.full((X.shape[0], _NONMONOTONE_WINDOW), np.inf)
-    history[:, 0] = np.where(ok, F, np.inf)
+    X_out, R_out = X.copy(), R.copy()  # each row's final point and residuals
+    rows = np.arange(X.shape[0])  # the working rows' places in X_out
+    gnorm2 = np.einsum("ij,ij->i", G, G)
+    live = ok & (gnorm2 > 0.0)
+    history = np.full((_NONMONOTONE_WINDOW, X.shape[0]), np.inf)
+    history[0] = F
     hist_pos = 1
 
     for _ in range(cfg.descent_steps):
-        gnorm2 = np.einsum("ij,ij->i", G, G)
-        active &= gnorm2 > 0.0
-        if not active.any():
+        if not live.all():
+            X_out[rows[~live]], R_out[rows[~live]] = X[~live], R[~live]
+            rows, X, F, G, R, shift, step, gnorm2 = (
+                a[live] for a in (rows, X, F, G, R, shift, step, gnorm2))
+            history = history[:, live]
+        if not rows.size:
             break
-        ref = history.max(axis=1)
-        t = step.copy()
-        accepted = np.zeros(X.shape[0], dtype=bool)
-        X_new, F_new, G_new, R_new = X.copy(), F.copy(), G.copy(), R.copy()
+        ref = history.max(axis=0)
+        t = step  # halved in place; step is rebuilt below
+        new = None
+        idx = slice(None)  # the first trial covers every working row
         for _ in range(_MAX_HALVINGS):
-            trial = active & ~accepted
-            if not trial.any():
-                break
-            idx = np.flatnonzero(trial)
             Xt = X[idx] - t[idx, None] * G[idx]
             Ft, Gt, Rt = fg(Xt, shift[idx])
-            good = (
-                np.isfinite(Ft)
-                & np.isfinite(Gt).all(axis=1)
-                & (Ft <= ref[idx] - 1e-4 * t[idx] * gnorm2[idx])
-            )
+            good = (np.isfinite(Ft) & np.isfinite(Gt).all(axis=1)
+                    & (Ft <= ref[idx] - 1e-4 * t[idx] * gnorm2[idx]))
+            if new is None:
+                if good.all():  # the common case: the trial is the new state
+                    new, accepted = (Xt, Ft, Gt, Rt), good
+                    break
+                new = (X.copy(), F.copy(), G.copy(), R.copy())
+                accepted = np.zeros(X.shape[0], dtype=bool)
+                idx = np.arange(X.shape[0])
             gi = idx[good]
-            X_new[gi], F_new[gi], G_new[gi], R_new[gi] = Xt[good], Ft[good], Gt[good], Rt[good]
+            for a, b in zip(new, (Xt, Ft, Gt, Rt)):
+                a[gi] = b[good]
             accepted[gi] = True
-            bad = idx[~good]
-            t[bad] *= 0.5
-        # rows whose line search failed are converged (or stuck); freeze them
-        active &= accepted
-
-        S = X_new - X
-        Y = G_new - G
+            idx = idx[~good]
+            if not idx.size:
+                break
+            t[idx] *= 0.5
+        S = new[0] - X
+        Y = new[2] - G
         sy = np.einsum("ij,ij->i", S, Y)
         yy = np.einsum("ij,ij->i", Y, Y)
-        bb_ok = active & (sy > 0.0) & (yy > 0.0)
         with np.errstate(all="ignore"):
-            bb = np.where(bb_ok, sy / np.where(yy > 0.0, yy, 1.0), t * 2.0)
-        step = np.where(active, np.clip(bb, 1e-14, 1e3), step)
+            bb = np.where((sy > 0.0) & (yy > 0.0), sy / np.where(yy > 0.0, yy, 1.0), t * 2.0)
+        step = np.minimum(np.maximum(bb, 1e-14), 1e3)  # np.clip, at less fixed cost
 
         moved = np.linalg.norm(S, axis=1)
-        upd = active[:, None]
-        X = np.where(upd, X_new, X)
-        F = np.where(active, F_new, F)
-        G = np.where(upd, G_new, G)
-        R = np.where(upd, R_new, R)
-        history[active, hist_pos] = F[active]
+        X, F, G, R = new
+        history[hist_pos] = F
         hist_pos = (hist_pos + 1) % _NONMONOTONE_WINDOW
-        active &= moved > cfg.tolerance * (1.0 + np.linalg.norm(X, axis=1))
+        gnorm2 = np.einsum("ij,ij->i", G, G)
+        # a row whose line search failed (converged or stuck) keeps its point and ends
+        live = (accepted & (gnorm2 > 0.0)
+                & (moved > cfg.tolerance * (1.0 + np.linalg.norm(X, axis=1))))
 
-    return X, ok, R
+    X_out[rows], R_out[rows] = X, R
+    return X_out, ok, R_out
 
 
 def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSolution:
@@ -275,7 +286,7 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
 
     # the grid point goes first: it wins ties, so method == "grid" iff x is it
     X = X[ok] if grid_x is None else np.vstack([grid_x[None, :], X[ok]])
-    terms = _evaluate(spec, p, X, _RANK_PENALTY)
+    terms = _evaluate(spec, np.broadcast_to(p, (X.shape[0], p.size)), X, _RANK_PENALTY)
     max_ineq, max_eq, _ = terms.constraints.violations()
     viol = np.maximum(max_ineq, max_eq)
     f0 = np.where(np.isfinite(terms.objective), terms.objective, np.inf)

@@ -128,7 +128,7 @@ def ineq_penalty(residual, eta, gamma):
     # gamma >= 1 so pos**(gamma-1) is finite; at r == 0 it is 0 for gamma > 1
     # and 1 for gamma == 1, but the mask keeps the derivative one-sided (0 at 0).
     deriv = np.where(r > 0.0, eta * gamma * pos ** (gamma - 1.0), 0.0)
-    if np.isscalar(residual) or np.ndim(residual) == 0:
+    if r.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
 
@@ -143,7 +143,7 @@ def eq_penalty(residual, eta, gamma):
     mag = np.abs(r)
     value = eta * mag**gamma
     deriv = np.where(r != 0.0, eta * gamma * mag ** (gamma - 1.0) * np.sign(r), 0.0)
-    if np.isscalar(residual) or np.ndim(residual) == 0:
+    if r.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
 
@@ -180,13 +180,13 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if strict:
-        if x.shape[1] != problem.decision_dim:
+        if x.shape[1:] != (problem.decision_dim,):
             raise DimensionError(
-                f"x has {x.shape[1]} columns, problem decision dim is {problem.decision_dim}"
+                f"x has shape {x.shape}, problem decision dim is {problem.decision_dim}"
             )
-        if p.shape[1] != problem.param_dim:
+        if p.shape[1:] != (problem.param_dim,):
             raise DimensionError(
-                f"p has {p.shape[1]} columns, problem param dim is {problem.param_dim}"
+                f"p has shape {p.shape}, problem param dim is {problem.param_dim}"
             )
         if x.shape[0] != p.shape[0]:
             raise DimensionError(f"batch mismatch: x rows {x.shape[0]}, p rows {p.shape[0]}")

@@ -60,10 +60,17 @@ class ProblemSpec:
                 raise ValueError(f"{self.name}: range low {lo} exceeds high {hi}")
 
     def constraint_eval(self, x: np.ndarray, p: np.ndarray) -> ConstraintEval:
-        """Evaluate every constraint on a batch; residuals are value - bound."""
+        """Evaluate every constraint on a batch; residuals are value - bound.
+
+        ``x`` must have ``decision_dim`` columns (``DimensionError`` if not).
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         p = np.atleast_2d(np.asarray(p, dtype=float))
         n, k = x.shape[0], self.decision_dim
+        if x.shape[1:] != (k,):
+            raise DimensionError(
+                f"{self.name}: x has shape {x.shape}, problem decision dim is {k}"
+            )
 
         def stack(cons):
             values = np.empty((n, len(cons)))

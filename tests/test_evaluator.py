@@ -152,6 +152,14 @@ def test_strict_split_on_a_non_finite_constraint():
     assert info.value.sample_index == 3
 
 
+def test_strict_mode_rejects_one_dimensional_x_and_p():
+    spec = make_problem("rosenbrock-1c")
+    with pytest.raises(DimensionError, match=r"x has shape \(2,\), problem decision dim is 2"):
+        loss_terms_batch(np.zeros(2), np.ones((1, 2)), spec, PenaltyConfig())
+    with pytest.raises(DimensionError, match=r"p has shape \(2,\), problem param dim is 2"):
+        loss_terms_batch(np.zeros((1, 2)), np.ones(2), spec, PenaltyConfig())
+
+
 def _toy(objective_grad_nan_row=None, residual=None, constraint_grad=None):
     """A feasible toy (x in [-1, 1]^2, residuals x1 - 10 and x2 - 10) with
     one value spoiled: the objective gradient at a row, the second

@@ -195,6 +195,31 @@ def test_grid_scan_bits_do_not_depend_on_chunk_size(monkeypatch, name):
             assert got.max_violation == want.max_violation
 
 
+@pytest.mark.parametrize("descent_lr", [1e-2, 1e6])
+@pytest.mark.parametrize(
+    "name", ["rosenbrock-1c", "rosenbrock-3c", "ackley-1c", "ackley-3c"]
+)
+def test_descent_rows_get_the_same_bits_as_alone(name, descent_lr):
+    # rows finish at different steps: by a small move, a zero gradient (the
+    # ackley-1c origin) or the step cap, and at descent_lr=1e6 mostly by a
+    # failed line search; the last row starts non-finite and never descends
+    spec = make_problem(name)
+    p = sample_params(spec, 1, seed=21).values[0]
+    rng = np.random.default_rng(22)
+    X0 = np.vstack([rng.uniform(-6.0, 6.0, size=(10, 2)), [[0.0, 0.0], [np.inf, 1.0]]])
+    shift = rng.uniform(0.01, 0.5, size=(len(X0), len(spec.inequalities)))
+    cfg = OracleConfig(descent_lr=descent_lr)
+    with np.errstate(all="ignore"):
+        X, ok, R = oracle._descend_batch(spec, p, X0, shift, cfg)
+        alone = [oracle._descend_batch(spec, p, X0[i:i + 1], shift[i:i + 1], cfg)
+                 for i in range(len(X0))]
+    assert ok.tolist() == [True] * 11 + [False]
+    for i, (x1, ok1, r1) in enumerate(alone):
+        assert X[i].tobytes() == x1[0].tobytes(), i
+        assert ok[i] == ok1[0], i
+        assert R[i].tobytes() == r1[0].tobytes(), i
+
+
 def test_ackley_origin_found_within_grid_cell():
     spec = make_problem("ackley-1c")
     cfg = OracleConfig()

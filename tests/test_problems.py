@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from penalearn import (
+    DimensionError,
     RegistryError,
     make_problem,
     problem_names,
@@ -133,6 +134,15 @@ def test_ackley_disk_bound_is_25():
     p = np.array([[20.0, 0.2, 0.5, 0.5, 20.0]])
     ce = spec.constraint_eval(x, p)
     assert ce.ineq_values[0, 0] == 0.0  # 5^2 = 25, on the boundary
+
+
+def test_constraint_eval_rejects_the_wrong_width():
+    spec = make_problem("rosenbrock-1c")
+    with pytest.raises(DimensionError,
+                       match=r"rosenbrock-1c: x has shape \(3, 3\), problem decision dim is 2"):
+        spec.constraint_eval(np.zeros((3, 3)), np.ones((3, 2)))
+    # one row may still come as a vector
+    assert spec.constraint_eval(np.zeros(2), np.ones(2)).ineq_values.shape == (1, 1)
 
 
 def test_sample_params_within_ranges_and_deterministic():

@@ -6,7 +6,11 @@ problems at seeds 0, 1 and 7, plus ``oracle`` on 20 sampled instances each of
 rosenbrock-1c and ackley-1c.  Timing values (``elapsed_s``, ``t_fwd_ns``,
 ``t_oracle_ns``, ``median_t_*``, ``speedup`` and ``time_s``) are dropped
 before hashing; everything else, model files included, is hashed as written.
-One ``<sha256 prefix> <artifact>`` line per output.
+The ``oracle`` lines print ``%.10g``, so ``solve`` is also called in process,
+on 50 sampled instances of each problem and on 10 rosenbrock-1c instances
+with c2 in [0.88, 1] (constraint active, the most line-search halvings), and
+the raw bytes of each solution's ``x``, ``objective``, ``max_violation`` and
+``method`` are hashed.  One ``<sha256 prefix> <artifact>`` line per output.
 
 A refactor that should not change results runs this on the parent commit and
 on the change and diffs the two outputs.  Run from a checkout's root:
@@ -23,11 +27,15 @@ import tempfile
 # one BLAS thread: the thread count may change how a matrix product rounds
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+import numpy as np  # noqa: E402
+
 from penalearn.cli import main  # noqa: E402
+from penalearn.oracle import solve  # noqa: E402
 from penalearn.problems import make_problem, problem_names, sample_params  # noqa: E402
 
 SEEDS = (0, 1, 7)
 ORACLE_PROBLEMS = ("rosenbrock-1c", "ackley-1c")
+SOLVES = 50
 TIMING = {"elapsed_s", "t_fwd_ns", "t_oracle_ns", "median_t_fwd_ns",
           "median_t_oracle_ns", "speedup", "time_s"}
 
@@ -57,6 +65,16 @@ def run(argv) -> str:
     return buf.getvalue()
 
 
+def solution_bytes(spec, params) -> bytes:
+    """The raw bits of ``solve``'s answer on each parameter row, concatenated."""
+    out = []
+    for p in params:
+        s = solve(spec, p)
+        out += [s.x.tobytes(), np.float64(s.objective).tobytes(),
+                np.float64(s.max_violation).tobytes(), s.method.encode()]
+    return b"".join(out)
+
+
 def outputs():
     """Yield (artifact name, bytes to hash), in a fixed order."""
     for name in problem_names():
@@ -83,6 +101,14 @@ def outputs():
             for p in sample_params(make_problem(name), 20, 0).values
         ]
         yield f"{name}.oracle.txt", drop_timing("".join(lines)).encode()
+    for name in problem_names():
+        spec = make_problem(name)
+        params = sample_params(spec, SOLVES, 0).values
+        yield f"{name}.solve-x{SOLVES}", solution_bytes(spec, params)
+    spec = make_problem("rosenbrock-1c")
+    params = sample_params(spec, 10, 0).values
+    params[:, 1] = np.linspace(0.88, 1.0, 10)
+    yield "rosenbrock-1c.solve-c2-0.88-1", solution_bytes(spec, params)
 
 
 def digest_lines():
