@@ -83,13 +83,13 @@ class OracleSolution:
 
 
 def _evaluate(spec: ProblemSpec, P: np.ndarray, X: np.ndarray, pcfg: PenaltyConfig,
-              shift=None):
+              shift=None, grad=True):
     """Penalized terms for many x at one parameter vector.
 
     ``P`` is that vector broadcast to at least ``X``'s rows.  Never raises on
     non-finite trial points; such rows carry inf/nan and lose the line search.
     """
-    return loss_terms_batch(X, P[:X.shape[0]], spec, pcfg, strict=False, shift=shift)
+    return loss_terms_batch(X, P[:X.shape[0]], spec, pcfg, strict=False, shift=shift, grad=grad)
 
 
 @functools.lru_cache(maxsize=4)
@@ -107,7 +107,7 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
 
     Returns the feasible grid point with the lowest objective, or, when no
     grid point is feasible, the point minimizing objective + penalty at the
-    default ``PenaltyConfig`` weight.
+    default ``PenaltyConfig`` weight.  The scan reads values only.
     """
     p = np.asarray(p, dtype=float).ravel()
     k = spec.decision_dim
@@ -121,7 +121,7 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
     best_any = None   # (penalized, x)
     for lo_idx in range(0, points.shape[0], GRID_CHUNK):
         X = points[lo_idx:lo_idx + GRID_CHUNK]
-        terms = _evaluate(spec, P, X, _RANK_PENALTY)
+        terms = _evaluate(spec, P, X, _RANK_PENALTY, grad=False)
         f0 = terms.objective
         max_ineq, max_eq, _ = terms.constraints.violations()
         viol = np.maximum(max_ineq, max_eq)
@@ -139,7 +139,7 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
 
     x_best = best_feas[1] if best_feas is not None else best_any[1]
     # re-evaluated alone: a 1-row call need not match its row in the chunk bit for bit
-    terms = _evaluate(spec, P, x_best[None, :], _RANK_PENALTY)
+    terms = _evaluate(spec, P, x_best[None, :], _RANK_PENALTY, grad=False)
     max_ineq, max_eq, _ = terms.constraints.violations()
     return OracleSolution(
         x=x_best,
@@ -173,7 +173,9 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     X = X0.copy()
     F, G, R = fg(X, shift)
     ok = np.isfinite(F) & np.isfinite(G).all(axis=1)
-    step = cfg.descent_lr / (1.0 + np.linalg.norm(np.where(ok[:, None], G, 0.0), axis=1))
+    # row norms as np.linalg.norm(A, axis=1) computes them on real input, minus its dispatch
+    G0 = np.where(ok[:, None], G, 0.0)
+    step = cfg.descent_lr / (1.0 + np.sqrt((G0 * G0).sum(axis=1)))
     X_out, R_out = X.copy(), R.copy()  # each row's final point and residuals
     rows = np.arange(X.shape[0])  # the working rows' places in X_out
     gnorm2 = np.einsum("ij,ij->i", G, G)
@@ -222,14 +224,14 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
             bb = np.where((sy > 0.0) & (yy > 0.0), sy / np.where(yy > 0.0, yy, 1.0), t * 2.0)
         step = np.minimum(np.maximum(bb, 1e-14), 1e3)  # np.clip, at less fixed cost
 
-        moved = np.linalg.norm(S, axis=1)
+        moved = np.sqrt((S * S).sum(axis=1))
         X, F, G, R = new
         history[hist_pos] = F
         hist_pos = (hist_pos + 1) % _NONMONOTONE_WINDOW
         gnorm2 = np.einsum("ij,ij->i", G, G)
         # a row whose line search failed (converged or stuck) keeps its point and ends
         live = (accepted & (gnorm2 > 0.0)
-                & (moved > cfg.tolerance * (1.0 + np.linalg.norm(X, axis=1))))
+                & (moved > cfg.tolerance * (1.0 + np.sqrt((X * X).sum(axis=1)))))
 
     X_out[rows], R_out[rows] = X, R
     return X_out, ok, R_out
@@ -282,11 +284,13 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
         if not running.any():
             break
     if not ok.any():
-        raise OracleError(f"all {X.shape[0]} starts diverged on {spec.name}")
+        raise OracleError(f"all {X.shape[0]} starts diverged on {spec.name} at params "
+                          f"{p.tolist()}: no start had a finite loss and gradient")
 
     # the grid point goes first: it wins ties, so method == "grid" iff x is it
     X = X[ok] if grid_x is None else np.vstack([grid_x[None, :], X[ok]])
-    terms = _evaluate(spec, np.broadcast_to(p, (X.shape[0], p.size)), X, _RANK_PENALTY)
+    terms = _evaluate(spec, np.broadcast_to(p, (X.shape[0], p.size)), X, _RANK_PENALTY,
+                      grad=False)
     max_ineq, max_eq, _ = terms.constraints.violations()
     viol = np.maximum(max_ineq, max_eq)
     f0 = np.where(np.isfinite(terms.objective), terms.objective, np.inf)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class ConstraintEval:
     """Residuals f_i(x)-c_i / h_j(x)-b_j and their gradients in x.
 
     Batch layout: values are (batch, n_constraints), gradients are
-    (batch, n_constraints, k).
+    (batch, n_constraints, k), or ``None`` from a value-only evaluation.
     """
 
     ineq_values: np.ndarray
@@ -116,35 +116,38 @@ class ConstraintEval:
         return np.maximum(worst_ineq, 0.0), max_eq, feasible
 
 
-def ineq_penalty(residual, eta, gamma):
+def ineq_penalty(residual, eta, gamma, grad=True):
     """Penalty and d(penalty)/d(residual) for one inequality residual.
 
     Zero on the feasible side (residual <= 0); eta*residual^gamma outside.
-    Elementwise over arrays; scalars in, scalars out.
+    Elementwise over arrays; scalars in, scalars out.  ``grad=False``
+    returns ``None`` for the derivative.
     """
     r = np.asarray(residual, dtype=float)
     pos = np.maximum(r, 0.0)
     value = eta * pos**gamma
     # gamma >= 1 so pos**(gamma-1) is finite; at r == 0 it is 0 for gamma > 1
     # and 1 for gamma == 1, but the mask keeps the derivative one-sided (0 at 0).
-    deriv = np.where(r > 0.0, eta * gamma * pos ** (gamma - 1.0), 0.0)
+    deriv = np.where(r > 0.0, eta * gamma * pos ** (gamma - 1.0), 0.0) if grad else None
     if r.ndim == 0:
-        return float(value), float(deriv)
+        return float(value), deriv if deriv is None else float(deriv)
     return value, deriv
 
 
-def eq_penalty(residual, eta, gamma):
+def eq_penalty(residual, eta, gamma, grad=True):
     """Penalty and derivative for one equality residual: eta*|residual|^gamma.
 
     The derivative is eta*gamma*|r|^(gamma-1)*sign(r), taken as 0 at r == 0
-    (the subgradient choice that keeps feasible points gradient-free).
+    (the subgradient choice that keeps feasible points gradient-free);
+    ``grad=False`` returns ``None`` for it.
     """
     r = np.asarray(residual, dtype=float)
     mag = np.abs(r)
     value = eta * mag**gamma
-    deriv = np.where(r != 0.0, eta * gamma * mag ** (gamma - 1.0) * np.sign(r), 0.0)
+    deriv = (np.where(r != 0.0, eta * gamma * mag ** (gamma - 1.0) * np.sign(r), 0.0)
+             if grad else None)
     if r.ndim == 0:
-        return float(value), float(deriv)
+        return float(value), deriv if deriv is None else float(deriv)
     return value, deriv
 
 
@@ -153,18 +156,19 @@ class LossTerms:
     """One batch evaluation; every array has one entry (or row) per point.
 
     ``loss = objective + penalty`` holds row by row; ``grad`` is d(loss)/dx
-    with shape (batch, k); ``constraints`` holds the residuals it came from.
+    with shape (batch, k), or ``None`` from a value-only evaluation;
+    ``constraints`` holds the residuals it came from.
     """
 
     loss: np.ndarray
     objective: np.ndarray
     penalty: np.ndarray
-    grad: np.ndarray
+    grad: Optional[np.ndarray]
     constraints: ConstraintEval
 
 
 def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
-                     shift=None) -> LossTerms:
+                     shift=None, grad: bool = True) -> LossTerms:
     """Penalized loss of a batch: x (batch, k), p (batch, d) -> ``LossTerms``.
 
     ``strict`` checks shapes and raises ``NonFiniteError`` on the first
@@ -175,7 +179,8 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
     ``shift`` (batch, n_ineq + n_eq), inequality columns first, is added to
     the residuals before the penalty: the oracle's augmented-Lagrangian
     stages charge eta * max(0, r + s)^gamma and eta * |h + s|^gamma.
-    ``constraints`` keeps the unshifted residuals.
+    ``constraints`` keeps the unshifted residuals.  ``grad=False`` does no
+    gradient work: the same values, with every gradient field ``None``.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -191,23 +196,23 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
         if x.shape[0] != p.shape[0]:
             raise DimensionError(f"batch mismatch: x rows {x.shape[0]}, p rows {p.shape[0]}")
     with contextlib.nullcontext() if strict else np.errstate(all="ignore"):
-        f0, g0 = problem.objective(x, p)
+        # gradient callers keep the two-argument call
+        f0, g0 = problem.objective(x, p) if grad else problem.objective(x, p, grad=False)
         if strict and not _all_finite(f0, g0):
             _require_finite(f0, g0, constraint_index=None)
-        ce = problem.constraint_eval(x, p)
+        ce = problem.constraint_eval(x, p, grad=grad)
         if strict and not _all_finite(ce.ineq_values, ce.ineq_grads, ce.eq_values, ce.eq_grads):
-            for i in range(ce.n_ineq):
-                _require_finite(ce.ineq_values[:, i], ce.ineq_grads[:, i, :], i)
-            for j in range(ce.n_eq):
-                _require_finite(ce.eq_values[:, j], ce.eq_grads[:, j, :], j)
+            for values, grads in ((ce.ineq_values, ce.ineq_grads), (ce.eq_values, ce.eq_grads)):
+                for i in range(values.shape[1]):
+                    _require_finite(values[:, i], None if grads is None else grads[:, i], i)
 
         eta_i, eta_j = cfg.resolved_etas(ce.n_ineq, ce.n_eq)
         r_ineq, r_eq = ce.ineq_values, ce.eq_values
         if shift is not None:
-            r_ineq = r_ineq + shift[:, :ce.n_ineq]
-            r_eq = r_eq + shift[:, ce.n_ineq:]
+            r_ineq = r_ineq + shift[:, :ce.n_ineq] if ce.n_ineq else r_ineq
+            r_eq = r_eq + shift[:, ce.n_ineq:] if ce.n_eq else r_eq
         omega = np.zeros(x.shape[0])
-        grad = g0.copy()
+        g = g0 if grad else None  # d(loss)/dx
         if cfg.mode == "indicator":
             if ce.n_ineq:
                 omega += (r_ineq > 0.0).sum(axis=1)
@@ -217,26 +222,29 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
             omega *= cfg.indicator_big
         else:
             if ce.n_ineq:
-                values, derivs = ineq_penalty(r_ineq, eta_i, cfg.gamma)
+                values, derivs = ineq_penalty(r_ineq, eta_i, cfg.gamma, grad)
                 omega += values.sum(axis=1)
-                grad += np.einsum("bi,bik->bk", derivs, ce.ineq_grads)
+                if grad:
+                    g = g + np.einsum("bi,bik->bk", derivs, ce.ineq_grads)
             if ce.n_eq:
-                values, derivs = eq_penalty(r_eq, eta_j, cfg.gamma)
+                values, derivs = eq_penalty(r_eq, eta_j, cfg.gamma, grad)
                 omega += values.sum(axis=1)
-                grad += np.einsum("bj,bjk->bk", derivs, ce.eq_grads)
-        return LossTerms(f0 + omega, f0, omega, grad, ce)
+                if grad:
+                    g = g + np.einsum("bj,bjk->bk", derivs, ce.eq_grads)
+        return LossTerms(f0 + omega, f0, omega, g, ce)
 
 
 def _all_finite(*arrays):
     # a.a is finite iff every entry is, or else it overflowed: a false alarm
-    # that only costs the diagnosis, which then finds nothing
-    return all(math.isfinite(np.vdot(a, a)) for a in arrays)
+    # that only costs the diagnosis, which then finds nothing.  Absent (None)
+    # gradients and empty arrays have nothing to test.
+    return all(math.isfinite(np.vdot(a, a)) for a in arrays if a is not None and a.size)
 
 
 def _require_finite(values, grads, constraint_index):
     """Raise ``NonFiniteError`` at the first non-finite value, else gradient row."""
     bad, what = ~np.isfinite(np.asarray(values)), "evaluated to a non-finite value"
-    if not bad.any():
+    if not bad.any() and grads is not None:
         bad, what = ~np.isfinite(np.asarray(grads)).all(axis=-1), "gradient is non-finite"
     if bad.any():
         which = "objective" if constraint_index is None else f"constraint {constraint_index}"

@@ -13,20 +13,24 @@ Residual convention: residual = f_i(x) - c_i, satisfied iff residual <= 0.
 The -3c variants have empty feasible sets as stated (x1 <= -2.5 contradicts
 the unit disk); they are registered anyway as penalty-compromise stress tests
 and carry ``known_infeasible=True``.
+
+Evaluators follow ``fn(x, p, grad=True) -> (values, grads or None)`` on a
+batch; ``grad=False`` returns ``(values, None)``, the values computed by the
+very expressions the gradient path uses.  Gradient callers call ``fn(x, p)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionError, RegistryError
 from .penalty import ConstraintEval
 
-# evaluator signature: (x[batch,k], p[batch,d]) -> (values[batch], grads[batch,k])
-Evaluator = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# evaluator: (x[batch,k], p[batch,d], grad=True) -> (values[batch], grads[batch,k] or None)
+Evaluator = Callable[..., tuple[np.ndarray, Optional[np.ndarray]]]
 
 
 @dataclass(frozen=True)
@@ -59,31 +63,34 @@ class ProblemSpec:
             if lo > hi:
                 raise ValueError(f"{self.name}: range low {lo} exceeds high {hi}")
 
-    def constraint_eval(self, x: np.ndarray, p: np.ndarray) -> ConstraintEval:
+    def constraint_eval(self, x: np.ndarray, p: np.ndarray, grad: bool = True) -> ConstraintEval:
         """Evaluate every constraint on a batch; residuals are value - bound.
 
         ``x`` must have ``decision_dim`` columns (``DimensionError`` if not).
+        ``grad=False`` evaluates values only and leaves both grads ``None``.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        p = np.atleast_2d(np.asarray(p, dtype=float))
-        n, k = x.shape[0], self.decision_dim
-        if x.shape[1:] != (k,):
-            raise DimensionError(
-                f"{self.name}: x has shape {x.shape}, problem decision dim is {k}"
-            )
-
-        def stack(cons):
-            values = np.empty((n, len(cons)))
-            grads = np.empty((n, len(cons), k))
-            for i, c in enumerate(cons):
-                v, g = c.fn(x, p)
-                np.subtract(v, c.bound, out=values[:, i])
-                grads[:, i, :] = g
-            return values, grads
-
-        iv, ig = stack(self.inequalities)
-        ev, eg = stack(self.equalities)
+        x = np.asarray(x, dtype=float)
+        p = np.asarray(p, dtype=float)
+        x = x if x.ndim >= 2 else np.atleast_2d(x)
+        p = p if p.ndim >= 2 else np.atleast_2d(p)
+        if x.shape[1:] != (self.decision_dim,):
+            raise DimensionError(f"{self.name}: x has shape {x.shape}, "
+                                 f"problem decision dim is {self.decision_dim}")
+        iv, ig = _stack(self.inequalities, x, p, grad)
+        ev, eg = _stack(self.equalities, x, p, grad)
         return ConstraintEval(ineq_values=iv, eq_values=ev, ineq_grads=ig, eq_grads=eg)
+
+
+def _stack(cons, x, p, grad):
+    """(batch, len(cons)) residuals and (batch, len(cons), k) grads, or None."""
+    values = np.empty((x.shape[0], len(cons)))
+    grads = np.empty((x.shape[0], len(cons), x.shape[1])) if grad else None
+    for i, c in enumerate(cons):
+        v, g = c.fn(x, p) if grad else c.fn(x, p, grad=False)
+        np.subtract(v, c.bound, out=values[:, i])
+        if grad:
+            grads[:, i, :] = g
+    return values, grads
 
 
 @dataclass(frozen=True)
@@ -100,18 +107,21 @@ class ParamSet:
 # ---------------------------------------------------------------------------
 # objectives
 
-def rosenbrock_objective(x, p):
+def rosenbrock_objective(x, p, grad=True):
     x1, x2 = x[:, 0], x[:, 1]
     c1, c2 = p[:, 0], p[:, 1]
     d = x2 - x1 * x1
-    f = c1 * d * d + (c2 - x1) ** 2
+    e = c2 - x1
+    f = c1 * d * d + e * e  # e * e has the bits of e ** 2
+    if not grad:
+        return f, None
     g = np.empty((len(f), 2))
-    np.subtract(-4.0 * c1 * x1 * d, 2.0 * (c2 - x1), out=g[:, 0])
+    np.subtract(-4.0 * c1 * x1 * d, 2.0 * e, out=g[:, 0])
     np.multiply(2.0 * c1, d, out=g[:, 1])
     return f, g
 
 
-def ackley_objective(x, p):
+def ackley_objective(x, p, grad=True):
     # gradient of the sqrt term is undefined at c3*(x1^2+x2^2) == 0; the zero
     # vector is returned there (valid subgradient, and the optimum in practice)
     x1, x2 = x[:, 0], x[:, 1]
@@ -122,6 +132,8 @@ def ackley_objective(x, p):
     cos_sum = np.cos(2.0 * np.pi * x1) + np.cos(2.0 * np.pi * x2)
     exp2 = np.exp(c4 * cos_sum)
     f = -c1 * exp1 - exp2 + np.e + c5
+    if not grad:
+        return f, None
 
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_u = np.where(u > 0.0, 1.0 / np.where(u > 0.0, u, 1.0), 0.0)
@@ -134,15 +146,17 @@ def ackley_objective(x, p):
 
 # constraint evaluators
 
-def disk_constraint(x, p):
+def disk_constraint(x, p, grad=True):
     v = x[:, 0] ** 2 + x[:, 1] ** 2
-    return v, 2.0 * x
+    return v, 2.0 * x if grad else None
 
 
 def coordinate_constraint(index):
-    def fn(x, p):
-        g = np.zeros_like(x)
-        g[:, index] = 1.0
+    def fn(x, p, grad=True):
+        g = None
+        if grad:
+            g = np.zeros_like(x)
+            g[:, index] = 1.0
         return x[:, index].copy(), g
 
     return fn

@@ -126,7 +126,6 @@ class EvalReport:
     max_eq_violation: float
     feasible: bool
     forward_time_s: float
-    oracle_distance: Optional[float] = None
 
 
 def _input_transform(spec: ProblemSpec, enabled: bool):
@@ -289,9 +288,9 @@ def evaluate(
         times.append(time.perf_counter() - t0)
         outputs.append(out[0])
     X = np.stack(outputs)
-    # objective and residuals only: the penalty and its gradient go unread here
-    f0, _ = spec.objective(X, P)
-    ce = spec.constraint_eval(X, P)
+    # values only: no penalty and no gradient is read here
+    f0, _ = spec.objective(X, P, grad=False)
+    ce = spec.constraint_eval(X, P, grad=False)
     max_ineq, max_eq, feasible = ce.violations(cfg.eq_tolerance)
     return [
         EvalReport(

@@ -83,7 +83,7 @@ def test_empty_report_flags_undefined():
 def _failing_oracle_spec():
     """4-d problem: no grid seed possible, and starts=0 leaves no descent starts."""
 
-    def obj(X, P):
+    def obj(X, P, grad=True):
         d = X - P
         return (d**2).sum(axis=1), 2 * d
 

@@ -19,6 +19,7 @@ from penalearn import (
     evaluate,
     grid_scan,
     init_mlp,
+    Mlp,
     loss_terms_batch,
     make_problem,
     mlp_forward,
@@ -39,15 +40,15 @@ class _Counts:
         self.objective = self.constraints = 0
         base = make_problem(name)
 
-        def objective(x, p):
+        def objective(x, p, grad=True):
             self.objective += 1
-            return base.objective(x, p)
+            return base.objective(x, p, grad=grad)
 
         original = ProblemSpec.constraint_eval
 
-        def constraint_eval(spec, x, p):
+        def constraint_eval(spec, x, p, grad=True):
             self.constraints += 1
-            return original(spec, x, p)
+            return original(spec, x, p, grad=grad)
 
         monkeypatch.setattr(ProblemSpec, "constraint_eval", constraint_eval)
         self.spec = dataclasses.replace(base, objective=objective)
@@ -243,14 +244,14 @@ def test_evaluate_rejects_wrong_output_dim():
 
 def _toy_with_equality():
     """One inequality and one equality; |h| is within 1e-3 on about half the rows."""
-    def obj(X, P):
+    def obj(X, P, grad=True):
         e, w = np.exp(X[:, 0]), P[:, 0] * X[:, 1]
         return e * np.cos(w), np.stack([e * np.cos(w), -P[:, 0] * e * np.sin(w)], axis=1)
 
-    def ineq(X, P):
+    def ineq(X, P, grad=True):
         return X[:, 0] + X[:, 1], np.ones_like(X)
 
-    def eq(X, P):
+    def eq(X, P, grad=True):
         g = np.zeros_like(X)
         g[:, 0] = 2.0 * P[:, 1] * X[:, 0]
         return P[:, 1] * (1.0 + X[:, 0] ** 2), g
@@ -302,3 +303,68 @@ def test_evaluate_on_zero_rows_scores_nothing(monkeypatch):
     assert reports == []
     assert counts.both() == (0, 0)
     assert eval_reports_csv(reports) == "# empty evaluation\n"
+
+
+def _spoiled_rows(spec, n=40, seed=3):
+    """Points and params with a few rows holding inf, nan or overflowing values."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-6.0, 6.0, size=(n, spec.decision_dim))
+    X[1], X[2, 0], X[3, 1], X[4] = np.inf, np.nan, -np.inf, 1e200
+    lo, hi = (np.array(b) for b in zip(*spec.param_ranges))
+    return X, lo + (hi - lo) * rng.random((n, spec.param_dim))
+
+
+@pytest.mark.parametrize("mode", ["piecewise", "indicator"])
+@pytest.mark.parametrize("shifted", [False, True], ids=["no-shift", "shift"])
+@pytest.mark.parametrize("name", problem_names() + ("toy-eq",))
+def test_value_only_evaluation_has_the_bits_of_the_full_one(name, shifted, mode):
+    spec = _toy_with_equality() if name == "toy-eq" else make_problem(name)
+    X, P = _spoiled_rows(spec)
+    n_cons = len(spec.inequalities) + len(spec.equalities)
+    shift = np.random.default_rng(5).uniform(0.0, 2.0, (len(X), n_cons)) if shifted else None
+    cfg = PenaltyConfig(mode=mode)
+    with np.errstate(all="ignore"):
+        full = loss_terms_batch(X, P, spec, cfg, strict=False, shift=shift)
+        lean = loss_terms_batch(X, P, spec, cfg, strict=False, shift=shift, grad=False)
+    assert not np.isfinite(full.loss[:5]).all()  # the spoiled rows reach the loss
+    # strict mode checks what it computed; the unspoiled rows pass it either way
+    tail = None if shift is None else shift[5:]
+    pairs = [(lean, full), (loss_terms_batch(X[5:], P[5:], spec, cfg, shift=tail, grad=False),
+                            loss_terms_batch(X[5:], P[5:], spec, cfg, shift=tail))]
+    for got, want in pairs:
+        for field in ("loss", "objective", "penalty"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert got.constraints.ineq_values.tobytes() == want.constraints.ineq_values.tobytes()
+        assert got.constraints.eq_values.tobytes() == want.constraints.eq_values.tobytes()
+        assert got.grad is None and want.grad is not None
+
+    with np.errstate(all="ignore"):
+        f, g = spec.objective(X, P, grad=False)
+        ce = spec.constraint_eval(X, P, grad=False)
+        want_f = spec.objective(X, P)[0]
+        want_ce = spec.constraint_eval(X, P)
+    assert f.tobytes() == want_f.tobytes()
+    assert ce.ineq_values.tobytes() == want_ce.ineq_values.tobytes()
+    assert ce.eq_values.tobytes() == want_ce.eq_values.tobytes()
+    assert ce.ineq_grads is None and ce.eq_grads is None
+    if name != "toy-eq":  # the registry's evaluators return no gradient when asked not to
+        assert g is None
+
+
+def test_evaluate_reads_no_gradient_so_huge_params_raise_no_overflow():
+    spec = make_problem("rosenbrock-1c")
+    sizes = spec.default_net_shape
+    weights = tuple(np.zeros((b, a)) for a, b in zip(sizes[:-1], sizes[1:]))
+    biases = tuple(np.zeros(b) for b in sizes[1:-1]) + (np.array([0.5, 0.25]),)
+    net = Mlp(layer_sizes=sizes, weights=weights, biases=biases)
+    params = ParamSet(values=np.array([[1e308, 1.0]]), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (report,) = evaluate(net, spec, params)
+    # f0 = c1 * 0 * 0 + (1 - 0.5)^2 is finite; only its gradient overflows
+    assert np.array_equal(report.x, [0.5, 0.25])
+    assert report.objective == 0.25
+    assert report.feasible
+    with np.errstate(all="ignore"):
+        f0, g = spec.objective(report.x[None], params.values)
+    assert report.objective == f0[0] and not np.isfinite(g).all()

@@ -20,11 +20,11 @@ from penalearn import oracle
 def _toy_clamped():
     """min (x - a)^2 subject to x >= b; closed form x* = max(a, b)."""
 
-    def obj(X, P):
+    def obj(X, P, grad=True):
         d = X[:, 0] - P[:, 0]
         return d**2, np.stack([2 * d], axis=1)
 
-    def lower_bound(X, P):
+    def lower_bound(X, P, grad=True):
         return P[:, 1] - X[:, 0], np.stack([-np.ones(X.shape[0])], axis=1)
 
     return ProblemSpec(
@@ -40,7 +40,7 @@ def _toy_clamped():
 
 
 def _sphere_4d():
-    def obj(X, P):
+    def obj(X, P, grad=True):
         d = X - P
         return (d**2).sum(axis=1), 2 * d
 

@@ -10,7 +10,11 @@ The ``oracle`` lines print ``%.10g``, so ``solve`` is also called in process,
 on 50 sampled instances of each problem and on 10 rosenbrock-1c instances
 with c2 in [0.88, 1] (constraint active, the most line-search halvings), and
 the raw bytes of each solution's ``x``, ``objective``, ``max_violation`` and
-``method`` are hashed.  One ``<sha256 prefix> <artifact>`` line per output.
+``method`` are hashed.  The grid point wins every ackley-1c solve there, so
+the descent is also hashed on its own: on 5 instances per problem,
+``_descend_batch`` runs from the starts ``solve`` builds, and the raw bytes
+of its ``x``, ``ok`` and residuals are hashed (see ``descent_bytes``).  One
+``<sha256 prefix> <artifact>`` line per output.
 
 A refactor that should not change results runs this on the parent commit and
 on the change and diffs the two outputs.  Run from a checkout's root:
@@ -30,12 +34,13 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 
 from penalearn.cli import main  # noqa: E402
-from penalearn.oracle import solve  # noqa: E402
+from penalearn.oracle import OracleConfig, _descend_batch, grid_scan, solve  # noqa: E402
 from penalearn.problems import make_problem, problem_names, sample_params  # noqa: E402
 
 SEEDS = (0, 1, 7)
 ORACLE_PROBLEMS = ("rosenbrock-1c", "ackley-1c")
 SOLVES = 50
+DESCENTS = 5
 TIMING = {"elapsed_s", "t_fwd_ns", "t_oracle_ns", "median_t_fwd_ns",
           "median_t_oracle_ns", "speedup", "time_s"}
 
@@ -75,6 +80,30 @@ def solution_bytes(spec, params) -> bytes:
     return b"".join(out)
 
 
+def descent_bytes(spec, params, cfg=OracleConfig()) -> bytes:
+    """Raw bits of three descents from ``solve``'s starts on each row.
+
+    The first stage at zero shift; the second from its end points, at the
+    shift ``solve`` carries into it (``max(0, r)``: the registry has
+    inequalities only); and one from the starts at a fixed shift in [0, 30),
+    which makes every family's penalty active, ackley-1c's disk included.
+    """
+    k = spec.decision_dim
+    lows, highs = (np.array(b) for b in zip(*cfg.bounds_for(k)))
+    out = []
+    for p in params:
+        rng = np.random.default_rng(cfg.seed)
+        X = np.stack([lows + (highs - lows) * rng.random(k) for _ in range(cfg.starts)]
+                     + [grid_scan(spec, p, cfg).x])
+        zero = np.zeros((X.shape[0], len(spec.inequalities)))
+        fixed = np.random.default_rng(1).uniform(0.0, 30.0, zero.shape)
+        first = _descend_batch(spec, p, X, zero, cfg)
+        for run in (first, _descend_batch(spec, p, first[0], np.maximum(0.0, first[2]), cfg),
+                    _descend_batch(spec, p, X, fixed, cfg)):
+            out += [a.tobytes() for a in run]
+    return b"".join(out)
+
+
 def outputs():
     """Yield (artifact name, bytes to hash), in a fixed order."""
     for name in problem_names():
@@ -109,6 +138,10 @@ def outputs():
     params = sample_params(spec, 10, 0).values
     params[:, 1] = np.linspace(0.88, 1.0, 10)
     yield "rosenbrock-1c.solve-c2-0.88-1", solution_bytes(spec, params)
+    for name in problem_names():
+        spec = make_problem(name)
+        params = sample_params(spec, DESCENTS, 0).values
+        yield f"{name}.descent-x{DESCENTS}", descent_bytes(spec, params)
 
 
 def digest_lines():
