@@ -427,6 +427,18 @@ def build_parser() -> argparse.ArgumentParser:
             f"${SEED_ENV_VAR} (seed only) > defaults."
         ),
     )
+    # every subcommand takes the same flags: define them once and share them
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", metavar="FILE", help="key = value config file")
+    for key in _KEYS:
+        flag = "--" + key.name.replace("_", "-")
+        flags.add_argument(
+            flag,
+            metavar=key.name.upper(),
+            type=lambda text, k=key, f=flag: _convert(k, text, f"flag {f}"),
+            default=None,
+            help=f"{key.help} (default: {_default_text(key)}; range: {key.range_desc})",
+        )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     descriptions = {
         "train": "train a model and write it plus a training-log CSV",
@@ -436,17 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table": "reproduce the bundled reference-instance comparison",
     }
     for name, desc in descriptions.items():
-        p = sub.add_parser(name, help=desc, description=desc)
-        p.add_argument("--config", metavar="FILE", help="key = value config file")
-        for key in _KEYS:
-            flag = "--" + key.name.replace("_", "-")
-            p.add_argument(
-                flag,
-                metavar=key.name.upper(),
-                type=lambda text, k=key, f=flag: _convert(k, text, f"flag {f}"),
-                default=None,
-                help=f"{key.help} (default: {_default_text(key)}; range: {key.range_desc})",
-            )
+        sub.add_parser(name, help=desc, description=desc, parents=[flags])
     return parser
 
 

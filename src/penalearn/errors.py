@@ -1,4 +1,8 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the checks behind them."""
+
+import math
+
+import numpy as np
 
 
 class PenalearnError(Exception):
@@ -55,6 +59,15 @@ def require(ok, field, value, rule):
     """Raise ``ConfigError`` for ``field`` unless ``ok``; ``rule`` says what is allowed."""
     if not ok:
         raise ConfigError(f"{field} must be {rule}, got {value!r}", field)
+
+
+def all_finite(a):
+    """True when every entry of the float array ``a`` is finite.
+
+    One dot product tests them all: a.a is finite iff every entry is, unless
+    it overflowed (entries of about 1e154 and up); only then is ``a`` scanned.
+    """
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 class BenchFormatError(PenalearnError):

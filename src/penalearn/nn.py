@@ -17,14 +17,19 @@ their out-of-place forms.  The trace keeps the input and each layer's output,
 which is all the backward pass reads (tanh'(z) = 1 - tanh(z)^2).
 
 At batch 1 the arithmetic is almost nothing and a forward's time is the
-fixed cost of its numpy calls, three per layer.  So each net binds, once, a
-per-layer pair of views the forward can use as they are: ``W.T`` for
-``np.dot`` and the bias as a (1, m) row.  A 1-D bias broadcast onto a row,
-a fresh ``W.T`` per call and the ``@`` ufunc each cost more per call.
-``np.dot`` on these operands gives the same bits as ``a @ W.T``; a C-ordered
-copy of ``W.T`` would not, because it takes a different BLAS path.  At batch
-4096 ``np.dot`` is about 3% slower than ``@``, against about 40% saved at
-batch 1, the latency a single served answer pays.
+fixed cost of its numpy calls: the input test and three per layer.  So each
+net binds, once, a per-layer pair of views the forward can use as they are:
+``W.T`` for the product and the bias as a (1, m) row.  The product is the
+array method ``a.dot(wt)``.  It runs the same C routine as ``np.dot(a, wt)``,
+so it gives the same bits, but it skips the function's ``__array_function__``
+dispatch, about a quarter of a batch-1 call.  A 1-D bias broadcast onto a
+row, a fresh ``W.T`` per call and the ``@`` ufunc each cost more per call.
+``dot`` on these operands gives the same bits as ``a @ W.T``; on a C-ordered
+copy of ``W.T`` it would not, because that takes a different BLAS path.  At
+batch 4096 ``dot`` is about 3% slower than ``@``, against about 40% saved at
+batch 1, the latency a single served answer pays.  The input test is
+``errors.all_finite``: one dot product x.x, and an entry-by-entry scan only
+when that overflows.
 
 Parameter layout: an Mlp keeps all of its parameters in one contiguous
 float64 vector ``params`` in model-file order W0, b0, W1, b1, ..., each weight
@@ -51,6 +56,7 @@ from .errors import (
     ModelVersionError,
     NonFiniteError,
     TraceError,
+    all_finite,
 )
 
 MODEL_FORMAT_HEADER = "penalearn-model v1"
@@ -193,22 +199,22 @@ def mlp_forward(net: Mlp, batch: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
         raise DimensionError(
             f"input batch has shape {batch.shape}, expected (batch, {net.input_dim})"
         )
-    if not np.isfinite(batch).all():
+    if not all_finite(batch):
         raise NonFiniteError("input batch contains non-finite entries")
 
     post = []
     a = batch
     layers = net._layers
     for wt, b_row in layers[:-1]:
-        a = np.dot(a, wt)  # a fresh array; `batch` is never written
+        a = a.dot(wt)  # a fresh array; `batch` is never written
         a += b_row
         np.tanh(a, out=a)
         post.append(a)
     wt, b_row = layers[-1]
-    a = np.dot(a, wt)
+    a = a.dot(wt)
     a += b_row
     post.append(a)
-    return a, ForwardTrace(inputs=batch, post_activations=tuple(post))
+    return a, ForwardTrace(batch, tuple(post))
 
 
 def _check_trace(net: Mlp, trace: ForwardTrace):

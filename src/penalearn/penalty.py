@@ -22,13 +22,12 @@ each and runs the per-constraint diagnosis only when a test fails.
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, require
+from .errors import DimensionError, NonFiniteError, all_finite, require
 
 Etas = Union[float, Sequence[float]]
 
@@ -235,10 +234,8 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
 
 
 def _all_finite(*arrays):
-    # a.a is finite iff every entry is, or else it overflowed: a false alarm
-    # that only costs the diagnosis, which then finds nothing.  Absent (None)
-    # gradients and empty arrays have nothing to test.
-    return all(math.isfinite(np.vdot(a, a)) for a in arrays if a is not None and a.size)
+    # absent (None) gradients and empty arrays have nothing to test
+    return all(all_finite(a) for a in arrays if a is not None and a.size)
 
 
 def _require_finite(values, grads, constraint_index):

@@ -322,6 +322,8 @@ def eval_reports_csv(reports: Sequence[EvalReport]) -> str:
     row = ",".join(["%.17g"] * (d + k + 3) + ["%d", "%.17g"])
     lines = [",".join(header)]
     for r in reports:
-        lines.append(row % (*r.params, *r.x, r.objective, r.max_ineq_violation,
-                            r.max_eq_violation, r.feasible, r.forward_time_s * 1e9))
+        # tolist() hands %.17g Python floats: the same text as numpy scalars, sooner
+        lines.append(row % (*r.params.tolist(), *r.x.tolist(), r.objective,
+                            r.max_ineq_violation, r.max_eq_violation, r.feasible,
+                            r.forward_time_s * 1e9))
     return "\n".join(lines) + "\n"

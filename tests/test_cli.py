@@ -15,7 +15,7 @@ from penalearn import (
     load_model,
     save_model,
 )
-from penalearn.cli import main, parse_config_file
+from penalearn.cli import _KEYS, main, parse_config_file
 from penalearn.errors import UsageError
 
 FAST_TRAIN = [
@@ -27,16 +27,14 @@ def run(argv):
     return main(argv)
 
 
-def test_help_exits_zero_and_lists_keys(capsys):
+@pytest.mark.parametrize("command", ["train", "eval", "oracle", "bench", "table"])
+def test_help_exits_zero_and_lists_keys(command, capsys):
     with pytest.raises(SystemExit) as info:
-        run(["train", "--help"])
+        run([command, "--help"])
     assert info.value.code == 0
     text = capsys.readouterr().out
-    for flag in (
-        "--problem", "--seed", "--epochs", "--eta", "--gamma", "--penalty-mode",
-        "--net-shape", "--grid-points", "--starts", "--params",
-    ):
-        assert flag in text
+    for flag in ["--config"] + ["--" + key.name.replace("_", "-") for key in _KEYS]:
+        assert f"{flag} " in text
     assert "range:" in text and "default:" in text
 
 

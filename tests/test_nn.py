@@ -66,8 +66,13 @@ def test_forward_requires_2d_batch():
         mlp_forward(net, np.zeros(2))
     with pytest.raises(DimensionError):
         mlp_forward(net, np.zeros((4, 3)))
-    with pytest.raises(NonFiniteError):
-        mlp_forward(net, np.array([[1.0, np.inf]]))
+    for bad in ([1.0, np.inf], [np.nan, 0.0], [0.5, -np.inf]):
+        with pytest.raises(NonFiniteError):
+            mlp_forward(net, np.array([[0.25, 0.5], bad]))
+    # x.x overflows here, so the finiteness test falls back to a scan
+    huge = np.array([[0.25, 0.5], [1e200, -1.0]])
+    out, _ = mlp_forward(net, huge)
+    assert np.array_equal(out, _reference_forward(net, huge)[0])
 
 
 def test_forward_matches_hand_computation():

@@ -13,7 +13,11 @@ the raw bytes of each solution's ``x``, ``objective``, ``max_violation`` and
 ``method`` are hashed.  The grid point wins every ackley-1c solve there, so
 the descent is also hashed on its own: on 5 instances per problem,
 ``_descend_batch`` runs from the starts ``solve`` builds, and the raw bytes
-of its ``x``, ``ok`` and residuals are hashed (see ``descent_bytes``).  One
+of its ``x``, ``ok`` and residuals are hashed (see ``descent_bytes``).  The
+CSVs show a net's outputs only as 17-digit text, so the raw bytes of
+``mlp_forward``'s outputs from each trained model are hashed too, on 4096
+sampled parameter rows: one row at a time for the first 100, 100 rows in one
+call, and all 4096 in one call (see ``forward_bytes``).  One
 ``<sha256 prefix> <artifact>`` line per output.
 
 A refactor that should not change results runs this on the parent commit and
@@ -34,6 +38,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 
 from penalearn.cli import main  # noqa: E402
+from penalearn.nn import load_model, mlp_forward  # noqa: E402
 from penalearn.oracle import OracleConfig, _descend_batch, grid_scan, solve  # noqa: E402
 from penalearn.problems import make_problem, problem_names, sample_params  # noqa: E402
 
@@ -41,6 +46,7 @@ SEEDS = (0, 1, 7)
 ORACLE_PROBLEMS = ("rosenbrock-1c", "ackley-1c")
 SOLVES = 50
 DESCENTS = 5
+FORWARD_BATCHES = (1, 100, 4096)
 TIMING = {"elapsed_s", "t_fwd_ns", "t_oracle_ns", "median_t_fwd_ns",
           "median_t_oracle_ns", "speedup", "time_s"}
 
@@ -104,9 +110,21 @@ def descent_bytes(spec, params, cfg=OracleConfig()) -> bytes:
     return b"".join(out)
 
 
+def forward_bytes(net, params, batch_size) -> bytes:
+    """Raw bits of ``mlp_forward`` on ``params`` in calls of ``batch_size`` rows.
+
+    Batch 1 covers the first 100 rows, one call each; a larger batch is one
+    call on the first ``batch_size`` rows.
+    """
+    if batch_size == 1:
+        return b"".join(mlp_forward(net, p[None, :])[0].tobytes() for p in params[:100])
+    return mlp_forward(net, params[:batch_size])[0].tobytes()
+
+
 def outputs():
     """Yield (artifact name, bytes to hash), in a fixed order."""
     for name in problem_names():
+        forward_params = sample_params(make_problem(name), 4096, 0).values
         for seed in SEEDS:
             stem = f"{name}-s{seed}"
             common = ["--problem", name, "--seed", seed]
@@ -119,6 +137,9 @@ def outputs():
                          "--out", f"{stem}.table.csv"])
             with open(f"{stem}.model", "rb") as fh:
                 yield f"{stem}.model", fh.read()
+            net = load_model(f"{stem}.model")
+            for size in FORWARD_BATCHES:
+                yield f"{stem}.forward-b{size}", forward_bytes(net, forward_params, size)
             for suffix in (".trainlog.csv", ".eval.csv", ".bench.csv", ".table.csv"):
                 with open(stem + suffix) as fh:
                     yield stem + suffix, drop_timing(fh.read()).encode()
