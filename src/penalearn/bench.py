@@ -142,8 +142,8 @@ def aggregate_rows(rows, macs: int) -> BenchAggregates:
 def run_benchmark(
     spec: ProblemSpec,
     net: Mlp,
-    oracle_cfg: OracleConfig = OracleConfig(),
-    params: Optional[ParamSet] = None,
+    oracle_cfg: OracleConfig,
+    params: ParamSet,
 ) -> BenchReport:
     """Score the net against the oracle on every row of ``params``.
 
@@ -154,8 +154,6 @@ def run_benchmark(
     An oracle failure flags the row (NaN oracle columns) rather than aborting
     the run; a net that does not match the problem raises ``DimensionError``.
     """
-    if params is None:
-        raise ValueError("params is required")
     k = spec.decision_dim
     rows = []
     for r in evaluate(net, spec, params):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,6 +35,10 @@ GRID_CHUNK = 4096
 _MAX_HALVINGS = 45
 _NONMONOTONE_WINDOW = 10
 _AL_MAX_STAGES = 12
+# the box the grid spans and random starts are drawn from, in every dimension
+_BOX = (-6.0, 6.0)
+# a row stops once a step moves it by at most this times (1 + |x|)
+_MOVE_TOL = 1e-10
 # every augmented-Lagrangian stage descends at this fixed weight
 _STAGE_PENALTY = PenaltyConfig(eta_ineq=1e2, eta_eq=1e2, gamma=2.0)
 # rows that stay infeasible are ranked by objective + penalty at the training default
@@ -44,12 +47,18 @@ _RANK_PENALTY = PenaltyConfig()
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """Grid resolution, starts and descent budget of the oracle.
+
+    The grid and the random starts cover the box [-6, 6] in every decision
+    dimension.  A descending row stops once a step moves it by at most
+    1e-10 * (1 + |x|).  ``feasible_tol`` is the worst violation a feasible
+    answer may have.
+    """
+
     grid_points_per_dim: int = 201
-    grid_bounds: Optional[tuple[tuple[float, float], ...]] = None  # default (-6, 6) per dim
     starts: int = 16
     descent_steps: int = 400
     descent_lr: float = 1e-2
-    tolerance: float = 1e-10
     feasible_tol: float = 1e-6
     seed: int = 0
 
@@ -59,18 +68,7 @@ class OracleConfig:
         require(self.starts >= 0, "starts", self.starts, ">= 0")
         require(self.descent_steps >= 1, "descent_steps", self.descent_steps, ">= 1")
         require(self.descent_lr > 0, "descent_lr", self.descent_lr, "> 0")
-        require(self.grid_bounds is None or all(lo <= hi for lo, hi in self.grid_bounds),
-                "grid_bounds", self.grid_bounds, "lo <= hi in every dimension")
         require(self.seed >= 0, "seed", self.seed, ">= 0")
-
-    def bounds_for(self, dim: int) -> tuple[tuple[float, float], ...]:
-        if self.grid_bounds is not None:
-            if len(self.grid_bounds) != dim:
-                raise UnsupportedError(
-                    f"grid_bounds has {len(self.grid_bounds)} entries for dim {dim}"
-                )
-            return tuple((float(a), float(b)) for a, b in self.grid_bounds)
-        return tuple(((-6.0, 6.0),) * dim)
 
 
 @dataclass(frozen=True)
@@ -93,17 +91,17 @@ def _evaluate(spec: ProblemSpec, P: np.ndarray, X: np.ndarray, pcfg: PenaltyConf
 
 
 @functools.lru_cache(maxsize=4)
-def _mesh(bounds: tuple[tuple[float, float], ...], points_per_dim: int) -> np.ndarray:
-    """The scan's grid points, one per row; built once per (bounds, resolution)."""
-    axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
+def _mesh(dim: int, points_per_dim: int) -> np.ndarray:
+    """The scan's grid points, one per row; built once per (dimension, resolution)."""
+    axis = np.linspace(*_BOX, points_per_dim)
+    mesh = np.meshgrid(*[axis] * dim, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
     points.flags.writeable = False
     return points
 
 
 def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSolution:
-    """Exhaustive scan of a regular grid over the configured bounds.
+    """Exhaustive scan of a regular grid over the box [-6, 6]^k.
 
     Returns the feasible grid point with the lowest objective, or, when no
     grid point is feasible, the point minimizing objective + penalty at the
@@ -115,7 +113,7 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
         raise UnsupportedError(f"grid scan supports decision dim <= 3, got {k}")
     t0 = time.perf_counter()
 
-    points = _mesh(cfg.bounds_for(k), cfg.grid_points_per_dim)
+    points = _mesh(k, cfg.grid_points_per_dim)
     P = np.broadcast_to(p, (GRID_CHUNK, p.size))
     best_feas = None  # (f0, x)
     best_any = None   # (penalized, x)
@@ -231,7 +229,7 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
         gnorm2 = np.einsum("ij,ij->i", G, G)
         # a row whose line search failed (converged or stuck) keeps its point and ends
         live = (accepted & (gnorm2 > 0.0)
-                & (moved > cfg.tolerance * (1.0 + np.sqrt((X * X).sum(axis=1)))))
+                & (moved > _MOVE_TOL * (1.0 + np.sqrt((X * X).sum(axis=1)))))
 
     X_out[rows], R_out[rows] = X, R
     return X_out, ok, R_out
@@ -240,7 +238,7 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
 def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSolution:
     """Multi-start descent on an augmented Lagrangian, checked against the grid.
 
-    Starts are sampled uniformly in the grid bounds (seeded), plus one start
+    Starts are sampled uniformly in the box [-6, 6]^k (seeded), plus one start
     from the grid scan when the dimension permits.  Each start runs up to 12
     multiplier stages of ``descent_steps`` BB steps at eta = 1e2, and stops
     once a stage moves none of its shifts by more than ``feasible_tol / 10``.
@@ -254,11 +252,9 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
     k = spec.decision_dim
     t0 = time.perf_counter()
 
-    bounds = cfg.bounds_for(k)
     rng = np.random.default_rng(cfg.seed)
-    lows = np.array([b[0] for b in bounds])
-    highs = np.array([b[1] for b in bounds])
-    starts = [lows + (highs - lows) * rng.random(k) for _ in range(cfg.starts)]
+    lo, hi = _BOX
+    starts = [lo + (hi - lo) * rng.random(k) for _ in range(cfg.starts)]
     grid_x = grid_scan(spec, p, cfg).x if k <= 3 else None
     if grid_x is not None:
         starts.append(grid_x)

@@ -1,11 +1,12 @@
 """Piecewise feasibility penalties and the one penalized problem evaluator.
 
 The total loss is objective + penalty, where the penalty charges each violated
-constraint eta * (violation)^gamma.  Feasible points carry zero penalty and
-zero penalty gradient, so the loss reduces to the bare objective inside the
-feasible set.  An indicator mode (0 inside, a large constant per violated
-constraint outside) is kept as a diagnostic: its gradient contribution is
-identically zero, which is exactly why it cannot steer training.
+constraint eta * (violation)^gamma, with one eta for every inequality and one
+for every equality.  Feasible points carry zero penalty and zero penalty
+gradient, so the loss reduces to the bare objective inside the feasible set.
+An indicator mode (0 inside, a large constant per violated constraint
+outside) is kept as a diagnostic: its gradient contribution is identically
+zero, which is exactly why it cannot steer training.
 
 ``loss_terms_batch`` is the single place a batch of points is evaluated: one
 objective call, one constraint call, and the penalty built from them, returned
@@ -22,14 +23,13 @@ each and runs the per-constraint diagnosis only when a test fails.
 from __future__ import annotations
 
 import contextlib
+import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError, all_finite, require
-
-Etas = Union[float, Sequence[float]]
 
 PENALTY_MODES = ("piecewise", "indicator")
 
@@ -38,13 +38,13 @@ PENALTY_MODES = ("piecewise", "indicator")
 class PenaltyConfig:
     """Penalty weights and shape.
 
-    ``eta_ineq`` / ``eta_eq`` may be a single scalar (broadcast over all
-    constraints of that kind) or one weight per constraint.
+    ``eta_ineq`` weights every inequality and ``eta_eq`` every equality; each
+    is one positive real number, stored as a float.
     """
 
     mode: str = "piecewise"
-    eta_ineq: Etas = 1e8
-    eta_eq: Etas = 1e8
+    eta_ineq: float = 1e8
+    eta_eq: float = 1e8
     gamma: float = 2.0
     indicator_big: float = 1e12
     eq_tolerance: float = 0.0
@@ -55,29 +55,9 @@ class PenaltyConfig:
         require(self.indicator_big > 0, "indicator_big", self.indicator_big, "> 0")
         require(self.eq_tolerance >= 0, "eq_tolerance", self.eq_tolerance, ">= 0")
         for name in ("eta_ineq", "eta_eq"):
-            arr = np.array(getattr(self, name), dtype=float, ndmin=1)
-            require(np.all(arr > 0), name, getattr(self, name), "> 0 in every entry")
-            # a single weight is kept as a float: it broadcasts to the same
-            # bits as a per-constraint array, without one on every evaluation
-            object.__setattr__(self, f"_{name}", arr.item() if arr.size == 1 else arr)
-
-    def resolved_etas(self, n_ineq: int, n_eq: int):
-        """(ineq, eq) weights for n_ineq / n_eq constraints.
-
-        Each is a float when one weight covers every constraint of its kind,
-        else an array with one entry per constraint (``DimensionError`` when
-        the count differs).
-        """
-        return (
-            _resolve(self._eta_ineq, n_ineq, "eta_ineq"),
-            _resolve(self._eta_eq, n_eq, "eta_eq"),
-        )
-
-
-def _resolve(eta, n: int, name: str):
-    if isinstance(eta, np.ndarray) and eta.size != n:
-        raise DimensionError(f"{name} has {eta.size} entries for {n} constraints")
-    return eta
+            eta = getattr(self, name)
+            require(isinstance(eta, numbers.Real) and eta > 0, name, eta, "a real number > 0")
+            object.__setattr__(self, name, float(eta))
 
 
 @dataclass(frozen=True)
@@ -205,7 +185,6 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
                 for i in range(values.shape[1]):
                     _require_finite(values[:, i], None if grads is None else grads[:, i], i)
 
-        eta_i, eta_j = cfg.resolved_etas(ce.n_ineq, ce.n_eq)
         r_ineq, r_eq = ce.ineq_values, ce.eq_values
         if shift is not None:
             r_ineq = r_ineq + shift[:, :ce.n_ineq] if ce.n_ineq else r_ineq
@@ -221,12 +200,12 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
             omega *= cfg.indicator_big
         else:
             if ce.n_ineq:
-                values, derivs = ineq_penalty(r_ineq, eta_i, cfg.gamma, grad)
+                values, derivs = ineq_penalty(r_ineq, cfg.eta_ineq, cfg.gamma, grad)
                 omega += values.sum(axis=1)
                 if grad:
                     g = g + np.einsum("bi,bik->bk", derivs, ce.ineq_grads)
             if ce.n_eq:
-                values, derivs = eq_penalty(r_eq, eta_j, cfg.gamma, grad)
+                values, derivs = eq_penalty(r_eq, cfg.eta_eq, cfg.gamma, grad)
                 omega += values.sum(axis=1)
                 if grad:
                     g = g + np.einsum("bj,bjk->bk", derivs, ce.eq_grads)

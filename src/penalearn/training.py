@@ -120,8 +120,6 @@ class EvalReport:
     params: np.ndarray
     x: np.ndarray
     objective: float
-    ineq_residuals: np.ndarray
-    eq_residuals: np.ndarray
     max_ineq_violation: float
     max_eq_violation: float
     feasible: bool
@@ -297,8 +295,6 @@ def evaluate(
             params=P[i].copy(),
             x=X[i],
             objective=float(f0[i]),
-            ineq_residuals=ce.ineq_values[i],
-            eq_residuals=ce.eq_values[i],
             max_ineq_violation=float(max_ineq[i]),
             max_eq_violation=float(max_eq[i]),
             feasible=bool(feasible[i]),

@@ -294,7 +294,6 @@ def _model_with_bad_bias(tmp_path, token):
         (lambda _: PenaltyConfig(gamma=float("nan")), ConfigError),
         (lambda _: PenaltyConfig(mode="none"), ConfigError),
         (lambda _: OracleConfig(descent_lr=0.0), ConfigError),
-        (lambda _: OracleConfig(grid_bounds=((1.0, -1.0), (-6.0, 6.0))), ConfigError),
         (lambda _: TrainConfig(seed=-1), ConfigError),
         (lambda _: OracleConfig(seed=-1), ConfigError),
         (lambda _: PenaltyConfig(eta_ineq=0.0, eta_eq=0.0), ConfigError),
@@ -304,7 +303,7 @@ def _model_with_bad_bias(tmp_path, token):
         (lambda d: load_model(_model_with_bad_bias(d, "inf")), ModelFormatError),
     ],
     ids=["beta1", "beta2", "adam_epsilon", "feas_tolerance", "gamma_nan",
-         "penalty_mode_none", "descent_lr", "grid_bounds",
+         "penalty_mode_none", "descent_lr",
          "train_seed", "oracle_seed", "eta_zero", "net_shape_short", "net_shape_zero",
          "model_nan", "model_inf"],
 )

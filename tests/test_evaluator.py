@@ -286,8 +286,6 @@ def test_batched_evaluate_matches_row_by_row_scoring(name):
         assert np.array_equal(r.params, row)
         assert np.array_equal(r.x, x)
         assert r.objective == f0[0]
-        assert np.array_equal(r.ineq_residuals, ce.ineq_values[0])
-        assert np.array_equal(r.eq_residuals, ce.eq_values[0])
         assert r.max_ineq_violation == max_ineq[0]
         assert r.max_eq_violation == max_eq[0]
         assert r.feasible == feasible[0]

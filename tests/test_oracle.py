@@ -236,17 +236,11 @@ def test_config_validation():
         OracleConfig(starts=-1)
     with pytest.raises(ValueError):
         OracleConfig(descent_steps=0)
-    # the fixed-weight multiplier stages replaced the schedule and its exponent
-    for removed in ("eta_schedule", "gamma"):
+    # the fixed-weight multiplier stages replaced the schedule and its exponent;
+    # the box and the move tolerance are module constants
+    for removed in ("eta_schedule", "gamma", "grid_bounds", "tolerance"):
         with pytest.raises(TypeError):
             OracleConfig(**{removed: 2.0})
-
-
-def test_grid_bounds_must_match_dimension():
-    spec = make_problem("rosenbrock-1c")
-    cfg = OracleConfig(grid_bounds=((-1.0, 1.0),))
-    with pytest.raises(UnsupportedError):
-        grid_scan(spec, np.array([1.0, 1.0]), cfg)
 
 
 def test_grid_scan_rejects_high_dimensions():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from penalearn import (
-    DimensionError,
+    ConfigError,
     PenaltyConfig,
     eq_penalty,
     ineq_penalty,
@@ -92,24 +92,9 @@ def test_config_validation():
         PenaltyConfig(eta_ineq=-1.0)
     with pytest.raises(ValueError):
         PenaltyConfig(indicator_big=0.0)
-    cfg = PenaltyConfig(eta_ineq=(1e6, 1e8))
-    with pytest.raises(DimensionError):
-        cfg.resolved_etas(3, 0)
-
-
-def test_per_constraint_eta_broadcast():
-    cfg = PenaltyConfig(eta_ineq=5e7)
-    etas, _ = cfg.resolved_etas(3, 0)
-    assert np.array_equal(np.broadcast_to(etas, 3), np.full(3, 5e7))
-    # a scalar weight gives the same bits as the same weight per constraint
-    spec = make_problem("rosenbrock-3c")
-    rng = np.random.default_rng(7)
-    X = rng.uniform(-3, 3, size=(50, 2))
-    P = np.column_stack([rng.uniform(0, 30, 50), rng.uniform(0, 1, 50)])
-    a = loss_terms_batch(X, P, spec, cfg)
-    b = loss_terms_batch(X, P, spec, PenaltyConfig(eta_ineq=(5e7, 5e7, 5e7)))
-    assert np.array_equal(a.loss, b.loss)
-    assert np.array_equal(a.grad, b.grad)
+    # one weight covers every constraint of its kind
+    with pytest.raises(ConfigError):
+        PenaltyConfig(eta_ineq=(1e6, 1e8))
 
 
 def test_zero_penalty_inside_feasible_set():

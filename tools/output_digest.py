@@ -95,7 +95,8 @@ def descent_bytes(spec, params, cfg=OracleConfig()) -> bytes:
     which makes every family's penalty active, ackley-1c's disk included.
     """
     k = spec.decision_dim
-    lows, highs = (np.array(b) for b in zip(*cfg.bounds_for(k)))
+    # the oracle's box, [-6, 6] in every dimension
+    lows, highs = np.full(k, -6.0), np.full(k, 6.0)
     out = []
     for p in params:
         rng = np.random.default_rng(cfg.seed)
