@@ -57,7 +57,6 @@ from .penalty import (
 )
 from .problems import (
     Constraint,
-    ParamSet,
     ProblemSpec,
     make_problem,
     problem_names,

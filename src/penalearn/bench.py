@@ -13,7 +13,6 @@ in a trailing ``#`` comment block; ``parse_csv(emit_csv(r))`` reconstructs
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import BenchFormatError, OracleError, UnsupportedError
 from .nn import Mlp, mac_count
 from .oracle import OracleConfig, solve
-from .problems import ParamSet, ProblemSpec, make_problem
+from .problems import ProblemSpec, make_problem
 from .training import evaluate
 
 FEAS_TOL_LOOSE = 0.1
@@ -143,26 +142,25 @@ def run_benchmark(
     spec: ProblemSpec,
     net: Mlp,
     oracle_cfg: OracleConfig,
-    params: ParamSet,
+    P: np.ndarray,
 ) -> BenchReport:
-    """Score the net against the oracle on every row of ``params``.
+    """Score the net against the oracle on every row of ``P``.
 
     The net's side of each row is ``evaluate``'s report for it: ``x_dnn``,
     ``f0_dnn``, ``viol_dnn`` (the worse of its two worst violations) and
     ``t_fwd_ns`` from one timed batch-1 forward, the same values
-    ``penalearn eval`` writes.  Each row's oracle solve is then timed alone.
-    An oracle failure flags the row (NaN oracle columns) rather than aborting
+    ``penalearn eval`` writes.  Each row's oracle side is one ``solve``,
+    and ``t_oracle_ns`` is that solve's own clock, ``solve_time_s``.  An
+    ``OracleError`` flags the row (NaN oracle columns) rather than aborting
     the run; a net that does not match the problem raises ``DimensionError``.
     """
     k = spec.decision_dim
     rows = []
-    for r in evaluate(net, spec, params):
+    for r in evaluate(net, spec, P):
         try:
-            t0 = time.perf_counter_ns()
             sol = solve(spec, r.params, oracle_cfg)
-            t_oracle = float(time.perf_counter_ns() - t0)
-            x_oracle, f0_oracle = sol.x, sol.objective
-        except (OracleError, UnsupportedError):
+            x_oracle, f0_oracle, t_oracle = sol.x, sol.objective, sol.solve_time_s * 1e9
+        except OracleError:
             x_oracle, f0_oracle, t_oracle = np.full(k, np.nan), float("nan"), float("nan")
         rows.append(
             BenchRow(
@@ -406,9 +404,8 @@ def table_repro(
         )
     spec = make_problem(spec_name)
     cases = TABLE_CASES[spec_name]
-    params = ParamSet(values=np.array([case.params for case in cases]), seed=0)
     rows = []
-    for case, r in zip(cases, evaluate(net, spec, params)):
+    for case, r in zip(cases, evaluate(net, spec, np.array([case.params for case in cases]))):
         sol = solve(spec, r.params, oracle_cfg)
         rows.append(
             TableRow(

@@ -31,7 +31,7 @@ from .errors import ConfigError, PenalearnError, RegistryError, UsageError
 from .nn import Mlp, load_model, save_model, write_text_atomic
 from .oracle import OracleConfig, solve
 from .penalty import PenaltyConfig
-from .problems import ParamSet, ProblemSpec, make_problem, problem_names, sample_params
+from .problems import ProblemSpec, make_problem, problem_names, sample_params
 from .training import TrainConfig, eval_reports_csv, evaluate, resolve_net_shape, train
 
 SEED_ENV_VAR = "PENALEARN_SEED"
@@ -109,7 +109,7 @@ _KEYS: tuple[_Key, ...] = (
     _Key("adam_epsilon", float, "> 0", "ADAM denominator offset",
          _sets(TrainConfig, "adam_epsilon")),
     _Key("eta", float, "> 0", "penalty weight applied to every constraint",
-         _sets(PenaltyConfig, "eta_ineq", "eta_eq")),
+         _sets(PenaltyConfig, "eta")),
     _Key("gamma", float, ">= 1",
          "training penalty exponent; values below 1 break penalty smoothness at the boundary",
          _sets(PenaltyConfig, "gamma")),
@@ -333,10 +333,10 @@ def _cmd_eval(cfg: RunConfig) -> int:
     net = _load_model_for(cfg, spec)
     if cfg.params is not None:
         _warn_params_out_of_range(spec, cfg.params)
-        values = np.array([cfg.params])
+        P = np.array([cfg.params])
     else:
-        values = sample_params(spec, cfg.count, cfg.train.seed).values
-    reports = evaluate(net, spec, ParamSet(values=values, seed=cfg.train.seed), cfg.penalty)
+        P = sample_params(spec, cfg.count, cfg.train.seed)
+    reports = evaluate(net, spec, P, cfg.penalty)
     out = _default_out(cfg, ".eval.csv")
     write_text_atomic(out, eval_reports_csv(reports))
     feasible = sum(1 for r in reports if r.feasible)
@@ -362,8 +362,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
 def _cmd_bench(cfg: RunConfig) -> int:
     spec = make_problem(cfg.problem)
     net = _load_model_for(cfg, spec)
-    params = sample_params(spec, cfg.count, cfg.train.seed)
-    report = run_benchmark(spec, net, cfg.oracle, params)
+    report = run_benchmark(spec, net, cfg.oracle, sample_params(spec, cfg.count, cfg.train.seed))
     out = _default_out(cfg, ".bench.csv")
     write_text_atomic(out, emit_csv(report))
     a = report.aggregates

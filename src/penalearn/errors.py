@@ -1,6 +1,7 @@
 """Exception types raised across the package, and the checks behind them."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -59,6 +60,17 @@ def require(ok, field, value, rule):
     """Raise ``ConfigError`` for ``field`` unless ``ok``; ``rule`` says what is allowed."""
     if not ok:
         raise ConfigError(f"{field} must be {rule}, got {value!r}", field)
+
+
+def is_int(value):
+    """True for an integer of any integral type; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_int(config, field, low):
+    """``require`` that ``field`` on ``config`` holds an integer >= ``low``."""
+    value = getattr(config, field)
+    require(is_int(value) and value >= low, field, value, f"an integer >= {low}")
 
 
 def all_finite(a):

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OracleError, UnsupportedError, require
+from .errors import (DimensionError, NonFiniteError, OracleError, UnsupportedError, all_finite,
+                     require, require_int)
 from .penalty import PenaltyConfig, loss_terms_batch
 from .penalty import violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ProblemSpec
@@ -40,7 +41,7 @@ _BOX = (-6.0, 6.0)
 # a row stops once a step moves it by at most this times (1 + |x|)
 _MOVE_TOL = 1e-10
 # every augmented-Lagrangian stage descends at this fixed weight
-_STAGE_PENALTY = PenaltyConfig(eta_ineq=1e2, eta_eq=1e2, gamma=2.0)
+_STAGE_PENALTY = PenaltyConfig(eta=1e2, gamma=2.0)
 # rows that stay infeasible are ranked by objective + penalty at the training default
 _RANK_PENALTY = PenaltyConfig()
 
@@ -63,12 +64,12 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require(self.grid_points_per_dim >= 2, "grid_points_per_dim",
-                self.grid_points_per_dim, ">= 2")
-        require(self.starts >= 0, "starts", self.starts, ">= 0")
-        require(self.descent_steps >= 1, "descent_steps", self.descent_steps, ">= 1")
+        require_int(self, "grid_points_per_dim", 2)
+        require_int(self, "starts", 0)
+        require_int(self, "descent_steps", 1)
         require(self.descent_lr > 0, "descent_lr", self.descent_lr, "> 0")
-        require(self.seed >= 0, "seed", self.seed, ">= 0")
+        require(self.feasible_tol >= 0, "feasible_tol", self.feasible_tol, ">= 0")
+        require_int(self, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,52 @@ class OracleSolution:
     method: str  # "grid" (the undescended grid point won) or "descent"
 
 
-def _evaluate(spec: ProblemSpec, P: np.ndarray, X: np.ndarray, pcfg: PenaltyConfig,
-              shift=None, grad=True):
-    """Penalized terms for many x at one parameter vector.
+def _params(spec: ProblemSpec, p) -> np.ndarray:
+    """``p`` flat: ``param_dim`` values (``DimensionError``), all finite (``NonFiniteError``)."""
+    p = np.asarray(p, dtype=float).ravel()
+    if p.size != spec.param_dim:
+        raise DimensionError(f"p has {p.size} values, {spec.name} takes {spec.param_dim}")
+    if not all_finite(p):
+        raise NonFiniteError(f"p {p.tolist()} is not finite")
+    return p
 
-    ``P`` is that vector broadcast to at least ``X``'s rows.  Never raises on
-    non-finite trial points; such rows carry inf/nan and lose the line search.
-    """
-    return loss_terms_batch(X, P[:X.shape[0]], spec, pcfg, strict=False, shift=shift, grad=grad)
+
+def _rank_values(spec, P, X):
+    """Values-only (f0, viol, pen) per row of ``X`` at ``P``: ``viol`` is the larger
+    of the two worst violations, ``pen`` objective + penalty at the default
+    ``PenaltyConfig``, and a non-finite ``f0`` or ``pen`` becomes inf."""
+    terms = loss_terms_batch(X, P, spec, _RANK_PENALTY, strict=False, grad=False)
+    max_ineq, max_eq, _ = terms.constraints.violations()
+    f0 = np.where(np.isfinite(terms.objective), terms.objective, np.inf)
+    pen = np.where(np.isfinite(terms.loss), terms.loss, np.inf)
+    return f0, np.maximum(max_ineq, max_eq), pen
+
+
+def _best(X, f0, viol, pen, tol) -> int:
+    """The oracle's one ranking rule: the index of the best row.
+
+    Feasible rows (``viol <= tol``, finite ``f0``) rank by ``f0``; with none,
+    rows rank by ``pen``.  Ties go to the lexicographically smallest x, then
+    to the first row."""
+    feas = (viol <= tol) & np.isfinite(f0)
+    score = np.where(feas, f0, np.inf) if feas.any() else pen
+    tied = np.flatnonzero(score == score.min())
+    if tied.size == 1:
+        return int(tied[0])
+    # lexsort is stable and sorts by its last key first
+    return int(tied[np.lexsort(X[tied].T[::-1])[0]])
+
+
+def _answer(spec, p, X, cfg: OracleConfig, t0, grid_first) -> OracleSolution:
+    """Rank the candidates ``X`` and report the best as the answer.
+
+    ``grid_first``: ``X[0]`` is the undescended grid point; ``method`` is
+    "grid" when it wins.  ``solve_time_s`` runs from ``t0`` to now."""
+    f0, viol, pen = _rank_values(spec, np.broadcast_to(p, (X.shape[0], p.size)), X)
+    best = _best(X, f0, viol, pen, cfg.feasible_tol)
+    return OracleSolution(x=X[best].copy(), objective=float(f0[best]),
+                          max_violation=float(viol[best]), solve_time_s=time.perf_counter() - t0,
+                          method="grid" if grid_first and best == 0 else "descent")
 
 
 @functools.lru_cache(maxsize=4)
@@ -105,9 +144,10 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
 
     Returns the feasible grid point with the lowest objective, or, when no
     grid point is feasible, the point minimizing objective + penalty at the
-    default ``PenaltyConfig`` weight.  The scan reads values only.
+    default ``PenaltyConfig`` weight; ``_best`` ranks, as in ``solve``.  The
+    scan reads values only.  ``p`` is checked by ``_params``.
     """
-    p = np.asarray(p, dtype=float).ravel()
+    p = _params(spec, p)
     k = spec.decision_dim
     if k > 3:
         raise UnsupportedError(f"grid scan supports decision dim <= 3, got {k}")
@@ -115,37 +155,16 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
 
     points = _mesh(k, cfg.grid_points_per_dim)
     P = np.broadcast_to(p, (GRID_CHUNK, p.size))
-    best_feas = None  # (f0, x)
-    best_any = None   # (penalized, x)
+    winners = []  # each chunk's best row: (x, f0, viol, pen), as evaluated in its chunk
     for lo_idx in range(0, points.shape[0], GRID_CHUNK):
         X = points[lo_idx:lo_idx + GRID_CHUNK]
-        terms = _evaluate(spec, P, X, _RANK_PENALTY, grad=False)
-        f0 = terms.objective
-        max_ineq, max_eq, _ = terms.constraints.violations()
-        viol = np.maximum(max_ineq, max_eq)
-
-        pen = np.where(np.isfinite(terms.loss), terms.loss, np.inf)
-        i = int(np.argmin(pen))
-        if best_any is None or pen[i] < best_any[0]:
-            best_any = (float(pen[i]), X[i].copy())
-        feas = (viol <= cfg.feasible_tol) & np.isfinite(f0)
-        if feas.any():
-            f_masked = np.where(feas, f0, np.inf)
-            i = int(np.argmin(f_masked))
-            if best_feas is None or f_masked[i] < best_feas[0]:
-                best_feas = (float(f_masked[i]), X[i].copy())
-
-    x_best = best_feas[1] if best_feas is not None else best_any[1]
+        ranks = _rank_values(spec, P[:X.shape[0]], X)
+        i = _best(X, *ranks, cfg.feasible_tol)
+        winners.append((X[i], *(r[i] for r in ranks)))
+    X, f0, viol, pen = (np.array(column) for column in zip(*winners))
+    x_best = X[_best(X, f0, viol, pen, cfg.feasible_tol)]
     # re-evaluated alone: a 1-row call need not match its row in the chunk bit for bit
-    terms = _evaluate(spec, P, x_best[None, :], _RANK_PENALTY, grad=False)
-    max_ineq, max_eq, _ = terms.constraints.violations()
-    return OracleSolution(
-        x=x_best,
-        objective=float(terms.objective[0]),
-        max_violation=float(np.maximum(max_ineq, max_eq)[0]),
-        solve_time_s=time.perf_counter() - t0,
-        method="grid",
-    )
+    return _answer(spec, p, x_best[None, :], cfg, t0, grid_first=True)
 
 
 def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
@@ -162,7 +181,8 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     P = np.broadcast_to(p, (X0.shape[0], p.size))
 
     def fg(X, S):
-        terms = _evaluate(spec, P, X, _STAGE_PENALTY, shift=S)
+        terms = loss_terms_batch(X, P[:X.shape[0]], spec, _STAGE_PENALTY, strict=False,
+                                 shift=S)
         ce = terms.constraints
         R = (ce.eq_values if not ce.n_ineq else ce.ineq_values if not ce.n_eq
              else np.hstack([ce.ineq_values, ce.eq_values]))
@@ -242,13 +262,15 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
     from the grid scan when the dimension permits.  Each start runs up to 12
     multiplier stages of ``descent_steps`` BB steps at eta = 1e2, and stops
     once a stage moves none of its shifts by more than ``feasible_tol / 10``.
-    The final iterates and the undescended grid point are ranked
-    feasible-first, then by objective, so the result is never worse than
-    ``grid_scan``; with no feasible candidate the ranking falls back to
+    The final iterates and the undescended grid point are ranked as in
+    ``grid_scan`` (``_best``): feasible first, then by objective, so the
+    result is never worse than ``grid_scan``; with no feasible candidate, by
     objective + penalty at the default ``PenaltyConfig`` (a least-penalty
-    compromise).  ``method`` says whether the grid point or a descent won.
+    compromise).  ``method`` says whether the grid point or a descent won;
+    ``solve_time_s`` is the whole call's clock, grid scan included, and the
+    bench's ``t_oracle_ns``.  ``p`` is checked by ``_params``.
     """
-    p = np.asarray(p, dtype=float).ravel()
+    p = _params(spec, p)
     k = spec.decision_dim
     t0 = time.perf_counter()
 
@@ -285,24 +307,4 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
 
     # the grid point goes first: it wins ties, so method == "grid" iff x is it
     X = X[ok] if grid_x is None else np.vstack([grid_x[None, :], X[ok]])
-    terms = _evaluate(spec, np.broadcast_to(p, (X.shape[0], p.size)), X, _RANK_PENALTY,
-                      grad=False)
-    max_ineq, max_eq, _ = terms.constraints.violations()
-    viol = np.maximum(max_ineq, max_eq)
-    f0 = np.where(np.isfinite(terms.objective), terms.objective, np.inf)
-    pen = np.where(np.isfinite(terms.loss), terms.loss, np.inf)
-
-    # value-based key so the winner is independent of evaluation order
-    def key(i):
-        feas = viol[i] <= cfg.feasible_tol
-        primary = f0[i] if feas else pen[i]
-        return (0 if feas else 1, float(primary), tuple(X[i]))
-
-    best = min(range(X.shape[0]), key=key)
-    return OracleSolution(
-        x=X[best].copy(),
-        objective=float(f0[best]),
-        max_violation=float(viol[best]),
-        solve_time_s=time.perf_counter() - t0,
-        method="grid" if grid_x is not None and best == 0 else "descent",
-    )
+    return _answer(spec, p, X, cfg, t0, grid_first=grid_x is not None)

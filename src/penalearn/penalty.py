@@ -1,9 +1,9 @@
 """Piecewise feasibility penalties and the one penalized problem evaluator.
 
 The total loss is objective + penalty, where the penalty charges each violated
-constraint eta * (violation)^gamma, with one eta for every inequality and one
-for every equality.  Feasible points carry zero penalty and zero penalty
-gradient, so the loss reduces to the bare objective inside the feasible set.
+constraint eta * (violation)^gamma, with one eta for every constraint.
+Feasible points carry zero penalty and zero penalty gradient, so the loss
+reduces to the bare objective inside the feasible set.
 An indicator mode (0 inside, a large constant per violated constraint
 outside) is kept as a diagnostic: its gradient contribution is identically
 zero, which is exactly why it cannot steer training.
@@ -36,15 +36,14 @@ PENALTY_MODES = ("piecewise", "indicator")
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty weights and shape.
+    """Penalty weight and shape.
 
-    ``eta_ineq`` weights every inequality and ``eta_eq`` every equality; each
-    is one positive real number, stored as a float.
+    ``eta`` weights every constraint, inequality or equality; it is one
+    positive real number, stored as a float.
     """
 
     mode: str = "piecewise"
-    eta_ineq: float = 1e8
-    eta_eq: float = 1e8
+    eta: float = 1e8
     gamma: float = 2.0
     indicator_big: float = 1e12
     eq_tolerance: float = 0.0
@@ -54,10 +53,9 @@ class PenaltyConfig:
         require(self.gamma >= 1.0, "gamma", self.gamma, ">= 1")
         require(self.indicator_big > 0, "indicator_big", self.indicator_big, "> 0")
         require(self.eq_tolerance >= 0, "eq_tolerance", self.eq_tolerance, ">= 0")
-        for name in ("eta_ineq", "eta_eq"):
-            eta = getattr(self, name)
-            require(isinstance(eta, numbers.Real) and eta > 0, name, eta, "a real number > 0")
-            object.__setattr__(self, name, float(eta))
+        require(isinstance(self.eta, numbers.Real) and self.eta > 0, "eta", self.eta,
+                "a real number > 0")
+        object.__setattr__(self, "eta", float(self.eta))
 
 
 @dataclass(frozen=True)
@@ -200,12 +198,12 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
             omega *= cfg.indicator_big
         else:
             if ce.n_ineq:
-                values, derivs = ineq_penalty(r_ineq, cfg.eta_ineq, cfg.gamma, grad)
+                values, derivs = ineq_penalty(r_ineq, cfg.eta, cfg.gamma, grad)
                 omega += values.sum(axis=1)
                 if grad:
                     g = g + np.einsum("bi,bik->bk", derivs, ce.ineq_grads)
             if ce.n_eq:
-                values, derivs = eq_penalty(r_eq, cfg.eta_eq, cfg.gamma, grad)
+                values, derivs = eq_penalty(r_eq, cfg.eta, cfg.gamma, grad)
                 omega += values.sum(axis=1)
                 if grad:
                     g = g + np.einsum("bj,bjk->bk", derivs, ce.eq_grads)

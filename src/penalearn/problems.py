@@ -21,7 +21,7 @@ very expressions the gradient path uses.  Gradient callers call ``fn(x, p)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -91,17 +91,6 @@ def _stack(cons, x, p, grad):
         if grad:
             grads[:, i, :] = g
     return values, grads
-
-
-@dataclass(frozen=True)
-class ParamSet:
-    """Sampled parameter vectors, one per row, plus the seed that made them."""
-
-    values: np.ndarray
-    seed: int
-
-    def __len__(self):
-        return self.values.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +241,10 @@ def make_problem(name: str) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # operations
 
-def sample_params(spec: ProblemSpec, count: int, seed: int = 0) -> ParamSet:
-    """Uniform parameter samples within the spec ranges, one row each."""
+def sample_params(spec: ProblemSpec, count: int, seed: int = 0) -> np.ndarray:
+    """Uniform parameter samples within the spec ranges: a (count, param_dim) array."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     cols = [rng.uniform(lo, hi, size=count) for lo, hi in spec.param_ranges]
-    return ParamSet(values=np.stack(cols, axis=1), seed=int(seed))
+    return np.stack(cols, axis=1)

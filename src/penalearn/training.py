@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, TrainingDivergedError, require
+from .errors import DimensionError, TrainingDivergedError, is_int, require, require_int
 from .nn import (
     AdamState,
     Mlp,
@@ -28,7 +28,7 @@ from .nn import (
 )
 from .penalty import PenaltyConfig, loss_terms_batch
 from .penalty import violation_report, violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
-from .problems import ParamSet, ProblemSpec, sample_params
+from .problems import ProblemSpec, sample_params
 
 __all__ = [
     "TrainConfig",
@@ -67,21 +67,24 @@ class TrainConfig:
     normalize_inputs: bool = True
 
     def __post_init__(self):
-        require(self.epochs >= 1, "epochs", self.epochs, ">= 1")
-        require(self.sample_count >= 1, "sample_count", self.sample_count, ">= 1")
-        require(1 <= self.batch_size <= self.sample_count, "batch_size", self.batch_size,
-                f"in [1, sample_count = {self.sample_count}]")
-        require(self.seed >= 0, "seed", self.seed, ">= 0")
-        require(self.log_every >= 1, "log_every", self.log_every, ">= 1")
+        require_int(self, "epochs", 1)
+        require_int(self, "sample_count", 1)
+        batch = self.batch_size
+        require(is_int(batch) and 1 <= batch <= self.sample_count, "batch_size", batch,
+                f"an integer in [1, sample_count = {self.sample_count}]")
+        require_int(self, "seed", 0)
+        require_int(self, "log_every", 1)
         require(self.learning_rate > 0, "learning_rate", self.learning_rate, "> 0")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             require(0 < value < 1, name, value, "in (0, 1)")
         require(self.adam_epsilon > 0, "adam_epsilon", self.adam_epsilon, "> 0")
         shape = self.net_shape
-        require(shape is None or (len(shape) >= 3 and all(s >= 1 for s in shape)),
-                "net_shape", shape, "3 or more layer sizes, each >= 1")
+        require(shape is None or (len(shape) >= 3 and all(is_int(s) and s >= 1 for s in shape)),
+                "net_shape", shape, "3 or more layer sizes, each an integer >= 1")
         require(self.feas_tolerance >= 0, "feas_tolerance", self.feas_tolerance, ">= 0")
+        require(isinstance(self.normalize_inputs, bool), "normalize_inputs",
+                self.normalize_inputs, "True or False")
 
 
 @dataclass(frozen=True)
@@ -186,8 +189,7 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
     penalty.  Fully deterministic for a fixed config.
     """
     shape = resolve_net_shape(spec, cfg)
-    params = sample_params(spec, cfg.sample_count, cfg.seed)
-    raw = params.values
+    raw = sample_params(spec, cfg.sample_count, cfg.seed)
     mid, half = _input_transform(spec, cfg.normalize_inputs)
     inputs = (raw - mid) / half
 
@@ -251,10 +253,10 @@ def _batch_loss_guarded(outputs, raw_params, spec, cfg, epoch, idx):
 def evaluate(
     net: Mlp,
     spec: ProblemSpec,
-    params: ParamSet,
+    P: np.ndarray,
     cfg: Optional[PenaltyConfig] = None,
 ) -> list[EvalReport]:
-    """Score the forward pass on each parameter vector in ``params``.
+    """Score the forward pass on each parameter vector, one per row of ``P``.
 
     Each row's ``x`` and ``forward_time_s`` come from its own batch-1
     forward: that is the single-instance latency the paper quotes, and a
@@ -262,7 +264,7 @@ def evaluate(
     objective, one constraint and one violations pass over all outputs; the
     problem evaluators are elementwise per row, so each report holds the
     same bits as scoring its row alone.  ``DimensionError`` when the net or
-    ``params.values``, which must be (rows, param_dim), does not fit ``spec``.
+    ``P``, which must be (rows, param_dim), does not fit ``spec``.
     """
     cfg = cfg if cfg is not None else PenaltyConfig()
     if net.input_dim != spec.param_dim:
@@ -273,9 +275,9 @@ def evaluate(
         raise DimensionError(
             f"net output dim {net.output_dim} != problem decision dim {spec.decision_dim}"
         )
-    P = params.values
-    if np.ndim(P) != 2 or np.shape(P)[1] != spec.param_dim:
-        raise DimensionError(f"params.values has shape {np.shape(P)}, expected "
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] != spec.param_dim:
+        raise DimensionError(f"P has shape {P.shape}, expected "
                              f"(rows, {spec.param_dim}) for {spec.name}")
     if len(P) == 0:
         return []

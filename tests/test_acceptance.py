@@ -97,8 +97,7 @@ def test_criterion_1_gradient_fidelity():
             net = init_mlp(shape, seed=int(rng.integers(2**31)))
             p_row = (lows + (highs - lows) * rng.random(d))[None, :]
             pcfg = PenaltyConfig(
-                eta_ineq=float(rng.choice([10.0, 1e8])),
-                eta_eq=1e8,
+                eta=float(rng.choice([10.0, 1e8])),
                 gamma=float(rng.choice([2.0, 3.0])),
             )
             if not _smooth_config(spec, net, p_row, pcfg):
@@ -173,8 +172,8 @@ def test_criterion_4_feasibility_at_scale(rosenbrock_model, ackley_model):
     fractions = {}
     for spec, net, _ in (rosenbrock_model, ackley_model):
         fresh = sample_params(spec, 1000, seed=2024)
-        out, _ = mlp_forward(net, fresh.values)
-        ce = spec.constraint_eval(out, fresh.values)
+        out, _ = mlp_forward(net, fresh)
+        ce = spec.constraint_eval(out, fresh)
         worst = np.maximum(ce.ineq_values.max(axis=1), 0.0)
         frac = float(np.mean(worst <= 0.1))
         fractions[spec.name] = frac

@@ -22,7 +22,6 @@ from penalearn import (
     table_repro,
 )
 from penalearn.bench import FEAS_TOL_LOOSE, FEAS_TOL_STRICT, TABLE_CASES
-from penalearn.problems import ParamSet
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +101,7 @@ def _failing_oracle_spec():
 def test_oracle_failures_are_flagged_not_fatal():
     spec = _failing_oracle_spec()
     net = init_mlp((4, 8, 4), seed=0)
-    params = ParamSet(values=np.zeros((3, 4)), seed=0)
+    params = np.zeros((3, 4))
     report = run_benchmark(spec, net, OracleConfig(starts=0), params)
     a = report.aggregates
     assert a.failure_count == 3
@@ -191,7 +190,7 @@ def test_bench_and_table_take_the_net_side_from_evaluate(name):
         assert row.f0_dnn == r.objective
         assert row.viol_dnn == np.maximum(r.max_ineq_violation, r.max_eq_violation)
 
-    cases = ParamSet(values=np.array([c.params for c in TABLE_CASES[name]]), seed=0)
+    cases = np.array([c.params for c in TABLE_CASES[name]])
     repro = table_repro(name, net)
     for row, r in zip(repro.rows, evaluate(net, spec, cases), strict=True):
         assert np.array_equal(row.x_dnn, r.x)

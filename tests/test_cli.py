@@ -296,15 +296,29 @@ def _model_with_bad_bias(tmp_path, token):
         (lambda _: OracleConfig(descent_lr=0.0), ConfigError),
         (lambda _: TrainConfig(seed=-1), ConfigError),
         (lambda _: OracleConfig(seed=-1), ConfigError),
-        (lambda _: PenaltyConfig(eta_ineq=0.0, eta_eq=0.0), ConfigError),
+        (lambda _: PenaltyConfig(eta=0.0), ConfigError),
         (lambda _: TrainConfig(net_shape=(2, 2)), ConfigError),
         (lambda _: TrainConfig(net_shape=(2, 0, 2)), ConfigError),
+        (lambda _: TrainConfig(net_shape=(2, 3.5, 2)), ConfigError),
+        (lambda _: TrainConfig(log_every=1.5), ConfigError),
+        (lambda _: TrainConfig(normalize_inputs="no"), ConfigError),
+        (lambda _: TrainConfig(epochs=2.5), ConfigError),
+        (lambda _: TrainConfig(batch_size=2.5), ConfigError),
+        (lambda _: TrainConfig(sample_count=100.5), ConfigError),
+        (lambda _: TrainConfig(seed=0.5), ConfigError),
+        (lambda _: TrainConfig(epochs=True), ConfigError),
+        (lambda _: OracleConfig(starts=2.5), ConfigError),
+        (lambda _: OracleConfig(grid_points_per_dim=2.5), ConfigError),
+        (lambda _: OracleConfig(descent_steps=2.5), ConfigError),
         (lambda d: load_model(_model_with_bad_bias(d, "nan")), ModelFormatError),
         (lambda d: load_model(_model_with_bad_bias(d, "inf")), ModelFormatError),
     ],
     ids=["beta1", "beta2", "adam_epsilon", "feas_tolerance", "gamma_nan",
          "penalty_mode_none", "descent_lr",
          "train_seed", "oracle_seed", "eta_zero", "net_shape_short", "net_shape_zero",
+         "net_shape_float", "log_every_float", "normalize_inputs_str", "epochs_float",
+         "batch_size_float", "samples_float", "seed_float", "epochs_bool", "starts_float",
+         "grid_points_float", "descent_steps_float",
          "model_nan", "model_inf"],
 )
 def test_library_rejects_what_the_cli_rejects(tmp_path, make, exc):

@@ -30,7 +30,6 @@ from penalearn import (
     violation_report_batch,
 )
 from penalearn import oracle
-from penalearn.problems import ParamSet
 
 
 class _Counts:
@@ -278,7 +277,7 @@ def test_batched_evaluate_matches_row_by_row_scoring(name):
     params = sample_params(spec, 64, seed=9)
     reports = evaluate(net, spec, params, cfg)
     assert len(reports) == 64
-    for r, row in zip(reports, params.values):
+    for r, row in zip(reports, params):
         x = mlp_forward(net, row[None])[0][0]
         f0, _ = spec.objective(x[None], row[None])
         ce = spec.constraint_eval(x[None], row[None])
@@ -297,7 +296,7 @@ def test_batched_evaluate_matches_row_by_row_scoring(name):
 def test_evaluate_on_zero_rows_scores_nothing(monkeypatch):
     counts = _Counts(monkeypatch)
     net = init_mlp(counts.spec.default_net_shape, seed=0)
-    reports = evaluate(net, counts.spec, ParamSet(values=np.zeros((0, 2)), seed=0))
+    reports = evaluate(net, counts.spec, np.zeros((0, 2)))
     assert reports == []
     assert counts.both() == (0, 0)
     assert eval_reports_csv(reports) == "# empty evaluation\n"
@@ -355,7 +354,7 @@ def test_evaluate_reads_no_gradient_so_huge_params_raise_no_overflow():
     weights = tuple(np.zeros((b, a)) for a, b in zip(sizes[:-1], sizes[1:]))
     biases = tuple(np.zeros(b) for b in sizes[1:-1]) + (np.array([0.5, 0.25]),)
     net = Mlp(layer_sizes=sizes, weights=weights, biases=biases)
-    params = ParamSet(values=np.array([[1e308, 1.0]]), seed=0)
+    params = np.array([[1e308, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         (report,) = evaluate(net, spec, params)
@@ -364,5 +363,5 @@ def test_evaluate_reads_no_gradient_so_huge_params_raise_no_overflow():
     assert report.objective == 0.25
     assert report.feasible
     with np.errstate(all="ignore"):
-        f0, g = spec.objective(report.x[None], params.values)
+        f0, g = spec.objective(report.x[None], params)
     assert report.objective == f0[0] and not np.isfinite(g).all()

@@ -144,7 +144,7 @@ def test_forward_sees_in_place_parameter_writes():
     # train() rewrites layer 0 of its returned net in place (the input fold)
     spec = make_problem("rosenbrock-1c")
     folded, _ = train(spec, TrainConfig(epochs=2, sample_count=40, batch_size=20, seed=0))
-    raw = sample_params(spec, 9, seed=2).values
+    raw = sample_params(spec, 9, seed=2)
     _assert_forward_matches_reference(folded, raw)
     folded.params[...] = rng.normal(size=folded.params.size)
     _assert_forward_matches_reference(folded, raw)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from penalearn import (
+    ConfigError,
     Constraint,
+    DimensionError,
+    NonFiniteError,
     OracleConfig,
     OracleError,
     ProblemSpec,
@@ -137,7 +140,7 @@ def test_solve_converges_where_the_constraint_is_active(params, reference):
 
 def test_solve_never_worse_than_grid_across_the_range():
     spec = make_problem("rosenbrock-1c")
-    params = sample_params(spec, 40, seed=3).values
+    params = sample_params(spec, 40, seed=3)
     params[:, 1] = np.linspace(0.0, 1.0, 40)
     cfg = OracleConfig()
     for p in params:
@@ -154,7 +157,7 @@ def test_method_names_the_winning_candidate():
     methods = []
     for name in ("rosenbrock-1c", "ackley-1c"):
         spec = make_problem(name)
-        for p in sample_params(spec, 4, seed=4).values:
+        for p in sample_params(spec, 4, seed=4):
             s = solve(spec, p)
             assert (s.method == "grid") == np.array_equal(s.x, grid_scan(spec, p).x), p
             methods.append(s.method)
@@ -163,7 +166,7 @@ def test_method_names_the_winning_candidate():
 
 def test_grid_mesh_cache_gives_the_same_bits():
     spec = make_problem("rosenbrock-1c")
-    params = sample_params(spec, 40, seed=5).values
+    params = sample_params(spec, 40, seed=5)
     cold = []
     for p in params:
         oracle._mesh.cache_clear()
@@ -183,7 +186,7 @@ def test_grid_scan_bits_do_not_depend_on_chunk_size(monkeypatch, name):
     # on the -3c problems no grid point is feasible, so the least-penalty
     # winner is compared across chunk borders
     spec = make_problem(name)
-    params = sample_params(spec, 20, seed=9).values
+    params = sample_params(spec, 20, seed=9)
     results = {}
     for chunk in (1000, 4096, 200_000):
         monkeypatch.setattr(oracle, "GRID_CHUNK", chunk)
@@ -204,7 +207,7 @@ def test_descent_rows_get_the_same_bits_as_alone(name, descent_lr):
     # ackley-1c origin) or the step cap, and at descent_lr=1e6 mostly by a
     # failed line search; the last row starts non-finite and never descends
     spec = make_problem(name)
-    p = sample_params(spec, 1, seed=21).values[0]
+    p = sample_params(spec, 1, seed=21)[0]
     rng = np.random.default_rng(22)
     X0 = np.vstack([rng.uniform(-6.0, 6.0, size=(10, 2)), [[0.0, 0.0], [np.inf, 1.0]]])
     shift = rng.uniform(0.01, 0.5, size=(len(X0), len(spec.inequalities)))
@@ -236,11 +239,47 @@ def test_config_validation():
         OracleConfig(starts=-1)
     with pytest.raises(ValueError):
         OracleConfig(descent_steps=0)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ConfigError) as info:
+            OracleConfig(feasible_tol=tol)
+        assert info.value.field == "feasible_tol"
     # the fixed-weight multiplier stages replaced the schedule and its exponent;
     # the box and the move tolerance are module constants
     for removed in ("eta_schedule", "gamma", "grid_bounds", "tolerance"):
         with pytest.raises(TypeError):
             OracleConfig(**{removed: 2.0})
+
+
+@pytest.mark.parametrize("oracle_fn", [solve, grid_scan], ids=["solve", "grid_scan"])
+@pytest.mark.parametrize(
+    "p,exc",
+    [([1.0], DimensionError), ([1.0, 1.0, 3.0], DimensionError),
+     ([float("nan"), 1.0], NonFiniteError), ([1.0, float("inf")], NonFiniteError)],
+    ids=["short", "long", "nan", "inf"],
+)
+def test_oracle_checks_params(oracle_fn, p, exc):
+    # the CLI rejects the same four vectors with exit 2
+    with pytest.raises(exc):
+        oracle_fn(make_problem("rosenbrock-1c"), np.array(p))
+
+
+def test_best_ranks_feasible_first_then_breaks_ties_by_x():
+    X = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 1.0], [-1.0, 5.0]])
+    tol = 1e-6
+    viol = np.array([0.0, 0.0, 0.0, 1.0])
+    pen = np.array([3.0, 2.0, 2.0, 0.5])
+    # feasible rows first, however low an infeasible row's penalty
+    assert oracle._best(X, np.array([3.0, 2.0, 1.0, 0.0]), viol, pen, tol) == 2
+    # a non-finite objective is never feasible
+    assert oracle._best(X, np.array([3.0, 2.0, np.inf, 0.0]), viol, pen, tol) == 1
+    # with no feasible row, the lowest penalty wins
+    assert oracle._best(X, np.zeros(4), np.ones(4), pen, tol) == 3
+    # an objective tie goes to the lexicographically smallest x: (0, 1) < (0, 2) < (1, 0)
+    assert oracle._best(X, np.array([1.0, 1.0, 1.0, 0.0]), viol, pen, tol) == 2
+    assert oracle._best(X, np.zeros(4), np.ones(4), np.full(4, np.inf), tol) == 3
+    # equal x and equal score: the first row
+    twins = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+    assert oracle._best(twins, np.array([2.0, 1.0, 1.0]), np.zeros(3), pen[:3], tol) == 1
 
 
 def test_grid_scan_rejects_high_dimensions():

@@ -89,12 +89,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PenaltyConfig(mode="magic")
     with pytest.raises(ValueError):
-        PenaltyConfig(eta_ineq=-1.0)
+        PenaltyConfig(eta=-1.0)
     with pytest.raises(ValueError):
         PenaltyConfig(indicator_big=0.0)
-    # one weight covers every constraint of its kind
+    # one weight covers every constraint
     with pytest.raises(ConfigError):
-        PenaltyConfig(eta_ineq=(1e6, 1e8))
+        PenaltyConfig(eta=(1e6, 1e8))
+    for removed in ("eta_ineq", "eta_eq"):
+        with pytest.raises(TypeError):
+            PenaltyConfig(**{removed: 1e8})
 
 
 def test_zero_penalty_inside_feasible_set():
@@ -127,7 +130,7 @@ def test_total_loss_reduces_to_objective_when_feasible():
 
 
 def test_loss_gradient_matches_finite_differences():
-    cfg = PenaltyConfig(eta_ineq=100.0, eta_eq=100.0)
+    cfg = PenaltyConfig(eta=100.0)
     rng = np.random.default_rng(3)
     checked = 0
     while checked < 30:
@@ -189,7 +192,7 @@ def test_batch_and_scalar_paths_agree():
 
 
 def test_shift_moves_the_residual_the_penalty_sees():
-    cfg = PenaltyConfig(eta_ineq=1e2, eta_eq=1e2)
+    cfg = PenaltyConfig(eta=1e2)
     X = np.array([[0.6, 0.7], [0.1, 0.2], [0.9, 0.9]])
     P = np.tile([1.0, 1.0], (3, 1))
     shift = np.array([[0.0], [0.5], [0.25]])

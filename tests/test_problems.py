@@ -149,14 +149,14 @@ def test_sample_params_within_ranges_and_deterministic():
     for name in ALL_NAMES:
         spec = make_problem(name)
         ps = sample_params(spec, 200, seed=42)
-        assert ps.values.shape == (200, spec.param_dim)
+        assert isinstance(ps, np.ndarray) and ps.shape == (200, spec.param_dim)
         for j, (lo, hi) in enumerate(spec.param_ranges):
-            col = ps.values[:, j]
+            col = ps[:, j]
             assert np.all(col >= lo) and np.all(col <= hi)
         again = sample_params(spec, 200, seed=42)
-        assert np.array_equal(ps.values, again.values)
+        assert np.array_equal(ps, again)
         other = sample_params(spec, 200, seed=43)
-        assert not np.array_equal(ps.values, other.values)
+        assert not np.array_equal(ps, other)
 
 
 def test_param_ranges_match_published_settings():

@@ -20,7 +20,6 @@ from penalearn import (
     save_model,
     train,
 )
-from penalearn.problems import ParamSet
 from penalearn.training import TRAIN_LOG_COLUMNS
 
 FAST = dict(epochs=40, sample_count=60, batch_size=20, log_every=10, seed=0)
@@ -163,9 +162,8 @@ def test_evaluate_rejects_mismatched_model():
 def test_evaluate_rejects_params_of_the_wrong_shape(values):
     spec = make_problem("rosenbrock-1c")
     net = init_mlp(spec.default_net_shape, seed=0)
-    params = ParamSet(values=values, seed=0)
-    for score in (lambda: evaluate(net, spec, params),
-                  lambda: run_benchmark(spec, net, OracleConfig(), params)):
+    for score in (lambda: evaluate(net, spec, values),
+                  lambda: run_benchmark(spec, net, OracleConfig(), values)):
         with pytest.raises(DimensionError, match=r"expected \(rows, 2\)"):
             score()
 

@@ -125,7 +125,7 @@ def forward_bytes(net, params, batch_size) -> bytes:
 def outputs():
     """Yield (artifact name, bytes to hash), in a fixed order."""
     for name in problem_names():
-        forward_params = sample_params(make_problem(name), 4096, 0).values
+        forward_params = sample_params(make_problem(name), 4096, 0)
         for seed in SEEDS:
             stem = f"{name}-s{seed}"
             common = ["--problem", name, "--seed", seed]
@@ -149,20 +149,20 @@ def outputs():
         lines = [
             run(["oracle", "--problem", name,
                  "--params=" + ",".join(repr(float(v)) for v in p)])
-            for p in sample_params(make_problem(name), 20, 0).values
+            for p in sample_params(make_problem(name), 20, 0)
         ]
         yield f"{name}.oracle.txt", drop_timing("".join(lines)).encode()
     for name in problem_names():
         spec = make_problem(name)
-        params = sample_params(spec, SOLVES, 0).values
+        params = sample_params(spec, SOLVES, 0)
         yield f"{name}.solve-x{SOLVES}", solution_bytes(spec, params)
     spec = make_problem("rosenbrock-1c")
-    params = sample_params(spec, 10, 0).values
+    params = sample_params(spec, 10, 0)
     params[:, 1] = np.linspace(0.88, 1.0, 10)
     yield "rosenbrock-1c.solve-c2-0.88-1", solution_bytes(spec, params)
     for name in problem_names():
         spec = make_problem(name)
-        params = sample_params(spec, DESCENTS, 0).values
+        params = sample_params(spec, DESCENTS, 0)
         yield f"{name}.descent-x{DESCENTS}", descent_bytes(spec, params)
 
 
