@@ -1,8 +1,8 @@
-"""Benchmark a trained net against the oracle and round-trip the CSV report.
+"""Benchmark a trained net against the oracle and write the CSV report.
 
 Shows the speed/accuracy report: per-instance rows (net answer, oracle
 answer, objective gap, violation, timings) plus aggregate lines, written as
-CSV and parsed back with exact float fidelity.  Runs in about 20 seconds.
+CSV with every float at 17 significant digits.  Runs in about 20 seconds.
 """
 
 import os
@@ -12,7 +12,6 @@ from penalearn import (
     TrainConfig,
     emit_csv,
     make_problem,
-    parse_csv,
     run_benchmark,
     sample_params,
     train,
@@ -42,11 +41,10 @@ def main():
     text = emit_csv(report)
     with open(path, "w") as fh:
         fh.write(text)
-    print(f"report -> {path}")
-
-    back = parse_csv(text)
-    assert back.rows == report.rows, "parse is not an exact inverse of emit"
-    print("parsed back: every float identical, aggregates recomputed from rows")
+    print(f"report -> {path}, ending in its aggregate lines:")
+    for line in text.splitlines():
+        if line.startswith("#"):
+            print(f"  {line}")
 
 
 if __name__ == "__main__":

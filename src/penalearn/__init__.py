@@ -7,7 +7,6 @@ multi-start penalized descent) scores the trained forward pass.
 """
 
 from .errors import (
-    BenchFormatError,
     ConfigError,
     DimensionError,
     ModelFormatError,
@@ -38,9 +37,7 @@ from .bench import (
     BenchReport,
     BenchRow,
     TableRepro,
-    aggregate_rows,
     emit_csv,
-    parse_csv,
     run_benchmark,
     table_repro,
 )

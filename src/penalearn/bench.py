@@ -5,36 +5,32 @@ objective gap, worst violation, timings) plus aggregate statistics, and
 reproduces the bundled reference instances whose interior-point baseline
 solutions are known.  The network's columns are ``training.evaluate``'s
 values, the same ones ``penalearn eval`` writes: one timed batch-1 forward
-per row, then one scoring pass.  Reports serialize to CSV with aggregates
-in a trailing ``#`` comment block; ``parse_csv(emit_csv(r))`` reconstructs
-``r`` exactly (timing columns included, since they are data once measured).
+per row, then one scoring pass.  ``emit_csv`` writes a report as CSV with
+the aggregates in a trailing ``#`` comment block.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import BenchFormatError, OracleError, UnsupportedError
+from .errors import OracleError, UnsupportedError
 from .nn import Mlp, mac_count
 from .oracle import OracleConfig, solve
 from .problems import ProblemSpec, make_problem
-from .training import evaluate
+from .training import columns, csv_text, evaluate
 
 FEAS_TOL_LOOSE = 0.1
 FEAS_TOL_STRICT = 1e-3
 
 
-def _float_eq(a: float, b: float) -> bool:
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
 @dataclass(frozen=True, eq=False)
 class BenchRow:
-    """One benchmark instance; oracle columns are NaN when the solve failed."""
+    """One benchmark instance; oracle columns are NaN when the solve failed.
+
+    ``eq=False``: a generated ``__eq__`` would compare arrays and raise."""
 
     params: np.ndarray
     x_dnn: np.ndarray
@@ -49,21 +45,6 @@ class BenchRow:
     @property
     def oracle_failed(self) -> bool:
         return not np.isfinite(self.t_oracle_ns)
-
-    def __eq__(self, other):
-        if not isinstance(other, BenchRow):
-            return NotImplemented
-        return (
-            np.array_equal(self.params, other.params, equal_nan=True)
-            and np.array_equal(self.x_dnn, other.x_dnn, equal_nan=True)
-            and np.array_equal(self.x_oracle, other.x_oracle, equal_nan=True)
-            and _float_eq(self.f0_dnn, other.f0_dnn)
-            and _float_eq(self.f0_oracle, other.f0_oracle)
-            and _float_eq(self.gap, other.gap)
-            and _float_eq(self.viol_dnn, other.viol_dnn)
-            and _float_eq(self.t_fwd_ns, other.t_fwd_ns)
-            and _float_eq(self.t_oracle_ns, other.t_oracle_ns)
-        )
 
 
 @dataclass(frozen=True)
@@ -85,57 +66,49 @@ class BenchAggregates:
 
 @dataclass(frozen=True, eq=False)
 class BenchReport:
+    """The rows of one benchmark run and the layer sizes of the net it scored."""
+
     problem: str
-    mac_count: int
+    layer_sizes: tuple[int, ...]
     rows: tuple[BenchRow, ...]
 
     @property
+    def mac_count(self) -> int:
+        return mac_count(self.layer_sizes)
+
+    @property
     def aggregates(self) -> BenchAggregates:
-        return aggregate_rows(self.rows, self.mac_count)
-
-    def __eq__(self, other):
-        if not isinstance(other, BenchReport):
-            return NotImplemented
-        return (
-            self.problem == other.problem
-            and self.mac_count == other.mac_count
-            and len(self.rows) == len(other.rows)
-            and all(a == b for a, b in zip(self.rows, other.rows))
+        """Every aggregate, computed from the rows alone."""
+        rows, macs = self.rows, self.mac_count
+        n = len(rows)
+        if n == 0:
+            nan = float("nan")
+            return BenchAggregates(False, 0, 0, nan, nan, nan, nan, nan, nan, nan, macs)
+        ok = [r for r in rows if not r.oracle_failed]
+        viol = np.array([r.viol_dnn for r in rows])
+        fwd = np.array([r.t_fwd_ns for r in rows])
+        if ok:
+            gaps = np.array([r.gap for r in ok])
+            oracle_t = np.array([r.t_oracle_ns for r in ok])
+            median_gap = float(np.median(gaps))
+            p95_gap = float(np.percentile(gaps, 95))
+            median_oracle = float(np.median(oracle_t))
+            speedup = median_oracle / float(np.median(fwd))
+        else:
+            median_gap = p95_gap = median_oracle = speedup = float("nan")
+        return BenchAggregates(
+            defined=True,
+            row_count=n,
+            failure_count=n - len(ok),
+            median_gap=median_gap,
+            p95_gap=p95_gap,
+            feasible_frac_loose=float(np.mean(viol <= FEAS_TOL_LOOSE)),
+            feasible_frac_strict=float(np.mean(viol <= FEAS_TOL_STRICT)),
+            median_t_fwd_ns=float(np.median(fwd)),
+            median_t_oracle_ns=median_oracle,
+            speedup=speedup,
+            mac_count=macs,
         )
-
-
-def aggregate_rows(rows, macs: int) -> BenchAggregates:
-    """Recompute every aggregate from the rows alone."""
-    n = len(rows)
-    if n == 0:
-        nan = float("nan")
-        return BenchAggregates(False, 0, 0, nan, nan, nan, nan, nan, nan, nan, macs)
-    ok = [r for r in rows if not r.oracle_failed]
-    failures = n - len(ok)
-    viol = np.array([r.viol_dnn for r in rows])
-    fwd = np.array([r.t_fwd_ns for r in rows])
-    if ok:
-        gaps = np.array([r.gap for r in ok])
-        oracle_t = np.array([r.t_oracle_ns for r in ok])
-        median_gap = float(np.median(gaps))
-        p95_gap = float(np.percentile(gaps, 95))
-        median_oracle = float(np.median(oracle_t))
-        speedup = median_oracle / float(np.median(fwd))
-    else:
-        median_gap = p95_gap = median_oracle = speedup = float("nan")
-    return BenchAggregates(
-        defined=True,
-        row_count=n,
-        failure_count=failures,
-        median_gap=median_gap,
-        p95_gap=p95_gap,
-        feasible_frac_loose=float(np.mean(viol <= FEAS_TOL_LOOSE)),
-        feasible_frac_strict=float(np.mean(viol <= FEAS_TOL_STRICT)),
-        median_t_fwd_ns=float(np.median(fwd)),
-        median_t_oracle_ns=median_oracle,
-        speedup=speedup,
-        mac_count=macs,
-    )
 
 
 def run_benchmark(
@@ -175,104 +148,31 @@ def run_benchmark(
                 t_oracle_ns=t_oracle,
             )
         )
-    return BenchReport(problem=spec.name, mac_count=mac_count(net.layer_sizes), rows=tuple(rows))
+    return BenchReport(problem=spec.name, layer_sizes=tuple(net.layer_sizes), rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
 # CSV serialization
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def emit_csv(report: BenchReport) -> str:
     """Rows first, then aggregates as ``#``-prefixed trailing comments."""
-    if report.rows:
-        d = report.rows[0].params.size
-        k = report.rows[0].x_dnn.size
-    else:
-        spec = make_problem(report.problem)
-        d, k = spec.param_dim, spec.decision_dim
-    header = (
-        [f"c{i + 1}" for i in range(d)]
-        + [f"x_dnn{i + 1}" for i in range(k)]
-        + [f"x_oracle{i + 1}" for i in range(k)]
-        + ["f0_dnn", "f0_oracle", "gap", "viol_dnn", "t_fwd_ns", "t_oracle_ns"]
-    )
-    lines = [",".join(header)]
-    for r in report.rows:
-        cells = (
-            [_fmt(v) for v in r.params]
-            + [_fmt(v) for v in r.x_dnn]
-            + [_fmt(v) for v in r.x_oracle]
-            + [_fmt(r.f0_dnn), _fmt(r.f0_oracle), _fmt(r.gap), _fmt(r.viol_dnn),
-               _fmt(r.t_fwd_ns), _fmt(r.t_oracle_ns)]
-        )
-        lines.append(",".join(cells))
+    d, k = report.layer_sizes[0], report.layer_sizes[-1]
+    header = (columns("c", d) + columns("x_dnn", k) + columns("x_oracle", k)
+              + ["f0_dnn", "f0_oracle", "gap", "viol_dnn", "t_fwd_ns", "t_oracle_ns"])
+    rows = ((*r.params.tolist(), *r.x_dnn.tolist(), *r.x_oracle.tolist(), r.f0_dnn,
+             r.f0_oracle, r.gap, r.viol_dnn, r.t_fwd_ns, r.t_oracle_ns) for r in report.rows)
     a = report.aggregates
-    lines.append(f"# problem={report.problem}")
-    lines.append(f"# mac_count={report.mac_count}")
-    lines.append(f"# rows={a.row_count} failures={a.failure_count} defined={int(a.defined)}")
-    lines.append(f"# median_gap={_fmt(a.median_gap)} p95_gap={_fmt(a.p95_gap)}")
-    lines.append(
-        f"# feasible_frac_at_0.1={_fmt(a.feasible_frac_loose)} "
-        f"feasible_frac_at_1e-3={_fmt(a.feasible_frac_strict)}"
-    )
-    lines.append(
-        f"# median_t_fwd_ns={_fmt(a.median_t_fwd_ns)} "
-        f"median_t_oracle_ns={_fmt(a.median_t_oracle_ns)} speedup={_fmt(a.speedup)}"
-    )
-    return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str) -> BenchReport:
-    """Inverse of emit_csv; aggregates are recomputed, not trusted."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise BenchFormatError("empty benchmark CSV")
-    meta = {}
-    for ln in lines:
-        if ln.startswith("#"):
-            for token in ln[1:].split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    meta[key] = value
-    if "problem" not in meta or "mac_count" not in meta:
-        raise BenchFormatError("missing problem/mac_count in aggregate comments")
-
-    header = lines[0].split(",")
-    d = sum(1 for h in header if h.startswith("c"))
-    k = sum(1 for h in header if h.startswith("x_dnn"))
-    expected = d + 2 * k + 6
-    if len(header) != expected or k == 0:
-        raise BenchFormatError(f"unrecognized header layout: {lines[0]!r}")
-
-    rows = []
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            continue
-        cells = ln.split(",")
-        if len(cells) != expected:
-            raise BenchFormatError(f"row has {len(cells)} cells, expected {expected}: {ln!r}")
-        try:
-            vals = [float(c) for c in cells]
-        except ValueError as exc:
-            raise BenchFormatError(f"non-numeric cell in row {ln!r}") from exc
-        rows.append(
-            BenchRow(
-                params=np.array(vals[:d]),
-                x_dnn=np.array(vals[d:d + k]),
-                x_oracle=np.array(vals[d + k:d + 2 * k]),
-                f0_dnn=vals[-6],
-                f0_oracle=vals[-5],
-                gap=vals[-4],
-                viol_dnn=vals[-3],
-                t_fwd_ns=vals[-2],
-                t_oracle_ns=vals[-1],
-            )
-        )
-    return BenchReport(problem=meta["problem"], mac_count=int(meta["mac_count"]), rows=tuple(rows))
+    return csv_text(header, rows, comments=(
+        {"problem": report.problem},
+        {"mac_count": report.mac_count},
+        {"rows": a.row_count, "failures": a.failure_count, "defined": a.defined},
+        {"median_gap": a.median_gap, "p95_gap": a.p95_gap},
+        {"feasible_frac_at_0.1": a.feasible_frac_loose,
+         "feasible_frac_at_1e-3": a.feasible_frac_strict},
+        {"median_t_fwd_ns": a.median_t_fwd_ns, "median_t_oracle_ns": a.median_t_oracle_ns,
+         "speedup": a.speedup},
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -366,27 +266,12 @@ class TableRepro:
     def csv(self) -> str:
         d = len(self.rows[0].params)
         k = self.rows[0].x_dnn.size
-        header = (
-            [f"c{i + 1}" for i in range(d)]
-            + [f"x_baseline{i + 1}" for i in range(k)]
-            + [f"x_oracle{i + 1}" for i in range(k)]
-            + [f"x_dnn{i + 1}" for i in range(k)]
-            + ["viol_oracle", "viol_dnn"]
-        )
-        lines = [",".join(header)]
-        for r in self.rows:
-            base = r.x_baseline if r.x_baseline is not None else (float("nan"),) * k
-            cells = (
-                [_fmt(v) for v in r.params]
-                + [_fmt(v) for v in base]
-                + [_fmt(v) for v in r.x_oracle]
-                + [_fmt(v) for v in r.x_dnn]
-                + [_fmt(r.viol_oracle), _fmt(r.viol_dnn)]
-            )
-            lines.append(",".join(cells))
-        if self.banner:
-            lines.append(f"# {self.banner}")
-        return "\n".join(lines) + "\n"
+        header = (columns("c", d) + columns("x_baseline", k) + columns("x_oracle", k)
+                  + columns("x_dnn", k) + ["viol_oracle", "viol_dnn"])
+        nan_base = (float("nan"),) * k
+        rows = ((*r.params, *(r.x_baseline or nan_base), *r.x_oracle.tolist(),
+                 *r.x_dnn.tolist(), r.viol_oracle, r.viol_dnn) for r in self.rows)
+        return csv_text(header, rows, comments=[self.banner] if self.banner else ())
 
 
 def table_repro(

@@ -18,7 +18,8 @@ class NonFiniteError(PenalearnError):
     """An input or an evaluated value is NaN or infinite.
 
     ``constraint_index`` is None when the objective itself is the offender,
-    otherwise the index of the failing constraint.  ``sample_index`` locates
+    otherwise the failing constraint's column in residual order: the
+    inequalities first, then the equalities.  ``sample_index`` locates
     the offending row in batch evaluations.
     """
 
@@ -80,10 +81,6 @@ def all_finite(a):
     it overflowed (entries of about 1e154 and up); only then is ``a`` scanned.
     """
     return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
-
-
-class BenchFormatError(PenalearnError):
-    """A benchmark report CSV could not be parsed."""
 
 
 class TrainingDivergedError(PenalearnError):

@@ -267,6 +267,8 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
     result is never worse than ``grid_scan``; with no feasible candidate, by
     objective + penalty at the default ``PenaltyConfig`` (a least-penalty
     compromise).  ``method`` says whether the grid point or a descent won;
+    when every start diverges, the grid point is the answer (``method`` is
+    "grid"), and with no grid point (k > 3) ``OracleError`` is raised.
     ``solve_time_s`` is the whole call's clock, grid scan included, and the
     bench's ``t_oracle_ns``.  ``p`` is checked by ``_params``.
     """
@@ -301,7 +303,7 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
         running[idx] = ok[idx] & ~settled
         if not running.any():
             break
-    if not ok.any():
+    if not ok.any() and grid_x is None:
         raise OracleError(f"all {X.shape[0]} starts diverged on {spec.name} at params "
                           f"{p.tolist()}: no start had a finite loss and gradient")
 

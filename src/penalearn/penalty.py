@@ -179,9 +179,12 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
             _require_finite(f0, g0, constraint_index=None)
         ce = problem.constraint_eval(x, p, grad=grad)
         if strict and not _all_finite(ce.ineq_values, ce.ineq_grads, ce.eq_values, ce.eq_grads):
-            for values, grads in ((ce.ineq_values, ce.ineq_grads), (ce.eq_values, ce.eq_grads)):
+            # numbered in residual column order, as ``shift``: inequalities first
+            for first, values, grads in ((0, ce.ineq_values, ce.ineq_grads),
+                                         (ce.n_ineq, ce.eq_values, ce.eq_grads)):
                 for i in range(values.shape[1]):
-                    _require_finite(values[:, i], None if grads is None else grads[:, i], i)
+                    _require_finite(values[:, i], None if grads is None else grads[:, i],
+                                    first + i)
 
         r_ineq, r_eq = ce.ineq_values, ce.eq_values
         if shift is not None:

@@ -46,6 +46,8 @@ TRAIN_LOG_COLUMNS = ("epoch", "mean_loss", "mean_objective", "mean_penalty",
                      "feasible_frac", "elapsed_s")
 # a batch mean loss above this stops training with TrainingDivergedError
 DIVERGENCE_LIMIT = 1e15
+# the one template every report CSV cell is written with
+_CELL = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,9 @@ class TrainLog:
         return self.entries[-1]
 
     def to_csv(self) -> str:
-        lines = [",".join(TRAIN_LOG_COLUMNS)]
-        for e in self.entries:
-            lines.append(
-                f"{e.epoch},{e.mean_loss:.17g},{e.mean_objective:.17g},"
-                f"{e.mean_penalty:.17g},{e.feasible_frac:.17g},{e.elapsed_s:.6f}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(TRAIN_LOG_COLUMNS, (
+            (e.epoch, e.mean_loss, e.mean_objective, e.mean_penalty, e.feasible_frac,
+             e.elapsed_s) for e in self.entries))
 
 
 @dataclass(frozen=True)
@@ -306,22 +304,35 @@ def evaluate(
     ]
 
 
+def columns(name: str, n: int) -> list[str]:
+    """Header cells ``name1`` to ``name<n>``."""
+    return [f"{name}{i + 1}" for i in range(n)]
+
+
+def csv_text(header, rows, comments=()) -> str:
+    """Every report CSV penalearn writes: ``header``, one line per row, then comments.
+
+    Each row is a tuple, written with one ``%.17g`` template, which prints a
+    float as text that parses back to the same bits, an int as itself and a
+    bool as 0 or 1.  Each comment becomes a ``# `` line: a string as it is,
+    a dict as ``key=value`` tokens whose numbers go through the same template.
+    """
+    template = ",".join([_CELL] * len(header))
+    lines = [",".join(header), *(template % row for row in rows)]
+    for c in comments:
+        if not isinstance(c, str):
+            c = " ".join(f"{k}={v if isinstance(v, str) else _CELL % v}" for k, v in c.items())
+        lines.append("# " + c)
+    return "\n".join(lines) + "\n"
+
+
 def eval_reports_csv(reports: Sequence[EvalReport]) -> str:
     """CSV over per-instance scorecards; one row per parameter vector."""
     if not reports:
         return "# empty evaluation\n"
-    d = reports[0].params.size
-    k = reports[0].x.size
-    header = (
-        [f"c{i + 1}" for i in range(d)]
-        + [f"x{i + 1}" for i in range(k)]
-        + ["f0", "max_ineq_violation", "max_eq_violation", "feasible", "t_fwd_ns"]
-    )
-    row = ",".join(["%.17g"] * (d + k + 3) + ["%d", "%.17g"])
-    lines = [",".join(header)]
-    for r in reports:
-        # tolist() hands %.17g Python floats: the same text as numpy scalars, sooner
-        lines.append(row % (*r.params.tolist(), *r.x.tolist(), r.objective,
-                            r.max_ineq_violation, r.max_eq_violation, r.feasible,
-                            r.forward_time_s * 1e9))
-    return "\n".join(lines) + "\n"
+    header = (columns("c", reports[0].params.size) + columns("x", reports[0].x.size)
+              + ["f0", "max_ineq_violation", "max_eq_violation", "feasible", "t_fwd_ns"])
+    # tolist() hands %.17g Python floats: the same text as numpy scalars, sooner
+    return csv_text(header, ((*r.params.tolist(), *r.x.tolist(), r.objective,
+                              r.max_ineq_violation, r.max_eq_violation, r.feasible,
+                              r.forward_time_s * 1e9) for r in reports))

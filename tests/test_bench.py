@@ -1,21 +1,19 @@
-"""Benchmark harness: rows, aggregates, CSV round trip, reference tables."""
+"""Benchmark harness: rows, aggregates, CSV text, reference tables."""
 
 import numpy as np
 import pytest
 
 from penalearn import (
-    BenchFormatError,
     BenchReport,
     DimensionError,
     OracleConfig,
     ProblemSpec,
     UnsupportedError,
-    aggregate_rows,
     emit_csv,
+    eval_reports_csv,
     evaluate,
     init_mlp,
     make_problem,
-    parse_csv,
     problem_names,
     run_benchmark,
     sample_params,
@@ -52,8 +50,7 @@ def test_gap_nonnegative_when_both_feasible(small_report):
 def test_aggregates_recomputable_from_rows(small_report):
     _, _, report = small_report
     a = report.aggregates
-    b = aggregate_rows(report.rows, report.mac_count)
-    assert a == b
+    assert BenchReport(report.problem, report.layer_sizes, report.rows).aggregates == a
     assert a.defined and a.row_count == 6 and a.failure_count == 0
     assert 0.0 <= a.feasible_frac_strict <= a.feasible_frac_loose <= 1.0
     gaps = sorted(r.gap for r in report.rows)
@@ -61,22 +58,57 @@ def test_aggregates_recomputable_from_rows(small_report):
     assert a.speedup > 1.0
 
 
+def _cells(row):
+    return [*row.params, *row.x_dnn, *row.x_oracle, row.f0_dnn, row.f0_oracle, row.gap,
+            row.viol_dnn, row.t_fwd_ns, row.t_oracle_ns]
+
+
+def _comment_values(lines):
+    """The ``key=value`` tokens of the ``#`` lines, values as text."""
+    return dict(t.split("=", 1) for ln in lines if ln.startswith("# ") for t in ln[2:].split())
+
+
 def test_csv_round_trip_exact(small_report):
+    # every cell, timings included, reads back as the float it was written from
     _, _, report = small_report
-    text = emit_csv(report)
-    assert parse_csv(text) == report
-    assert "# problem=rosenbrock-1c" in text
-    assert "# mac_count=480" in text
-    assert text.splitlines()[0].startswith("c1,c2,x_dnn1,x_dnn2,x_oracle1,x_oracle2,")
+    lines = emit_csv(report).splitlines()
+    assert lines[0] == ("c1,c2,x_dnn1,x_dnn2,x_oracle1,x_oracle2,"
+                        "f0_dnn,f0_oracle,gap,viol_dnn,t_fwd_ns,t_oracle_ns")
+    body = lines[1:1 + len(report.rows)]
+    for line, row in zip(body, report.rows, strict=True):
+        cells = [float(c) for c in line.split(",")]
+        assert np.array_equal(cells, _cells(row))
+    comments = lines[1 + len(report.rows):]
+    assert comments[:3] == ["# problem=rosenbrock-1c", "# mac_count=480",
+                            "# rows=6 failures=0 defined=1"]
+    assert len(comments) == 6
+    a = report.aggregates
+    values = {k: float(v) for k, v in _comment_values(comments[3:]).items()}
+    assert values == {
+        "median_gap": a.median_gap, "p95_gap": a.p95_gap,
+        "feasible_frac_at_0.1": a.feasible_frac_loose,
+        "feasible_frac_at_1e-3": a.feasible_frac_strict,
+        "median_t_fwd_ns": a.median_t_fwd_ns, "median_t_oracle_ns": a.median_t_oracle_ns,
+        "speedup": a.speedup,
+    }
 
 
 def test_empty_report_flags_undefined():
-    empty = BenchReport(problem="rosenbrock-1c", mac_count=480, rows=())
+    empty = BenchReport(problem="rosenbrock-1c", layer_sizes=(2, 20, 20, 2), rows=())
     a = empty.aggregates
     assert not a.defined
     assert a.row_count == 0
     assert np.isnan(a.median_gap)
-    assert parse_csv(emit_csv(empty)) == empty
+    assert emit_csv(empty).splitlines() == [
+        "c1,c2,x_dnn1,x_dnn2,x_oracle1,x_oracle2,"
+        "f0_dnn,f0_oracle,gap,viol_dnn,t_fwd_ns,t_oracle_ns",
+        "# problem=rosenbrock-1c",
+        "# mac_count=480",
+        "# rows=0 failures=0 defined=0",
+        "# median_gap=nan p95_gap=nan",
+        "# feasible_frac_at_0.1=nan feasible_frac_at_1e-3=nan",
+        "# median_t_fwd_ns=nan median_t_oracle_ns=nan speedup=nan",
+    ]
 
 
 def _failing_oracle_spec():
@@ -111,25 +143,38 @@ def test_oracle_failures_are_flagged_not_fatal():
     for row in report.rows:
         assert row.oracle_failed
         assert np.all(np.isnan(row.x_oracle))
-    # NaN-bearing rows survive the round trip
-    assert parse_csv(emit_csv(report)) == report
+    # the failed solves' cells are written as nan
+    lines = emit_csv(report).splitlines()
+    for line in lines[1:4]:
+        cells = line.split(",")
+        assert cells[8:12] == ["nan"] * 4  # x_oracle1-4
+        assert cells[13] == cells[14] == cells[-1] == "nan"  # f0_oracle, gap, t_oracle_ns
+    assert lines[6] == "# rows=3 failures=3 defined=1"
+    assert lines[7] == "# median_gap=nan p95_gap=nan"
 
 
-def test_parse_rejects_malformed_input():
-    with pytest.raises(BenchFormatError):
-        parse_csv("")
-    with pytest.raises(BenchFormatError):
-        parse_csv("a,b,c\n1,2,3\n")  # no aggregate comments
-    good = emit_csv(BenchReport(problem="rosenbrock-1c", mac_count=480, rows=()))
-    header = good.splitlines()[0]
-    with pytest.raises(BenchFormatError):
-        parse_csv(good.replace(header, header + ",extra"))
-    row_bad = header + "\n" + ",".join(["x"] * len(header.split(","))) + "\n# problem=rosenbrock-1c\n# mac_count=480\n"
-    with pytest.raises(BenchFormatError):
-        parse_csv(row_bad)
-    short_row = header + "\n1.0,2.0\n# problem=rosenbrock-1c\n# mac_count=480\n"
-    with pytest.raises(BenchFormatError):
-        parse_csv(short_row)
+def test_emit_csv_on_an_empty_report_outside_the_registry():
+    # the header's widths come from the net's layer sizes, not a registry lookup
+    spec = _failing_oracle_spec()
+    report = run_benchmark(spec, init_mlp((4, 8, 4), seed=0), OracleConfig(), np.zeros((0, 4)))
+    lines = emit_csv(report).splitlines()
+    assert lines[0] == ("c1,c2,c3,c4,x_dnn1,x_dnn2,x_dnn3,x_dnn4,"
+                        "x_oracle1,x_oracle2,x_oracle3,x_oracle4,"
+                        "f0_dnn,f0_oracle,gap,viol_dnn,t_fwd_ns,t_oracle_ns")
+    assert lines[1:4] == ["# problem=sphere-4d", "# mac_count=64",
+                          "# rows=0 failures=0 defined=0"]
+
+
+def test_bench_csv_net_cells_are_the_eval_csv_cells(small_report):
+    spec, net, report = small_report
+    params = np.array([r.params for r in report.rows])
+    bench = [ln.split(",") for ln in emit_csv(report).splitlines()]
+    evals = [ln.split(",") for ln in eval_reports_csv(evaluate(net, spec, params)).splitlines()]
+    assert bench[0][:4] == ["c1", "c2", "x_dnn1", "x_dnn2"] and bench[0][6] == "f0_dnn"
+    assert evals[0][:5] == ["c1", "c2", "x1", "x2", "f0"]
+    for b, e in zip(bench[1:1 + len(report.rows)], evals[1:], strict=True):
+        assert b[:4] == e[:4]  # c1, c2, x_dnn1, x_dnn2 against c1, c2, x1, x2
+        assert b[6] == e[4]  # f0_dnn against f0
 
 
 def test_table_cases_cover_registry():

@@ -124,14 +124,16 @@ def test_out_of_range_params_warn_on_stderr_only(argv, warned, tmp_path, capsys)
     assert "warning" not in captured.out
 
 
-def test_oracle_names_params_where_no_start_can_be_evaluated(capsys):
-    # c1 = 1e308 overflows every start's gradient; the library accepts finite
-    # params, so this is an OracleError (exit 1), not a usage error
-    assert run(["oracle", "--problem", "rosenbrock-1c", "--params", "1e308,1"]) == 1
-    err = capsys.readouterr().err.splitlines()
+def test_oracle_answers_with_the_grid_point_where_no_start_can_be_evaluated(capsys):
+    # c1 = 1e308 overflows every start's gradient; the grid point still has a
+    # finite objective, so it is the answer (exit 0), with a range warning
+    assert run(["oracle", "--problem", "rosenbrock-1c", "--params", "1e308,1"]) == 0
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1
     assert err[0].startswith("penalearn: warning: --params c1 = 1e+308 is outside")
-    assert err[1] == ("penalearn: OracleError: all 17 starts diverged on rosenbrock-1c at "
-                      "params [1e+308, 1.0]: no start had a finite loss and gradient")
+    assert captured.out.startswith("problem=rosenbrock-1c params=(1e+308, 1) x=(0, 0) "
+                                   "objective=1 max_violation=0.000e+00 method=grid time_s=")
 
 
 def test_bench_and_table(tmp_path, capsys):

@@ -193,6 +193,22 @@ def _spoil(a, index, value):
     return a
 
 
+def _nan_equality():
+    """One feasible inequality (x1 <= 10), then one equality (x2 = 0) that is NaN at row 2."""
+    def coordinate(j, row=None):
+        def fn(X, P):
+            g = np.zeros_like(X)
+            g[:, j] = 1.0
+            return (X[:, j] if row is None else _spoil(X[:, j].copy(), row, np.nan)), g
+        return fn
+
+    return ProblemSpec(name="toy-mixed", decision_dim=2, param_dim=1,
+                       objective=lambda X, P: ((X**2).sum(axis=1), 2 * X),
+                       inequalities=(Constraint(coordinate(0), 10.0),),
+                       equalities=(Constraint(coordinate(1, row=2), 0.0),),
+                       param_ranges=((0.0, 1.0),))
+
+
 @pytest.mark.parametrize("mode", ["piecewise", "indicator"])
 @pytest.mark.parametrize("spec, where, message", [
     # a -inf residual carries no penalty, so the loss alone would stay finite
@@ -201,8 +217,10 @@ def _spoil(a, index, value):
     (_toy(constraint_grad=_spoil(np.ones((6, 2)), (2, 0), np.nan)), (0, 2), "constraint 0 gradient"),
     (_toy(constraint_grad=_spoil(np.ones((6, 2)), (5, 1), np.inf)), (0, 5), "constraint 0 gradient"),
     (_toy(objective_grad_nan_row=3), (None, 3), "objective gradient"),
+    # numbered in residual column order, as the oracle's shift: inequalities first
+    (_nan_equality(), (1, 2), "constraint 1 evaluated"),
 ], ids=["-inf residual", "nan constraint gradient", "inf constraint gradient",
-        "nan objective gradient"])
+        "nan objective gradient", "nan equality"])
 def test_strict_mode_names_values_the_loss_does_not_show(spec, where, message, mode):
     X = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
     with pytest.raises(NonFiniteError, match=message) as info:

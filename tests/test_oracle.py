@@ -298,6 +298,24 @@ def test_solve_with_no_starts_raises():
         solve(_sphere_4d(), np.zeros(4), OracleConfig(starts=0))
 
 
+@pytest.mark.parametrize("name, p", [
+    ("rosenbrock-1c", (5e307, 1.0)),
+    ("rosenbrock-1c", (1e308, 1.0)),
+    ("rosenbrock-1c", (1.7e308, 1.0)),
+    ("rosenbrock-3c", (1e308, 1.0)),
+    ("ackley-1c", (20.0, 0.2, 0.5, 1e308, 20.0)),
+    ("ackley-3c", (20.0, 0.2, 0.5, 1e308, 20.0)),
+])
+def test_solve_answers_with_the_grid_point_when_every_start_diverges(name, p):
+    # the objective's gradient overflows to nan at every start, the grid's included
+    spec = make_problem(name)
+    sol = solve(spec, p)
+    grid = grid_scan(spec, p)
+    assert sol.method == "grid"
+    assert np.array_equal(sol.x, grid.x)
+    assert (sol.objective, sol.max_violation) == (grid.objective, grid.max_violation)
+
+
 def test_solve_with_grid_seed_only():
     # starts=0 still works in low dimension: the grid point seeds the descent
     spec = make_problem("rosenbrock-1c")
