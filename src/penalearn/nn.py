@@ -1,13 +1,15 @@
 """Dense MLP forward/backward pass, ADAM updates, and the MAC-count cost model.
 
-Everything is plain float64 numpy.  Networks are value objects: forward passes
-share them freely, and updates return new instances instead of mutating.
-Inside a call, fresh arrays are written in place: the backward pass writes
-each weight and bias gradient straight into the flat gradient and forms
-tanh' in place, and the ADAM step builds its new moments and parameters in
-its own fresh arrays.  A net, trace, gradient or state passed in is never
-written, and each value goes through the same operations in the same order
-as the out-of-place formulas, so the bits are the same.
+Everything is plain float64 numpy.  A forward pass never writes its net.
+``mlp_backward`` and ``adam_step`` write their results into an ``out`` the
+caller owns, or into fresh outputs when ``out`` is None; ``train`` keeps one
+gradient buffer per call and steps its net and state in place, so no step
+allocates a net or rebinds its views.  A trace, upstream or gradient passed
+in is never written, and each value goes through the same operations in the
+same order as the out-of-place formulas, so the bits are the same either way.
+The backward pass calls ``np.dot(..., out=)``, ``ndarray.dot`` and
+``np.add.reduce``: the bits of ``np.matmul``, ``@`` and ``ndarray.sum``, with
+less per-call overhead.
 
 The forward pass makes one array per layer: the matrix product allocates it,
 and the bias add and tanh then work in place.  At large batches most of a
@@ -208,7 +210,7 @@ def mlp_forward(net: Mlp, batch: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     for wt, b_row in layers[:-1]:
         a = a.dot(wt)  # a fresh array; `batch` is never written
         a += b_row
-        np.tanh(a, out=a)
+        np.tanh(a, a)
         post.append(a)
     wt, b_row = layers[-1]
     a = a.dot(wt)
@@ -232,7 +234,7 @@ def _check_trace(net: Mlp, trace: ForwardTrace):
 
 
 def mlp_backward(
-    net: Mlp, trace: ForwardTrace, upstream: np.ndarray
+    net: Mlp, trace: ForwardTrace, upstream: np.ndarray, out: Mlp | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-mode gradients for the summed batch loss.
 
@@ -240,6 +242,11 @@ def mlp_backward(
     gradient of sum-over-batch L with respect to every parameter, as one flat
     vector in the layout of ``net.params``, plus dL/d(input) per sample for
     diagnostics.
+
+    ``out``, an Mlp of ``net.layer_sizes``, receives the gradient: each
+    weight and bias gradient is written straight into its bound view, and
+    the flat vector returned is ``out.params``.  A training loop passes the
+    same buffer at every step; ``None`` allocates a fresh one.
     """
     upstream = np.asarray(upstream, dtype=float)
     _check_trace(net, trace)
@@ -248,27 +255,33 @@ def mlp_backward(
             f"upstream has shape {upstream.shape}, expected "
             f"({trace.batch_size}, {net.output_dim})"
         )
+    if out is None:
+        out = Mlp._from_params(net.layer_sizes, np.empty_like(net.params))
+    elif not isinstance(out, Mlp) or out.layer_sizes != net.layer_sizes:
+        raise DimensionError(
+            f"gradient buffer must be an Mlp of layer sizes {net.layer_sizes}, got "
+            f"{getattr(out, 'layer_sizes', type(out).__name__)}"
+        )
 
-    grad = np.empty_like(net.params)
-    weight_grads, bias_grads = _split(net.layer_sizes, grad)
     delta = upstream  # identity output layer: dL/dz_last = upstream
     for t in range(net.num_layers - 1, -1, -1):
         a_prev = trace.inputs if t == 0 else trace.post_activations[t - 1]
-        np.matmul(delta.T, a_prev, out=weight_grads[t])
-        delta.sum(axis=0, out=bias_grads[t])
-        delta = delta @ net.weights[t]  # a fresh array; `upstream` is never written
+        np.dot(delta.T, a_prev, out=out.weights[t])
+        np.add.reduce(delta, 0, None, out.biases[t])  # delta.sum(axis=0, out=...)
+        delta = delta.dot(net.weights[t])  # a fresh array; `upstream` is never written
         if t > 0:
             # tanh'(z) = 1 - tanh(z)^2, and post_activations[t-1] = tanh(z)
             slope = a_prev ** 2
             np.subtract(1.0, slope, out=slope)
             delta *= slope
-    return grad, delta
+    return out.params, delta
 
 
 @dataclass(frozen=True)
 class AdamState:
     """First/second moment vectors, in the layout of ``Mlp.params``, plus the
-    ADAM hyperparameters."""
+    ADAM hyperparameters.  ``adam_step(..., out=(net, state))`` updates
+    ``m``, ``v`` and ``step_count`` in place."""
 
     m: np.ndarray
     v: np.ndarray
@@ -291,36 +304,57 @@ class AdamState:
         )
 
 
-def adam_step(net: Mlp, state: AdamState, grad: np.ndarray) -> tuple[Mlp, AdamState]:
+def adam_step(
+    net: Mlp, state: AdamState, grad: np.ndarray,
+    out: tuple[Mlp, AdamState] | None = None,
+) -> tuple[Mlp, AdamState]:
     """One bias-corrected ADAM update; returns the new net and state.
 
     ``grad`` is a flat gradient in the layout of ``net.params``.  Update:
     m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2, then
     param <- param - lr * m_hat / sqrt(v_hat + eps) with the usual 1-b^t
-    bias corrections.  The inputs are left unchanged.
+    bias corrections.
+
+    ``out=(net, state)`` steps in place: the new parameters, moments and
+    step count are written into that net's ``params`` and that state's
+    ``m``, ``v`` and ``step_count``, which are returned.  The net's bound
+    views stay valid, so its next forward needs no rebuild.  ``None``
+    writes into a fresh net and state and leaves the inputs unchanged.
     """
-    if not np.shape(grad) == state.m.shape == state.v.shape == net.params.shape:
-        raise DimensionError(
-            f"gradient and ADAM moments must have shape {net.params.shape}, got "
-            f"{np.shape(grad)}, {state.m.shape} and {state.v.shape}"
-        )
     b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.learning_rate
     t = state.step_count + 1
+    if out is None:
+        out = (Mlp._from_params(net.layer_sizes, np.empty_like(net.params)),
+               AdamState(np.empty_like(state.m), np.empty_like(state.v), t, b1, b2, eps, lr))
+    new_net, new_state = out
+    shapes = (np.shape(grad), state.m.shape, state.v.shape,
+              new_net.params.shape, new_state.m.shape, new_state.v.shape)
+    if shapes.count(net.params.shape) != len(shapes):
+        raise DimensionError(
+            f"gradient, ADAM moments and outputs must have shape {net.params.shape}, "
+            f"got {shapes}"
+        )
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    # the formulas above, operation for operation, written into fresh arrays
-    m = b1 * state.m
-    m += (1.0 - b1) * grad
-    v = (1.0 - b2) * grad
-    v *= grad
-    v += b2 * state.v
-    den = v / c2
+    # the formulas above, operation for operation, with `step` and `den` as
+    # the two scratch vectors; each old moment is read before its output,
+    # which may be the same array, is written
+    m, v = new_state.m, new_state.v
+    step = (1.0 - b1) * grad
+    np.multiply(b1, state.m, out=m)
+    m += step
+    den = (1.0 - b2) * grad
+    den *= grad
+    np.multiply(b2, state.v, out=v)
+    v += den  # b2*v + (1-b2)*g*g: addition commutes exactly
+    np.divide(v, c2, out=den)
     den += eps
-    step = m / c1
+    np.divide(m, c1, out=step)
     step *= lr
     step /= np.sqrt(den, out=den)
-    np.subtract(net.params, step, out=step)
-    return Mlp._from_params(net.layer_sizes, step), AdamState(m, v, t, b1, b2, eps, lr)
+    np.subtract(net.params, step, out=new_net.params)
+    object.__setattr__(new_state, "step_count", t)
+    return new_net, new_state
 
 
 def mac_count(layer_sizes) -> int:

@@ -184,7 +184,9 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
 
     Each epoch visits all samples in shuffled minibatches; the per-batch
     parameter gradient is the gradient of the batch mean of objective +
-    penalty.  Fully deterministic for a fixed config.
+    penalty.  Every step calls ``mlp_forward``, ``loss_terms_batch``,
+    ``mlp_backward`` and ``adam_step`` once each.  Fully deterministic for a
+    fixed config.
     """
     shape = resolve_net_shape(spec, cfg)
     raw = sample_params(spec, cfg.sample_count, cfg.seed)
@@ -200,6 +202,9 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
         epsilon=cfg.adam_epsilon,
     )
     shuffle_rng = np.random.default_rng((cfg.seed, 2))
+    # every step's gradient lands in this one buffer, and ADAM updates `net`
+    # and `state` in place, so no step rebuilds a net's views
+    grad_buf = Mlp._from_params(shape, np.zeros_like(net.params))
 
     t0 = time.perf_counter()
     entries = [_log_entry(0, net, inputs, raw, spec, cfg, t0)]
@@ -216,8 +221,8 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
                 outputs, epoch_raw[batch], spec, cfg, epoch, idx
             )
             upstream = grad_x / idx.size  # gradient of the batch mean
-            grads, _ = mlp_backward(net, trace, upstream)
-            net, state = adam_step(net, state, grads)
+            grads, _ = mlp_backward(net, trace, upstream, out=grad_buf)
+            adam_step(net, state, grads, out=(net, state))
         if epoch % cfg.log_every == 0 or epoch == cfg.epochs:
             entries.append(_log_entry(epoch, net, inputs, raw, spec, cfg, t0))
 

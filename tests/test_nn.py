@@ -162,6 +162,10 @@ def test_backward_rejects_stale_trace():
     _, other_input = mlp_forward(init_mlp((3, 3, 1), seed=0), np.zeros((4, 3)))
     with pytest.raises(TraceError, match="input dim"):
         mlp_backward(net, other_input, upstream)
+    _, trace = mlp_forward(net, np.zeros((4, 2)))
+    for buf in (init_mlp((2, 4, 1)), np.zeros(net.params.size)):
+        with pytest.raises(DimensionError, match="gradient buffer"):
+            mlp_backward(net, trace, upstream, out=buf)
 
 
 def _loss_and_param_grads(net, batch, upstream):
@@ -299,6 +303,55 @@ def test_adam_rejects_mismatched_gradient():
     state = AdamState.for_net(net)
     with pytest.raises(DimensionError):
         adam_step(net, state, np.zeros(net.params.size + 1))
+    other = init_mlp((2, 4, 1))
+    for out in ((other, state), (net, AdamState.for_net(other))):
+        with pytest.raises(DimensionError):
+            adam_step(net, state, np.zeros_like(net.params), out=out)
+
+
+def _steps_with_buffers(net, state, batches, in_place):
+    """Forward, backward and ADAM over ``batches``; returns the last net and
+    state and each step's gradient."""
+    grads = []
+    buf = init_mlp(net.layer_sizes, seed=99) if in_place else None
+    for batch, upstream in batches:
+        _, trace = mlp_forward(net, batch)
+        g, _ = mlp_backward(net, trace, upstream, out=buf)
+        grads.append(g.copy())
+        net, state = adam_step(net, state, g, out=(net, state) if in_place else None)
+    return net, state, grads
+
+
+def test_in_place_steps_match_the_default_path_bits():
+    rng = np.random.default_rng(41)
+    shape = (3, 5, 4, 2)
+    batches = [(rng.uniform(-1, 1, (6, 3)), rng.normal(size=(6, 2))) for _ in range(5)]
+    runs = []
+    for in_place in (False, True):
+        net = init_mlp(shape, seed=8)
+        state = AdamState.for_net(net, learning_rate=3e-3, beta1=0.8, beta2=0.99)
+        runs.append((net, state, *_steps_with_buffers(net, state, batches, in_place)))
+    (net0, state0, new0, st0, g0), (net1, state1, new1, st1, g1) = runs
+    assert new1 is net1 and st1 is state1, "out=(net, state) must step in place"
+    assert new0 is not net0 and state0.step_count == 0
+    assert all(np.array_equal(a, b) for a, b in zip(g0, g1))
+    assert np.array_equal(new0.params, new1.params)
+    assert np.array_equal(st0.m, st1.m) and np.array_equal(st0.v, st1.v)
+    assert st0.step_count == st1.step_count == 5
+
+
+def test_in_place_step_keeps_the_forward_views_bound():
+    rng = np.random.default_rng(43)
+    net = init_mlp((2, 6, 3), seed=2)
+    state = AdamState.for_net(net, learning_rate=0.1)
+    batch = rng.uniform(-1, 1, (5, 2))
+    before, trace = mlp_forward(net, batch)
+    grads, _ = mlp_backward(net, trace, rng.normal(size=(5, 3)))
+    adam_step(net, state, grads, out=(net, state))
+    rebuilt = Mlp(layer_sizes=net.layer_sizes, weights=net.weights, biases=net.biases)
+    after = mlp_forward(net, batch)[0]
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, mlp_forward(rebuilt, batch)[0])
 
 
 def test_net_equality_is_identity():

@@ -20,6 +20,7 @@ from penalearn import (
     save_model,
     train,
 )
+from penalearn import training
 from penalearn.training import TRAIN_LOG_COLUMNS
 
 FAST = dict(epochs=40, sample_count=60, batch_size=20, log_every=10, seed=0)
@@ -35,6 +36,18 @@ def test_net_shape_override():
     spec = make_problem("rosenbrock-1c")
     net, _ = train(spec, TrainConfig(net_shape=(2, 6, 2), **FAST))
     assert net.layer_sizes == (2, 6, 2)
+
+
+def test_each_step_calls_backward_then_adam_through_the_module_names(monkeypatch):
+    # perfbench times backward and ADAM by wrapping these two names
+    calls = []
+    for name in ("mlp_backward", "adam_step"):
+        def counted(*args, _name=name, _original=getattr(training, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(training, name, counted)
+    train(make_problem("rosenbrock-1c"), TrainConfig(sample_count=20, batch_size=10, epochs=2))
+    assert calls == ["mlp_backward", "adam_step"] * 4
 
 
 def test_log_covers_epoch_zero_log_points_and_final():
