@@ -14,6 +14,12 @@ after 12 stages.  Descent runs all starts as one batch, which a start leaves
 as soon as it finishes, with Barzilai-Borwein step lengths under a
 nonmonotone backtracking safeguard; ``descent_lr`` is the initial and
 fallback step size.
+
+The grid scan evaluates the constraints at every grid point and the objective
+only where they hold; only when no grid point is feasible with a finite
+objective does it evaluate objective + penalty everywhere.  ``grid_scan`` and
+``solve`` run with numpy's floating-point warnings silenced: the oracle ranks
+overflowed and NaN values as non-finite instead.
 """
 
 from __future__ import annotations
@@ -102,19 +108,23 @@ def _rank_values(spec, P, X):
     return f0, np.maximum(max_ineq, max_eq), pen
 
 
-def _best(X, f0, viol, pen, tol) -> int:
-    """The oracle's one ranking rule: the index of the best row.
-
-    Feasible rows (``viol <= tol``, finite ``f0``) rank by ``f0``; with none,
-    rows rank by ``pen``.  Ties go to the lexicographically smallest x, then
-    to the first row."""
-    feas = (viol <= tol) & np.isfinite(f0)
-    score = np.where(feas, f0, np.inf) if feas.any() else pen
+def _lowest(X, score) -> int:
+    """The index of the lowest ``score``; ties go to the lexicographically
+    smallest x, then to the first row."""
     tied = np.flatnonzero(score == score.min())
     if tied.size == 1:
         return int(tied[0])
     # lexsort is stable and sorts by its last key first
     return int(tied[np.lexsort(X[tied].T[::-1])[0]])
+
+
+def _best(X, f0, viol, pen, tol) -> int:
+    """The oracle's one ranking rule: the index of the best row.
+
+    Feasible rows (``viol <= tol``, finite ``f0``) rank by ``f0``; with none,
+    rows rank by ``pen``.  Ties go as in ``_lowest``."""
+    feas = (viol <= tol) & np.isfinite(f0)
+    return _lowest(X, np.where(feas, f0, np.inf) if feas.any() else pen)
 
 
 def _answer(spec, p, X, cfg: OracleConfig, t0, grid_first) -> OracleSolution:
@@ -139,13 +149,38 @@ def _mesh(dim: int, points_per_dim: int) -> np.ndarray:
     return points
 
 
+def _feasible_best(spec, P, X, tol):
+    """A chunk's best feasible row as (x, f0), or ``None`` if it has none.
+
+    The constraints are evaluated at every row, the objective only at rows
+    whose worst violation is at most ``tol``; a feasible row also needs a
+    finite objective, as in ``_best``."""
+    max_ineq, max_eq, _ = spec.constraint_eval(X, P[:X.shape[0]], grad=False).violations()
+    X = X[np.maximum(max_ineq, max_eq) <= tol]
+    if not X.shape[0]:
+        return None
+    f0, _ = spec.objective(X, P[:X.shape[0]], grad=False)
+    f0 = np.where(np.isfinite(f0), f0, np.inf)
+    i = _lowest(X, f0)
+    return (X[i], f0[i]) if f0[i] < np.inf else None
+
+
+@np.errstate(all="ignore")
 def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSolution:
     """Exhaustive scan of a regular grid over the box [-6, 6]^k.
 
     Returns the feasible grid point with the lowest objective, or, when no
     grid point is feasible, the point minimizing objective + penalty at the
-    default ``PenaltyConfig`` weight; ``_best`` ranks, as in ``solve``.  The
-    scan reads values only.  ``p`` is checked by ``_params``.
+    default ``PenaltyConfig`` weight; ``_best`` ranks, as in ``solve``.
+
+    Feasibility comes first: each 4,096-point chunk evaluates the constraints
+    (values only) at every point and the objective only at its feasible
+    points.  ``_best``'s order is total (objective, then x), so the best of
+    the chunks' best feasible points is the point a full scan ranks first.
+    Only when no grid point is feasible with a finite objective is every
+    chunk evaluated in full, objective + penalty, and ranked by ``_best``
+    within the chunk and then across the chunk winners.  ``p`` is checked by
+    ``_params``.
     """
     p = _params(spec, p)
     k = spec.decision_dim
@@ -154,15 +189,19 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
     t0 = time.perf_counter()
 
     points = _mesh(k, cfg.grid_points_per_dim)
+    chunks = [points[lo:lo + GRID_CHUNK] for lo in range(0, points.shape[0], GRID_CHUNK)]
     P = np.broadcast_to(p, (GRID_CHUNK, p.size))
-    winners = []  # each chunk's best row: (x, f0, viol, pen), as evaluated in its chunk
-    for lo_idx in range(0, points.shape[0], GRID_CHUNK):
-        X = points[lo_idx:lo_idx + GRID_CHUNK]
-        ranks = _rank_values(spec, P[:X.shape[0]], X)
-        i = _best(X, *ranks, cfg.feasible_tol)
-        winners.append((X[i], *(r[i] for r in ranks)))
-    X, f0, viol, pen = (np.array(column) for column in zip(*winners))
-    x_best = X[_best(X, f0, viol, pen, cfg.feasible_tol)]
+    winners = [w for X in chunks if (w := _feasible_best(spec, P, X, cfg.feasible_tol))]
+    if winners:
+        X, f0 = (np.array(column) for column in zip(*winners))
+        x_best = X[_lowest(X, f0)]
+    else:
+        for X in chunks:  # each chunk's best row: (x, f0, viol, pen), as evaluated in its chunk
+            ranks = _rank_values(spec, P[:X.shape[0]], X)
+            i = _best(X, *ranks, cfg.feasible_tol)
+            winners.append((X[i], *(r[i] for r in ranks)))
+        X, f0, viol, pen = (np.array(column) for column in zip(*winners))
+        x_best = X[_best(X, f0, viol, pen, cfg.feasible_tol)]
     # re-evaluated alone: a 1-row call need not match its row in the chunk bit for bit
     return _answer(spec, p, x_best[None, :], cfg, t0, grid_first=True)
 
@@ -176,7 +215,8 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     it leaves the working arrays.  No row's arithmetic depends on another's,
     so its bits do not depend on which rows descend beside it.  Returns the
     final points, a per-row finite flag, and the unshifted residuals at the
-    final points (inequality columns first, as ``shift``).
+    final points (inequality columns first, as ``shift``).  The caller
+    silences numpy's floating-point warnings, as ``solve`` does.
     """
     P = np.broadcast_to(p, (X0.shape[0], p.size))
 
@@ -188,73 +228,81 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
              else np.hstack([ce.ineq_values, ce.eq_values]))
         return terms.loss, terms.grad, R
 
+    def accepts(Ft, Gt, ref, t, gnorm2):
+        # a finite trial that passes the nonmonotone Armijo test
+        return (np.isfinite(Ft) & np.logical_and.reduce(np.isfinite(Gt), 1)
+                & (Ft <= ref - 1e-4 * t * gnorm2))
+
+    # row sums are np.add.reduce(A * B, 1), as np.linalg.norm(A, axis=1) sums on real
+    # input; einsum("ij,ij->i", A, B) gives the same bits only up to k = 2 columns
     X = X0.copy()
     F, G, R = fg(X, shift)
-    ok = np.isfinite(F) & np.isfinite(G).all(axis=1)
-    # row norms as np.linalg.norm(A, axis=1) computes them on real input, minus its dispatch
+    ok = np.isfinite(F) & np.logical_and.reduce(np.isfinite(G), 1)
     G0 = np.where(ok[:, None], G, 0.0)
-    step = cfg.descent_lr / (1.0 + np.sqrt((G0 * G0).sum(axis=1)))
+    step = cfg.descent_lr / (1.0 + np.sqrt(np.add.reduce(G0 * G0, 1)))
     X_out, R_out = X.copy(), R.copy()  # each row's final point and residuals
     rows = np.arange(X.shape[0])  # the working rows' places in X_out
-    gnorm2 = np.einsum("ij,ij->i", G, G)
+    gnorm2 = np.add.reduce(G * G, 1)
     live = ok & (gnorm2 > 0.0)
     history = np.full((_NONMONOTONE_WINDOW, X.shape[0]), np.inf)
     history[0] = F
     hist_pos = 1
 
     for _ in range(cfg.descent_steps):
-        if not live.all():
+        if not np.logical_and.reduce(live):
             X_out[rows[~live]], R_out[rows[~live]] = X[~live], R[~live]
             rows, X, F, G, R, shift, step, gnorm2 = (
                 a[live] for a in (rows, X, F, G, R, shift, step, gnorm2))
             history = history[:, live]
         if not rows.size:
             break
-        ref = history.max(axis=0)
+        ref = np.maximum.reduce(history, 0)
         t = step  # halved in place; step is rebuilt below
-        new = None
-        idx = slice(None)  # the first trial covers every working row
-        for _ in range(_MAX_HALVINGS):
-            Xt = X[idx] - t[idx, None] * G[idx]
-            Ft, Gt, Rt = fg(Xt, shift[idx])
-            good = (np.isfinite(Ft) & np.isfinite(Gt).all(axis=1)
-                    & (Ft <= ref[idx] - 1e-4 * t[idx] * gnorm2[idx]))
-            if new is None:
-                if good.all():  # the common case: the trial is the new state
-                    new, accepted = (Xt, Ft, Gt, Rt), good
+        # the first trial covers every working row, without indexing
+        Xt = X - t[:, None] * G
+        Ft, Gt, Rt = fg(Xt, shift)
+        good = accepts(Ft, Gt, ref, t, gnorm2)
+        if np.logical_and.reduce(good):  # the common case: the trial is the new state
+            new, accepted = (Xt, Ft, Gt, Rt), good
+        else:  # a row that failed halves its step and tries again
+            new = (X.copy(), F.copy(), G.copy(), R.copy())
+            accepted = np.zeros(X.shape[0], dtype=bool)
+            idx = np.arange(X.shape[0])
+            for trial in range(_MAX_HALVINGS):
+                if trial:
+                    Xt = X[idx] - t[idx, None] * G[idx]
+                    Ft, Gt, Rt = fg(Xt, shift[idx])
+                    good = accepts(Ft, Gt, ref[idx], t[idx], gnorm2[idx])
+                gi = idx[good]
+                for a, b in zip(new, (Xt, Ft, Gt, Rt)):
+                    a[gi] = b[good]
+                accepted[gi] = True
+                idx = idx[~good]
+                if not idx.size:
                     break
-                new = (X.copy(), F.copy(), G.copy(), R.copy())
-                accepted = np.zeros(X.shape[0], dtype=bool)
-                idx = np.arange(X.shape[0])
-            gi = idx[good]
-            for a, b in zip(new, (Xt, Ft, Gt, Rt)):
-                a[gi] = b[good]
-            accepted[gi] = True
-            idx = idx[~good]
-            if not idx.size:
-                break
-            t[idx] *= 0.5
+                t[idx] *= 0.5
         S = new[0] - X
         Y = new[2] - G
-        sy = np.einsum("ij,ij->i", S, Y)
-        yy = np.einsum("ij,ij->i", Y, Y)
-        with np.errstate(all="ignore"):
-            bb = np.where((sy > 0.0) & (yy > 0.0), sy / np.where(yy > 0.0, yy, 1.0), t * 2.0)
+        sy = np.add.reduce(S * Y, 1)
+        yy = np.add.reduce(Y * Y, 1)
+        curved = yy > 0.0
+        bb = np.where((sy > 0.0) & curved, sy / np.where(curved, yy, 1.0), t * 2.0)
         step = np.minimum(np.maximum(bb, 1e-14), 1e3)  # np.clip, at less fixed cost
 
-        moved = np.sqrt((S * S).sum(axis=1))
+        moved = np.sqrt(np.add.reduce(S * S, 1))
         X, F, G, R = new
         history[hist_pos] = F
         hist_pos = (hist_pos + 1) % _NONMONOTONE_WINDOW
-        gnorm2 = np.einsum("ij,ij->i", G, G)
+        gnorm2 = np.add.reduce(G * G, 1)
         # a row whose line search failed (converged or stuck) keeps its point and ends
         live = (accepted & (gnorm2 > 0.0)
-                & (moved > _MOVE_TOL * (1.0 + np.sqrt((X * X).sum(axis=1)))))
+                & (moved > _MOVE_TOL * (1.0 + np.sqrt(np.add.reduce(X * X, 1)))))
 
     X_out[rows], R_out[rows] = X, R
     return X_out, ok, R_out
 
 
+@np.errstate(all="ignore")
 def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSolution:
     """Multi-start descent on an augmented Lagrangian, checked against the grid.
 

@@ -84,13 +84,23 @@ class ConstraintEval:
 
         max_ineq is clamped at zero (a feasible point reports 0); feasible means
         every inequality residual <= 0 and every |equality residual| within
-        ``eq_tolerance``.
+        ``eq_tolerance``.  Row maxima are taken column by column with
+        ``np.maximum``: the values of ``.max(axis=1)``, NaN where it gives NaN,
+        at a fraction of its cost on a tall block of a few columns.
         """
         n = self.ineq_values.shape[0]
-        worst_ineq = self.ineq_values.max(axis=1) if self.n_ineq else np.zeros(n)
-        max_eq = np.abs(self.eq_values).max(axis=1) if self.n_eq else np.zeros(n)
+        worst_ineq = _row_max(self.ineq_values) if self.n_ineq else np.zeros(n)
+        max_eq = _row_max(np.abs(self.eq_values)) if self.n_eq else np.zeros(n)
         feasible = (worst_ineq <= 0.0) & (max_eq <= eq_tolerance)
         return np.maximum(worst_ineq, 0.0), max_eq, feasible
+
+
+def _row_max(values):
+    """The maximum of each row of a (rows, >= 1 columns) array, as a new array."""
+    out = values[:, 0].copy()
+    for j in range(1, values.shape[1]):
+        np.maximum(out, values[:, j], out=out)
+    return out
 
 
 def ineq_penalty(residual, eta, gamma, grad=True):

@@ -33,16 +33,11 @@ from penalearn import oracle
 
 
 class _Counts:
-    """Counts spec.objective and ProblemSpec.constraint_eval calls."""
+    """Counts the objective calls of the specs it makes and every
+    ProblemSpec.constraint_eval call."""
 
     def __init__(self, monkeypatch, name="rosenbrock-1c"):
         self.objective = self.constraints = 0
-        base = make_problem(name)
-
-        def objective(x, p, grad=True):
-            self.objective += 1
-            return base.objective(x, p, grad=grad)
-
         original = ProblemSpec.constraint_eval
 
         def constraint_eval(spec, x, p, grad=True):
@@ -50,7 +45,17 @@ class _Counts:
             return original(spec, x, p, grad=grad)
 
         monkeypatch.setattr(ProblemSpec, "constraint_eval", constraint_eval)
-        self.spec = dataclasses.replace(base, objective=objective)
+        self.spec = self.counted(name)
+
+    def counted(self, name):
+        """``make_problem(name)`` with its objective calls counted here."""
+        base = make_problem(name)
+
+        def objective(x, p, grad=True):
+            self.objective += 1
+            return base.objective(x, p, grad=grad)
+
+        return dataclasses.replace(base, objective=objective)
 
     def both(self):
         return self.objective, self.constraints
@@ -83,23 +88,47 @@ def _count_oracle_evaluations(monkeypatch, counts):
 
 
 def test_grid_scan_evaluates_once_per_chunk_plus_winner(monkeypatch):
+    # the constraints once per chunk, the objective only in chunks that hold a
+    # feasible point, then the evaluator once on the winner alone
     counts = _Counts(monkeypatch)
     calls = _count_oracle_evaluations(monkeypatch, counts)
     monkeypatch.setattr(oracle, "GRID_CHUNK", 10_000)
     chunks = -(-201**2 // 10_000)
+    assert chunks == 5
     grid_scan(counts.spec, np.array([1.0, 1.0]))
-    assert calls == [chunks + 1, 0]
-    assert counts.both() == (chunks + 1, chunks + 1)
+    # the unit disk's grid rows, x1 in [-1, 1], are rows 84-116 of 201: chunks 1 and 2
+    assert calls == [1, 0]
+    assert counts.both() == (2 + 1, chunks + 1)
+
+
+def test_grid_scan_without_a_feasible_point_evaluates_every_chunk_in_full(monkeypatch):
+    # rosenbrock-3c has no feasible point: the constraint pass finds none, so every
+    # chunk is evaluated again in full (objective + penalty), then the winner alone
+    counts = _Counts(monkeypatch, "rosenbrock-3c")
+    calls = _count_oracle_evaluations(monkeypatch, counts)
+    monkeypatch.setattr(oracle, "GRID_CHUNK", 10_000)
+    grid_scan(counts.spec, np.array([1.0, 1.0]))
+    assert calls == [5 + 1, 0]
+    assert counts.both() == (5 + 1, 5 + 5 + 1)
 
 
 def test_solve_evaluates_once_per_descent_step_and_ranking(monkeypatch):
+    # one 441-point grid chunk; the descent evaluates once per line-search
+    # trial; the final ranking once
     counts = _Counts(monkeypatch)
     calls = _count_oracle_evaluations(monkeypatch, counts)
-    solve(counts.spec, np.array([1.0, 1.0]), OracleConfig(grid_points_per_dim=21))
-    # grid: one chunk plus the winner; then the final ranking
-    assert calls[0] == 3
-    assert calls[1] > 0
-    assert counts.both() == (sum(calls), sum(calls))
+    cfg = OracleConfig(grid_points_per_dim=21)
+    solve(counts.spec, np.array([1.0, 1.0]), cfg)
+    # grid: the constraints, the objective where they hold, then the winner
+    assert calls == [1 + 1, 189]
+    assert counts.both() == (1 + sum(calls), 1 + sum(calls))
+
+    counts.objective = counts.constraints = 0
+    calls[:] = [0, 0]
+    solve(counts.counted("rosenbrock-3c"), np.array([1.0, 1.0]), cfg)
+    # grid: the constraints find no feasible point, so the chunk in full, then the winner
+    assert calls == [1 + 1 + 1, 133]
+    assert counts.both() == (sum(calls), 1 + sum(calls))
 
 
 def test_training_log_and_evaluate_evaluate_once(monkeypatch):

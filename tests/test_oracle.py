@@ -198,6 +198,50 @@ def test_grid_scan_bits_do_not_depend_on_chunk_size(monkeypatch, name):
             assert got.max_violation == want.max_violation
 
 
+def _full_penalized_scan(spec, p, cfg=OracleConfig()):
+    """The grid scan's rule, evaluated in full: objective, worst violation and
+    objective + penalty at every grid point, ``_best`` within each chunk and
+    across the chunk winners, then the winner evaluated alone.  Returns
+    (x, objective, max_violation)."""
+    points = oracle._mesh(spec.decision_dim, cfg.grid_points_per_dim)
+    winners = []
+    for lo in range(0, points.shape[0], oracle.GRID_CHUNK):
+        X = points[lo:lo + oracle.GRID_CHUNK]
+        ranks = oracle._rank_values(spec, np.broadcast_to(p, (X.shape[0], p.size)), X)
+        i = oracle._best(X, *ranks, cfg.feasible_tol)
+        winners.append((X[i], *(r[i] for r in ranks)))
+    X, f0, viol, pen = (np.array(column) for column in zip(*winners))
+    x = X[oracle._best(X, f0, viol, pen, cfg.feasible_tol)]
+    f0, viol, _ = oracle._rank_values(spec, p[None, :], x[None, :])
+    return x, f0[0], viol[0]
+
+
+def _defect_band():
+    params = sample_params(make_problem("rosenbrock-1c"), 10, seed=6)
+    params[:, 1] = np.linspace(0.88, 1.0, 10)
+    return params
+
+
+@pytest.mark.parametrize("name, params", [
+    *[(name, sample_params(make_problem(name), 20, seed=8)) for name in
+      ("rosenbrock-1c", "rosenbrock-3c", "ackley-1c", "ackley-3c")],
+    ("rosenbrock-1c", _defect_band()),
+    # c1 = 1e308 overflows the objective at part of the disk, not at (0, 0);
+    # c2 = 1e200 overflows it everywhere, so no grid point is feasible with a
+    # finite objective and the scan ranks every point by objective + penalty
+    ("rosenbrock-1c", np.array([[1e308, 1.0], [1.0, 1e200]])),
+], ids=["rosenbrock-1c", "rosenbrock-3c", "ackley-1c", "ackley-3c", "defect-band", "overflow"])
+def test_grid_scan_matches_the_full_penalized_scan(name, params):
+    spec = make_problem(name)
+    for p in params:
+        x, objective, max_violation = _full_penalized_scan(spec, p)
+        got = grid_scan(spec, p)
+        assert got.x.tobytes() == x.tobytes(), p
+        assert np.float64(got.objective).tobytes() == objective.tobytes(), p
+        assert np.float64(got.max_violation).tobytes() == max_violation.tobytes(), p
+        assert got.method == "grid"
+
+
 @pytest.mark.parametrize("descent_lr", [1e-2, 1e6])
 @pytest.mark.parametrize(
     "name", ["rosenbrock-1c", "rosenbrock-3c", "ackley-1c", "ackley-3c"]

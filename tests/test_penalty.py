@@ -11,7 +11,7 @@ from penalearn import (
     make_problem,
     violation_report,
 )
-from penalearn.penalty import loss_terms_batch
+from penalearn.penalty import ConstraintEval, loss_terms_batch
 
 RB = make_problem("rosenbrock-1c")
 
@@ -206,3 +206,38 @@ def test_shift_moves_the_residual_the_penalty_sees():
     zero = loss_terms_batch(X, P, RB, cfg, shift=np.zeros((3, 1)))
     np.testing.assert_array_equal(zero.loss, plain.loss)
     np.testing.assert_array_equal(zero.grad, plain.grad)
+
+
+def _violations_by_max(ce, eq_tolerance):
+    """``ConstraintEval.violations`` with the row maxima taken by ``.max(axis=1)``."""
+    n = ce.ineq_values.shape[0]
+    worst = ce.ineq_values.max(axis=1) if ce.n_ineq else np.zeros(n)
+    max_eq = np.abs(ce.eq_values).max(axis=1) if ce.n_eq else np.zeros(n)
+    return np.maximum(worst, 0.0), max_eq, (worst <= 0.0) & (max_eq <= eq_tolerance)
+
+
+def test_violations_row_maxima_have_the_bits_of_max_axis_1():
+    rng = np.random.default_rng(31)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+
+    def residuals(rows, cols, nans):
+        a = rng.standard_normal((rows, cols))
+        spoiled = rng.random(a.shape) < 0.3
+        a[spoiled] = rng.choice(np.append(specials, nans), size=spoiled.sum())
+        return a
+
+    for rows in (0, 1, 7, 4096):
+        for n_ineq in (0, 1, 2, 3, 9):
+            for n_eq in (0, 1, 3):
+                ce = ConstraintEval(residuals(rows, n_ineq, []), residuals(rows, n_eq, []),
+                                    None, None)
+                for got, want in zip(ce.violations(0.5), _violations_by_max(ce, 0.5)):
+                    assert got.tobytes() == want.tobytes(), (rows, n_ineq, n_eq)
+                # a NaN with its sign bit set (what x86 makes of inf - inf): NaN where
+                # .max gives NaN, but .max itself gives +nan or -nan for it depending on
+                # its place and the column count, so its sign is not compared
+                nan = -np.float64(np.nan)
+                ce = ConstraintEval(residuals(rows, n_ineq, [nan]), residuals(rows, n_eq, [nan]),
+                                    None, None)
+                for got, want in zip(ce.violations(0.5), _violations_by_max(ce, 0.5)):
+                    assert np.array_equal(got, want, equal_nan=True), (rows, n_ineq, n_eq)

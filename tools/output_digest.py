@@ -13,12 +13,16 @@ the raw bytes of each solution's ``x``, ``objective``, ``max_violation`` and
 ``method`` are hashed.  The grid point wins every ackley-1c solve there, so
 the descent is also hashed on its own: on 5 instances per problem,
 ``_descend_batch`` runs from the starts ``solve`` builds, and the raw bytes
-of its ``x``, ``ok`` and residuals are hashed (see ``descent_bytes``).  The
-CSVs show a net's outputs only as 17-digit text, so the raw bytes of
-``mlp_forward``'s outputs from each trained model are hashed too, on 4096
-sampled parameter rows: one row at a time for the first 100, 100 rows in one
-call, and all 4096 in one call (see ``forward_bytes``).  One
-``<sha256 prefix> <artifact>`` line per output.
+of its ``x``, ``ok`` and residuals are hashed (see ``descent_bytes``).
+``grid_scan``'s answers are hashed as ``solve``'s are, on 50 sampled
+instances of each problem and on rosenbrock-1c at (c1, c2) = (1e308, 1),
+where the objective overflows on part of the disk, and at (1, 1e200), where
+it overflows everywhere and the scan ranks every grid point by objective +
+penalty (see ``grid_bytes``).  The CSVs show a net's outputs only as
+17-digit text, so the raw bytes of ``mlp_forward``'s outputs from each
+trained model are hashed too, on 4096 sampled parameter rows: one row at a
+time for the first 100, 100 rows in one call, and all 4096 in one call (see
+``forward_bytes``).  One ``<sha256 prefix> <artifact>`` line per output.
 
 A refactor that should not change results runs this on the parent commit and
 on the change and diffs the two outputs.  Run from a checkout's root:
@@ -76,14 +80,25 @@ def run(argv) -> str:
     return buf.getvalue()
 
 
-def solution_bytes(spec, params) -> bytes:
-    """The raw bits of ``solve``'s answer on each parameter row, concatenated."""
+def solution_bytes(spec, params, oracle_fn=solve) -> bytes:
+    """The raw bits of ``oracle_fn``'s answer on each parameter row, concatenated."""
     out = []
     for p in params:
-        s = solve(spec, p)
+        s = oracle_fn(spec, p)
         out += [s.x.tobytes(), np.float64(s.objective).tobytes(),
                 np.float64(s.max_violation).tobytes(), s.method.encode()]
     return b"".join(out)
+
+
+def grid_bytes():
+    """Yield (artifact name, raw bits of ``grid_scan``'s answers) per problem,
+    then for the two rosenbrock-1c overflow cases."""
+    for name in problem_names():
+        spec = make_problem(name)
+        yield (f"{name}.grid-x{SOLVES}",
+               solution_bytes(spec, sample_params(spec, SOLVES, 0), grid_scan))
+    yield ("rosenbrock-1c.grid-overflow",
+           solution_bytes(make_problem("rosenbrock-1c"), [[1e308, 1.0], [1.0, 1e200]], grid_scan))
 
 
 def descent_bytes(spec, params, cfg=OracleConfig()) -> bytes:
@@ -93,6 +108,7 @@ def descent_bytes(spec, params, cfg=OracleConfig()) -> bytes:
     shift ``solve`` carries into it (``max(0, r)``: the registry has
     inequalities only); and one from the starts at a fixed shift in [0, 30),
     which makes every family's penalty active, ackley-1c's disk included.
+    Floating-point warnings are silenced, as ``solve`` silences them.
     """
     k = spec.decision_dim
     # the oracle's box, [-6, 6] in every dimension
@@ -104,9 +120,11 @@ def descent_bytes(spec, params, cfg=OracleConfig()) -> bytes:
                      + [grid_scan(spec, p, cfg).x])
         zero = np.zeros((X.shape[0], len(spec.inequalities)))
         fixed = np.random.default_rng(1).uniform(0.0, 30.0, zero.shape)
-        first = _descend_batch(spec, p, X, zero, cfg)
-        for run in (first, _descend_batch(spec, p, first[0], np.maximum(0.0, first[2]), cfg),
-                    _descend_batch(spec, p, X, fixed, cfg)):
+        with np.errstate(all="ignore"):
+            first = _descend_batch(spec, p, X, zero, cfg)
+            runs = (first, _descend_batch(spec, p, first[0], np.maximum(0.0, first[2]), cfg),
+                    _descend_batch(spec, p, X, fixed, cfg))
+        for run in runs:
             out += [a.tobytes() for a in run]
     return b"".join(out)
 
@@ -160,6 +178,7 @@ def outputs():
     params = sample_params(spec, 10, 0)
     params[:, 1] = np.linspace(0.88, 1.0, 10)
     yield "rosenbrock-1c.solve-c2-0.88-1", solution_bytes(spec, params)
+    yield from grid_bytes()
     for name in problem_names():
         spec = make_problem(name)
         params = sample_params(spec, DESCENTS, 0)
