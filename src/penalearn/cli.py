@@ -157,7 +157,6 @@ class RunConfig:
 
     command: str
     problem: str
-    penalty: PenaltyConfig
     train: TrainConfig
     oracle: OracleConfig
     count: int = 20
@@ -247,8 +246,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     except RegistryError as exc:
         raise UsageError(str(exc)) from exc
     try:
-        penalty = PenaltyConfig(**kwargs[PenaltyConfig])
-        train_cfg = TrainConfig(penalty=penalty, **kwargs[TrainConfig])
+        train_cfg = TrainConfig(penalty=PenaltyConfig(**kwargs[PenaltyConfig]),
+                                **kwargs[TrainConfig])
         oracle_cfg = OracleConfig(**kwargs[OracleConfig])
         resolve_net_shape(spec, train_cfg)
     except ConfigError as exc:
@@ -261,8 +260,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             f"--params needs {spec.param_dim} decimals for {spec.name}, "
             f"got {len(params)}"
         )
-    return RunConfig(command=args.command, penalty=penalty, train=train_cfg,
-                     oracle=oracle_cfg, **own)
+    return RunConfig(command=args.command, train=train_cfg, oracle=oracle_cfg, **own)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +334,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
         P = np.array([cfg.params])
     else:
         P = sample_params(spec, cfg.count, cfg.train.seed)
-    reports = evaluate(net, spec, P, cfg.penalty)
+    reports = evaluate(net, spec, P, cfg.train.penalty)
     out = _default_out(cfg, ".eval.csv")
     write_text_atomic(out, eval_reports_csv(reports))
     feasible = sum(1 for r in reports if r.feasible)

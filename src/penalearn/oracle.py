@@ -214,19 +214,16 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     independently; a finished row's point and residuals are written out and
     it leaves the working arrays.  No row's arithmetic depends on another's,
     so its bits do not depend on which rows descend beside it.  Returns the
-    final points, a per-row finite flag, and the unshifted residuals at the
-    final points (inequality columns first, as ``shift``).  The caller
-    silences numpy's floating-point warnings, as ``solve`` does.
+    final points, a per-row finite flag, and the unshifted residual block at
+    the final points (``ConstraintEval.values``, laid out as ``shift``).  The
+    caller silences numpy's floating-point warnings, as ``solve`` does.
     """
     P = np.broadcast_to(p, (X0.shape[0], p.size))
 
     def fg(X, S):
         terms = loss_terms_batch(X, P[:X.shape[0]], spec, _STAGE_PENALTY, strict=False,
                                  shift=S)
-        ce = terms.constraints
-        R = (ce.eq_values if not ce.n_ineq else ce.ineq_values if not ce.n_eq
-             else np.hstack([ce.ineq_values, ce.eq_values]))
-        return terms.loss, terms.grad, R
+        return terms.loss, terms.grad, terms.constraints.values
 
     def accepts(Ft, Gt, ref, t, gnorm2):
         # a finite trial that passes the nonmonotone Armijo test

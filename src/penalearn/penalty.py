@@ -10,8 +10,9 @@ zero, which is exactly why it cannot steer training.
 
 ``loss_terms_batch`` is the single place a batch of points is evaluated: one
 objective call, one constraint call, and the penalty built from them, returned
-as one ``LossTerms`` record that also carries the residuals.  Worst violations
-and feasibility come from ``ConstraintEval.violations`` on those residuals.
+as one ``LossTerms`` record that also carries the residuals: one
+``ConstraintEval`` block, inequality columns first, which every reader
+slices.  Worst violations and feasibility come from its ``violations``.
 Training calls it with ``strict=True`` (shapes checked, a non-finite value
 raises ``NonFiniteError`` naming the constraint and the sample); the oracle
 calls it with ``strict=False`` (no checks, floating-point warnings silenced,
@@ -60,24 +61,17 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class ConstraintEval:
-    """Residuals f_i(x)-c_i / h_j(x)-b_j and their gradients in x.
+    """Every constraint's residual at a batch of points, and its gradient in x.
 
-    Batch layout: values are (batch, n_constraints), gradients are
-    (batch, n_constraints, k), or ``None`` from a value-only evaluation.
+    One block holds them all: ``values`` is (batch, m), and its column i is
+    constraint i's residual, the ``n_ineq`` inequalities f_i(x) - c_i first,
+    then the equalities h_j(x) - b_j.  ``grads`` is (batch, m, k), in the
+    same column order, or ``None`` from a value-only evaluation.
     """
 
-    ineq_values: np.ndarray
-    eq_values: np.ndarray
-    ineq_grads: np.ndarray
-    eq_grads: np.ndarray
-
-    @property
-    def n_ineq(self) -> int:
-        return self.ineq_values.shape[1]
-
-    @property
-    def n_eq(self) -> int:
-        return self.eq_values.shape[1]
+    values: np.ndarray
+    grads: Optional[np.ndarray]
+    n_ineq: int
 
     def violations(self, eq_tolerance=0.0):
         """Worst violations per row: (max_ineq, max_eq, feasible) arrays.
@@ -88,9 +82,10 @@ class ConstraintEval:
         ``np.maximum``: the values of ``.max(axis=1)``, NaN where it gives NaN,
         at a fraction of its cost on a tall block of a few columns.
         """
-        n = self.ineq_values.shape[0]
-        worst_ineq = _row_max(self.ineq_values) if self.n_ineq else np.zeros(n)
-        max_eq = _row_max(np.abs(self.eq_values)) if self.n_eq else np.zeros(n)
+        ineq, eq = self.values[:, :self.n_ineq], self.values[:, self.n_ineq:]
+        n = self.values.shape[0]
+        worst_ineq = _row_max(ineq) if ineq.shape[1] else np.zeros(n)
+        max_eq = _row_max(np.abs(eq)) if eq.shape[1] else np.zeros(n)
         feasible = (worst_ineq <= 0.0) & (max_eq <= eq_tolerance)
         return np.maximum(worst_ineq, 0.0), max_eq, feasible
 
@@ -163,11 +158,12 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
     when a whole-array test fails; ``strict=False`` never raises and lets
     non-finite rows through.
 
-    ``shift`` (batch, n_ineq + n_eq), inequality columns first, is added to
-    the residuals before the penalty: the oracle's augmented-Lagrangian
-    stages charge eta * max(0, r + s)^gamma and eta * |h + s|^gamma.
-    ``constraints`` keeps the unshifted residuals.  ``grad=False`` does no
-    gradient work: the same values, with every gradient field ``None``.
+    ``shift`` (batch, m), laid out as ``ConstraintEval.values``, is added
+    to the residual block before the penalty: the oracle's
+    augmented-Lagrangian stages charge eta * max(0, r + s)^gamma and
+    eta * |h + s|^gamma.  ``constraints`` keeps the unshifted residuals.
+    ``grad=False`` does no gradient work: the same values, with every
+    gradient field ``None``.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -183,43 +179,36 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
         if x.shape[0] != p.shape[0]:
             raise DimensionError(f"batch mismatch: x rows {x.shape[0]}, p rows {p.shape[0]}")
     with contextlib.nullcontext() if strict else np.errstate(all="ignore"):
-        # gradient callers keep the two-argument call
-        f0, g0 = problem.objective(x, p) if grad else problem.objective(x, p, grad=False)
+        f0, g0 = problem.objective(x, p, grad=grad)
         if strict and not _all_finite(f0, g0):
             _require_finite(f0, g0, constraint_index=None)
         ce = problem.constraint_eval(x, p, grad=grad)
-        if strict and not _all_finite(ce.ineq_values, ce.ineq_grads, ce.eq_values, ce.eq_grads):
-            # numbered in residual column order, as ``shift``: inequalities first
-            for first, values, grads in ((0, ce.ineq_values, ce.ineq_grads),
-                                         (ce.n_ineq, ce.eq_values, ce.eq_grads)):
-                for i in range(values.shape[1]):
-                    _require_finite(values[:, i], None if grads is None else grads[:, i],
-                                    first + i)
+        if strict and not _all_finite(ce.values, ce.grads):
+            for i in range(ce.values.shape[1]):  # numbered in block order
+                _require_finite(ce.values[:, i], None if ce.grads is None else ce.grads[:, i], i)
 
-        r_ineq, r_eq = ce.ineq_values, ce.eq_values
-        if shift is not None:
-            r_ineq = r_ineq + shift[:, :ce.n_ineq] if ce.n_ineq else r_ineq
-            r_eq = r_eq + shift[:, ce.n_ineq:] if ce.n_eq else r_eq
+        r = ce.values if shift is None else ce.values + shift
+        r_ineq, r_eq = r[:, :ce.n_ineq], r[:, ce.n_ineq:]
         omega = np.zeros(x.shape[0])
         g = g0 if grad else None  # d(loss)/dx
         if cfg.mode == "indicator":
-            if ce.n_ineq:
+            if r_ineq.shape[1]:
                 omega += (r_ineq > 0.0).sum(axis=1)
-            if ce.n_eq:
+            if r_eq.shape[1]:
                 omega += (np.abs(r_eq) > cfg.eq_tolerance).sum(axis=1)
             # the indicator is flat on both sides of the boundary: zero gradient
             omega *= cfg.indicator_big
         else:
-            if ce.n_ineq:
+            if r_ineq.shape[1]:
                 values, derivs = ineq_penalty(r_ineq, cfg.eta, cfg.gamma, grad)
                 omega += values.sum(axis=1)
                 if grad:
-                    g = g + np.einsum("bi,bik->bk", derivs, ce.ineq_grads)
-            if ce.n_eq:
+                    g = g + np.einsum("bi,bik->bk", derivs, ce.grads[:, :ce.n_ineq])
+            if r_eq.shape[1]:
                 values, derivs = eq_penalty(r_eq, cfg.eta, cfg.gamma, grad)
                 omega += values.sum(axis=1)
                 if grad:
-                    g = g + np.einsum("bj,bjk->bk", derivs, ce.eq_grads)
+                    g = g + np.einsum("bj,bjk->bk", derivs, ce.grads[:, ce.n_ineq:])
         return LossTerms(f0 + omega, f0, omega, g, ce)
 
 

@@ -16,17 +16,21 @@ and carry ``known_infeasible=True``.
 
 Evaluators follow ``fn(x, p, grad=True) -> (values, grads or None)`` on a
 batch; ``grad=False`` returns ``(values, None)``, the values computed by the
-very expressions the gradient path uses.  Gradient callers call ``fn(x, p)``.
+very expressions the gradient path uses.  Every caller passes ``grad=``, and
+a ``ProblemSpec`` whose evaluators cannot take it is a ``ConfigError``.
+``ProblemSpec.constraint_eval`` evaluates every constraint into one residual
+block, the inequalities first (``ConstraintEval``).
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, RegistryError
+from .errors import ConfigError, DimensionError, RegistryError
 from .penalty import ConstraintEval
 
 # evaluator: (x[batch,k], p[batch,d], grad=True) -> (values[batch], grads[batch,k] or None)
@@ -62,12 +66,22 @@ class ProblemSpec:
         for lo, hi in self.param_ranges:
             if lo > hi:
                 raise ValueError(f"{self.name}: range low {lo} exceeds high {hi}")
+        evaluators = [("objective", self.objective)] + [
+            (f"constraint {i}", c.fn) for i, c in enumerate(self.inequalities + self.equalities)]
+        for what, fn in evaluators:
+            try:
+                inspect.signature(fn).bind(None, None, grad=False)
+            except TypeError:
+                raise ConfigError(f"{self.name}: the {what} evaluator "
+                                  f"{getattr(fn, '__qualname__', fn)} cannot be called "
+                                  f"as fn(x, p, grad=...)") from None
 
     def constraint_eval(self, x: np.ndarray, p: np.ndarray, grad: bool = True) -> ConstraintEval:
-        """Evaluate every constraint on a batch; residuals are value - bound.
+        """Evaluate every constraint on a batch into one residual block.
 
-        ``x`` must have ``decision_dim`` columns (``DimensionError`` if not).
-        ``grad=False`` evaluates values only and leaves both grads ``None``.
+        Residuals are value - bound, the inequalities' columns first.  ``x``
+        must have ``decision_dim`` columns (``DimensionError`` if not).
+        ``grad=False`` evaluates values only and leaves ``grads`` ``None``.
         """
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
@@ -76,21 +90,15 @@ class ProblemSpec:
         if x.shape[1:] != (self.decision_dim,):
             raise DimensionError(f"{self.name}: x has shape {x.shape}, "
                                  f"problem decision dim is {self.decision_dim}")
-        iv, ig = _stack(self.inequalities, x, p, grad)
-        ev, eg = _stack(self.equalities, x, p, grad)
-        return ConstraintEval(ineq_values=iv, eq_values=ev, ineq_grads=ig, eq_grads=eg)
-
-
-def _stack(cons, x, p, grad):
-    """(batch, len(cons)) residuals and (batch, len(cons), k) grads, or None."""
-    values = np.empty((x.shape[0], len(cons)))
-    grads = np.empty((x.shape[0], len(cons), x.shape[1])) if grad else None
-    for i, c in enumerate(cons):
-        v, g = c.fn(x, p) if grad else c.fn(x, p, grad=False)
-        np.subtract(v, c.bound, out=values[:, i])
-        if grad:
-            grads[:, i, :] = g
-    return values, grads
+        cons = self.inequalities + self.equalities
+        values = np.empty((x.shape[0], len(cons)))
+        grads = np.empty((x.shape[0], len(cons), x.shape[1])) if grad else None
+        for i, c in enumerate(cons):
+            v, g = c.fn(x, p, grad=grad)
+            np.subtract(v, c.bound, out=values[:, i])
+            if grad:
+                grads[:, i, :] = g
+        return ConstraintEval(values, grads, len(self.inequalities))
 
 
 # ---------------------------------------------------------------------------

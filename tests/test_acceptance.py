@@ -72,9 +72,7 @@ def _smooth_config(spec, net, p_row, pcfg):
     if spec.name.startswith("ackley") and np.linalg.norm(x) < 1e-2:
         return False
     ce = spec.constraint_eval(out, p_row)
-    if ce.n_ineq and np.any(np.abs(ce.ineq_values) < 1e-3):
-        return False
-    if ce.n_eq and np.any(np.abs(ce.eq_values) < 1e-3):
+    if np.any(np.abs(ce.values) < 1e-3):
         return False
     return True
 
@@ -174,7 +172,7 @@ def test_criterion_4_feasibility_at_scale(rosenbrock_model, ackley_model):
         fresh = sample_params(spec, 1000, seed=2024)
         out, _ = mlp_forward(net, fresh)
         ce = spec.constraint_eval(out, fresh)
-        worst = np.maximum(ce.ineq_values.max(axis=1), 0.0)
+        worst = np.maximum(ce.values.max(axis=1), 0.0)
         frac = float(np.mean(worst <= 0.1))
         fractions[spec.name] = frac
         assert frac >= 0.95, f"{spec.name}: only {frac:.1%} within violation 0.1"

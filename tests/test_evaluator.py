@@ -145,10 +145,10 @@ def test_training_log_and_evaluate_evaluate_once(monkeypatch):
 
 
 def _nan_on_row_3():
-    def obj(X, P):
+    def obj(X, P, grad=True):
         return (X**2).sum(axis=1), 2 * X
 
-    def con(X, P):
+    def con(X, P, grad=True):
         v = X[:, 0].copy()
         v[3] = np.nan
         g = np.zeros_like(X)
@@ -193,14 +193,14 @@ def _toy(objective_grad_nan_row=None, residual=None, constraint_grad=None):
     """A feasible toy (x in [-1, 1]^2, residuals x1 - 10 and x2 - 10) with
     one value spoiled: the objective gradient at a row, the second
     constraint's residual column, or the first constraint's gradient."""
-    def obj(X, P):
+    def obj(X, P, grad=True):
         g = 2 * X
         if objective_grad_nan_row is not None:
             g[objective_grad_nan_row, 0] = np.nan
         return (X**2).sum(axis=1), g
 
     def coordinate(j, values=None, grads=None):
-        def fn(X, P):
+        def fn(X, P, grad=True):
             g = np.zeros_like(X)
             g[:, j] = 1.0
             return (X[:, j] if values is None else values), (g if grads is None else grads)
@@ -225,14 +225,14 @@ def _spoil(a, index, value):
 def _nan_equality():
     """One feasible inequality (x1 <= 10), then one equality (x2 = 0) that is NaN at row 2."""
     def coordinate(j, row=None):
-        def fn(X, P):
+        def fn(X, P, grad=True):
             g = np.zeros_like(X)
             g[:, j] = 1.0
             return (X[:, j] if row is None else _spoil(X[:, j].copy(), row, np.nan)), g
         return fn
 
     return ProblemSpec(name="toy-mixed", decision_dim=2, param_dim=1,
-                       objective=lambda X, P: ((X**2).sum(axis=1), 2 * X),
+                       objective=lambda X, P, grad=True: ((X**2).sum(axis=1), 2 * X),
                        inequalities=(Constraint(coordinate(0), 10.0),),
                        equalities=(Constraint(coordinate(1, row=2), 0.0),),
                        param_ranges=((0.0, 1.0),))
@@ -258,11 +258,11 @@ def test_strict_mode_names_values_the_loss_does_not_show(spec, where, message, m
 
 
 def test_a_finite_residual_whose_penalty_overflows_ends_as_divergence():
-    def huge(X, P):
+    def huge(X, P, grad=True):
         return np.full(len(X), 1e200), np.ones_like(X)
 
     spec = ProblemSpec(name="toy-overflow", decision_dim=2, param_dim=1,
-                       objective=lambda X, P: ((X**2).sum(axis=1), 2 * X),
+                       objective=lambda X, P, grad=True: ((X**2).sum(axis=1), 2 * X),
                        inequalities=(Constraint(huge, 0.0),), param_ranges=((0.0, 1.0),),
                        default_net_shape=(1, 4, 2))
     with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as info:
@@ -378,8 +378,7 @@ def test_value_only_evaluation_has_the_bits_of_the_full_one(name, shifted, mode)
     for got, want in pairs:
         for field in ("loss", "objective", "penalty"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        assert got.constraints.ineq_values.tobytes() == want.constraints.ineq_values.tobytes()
-        assert got.constraints.eq_values.tobytes() == want.constraints.eq_values.tobytes()
+        assert got.constraints.values.tobytes() == want.constraints.values.tobytes()
         assert got.grad is None and want.grad is not None
 
     with np.errstate(all="ignore"):
@@ -388,9 +387,8 @@ def test_value_only_evaluation_has_the_bits_of_the_full_one(name, shifted, mode)
         want_f = spec.objective(X, P)[0]
         want_ce = spec.constraint_eval(X, P)
     assert f.tobytes() == want_f.tobytes()
-    assert ce.ineq_values.tobytes() == want_ce.ineq_values.tobytes()
-    assert ce.eq_values.tobytes() == want_ce.eq_values.tobytes()
-    assert ce.ineq_grads is None and ce.eq_grads is None
+    assert ce.values.tobytes() == want_ce.values.tobytes()
+    assert ce.grads is None
     if name != "toy-eq":  # the registry's evaluators return no gradient when asked not to
         assert g is None
 

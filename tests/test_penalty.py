@@ -198,8 +198,8 @@ def test_shift_moves_the_residual_the_penalty_sees():
     shift = np.array([[0.0], [0.5], [0.25]])
     plain = loss_terms_batch(X, P, RB, cfg)
     shifted = loss_terms_batch(X, P, RB, cfg, shift=shift)
-    r = plain.constraints.ineq_values
-    np.testing.assert_array_equal(shifted.constraints.ineq_values, r)
+    r = plain.constraints.values
+    np.testing.assert_array_equal(shifted.constraints.values, r)
     np.testing.assert_array_equal(shifted.objective, plain.objective)
     np.testing.assert_array_equal(shifted.penalty, ineq_penalty(r + shift, 1e2, 2.0)[0][:, 0])
     # a zero shift charges exactly what no shift charges
@@ -210,9 +210,9 @@ def test_shift_moves_the_residual_the_penalty_sees():
 
 def _violations_by_max(ce, eq_tolerance):
     """``ConstraintEval.violations`` with the row maxima taken by ``.max(axis=1)``."""
-    n = ce.ineq_values.shape[0]
-    worst = ce.ineq_values.max(axis=1) if ce.n_ineq else np.zeros(n)
-    max_eq = np.abs(ce.eq_values).max(axis=1) if ce.n_eq else np.zeros(n)
+    n, ineq, eq = ce.values.shape[0], ce.values[:, :ce.n_ineq], ce.values[:, ce.n_ineq:]
+    worst = ineq.max(axis=1) if ce.n_ineq else np.zeros(n)
+    max_eq = np.abs(eq).max(axis=1) if eq.shape[1] else np.zeros(n)
     return np.maximum(worst, 0.0), max_eq, (worst <= 0.0) & (max_eq <= eq_tolerance)
 
 
@@ -229,15 +229,15 @@ def test_violations_row_maxima_have_the_bits_of_max_axis_1():
     for rows in (0, 1, 7, 4096):
         for n_ineq in (0, 1, 2, 3, 9):
             for n_eq in (0, 1, 3):
-                ce = ConstraintEval(residuals(rows, n_ineq, []), residuals(rows, n_eq, []),
-                                    None, None)
+                ce = ConstraintEval(np.hstack([residuals(rows, n_ineq, []),
+                                               residuals(rows, n_eq, [])]), None, n_ineq)
                 for got, want in zip(ce.violations(0.5), _violations_by_max(ce, 0.5)):
                     assert got.tobytes() == want.tobytes(), (rows, n_ineq, n_eq)
                 # a NaN with its sign bit set (what x86 makes of inf - inf): NaN where
                 # .max gives NaN, but .max itself gives +nan or -nan for it depending on
                 # its place and the column count, so its sign is not compared
                 nan = -np.float64(np.nan)
-                ce = ConstraintEval(residuals(rows, n_ineq, [nan]), residuals(rows, n_eq, [nan]),
-                                    None, None)
+                ce = ConstraintEval(np.hstack([residuals(rows, n_ineq, [nan]),
+                                               residuals(rows, n_eq, [nan])]), None, n_ineq)
                 for got, want in zip(ce.violations(0.5), _violations_by_max(ce, 0.5)):
                     assert np.array_equal(got, want, equal_nan=True), (rows, n_ineq, n_eq)

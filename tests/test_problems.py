@@ -1,11 +1,14 @@
 """Registry landscapes: values, analytic gradients, sampling, metadata."""
 
+import dataclasses
 import zlib
 
 import numpy as np
 import pytest
 
 from penalearn import (
+    ConfigError,
+    Constraint,
     DimensionError,
     RegistryError,
     make_problem,
@@ -113,8 +116,8 @@ def test_disk_constraint_residuals_and_grads():
     X = np.array([[1.0, 0.0], [0.0, 0.5], [1.5, 0.0]])
     P = np.tile([1.0, 1.0], (3, 1))
     ce = spec.constraint_eval(X, P)
-    np.testing.assert_allclose(ce.ineq_values[:, 0], [0.0, -0.75, 1.25], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(ce.ineq_grads[:, 0, :], 2.0 * X, rtol=0, atol=0)
+    np.testing.assert_allclose(ce.values[:, 0], [0.0, -0.75, 1.25], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(ce.grads[:, 0, :], 2.0 * X, rtol=0, atol=0)
 
 
 def test_three_constraint_variant_is_contradictory():
@@ -125,7 +128,7 @@ def test_three_constraint_variant_is_contradictory():
     X = rng.uniform(-4, 4, size=(500, 2))
     P = np.tile([1.0, 1.0], (500, 1))
     ce = spec.constraint_eval(X, P)
-    assert np.all(ce.ineq_values.max(axis=1) > 0.0)
+    assert np.all(ce.values.max(axis=1) > 0.0)
 
 
 def test_ackley_disk_bound_is_25():
@@ -133,7 +136,7 @@ def test_ackley_disk_bound_is_25():
     x = np.array([[5.0, 0.0]])
     p = np.array([[20.0, 0.2, 0.5, 0.5, 20.0]])
     ce = spec.constraint_eval(x, p)
-    assert ce.ineq_values[0, 0] == 0.0  # 5^2 = 25, on the boundary
+    assert ce.values[0, 0] == 0.0  # 5^2 = 25, on the boundary
 
 
 def test_constraint_eval_rejects_the_wrong_width():
@@ -142,7 +145,36 @@ def test_constraint_eval_rejects_the_wrong_width():
                        match=r"rosenbrock-1c: x has shape \(3, 3\), problem decision dim is 2"):
         spec.constraint_eval(np.zeros((3, 3)), np.ones((3, 2)))
     # one row may still come as a vector
-    assert spec.constraint_eval(np.zeros(2), np.ones(2)).ineq_values.shape == (1, 1)
+    assert spec.constraint_eval(np.zeros(2), np.ones(2)).values.shape == (1, 1)
+
+
+def _two_args(x, p):
+    return x[:, 0].copy(), np.ones_like(x)
+
+
+@pytest.mark.parametrize("where, fields", [
+    ("objective", dict(objective=_two_args)),
+    ("constraint 0", dict(inequalities=(Constraint(_two_args, 0.0),))),
+    # numbered in residual block order: inequalities first
+    ("constraint 1", dict(equalities=(Constraint(_two_args, 0.0),))),
+])
+def test_an_evaluator_that_cannot_take_grad_is_rejected_at_construction(where, fields):
+    spec = make_problem("rosenbrock-1c")
+    with pytest.raises(ConfigError, match=f"rosenbrock-1c: the {where} evaluator _two_args "
+                                          r"cannot be called as fn\(x, p, grad=...\)"):
+        dataclasses.replace(spec, **fields)
+
+
+def test_an_evaluator_that_takes_grad_is_accepted_however_it_is_written():
+    def keyword_only(x, p, *, grad=True):
+        return x[:, 0].copy(), (np.ones_like(x) if grad else None)
+
+    def forwarding(*args, **kwargs):
+        return keyword_only(*args, **kwargs)
+
+    spec = dataclasses.replace(make_problem("rosenbrock-1c"), objective=forwarding,
+                               equalities=(Constraint(keyword_only, 0.0),))
+    assert spec.constraint_eval(np.ones((3, 2)), np.ones((3, 2)), grad=False).grads is None
 
 
 def test_sample_params_within_ranges_and_deterministic():

@@ -22,7 +22,11 @@ penalty (see ``grid_bytes``).  The CSVs show a net's outputs only as
 17-digit text, so the raw bytes of ``mlp_forward``'s outputs from each
 trained model are hashed too, on 4096 sampled parameter rows: one row at a
 time for the first 100, 100 rows in one call, and all 4096 in one call (see
-``forward_bytes``).  One ``<sha256 prefix> <artifact>`` line per output.
+``forward_bytes``).  No registry problem has an equality, so two specs of
+this file's own carry them: an equality alone and two inequalities beside
+two equalities (see ``EQUALITY_SPECS``).  On each, ``loss_terms_batch``'s
+records and ``solve``'s answers are hashed (see ``equality_bytes``).  One
+``<sha256 prefix> <artifact>`` line per output.
 
 A refactor that should not change results runs this on the parent commit and
 on the change and diffs the two outputs.  Run from a checkout's root:
@@ -44,7 +48,9 @@ import numpy as np  # noqa: E402
 from penalearn.cli import main  # noqa: E402
 from penalearn.nn import load_model, mlp_forward  # noqa: E402
 from penalearn.oracle import OracleConfig, _descend_batch, grid_scan, solve  # noqa: E402
-from penalearn.problems import make_problem, problem_names, sample_params  # noqa: E402
+from penalearn.penalty import PenaltyConfig, loss_terms_batch  # noqa: E402
+from penalearn.problems import (Constraint, ProblemSpec, make_problem, problem_names,  # noqa: E402
+                                sample_params)
 
 SEEDS = (0, 1, 7)
 ORACLE_PROBLEMS = ("rosenbrock-1c", "ackley-1c")
@@ -129,6 +135,74 @@ def descent_bytes(spec, params, cfg=OracleConfig()) -> bytes:
     return b"".join(out)
 
 
+def _distance2(x, p, grad=True):
+    """|x - c|^2, with c = p."""
+    d = x - p
+    return (d * d).sum(axis=1), (2.0 * d if grad else None)
+
+
+def _line(x, p, grad=True):
+    return x[:, 0] + x[:, 1], (np.ones_like(x) if grad else None)
+
+
+def _parabola(x, p, grad=True):
+    g = np.stack([np.ones(len(x)), -2.0 * x[:, 1]], axis=1) if grad else None
+    return x[:, 0] - x[:, 1] * x[:, 1], g
+
+
+def _disk(x, p, grad=True):
+    return (x * x).sum(axis=1), (2.0 * x if grad else None)
+
+
+def _second(x, p, grad=True):
+    g = np.stack([np.zeros(len(x)), np.ones(len(x))], axis=1) if grad else None
+    return x[:, 1].copy(), g
+
+
+def _equality_spec(name, inequalities, equalities):
+    return ProblemSpec(name=name, decision_dim=2, param_dim=2, objective=_distance2,
+                       inequalities=inequalities, equalities=equalities,
+                       param_ranges=((-2.0, 2.0), (-2.0, 2.0)))
+
+
+# min |x - c|^2 s.t. x1 + x2 = 1; then x.x <= 4 and x2 <= 1.5 beside x1 + x2 = 1
+# and x1 = x2^2, whose one common point is ((3 - sqrt 5) / 2, (sqrt 5 - 1) / 2)
+EQUALITY_SPECS = (
+    (_equality_spec("line", (), (Constraint(_line, 1.0),)), 50),
+    (_equality_spec("two-and-two", (Constraint(_disk, 4.0), Constraint(_second, 1.5)),
+                    (Constraint(_line, 1.0), Constraint(_parabola, 0.0))), 20),
+)
+LOSS_ROWS = 200
+LOSS_CONFIGS = (PenaltyConfig(), PenaltyConfig(eta=1e2, gamma=1.5),
+                PenaltyConfig(mode="indicator"))
+
+
+def equality_bytes():
+    """Yield (artifact name, raw bits) for each spec of ``EQUALITY_SPECS``.
+
+    ``loss_terms_batch`` runs on 200 rows under each of ``LOSS_CONFIGS``,
+    once strict and once unchecked with a shift in [-1, 1); its loss,
+    objective, penalty, gradient and violations (at ``eq_tolerance`` 0 and
+    1e-2) are hashed.  ``solve``'s answers are hashed on the number of
+    sampled instances the spec is listed with.
+    """
+    for spec, solves in EQUALITY_SPECS:
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-3.0, 3.0, (LOSS_ROWS, 2))
+        P = sample_params(spec, LOSS_ROWS, 4)
+        shift = rng.uniform(-1.0, 1.0, (LOSS_ROWS, len(spec.inequalities + spec.equalities)))
+        out = []
+        for cfg in LOSS_CONFIGS:
+            for terms in (loss_terms_batch(X, P, spec, cfg),
+                          loss_terms_batch(X, P, spec, cfg, strict=False, shift=shift)):
+                out += [a.tobytes() for a in (terms.loss, terms.objective, terms.penalty,
+                                              terms.grad)]
+                for tolerance in (0.0, 1e-2):
+                    out += [a.tobytes() for a in terms.constraints.violations(tolerance)]
+        yield f"{spec.name}.loss-terms-x{LOSS_ROWS}", b"".join(out)
+        yield f"{spec.name}.solve-x{solves}", solution_bytes(spec, sample_params(spec, solves, 3))
+
+
 def forward_bytes(net, params, batch_size) -> bytes:
     """Raw bits of ``mlp_forward`` on ``params`` in calls of ``batch_size`` rows.
 
@@ -183,6 +257,7 @@ def outputs():
         spec = make_problem(name)
         params = sample_params(spec, DESCENTS, 0)
         yield f"{name}.descent-x{DESCENTS}", descent_bytes(spec, params)
+    yield from equality_bytes()
 
 
 def digest_lines():
