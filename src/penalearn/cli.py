@@ -336,7 +336,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
         P = sample_params(spec, cfg.count, cfg.train.seed)
     reports = evaluate(net, spec, P, cfg.train.penalty)
     out = _default_out(cfg, ".eval.csv")
-    write_text_atomic(out, eval_reports_csv(reports))
+    write_text_atomic(out, eval_reports_csv(reports, spec))
     feasible = sum(1 for r in reports if r.feasible)
     print(f"evaluated {len(reports)} instances; {feasible} feasible")
     print(f"report -> {out}")

@@ -15,11 +15,11 @@ as soon as it finishes, with Barzilai-Borwein step lengths under a
 nonmonotone backtracking safeguard; ``descent_lr`` is the initial and
 fallback step size.
 
-The grid scan evaluates the constraints at every grid point and the objective
-only where they hold; only when no grid point is feasible with a finite
-objective does it evaluate objective + penalty everywhere.  ``grid_scan`` and
-``solve`` run with numpy's floating-point warnings silenced: the oracle ranks
-overflowed and NaN values as non-finite instead.
+The grid scan evaluates the constraints once at every grid point and the
+objective only where they hold; with no feasible grid point it evaluates the
+objective everywhere and ranks by objective + the penalty of each chunk's kept
+residual block.  ``grid_scan`` and ``solve`` run with numpy's floating-point
+warnings silenced: the oracle ranks overflowed and NaN values as non-finite.
 """
 
 from __future__ import annotations
@@ -149,13 +149,13 @@ def _mesh(dim: int, points_per_dim: int) -> np.ndarray:
     return points
 
 
-def _feasible_best(spec, P, X, tol):
+def _feasible_best(spec, P, X, ce, tol):
     """A chunk's best feasible row as (x, f0), or ``None`` if it has none.
 
-    The constraints are evaluated at every row, the objective only at rows
-    whose worst violation is at most ``tol``; a feasible row also needs a
-    finite objective, as in ``_best``."""
-    max_ineq, max_eq, _ = spec.constraint_eval(X, P[:X.shape[0]], grad=False).violations()
+    ``ce`` is the chunk's constraint block; the objective is evaluated only at
+    rows whose worst violation is at most ``tol``, and a feasible row also
+    needs a finite objective, as in ``_best``."""
+    max_ineq, max_eq, _ = ce.violations()
     X = X[np.maximum(max_ineq, max_eq) <= tol]
     if not X.shape[0]:
         return None
@@ -171,16 +171,16 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
 
     Returns the feasible grid point with the lowest objective, or, when no
     grid point is feasible, the point minimizing objective + penalty at the
-    default ``PenaltyConfig`` weight; ``_best`` ranks, as in ``solve``.
+    default ``PenaltyConfig`` weight, as ``_best`` ranks in ``solve``.
 
     Feasibility comes first: each 4,096-point chunk evaluates the constraints
-    (values only) at every point and the objective only at its feasible
+    (values only) once, at every point, and the objective only at its feasible
     points.  ``_best``'s order is total (objective, then x), so the best of
     the chunks' best feasible points is the point a full scan ranks first.
-    Only when no grid point is feasible with a finite objective is every
-    chunk evaluated in full, objective + penalty, and ranked by ``_best``
-    within the chunk and then across the chunk winners.  ``p`` is checked by
-    ``_params``.
+    Only when no grid point is feasible with a finite objective is the
+    objective evaluated everywhere, plus the penalty of each chunk's kept
+    block, and ``_lowest`` ranks by that sum in each chunk, then across them,
+    as ``_best`` does with no feasible row.  ``p`` is checked by ``_params``.
     """
     p = _params(spec, p)
     k = spec.decision_dim
@@ -191,17 +191,18 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
     points = _mesh(k, cfg.grid_points_per_dim)
     chunks = [points[lo:lo + GRID_CHUNK] for lo in range(0, points.shape[0], GRID_CHUNK)]
     P = np.broadcast_to(p, (GRID_CHUNK, p.size))
-    winners = [w for X in chunks if (w := _feasible_best(spec, P, X, cfg.feasible_tol))]
-    if winners:
-        X, f0 = (np.array(column) for column in zip(*winners))
-        x_best = X[_lowest(X, f0)]
-    else:
-        for X in chunks:  # each chunk's best row: (x, f0, viol, pen), as evaluated in its chunk
-            ranks = _rank_values(spec, P[:X.shape[0]], X)
-            i = _best(X, *ranks, cfg.feasible_tol)
-            winners.append((X[i], *(r[i] for r in ranks)))
-        X, f0, viol, pen = (np.array(column) for column in zip(*winners))
-        x_best = X[_best(X, f0, viol, pen, cfg.feasible_tol)]
+    blocks = [spec.constraint_eval(X, P[:X.shape[0]], grad=False) for X in chunks]
+    winners = [w for X, ce in zip(chunks, blocks)
+               if (w := _feasible_best(spec, P, X, ce, cfg.feasible_tol))]
+    if not winners:  # each chunk's row of least objective + penalty, non-finite as inf
+        for X, ce in zip(chunks, blocks):
+            f0, _ = spec.objective(X, P[:X.shape[0]], grad=False)
+            score = f0 + ce.penalty(_RANK_PENALTY)[0]
+            score = np.where(np.isfinite(score), score, np.inf)
+            i = _lowest(X, score)
+            winners.append((X[i], score[i]))
+    X, score = (np.array(column) for column in zip(*winners))
+    x_best = X[_lowest(X, score)]
     # re-evaluated alone: a 1-row call need not match its row in the chunk bit for bit
     return _answer(spec, p, x_best[None, :], cfg, t0, grid_first=True)
 

@@ -9,10 +9,10 @@ outside) is kept as a diagnostic: its gradient contribution is identically
 zero, which is exactly why it cannot steer training.
 
 ``loss_terms_batch`` is the single place a batch of points is evaluated: one
-objective call, one constraint call, and the penalty built from them, returned
-as one ``LossTerms`` record that also carries the residuals: one
-``ConstraintEval`` block, inequality columns first, which every reader
-slices.  Worst violations and feasibility come from its ``violations``.
+objective call and one constraint call, returned as one ``LossTerms`` record
+that also carries the residuals: one ``ConstraintEval`` block, inequality
+columns first, which every reader slices.  Worst violations and feasibility
+come from its ``violations``, the penalty and its gradient from its ``penalty``.
 Training calls it with ``strict=True`` (shapes checked, a non-finite value
 raises ``NonFiniteError`` naming the constraint and the sample); the oracle
 calls it with ``strict=False`` (no checks, floating-point warnings silenced,
@@ -89,6 +89,38 @@ class ConstraintEval:
         feasible = (worst_ineq <= 0.0) & (max_eq <= eq_tolerance)
         return np.maximum(worst_ineq, 0.0), max_eq, feasible
 
+    def penalty(self, cfg: PenaltyConfig, shift=None, grad=None):
+        """(penalty per row at ``cfg``, ``grad`` + the penalty's gradient in x).
+
+        ``shift`` (batch, m), laid out as ``values``, is added to the block
+        first: the oracle's augmented-Lagrangian stages charge
+        eta * max(0, r + s)^gamma and eta * |h + s|^gamma.  ``grad`` is the
+        objective's (batch, k) gradient, to which the inequality term is
+        added, then the equality term; ``None`` does no gradient work.
+        """
+        r = self.values if shift is None else self.values + shift
+        r_ineq, r_eq = r[:, :self.n_ineq], r[:, self.n_ineq:]
+        omega = np.zeros(r.shape[0])
+        if cfg.mode == "indicator":
+            if r_ineq.shape[1]:
+                omega += (r_ineq > 0.0).sum(axis=1)
+            if r_eq.shape[1]:
+                omega += (np.abs(r_eq) > cfg.eq_tolerance).sum(axis=1)
+            # the indicator is flat on both sides of the boundary: zero gradient
+            omega *= cfg.indicator_big
+        else:
+            if r_ineq.shape[1]:
+                values, derivs = ineq_penalty(r_ineq, cfg.eta, cfg.gamma, grad is not None)
+                omega += values.sum(axis=1)
+                if grad is not None:
+                    grad = grad + np.einsum("bi,bik->bk", derivs, self.grads[:, :self.n_ineq])
+            if r_eq.shape[1]:
+                values, derivs = eq_penalty(r_eq, cfg.eta, cfg.gamma, grad is not None)
+                omega += values.sum(axis=1)
+                if grad is not None:
+                    grad = grad + np.einsum("bj,bjk->bk", derivs, self.grads[:, self.n_ineq:])
+        return omega, grad
+
 
 def _row_max(values):
     """The maximum of each row of a (rows, >= 1 columns) array, as a new array."""
@@ -158,10 +190,8 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
     when a whole-array test fails; ``strict=False`` never raises and lets
     non-finite rows through.
 
-    ``shift`` (batch, m), laid out as ``ConstraintEval.values``, is added
-    to the residual block before the penalty: the oracle's
-    augmented-Lagrangian stages charge eta * max(0, r + s)^gamma and
-    eta * |h + s|^gamma.  ``constraints`` keeps the unshifted residuals.
+    The penalty is ``ConstraintEval.penalty`` of the constraint block, at
+    ``shift`` (see there); ``constraints`` keeps the unshifted residuals.
     ``grad=False`` does no gradient work: the same values, with every
     gradient field ``None``.
     """
@@ -187,28 +217,7 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
             for i in range(ce.values.shape[1]):  # numbered in block order
                 _require_finite(ce.values[:, i], None if ce.grads is None else ce.grads[:, i], i)
 
-        r = ce.values if shift is None else ce.values + shift
-        r_ineq, r_eq = r[:, :ce.n_ineq], r[:, ce.n_ineq:]
-        omega = np.zeros(x.shape[0])
-        g = g0 if grad else None  # d(loss)/dx
-        if cfg.mode == "indicator":
-            if r_ineq.shape[1]:
-                omega += (r_ineq > 0.0).sum(axis=1)
-            if r_eq.shape[1]:
-                omega += (np.abs(r_eq) > cfg.eq_tolerance).sum(axis=1)
-            # the indicator is flat on both sides of the boundary: zero gradient
-            omega *= cfg.indicator_big
-        else:
-            if r_ineq.shape[1]:
-                values, derivs = ineq_penalty(r_ineq, cfg.eta, cfg.gamma, grad)
-                omega += values.sum(axis=1)
-                if grad:
-                    g = g + np.einsum("bi,bik->bk", derivs, ce.grads[:, :ce.n_ineq])
-            if r_eq.shape[1]:
-                values, derivs = eq_penalty(r_eq, cfg.eta, cfg.gamma, grad)
-                omega += values.sum(axis=1)
-                if grad:
-                    g = g + np.einsum("bj,bjk->bk", derivs, ce.grads[:, ce.n_ineq:])
+        omega, g = ce.penalty(cfg, shift, g0 if grad else None)
         return LossTerms(f0 + omega, f0, omega, g, ce)
 
 

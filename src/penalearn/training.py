@@ -331,11 +331,9 @@ def csv_text(header, rows, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def eval_reports_csv(reports: Sequence[EvalReport]) -> str:
-    """CSV over per-instance scorecards; one row per parameter vector."""
-    if not reports:
-        return "# empty evaluation\n"
-    header = (columns("c", reports[0].params.size) + columns("x", reports[0].x.size)
+def eval_reports_csv(reports: Sequence[EvalReport], spec: ProblemSpec) -> str:
+    """CSV over ``spec``'s scorecards, one row per report; no reports: the header alone."""
+    header = (columns("c", spec.param_dim) + columns("x", spec.decision_dim)
               + ["f0", "max_ineq_violation", "max_eq_violation", "feasible", "t_fwd_ns"])
     # tolist() hands %.17g Python floats: the same text as numpy scalars, sooner
     return csv_text(header, ((*r.params.tolist(), *r.x.tolist(), r.objective,

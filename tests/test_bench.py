@@ -169,7 +169,8 @@ def test_bench_csv_net_cells_are_the_eval_csv_cells(small_report):
     spec, net, report = small_report
     params = np.array([r.params for r in report.rows])
     bench = [ln.split(",") for ln in emit_csv(report).splitlines()]
-    evals = [ln.split(",") for ln in eval_reports_csv(evaluate(net, spec, params)).splitlines()]
+    evals = [ln.split(",")
+             for ln in eval_reports_csv(evaluate(net, spec, params), spec).splitlines()]
     assert bench[0][:4] == ["c1", "c2", "x_dnn1", "x_dnn2"] and bench[0][6] == "f0_dnn"
     assert evals[0][:5] == ["c1", "c2", "x1", "x2", "f0"]
     for b, e in zip(bench[1:1 + len(report.rows)], evals[1:], strict=True):

@@ -30,6 +30,7 @@ from penalearn import (
     violation_report_batch,
 )
 from penalearn import oracle
+from test_equality import LINE
 
 
 class _Counts:
@@ -48,8 +49,9 @@ class _Counts:
         self.spec = self.counted(name)
 
     def counted(self, name):
-        """``make_problem(name)`` with its objective calls counted here."""
-        base = make_problem(name)
+        """``make_problem(name)``, or the spec ``name``, with its objective calls
+        counted here."""
+        base = make_problem(name) if isinstance(name, str) else name
 
         def objective(x, p, grad=True):
             self.objective += 1
@@ -101,15 +103,18 @@ def test_grid_scan_evaluates_once_per_chunk_plus_winner(monkeypatch):
     assert counts.both() == (2 + 1, chunks + 1)
 
 
-def test_grid_scan_without_a_feasible_point_evaluates_every_chunk_in_full(monkeypatch):
-    # rosenbrock-3c has no feasible point: the constraint pass finds none, so every
-    # chunk is evaluated again in full (objective + penalty), then the winner alone
-    counts = _Counts(monkeypatch, "rosenbrock-3c")
+@pytest.mark.parametrize("spec", ["rosenbrock-3c", LINE], ids=["rosenbrock-3c", "line"])
+def test_grid_scan_without_a_feasible_point_evaluates_constraints_once_per_chunk(
+        monkeypatch, spec):
+    # rosenbrock-3c has no feasible point, and no grid point lies on LINE's
+    # x1 + x2 = 1: the constraint pass finds none, so every chunk's objective is
+    # evaluated and penalized by the kept constraint block, then the winner alone
+    counts = _Counts(monkeypatch, spec)
     calls = _count_oracle_evaluations(monkeypatch, counts)
     monkeypatch.setattr(oracle, "GRID_CHUNK", 10_000)
     grid_scan(counts.spec, np.array([1.0, 1.0]))
-    assert calls == [5 + 1, 0]
-    assert counts.both() == (5 + 1, 5 + 5 + 1)
+    assert calls == [1, 0]
+    assert counts.both() == (5 + 1, 5 + 1)
 
 
 def test_solve_evaluates_once_per_descent_step_and_ranking(monkeypatch):
@@ -126,9 +131,10 @@ def test_solve_evaluates_once_per_descent_step_and_ranking(monkeypatch):
     counts.objective = counts.constraints = 0
     calls[:] = [0, 0]
     solve(counts.counted("rosenbrock-3c"), np.array([1.0, 1.0]), cfg)
-    # grid: the constraints find no feasible point, so the chunk in full, then the winner
-    assert calls == [1 + 1 + 1, 133]
-    assert counts.both() == (sum(calls), 1 + sum(calls))
+    # grid: the constraints find no feasible point, so the chunk's objective, then the
+    # winner; the ranking once
+    assert calls == [1 + 1, 133]
+    assert counts.both() == (1 + sum(calls), 1 + sum(calls))
 
 
 def test_training_log_and_evaluate_evaluate_once(monkeypatch):
@@ -346,7 +352,8 @@ def test_evaluate_on_zero_rows_scores_nothing(monkeypatch):
     reports = evaluate(net, counts.spec, np.zeros((0, 2)))
     assert reports == []
     assert counts.both() == (0, 0)
-    assert eval_reports_csv(reports) == "# empty evaluation\n"
+    assert eval_reports_csv(reports, counts.spec) == (
+        "c1,c2,x1,x2,f0,max_ineq_violation,max_eq_violation,feasible,t_fwd_ns\n")
 
 
 def _spoiled_rows(spec, n=40, seed=3):

@@ -207,6 +207,38 @@ def test_shift_moves_the_residual_the_penalty_sees():
     np.testing.assert_array_equal(zero.loss, plain.loss)
     np.testing.assert_array_equal(zero.grad, plain.grad)
 
+    # the block's own penalty, with and without the shift, on RB's block, whose
+    # equality group is empty, and on it with one equality column h appended
+    ce = plain.constraints
+    h, shift_h = np.array([[0.3], [-0.2], [0.1]]), np.array([[0.1], [0.2], [-0.3]])
+    both = ConstraintEval(np.hstack([r, h]), np.concatenate(
+        [ce.grads, np.tile([[[1.0, -1.0]]], (3, 1, 1))], axis=1), n_ineq=1)
+    # shifted, g0 + (ineq term + eq term) rounds differently in row 3: the order shows
+    g0 = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    for c in (cfg, PenaltyConfig(eta=1e2, gamma=1.5),
+              PenaltyConfig(mode="indicator", eq_tolerance=0.25)):
+        for s in (None, shift):
+            rs, hs = (r, h) if s is None else (r + s, h + shift_h)
+            if c.mode == "indicator":  # big per violated constraint, and no gradient
+                terms = 1e12 * (rs[:, 0] > 0.0), 1e12 * (np.abs(hs[:, 0]) > 0.25)
+                slopes = 0.0, 0.0
+            else:  # eta * max(0, r + s)^gamma and eta * |h + s|^gamma
+                terms = (c.eta * np.maximum(0.0, rs[:, 0]) ** c.gamma,
+                         c.eta * np.abs(hs[:, 0]) ** c.gamma)
+                slopes = (np.einsum("bi,bik->bk", ineq_penalty(rs, c.eta, c.gamma)[1], ce.grads),
+                          np.einsum("bj,bjk->bk", eq_penalty(hs, c.eta, c.gamma)[1],
+                                    both.grads[:, 1:]))
+            omega, g = ce.penalty(c, s)
+            np.testing.assert_array_equal(omega, terms[0])
+            assert g is None
+            omega, g = ce.penalty(c, s, g0)
+            np.testing.assert_array_equal(omega, terms[0])
+            np.testing.assert_array_equal(g, g0 + slopes[0])
+            omega, g = both.penalty(c, None if s is None else np.hstack([s, shift_h]), g0)
+            np.testing.assert_array_equal(omega, terms[0] + terms[1])
+            # the inequality term joins the objective's gradient first
+            np.testing.assert_array_equal(g, (g0 + slopes[0]) + slopes[1])
+
 
 def _violations_by_max(ce, eq_tolerance):
     """``ConstraintEval.violations`` with the row maxima taken by ``.max(axis=1)``."""

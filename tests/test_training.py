@@ -185,7 +185,7 @@ def test_eval_reports_csv_layout():
     spec = make_problem("rosenbrock-1c")
     net, _ = train(spec, TrainConfig(**FAST))
     reports = evaluate(net, spec, sample_params(spec, 4, seed=3))
-    text = eval_reports_csv(reports)
+    text = eval_reports_csv(reports, spec)
     lines = text.splitlines()
     assert lines[0] == "c1,c2,x1,x2,f0,max_ineq_violation,max_eq_violation,feasible,t_fwd_ns"
     assert len(lines) == 5

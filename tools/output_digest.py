@@ -25,8 +25,8 @@ time for the first 100, 100 rows in one call, and all 4096 in one call (see
 ``forward_bytes``).  No registry problem has an equality, so two specs of
 this file's own carry them: an equality alone and two inequalities beside
 two equalities (see ``EQUALITY_SPECS``).  On each, ``loss_terms_batch``'s
-records and ``solve``'s answers are hashed (see ``equality_bytes``).  One
-``<sha256 prefix> <artifact>`` line per output.
+records, ``solve``'s answers and ``grid_scan``'s answers are hashed (see
+``equality_bytes``).  One ``<sha256 prefix> <artifact>`` line per output.
 
 A refactor that should not change results runs this on the parent commit and
 on the change and diffs the two outputs.  Run from a checkout's root:
@@ -184,7 +184,9 @@ def equality_bytes():
     once strict and once unchecked with a shift in [-1, 1); its loss,
     objective, penalty, gradient and violations (at ``eq_tolerance`` 0 and
     1e-2) are hashed.  ``solve``'s answers are hashed on the number of
-    sampled instances the spec is listed with.
+    sampled instances the spec is listed with, and then, after both specs,
+    ``grid_scan``'s on the same instances: no grid point meets an equality,
+    so these scans rank every point by objective + penalty.
     """
     for spec, solves in EQUALITY_SPECS:
         rng = np.random.default_rng(11)
@@ -201,6 +203,9 @@ def equality_bytes():
                     out += [a.tobytes() for a in terms.constraints.violations(tolerance)]
         yield f"{spec.name}.loss-terms-x{LOSS_ROWS}", b"".join(out)
         yield f"{spec.name}.solve-x{solves}", solution_bytes(spec, sample_params(spec, solves, 3))
+    for spec, solves in EQUALITY_SPECS:
+        yield (f"{spec.name}.grid-x{solves}",
+               solution_bytes(spec, sample_params(spec, solves, 3), grid_scan))
 
 
 def forward_bytes(net, params, batch_size) -> bytes:
