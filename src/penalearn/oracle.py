@@ -12,8 +12,10 @@ than ``feasible_tol / 10`` (then its worst violation is at most that, and no
 inequality with a positive multiplier sits further inside its boundary), or
 after 12 stages.  Descent runs all starts as one batch, which a start leaves
 as soon as it finishes, with Barzilai-Borwein step lengths under a
-nonmonotone backtracking safeguard; ``descent_lr`` is the initial and
-fallback step size.
+nonmonotone backtracking safeguard (Grippo, Lampariello & Lucidi 1986);
+``descent_lr`` is the initial and fallback step size.  A row whose first
+trial fails tries its next halvings, up to 8 in one evaluation, and takes
+the first that passes, with the bits of halving one trial at a time.
 
 The grid scan evaluates the constraints once at every grid point and the
 objective only where they hold; with no feasible grid point it evaluates the
@@ -39,7 +41,10 @@ from .problems import ProblemSpec
 # grid rows per evaluation: a (rows, 2) temporary is then 64 KiB, small enough
 # that the scan reuses freed memory instead of first-touching fresh pages
 GRID_CHUNK = 4096
+# line-search trials per BB step: the first trial, then up to 44 halvings
 _MAX_HALVINGS = 45
+# a row whose first trial fails tries up to this many of its next halvings per evaluation
+_HALVINGS_PER_EVAL = 8
 _NONMONOTONE_WINDOW = 10
 _AL_MAX_STAGES = 12
 # the box the grid spans and random starts are drawn from, in every dimension
@@ -213,13 +218,17 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     The loss is the stage penalty with each row's residual ``shift``.  Rows
     finish (line-search failure, zero gradient, or sub-tolerance move)
     independently; a finished row's point and residuals are written out and
-    it leaves the working arrays.  No row's arithmetic depends on another's,
-    so its bits do not depend on which rows descend beside it.  Returns the
-    final points, a per-row finite flag, and the unshifted residual block at
-    the final points (``ConstraintEval.values``, laid out as ``shift``).  The
-    caller silences numpy's floating-point warnings, as ``solve`` does.
+    it leaves the working arrays.  A row whose first line-search trial fails
+    tries its next halvings, up to ``_HALVINGS_PER_EVAL`` of them as extra
+    rows of one evaluation, and takes the first that passes.  No row's
+    arithmetic depends on another's, so its bits do not depend on which rows
+    descend beside it, nor on how many halvings one evaluation tries.
+    Returns the final points, a per-row finite flag, and the unshifted
+    residual block at the final points (``ConstraintEval.values``, laid out
+    as ``shift``).  The caller silences numpy's floating-point warnings, as
+    ``solve`` does.
     """
-    P = np.broadcast_to(p, (X0.shape[0], p.size))
+    P = np.broadcast_to(p, (X0.shape[0] * _HALVINGS_PER_EVAL, p.size))
 
     def fg(X, S):
         terms = loss_terms_batch(X, P[:X.shape[0]], spec, _STAGE_PENALTY, strict=False,
@@ -255,46 +264,59 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
         if not rows.size:
             break
         ref = np.maximum.reduce(history, 0)
-        t = step  # halved in place; step is rebuilt below
+        t = step  # becomes each row's accepted trial step; step is rebuilt below
         # the first trial covers every working row, without indexing
         Xt = X - t[:, None] * G
         Ft, Gt, Rt = fg(Xt, shift)
         good = accepts(Ft, Gt, ref, t, gnorm2)
-        if np.logical_and.reduce(good):  # the common case: the trial is the new state
-            new, accepted = (Xt, Ft, Gt, Rt), good
-        else:  # a row that failed halves its step and tries again
-            new = (X.copy(), F.copy(), G.copy(), R.copy())
-            accepted = np.zeros(X.shape[0], dtype=bool)
-            idx = np.arange(X.shape[0])
-            for trial in range(_MAX_HALVINGS):
-                if trial:
-                    Xt = X[idx] - t[idx, None] * G[idx]
-                    Ft, Gt, Rt = fg(Xt, shift[idx])
-                    good = accepts(Ft, Gt, ref[idx], t[idx], gnorm2[idx])
-                gi = idx[good]
-                for a, b in zip(new, (Xt, Ft, Gt, Rt)):
-                    a[gi] = b[good]
-                accepted[gi] = True
-                idx = idx[~good]
+        if not np.logical_and.reduce(good):
+            # a failed row tries t * 2^-j, j = 1 ... _MAX_HALVINGS - 1, in batches,
+            # and the first that passes is written into the first trial's arrays;
+            # with no constraint Gt is the objective's own array, not a fresh one
+            if not Rt.shape[1]:
+                Gt = Gt.copy()
+            idx = np.flatnonzero(~good)
+            # column j is t halved j times in turn, the steps one halving per
+            # evaluation would try, subnormal rounding included
+            halves = np.full((idx.size, _MAX_HALVINGS), 0.5)
+            halves[:, 0] = t[idx]
+            halves = np.multiply.accumulate(halves, 1)
+            for j in range(1, _MAX_HALVINGS, _HALVINGS_PER_EVAL):
                 if not idx.size:
                     break
-                t[idx] *= 0.5
-        S = new[0] - X
-        Y = new[2] - G
+                ts = halves[:, j:j + _HALVINGS_PER_EVAL]
+                n = ts.shape[1]
+                # row i's trials are rows i * n ... i * n + n - 1, in halving order
+                Xb = (X[idx, None] - ts[:, :, None] * G[idx, None]).reshape(-1, X.shape[1])
+                Fb, Gb, Rb = fg(Xb, np.repeat(shift[idx], n, 0))
+                passed = accepts(Fb, Gb, np.repeat(ref[idx], n), ts.ravel(),
+                                 np.repeat(gnorm2[idx], n)).reshape(-1, n)
+                any_passed = np.logical_or.reduce(passed, 1)
+                hit = np.flatnonzero(any_passed)
+                first = passed[hit].argmax(1)
+                gi, pick = idx[hit], hit * n + first
+                Xt[gi], Ft[gi], Gt[gi], Rt[gi] = Xb[pick], Fb[pick], Gb[pick], Rb[pick]
+                t[gi] = ts[hit, first]
+                idx, halves = idx[~any_passed], halves[~any_passed]
+            # no trial passed: the row keeps its state, so it does not move and
+            # ends, and its step is never read
+            Xt[idx], Ft[idx], Gt[idx], Rt[idx] = X[idx], F[idx], G[idx], R[idx]
+        S = Xt - X
+        Y = Gt - G
         sy = np.add.reduce(S * Y, 1)
         yy = np.add.reduce(Y * Y, 1)
-        curved = yy > 0.0
-        bb = np.where((sy > 0.0) & curved, sy / np.where(curved, yy, 1.0), t * 2.0)
+        # where yy is 0, sy / yy is masked (and its warning silenced by the caller)
+        bb = np.where((sy > 0.0) & (yy > 0.0), sy / yy, t * 2.0)
         step = np.minimum(np.maximum(bb, 1e-14), 1e3)  # np.clip, at less fixed cost
 
         moved = np.sqrt(np.add.reduce(S * S, 1))
-        X, F, G, R = new
+        X, F, G, R = Xt, Ft, Gt, Rt
         history[hist_pos] = F
         hist_pos = (hist_pos + 1) % _NONMONOTONE_WINDOW
         gnorm2 = np.add.reduce(G * G, 1)
-        # a row whose line search failed (converged or stuck) keeps its point and ends
-        live = (accepted & (gnorm2 > 0.0)
-                & (moved > _MOVE_TOL * (1.0 + np.sqrt(np.add.reduce(X * X, 1)))))
+        # a row whose line search failed (converged or stuck) kept its point, so its
+        # move is 0 and it ends, as does one that moved too little
+        live = (gnorm2 > 0.0) & (moved > _MOVE_TOL * (1.0 + np.sqrt(np.add.reduce(X * X, 1))))
 
     X_out[rows], R_out[rows] = X, R
     return X_out, ok, R_out

@@ -111,15 +111,37 @@ class ConstraintEval:
         else:
             if r_ineq.shape[1]:
                 values, derivs = ineq_penalty(r_ineq, cfg.eta, cfg.gamma, grad is not None)
-                omega += values.sum(axis=1)
+                omega += _row_sum(values)
                 if grad is not None:
                     grad = grad + np.einsum("bi,bik->bk", derivs, self.grads[:, :self.n_ineq])
             if r_eq.shape[1]:
                 values, derivs = eq_penalty(r_eq, cfg.eta, cfg.gamma, grad is not None)
-                omega += values.sum(axis=1)
+                omega += _row_sum(values)
                 if grad is not None:
                     grad = grad + np.einsum("bj,bjk->bk", derivs, self.grads[:, self.n_ineq:])
         return omega, grad
+
+
+def _row_sum(values):
+    """Row sums of a (rows, >= 1 columns) array, for a total held in ``omega``.
+
+    ``omega + _row_sum(values)`` has the bits of ``omega + values.sum(axis=1)``:
+    the two sums differ only in the sign of a zero, which adding to a total
+    that starts at +0.0, and so is never -0.0, erases.  Below 8 columns numpy
+    sums a row left to right, so the columns are added in that order, at a
+    fraction of the cost of a short-axis reduction on a tall block; from 8
+    columns on numpy sums in blocks, and ``.sum`` is kept.  One column is
+    returned as a view.
+    """
+    m = values.shape[1]
+    if m == 1:
+        return values[:, 0]
+    if m >= 8:
+        return values.sum(axis=1)
+    out = values[:, 0] + values[:, 1]
+    for j in range(2, m):
+        out += values[:, j]
+    return out
 
 
 def _row_max(values):

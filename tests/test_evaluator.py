@@ -117,15 +117,16 @@ def test_grid_scan_without_a_feasible_point_evaluates_constraints_once_per_chunk
     assert counts.both() == (5 + 1, 5 + 1)
 
 
-def test_solve_evaluates_once_per_descent_step_and_ranking(monkeypatch):
-    # one 441-point grid chunk; the descent evaluates once per line-search
-    # trial; the final ranking once
+def test_solve_evaluates_once_per_batch_of_line_search_trials_and_ranking(monkeypatch):
+    # one 441-point grid chunk; the descent evaluates once per step's first
+    # line-search trial and once per batch of up to 8 halvings; the final
+    # ranking once
     counts = _Counts(monkeypatch)
     calls = _count_oracle_evaluations(monkeypatch, counts)
     cfg = OracleConfig(grid_points_per_dim=21)
     solve(counts.spec, np.array([1.0, 1.0]), cfg)
     # grid: the constraints, the objective where they hold, then the winner
-    assert calls == [1 + 1, 189]
+    assert calls == [1 + 1, 133]
     assert counts.both() == (1 + sum(calls), 1 + sum(calls))
 
     counts.objective = counts.constraints = 0

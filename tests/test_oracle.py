@@ -1,5 +1,7 @@
 """Oracle: grid scan, multi-start penalized descent, configs, failure modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,17 @@ def test_grid_scan_matches_the_full_penalized_scan(name, params):
         assert got.method == "grid"
 
 
+def _descent_inputs(name):
+    """(spec, p, X0, shift): 10 random starts, the origin and a non-finite
+    start, each with its own residual shift."""
+    spec = make_problem(name)
+    p = sample_params(spec, 1, seed=21)[0]
+    rng = np.random.default_rng(22)
+    X0 = np.vstack([rng.uniform(-6.0, 6.0, size=(10, 2)), [[0.0, 0.0], [np.inf, 1.0]]])
+    shift = rng.uniform(0.01, 0.5, size=(len(X0), len(spec.inequalities)))
+    return spec, p, X0, shift
+
+
 @pytest.mark.parametrize("descent_lr", [1e-2, 1e6])
 @pytest.mark.parametrize(
     "name", ["rosenbrock-1c", "rosenbrock-3c", "ackley-1c", "ackley-3c"]
@@ -250,11 +263,7 @@ def test_descent_rows_get_the_same_bits_as_alone(name, descent_lr):
     # rows finish at different steps: by a small move, a zero gradient (the
     # ackley-1c origin) or the step cap, and at descent_lr=1e6 mostly by a
     # failed line search; the last row starts non-finite and never descends
-    spec = make_problem(name)
-    p = sample_params(spec, 1, seed=21)[0]
-    rng = np.random.default_rng(22)
-    X0 = np.vstack([rng.uniform(-6.0, 6.0, size=(10, 2)), [[0.0, 0.0], [np.inf, 1.0]]])
-    shift = rng.uniform(0.01, 0.5, size=(len(X0), len(spec.inequalities)))
+    spec, p, X0, shift = _descent_inputs(name)
     cfg = OracleConfig(descent_lr=descent_lr)
     with np.errstate(all="ignore"):
         X, ok, R = oracle._descend_batch(spec, p, X0, shift, cfg)
@@ -265,6 +274,96 @@ def test_descent_rows_get_the_same_bits_as_alone(name, descent_lr):
         assert X[i].tobytes() == x1[0].tobytes(), i
         assert ok[i] == ok1[0], i
         assert R[i].tobytes() == r1[0].tobytes(), i
+
+
+def _ledge(k):
+    """sum(x - c) over R^k, with c = p, and +inf once any x_i - c_i < -10:
+    a constant gradient, and a trial that steps off the ledge fails."""
+
+    def objective(X, P, grad=True):
+        d = X - P
+        f = np.where((d >= -10.0).all(axis=1), d.sum(axis=1), np.inf)
+        return f, (np.ones_like(d) if grad else None)
+
+    return ProblemSpec(name="ledge", decision_dim=k, param_dim=k, objective=objective,
+                       param_ranges=((-1.0, 1.0),) * k)
+
+
+def test_line_search_bits_do_not_depend_on_halvings_per_eval(monkeypatch):
+    # a row whose first trial fails tries its next halvings as extra rows of
+    # one evaluation; at descent_lr=1e6 most trials fail, and at 45 one
+    # evaluation holds every halving a step may try
+    spec = make_problem("rosenbrock-1c")
+    evaluator = oracle.loss_terms_batch
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return evaluator(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "loss_terms_batch", counted)
+    runs, evaluations = {}, {}
+    for per_eval in (1, 2, 8, 45):
+        monkeypatch.setattr(oracle, "_HALVINGS_PER_EVAL", per_eval)
+        out = []
+        with np.errstate(all="ignore"):
+            for name in ("rosenbrock-1c", "rosenbrock-3c", "ackley-1c", "ackley-3c"):
+                inputs = _descent_inputs(name)
+                for descent_lr in (1e-2, 1e6):
+                    cfg = OracleConfig(descent_lr=descent_lr)
+                    out += [a.tobytes() for a in oracle._descend_batch(*inputs, cfg)]
+            # a constant gradient: BB falls back to twice the step of the trial
+            # taken, a late halving in its evaluation
+            X0 = np.random.default_rng(23).uniform(-6.0, 6.0, size=(6, 4))
+            out += [a.tobytes() for a in oracle._descend_batch(
+                _ledge(4), np.zeros(4), X0, np.zeros((6, 0)), OracleConfig(descent_lr=1e6))]
+        calls[0] = 0
+        s = solve(spec, np.array([1.0, 1.0]))
+        evaluations[per_eval] = calls[0]
+        out += [s.x.tobytes(), np.float64(s.objective).tobytes(),
+                np.float64(s.max_violation).tobytes(), s.method.encode()]
+        runs[per_eval] = out
+    for per_eval in (2, 8, 45):
+        assert runs[per_eval] == runs[1], per_eval
+    assert evaluations[8] < evaluations[1]
+
+
+@pytest.mark.parametrize("per_eval", [1, 8, 45])
+def test_line_search_tries_its_45th_trial_and_no_more(monkeypatch, per_eval):
+    # from x = 0 the ledge's gradient is 1, so the first step is lr / 2 and
+    # trial j (0-based) steps lr / 2^(j+1); only a step of at most 10 passes
+    monkeypatch.setattr(oracle, "_HALVINGS_PER_EVAL", per_eval)
+    spec, X0, shift = _ledge(1), np.zeros((1, 1)), np.zeros((1, 0))
+    for lr, x in ((20.0 * 2.0**44, -10.0), (40.0 * 2.0**44, 0.0)):
+        cfg = OracleConfig(descent_lr=lr, descent_steps=1)
+        with np.errstate(all="ignore"):  # the BB quotient is 0 / 0
+            X, ok, _ = oracle._descend_batch(spec, np.zeros(1), X0, shift, cfg)
+        assert ok[0] and X[0, 0] == x, lr
+
+
+def test_line_search_writes_into_no_array_the_objective_returned():
+    # with no constraint the penalized gradient is the objective's own array;
+    # here it is read-only.  At descent_lr=1e6 the first trial's cosh
+    # overflows, so every row tries its halvings from the first step
+    def cosh_objective(read_only):
+        def objective(X, P, grad=True):
+            d = X - P
+            g = np.sinh(d) if grad else None
+            if grad and read_only:
+                g.flags.writeable = False
+            return np.cosh(d).sum(axis=1), g
+        return dataclasses.replace(_sphere_4d(), objective=objective)
+
+    p = np.array([0.3, -0.2, 0.1, 0.5])
+    X0 = np.random.default_rng(3).uniform(-6.0, 6.0, size=(5, 4))
+    shift = np.zeros((5, 0))
+    cfg = OracleConfig(descent_lr=1e6)
+    with np.errstate(all="ignore"):
+        want = oracle._descend_batch(cosh_objective(False), p, X0, shift, cfg)
+        got = oracle._descend_batch(cosh_objective(True), p, X0, shift, cfg)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert got[1].all() and np.isfinite(got[0]).all()
 
 
 def test_ackley_origin_found_within_grid_cell():

@@ -240,6 +240,49 @@ def test_shift_moves_the_residual_the_penalty_sees():
             np.testing.assert_array_equal(g, (g0 + slopes[0]) + slopes[1])
 
 
+@pytest.mark.parametrize("n_ineq", [1, 2, 3, 7, 8, 9])
+def test_penalty_row_sums_and_gradient_have_the_reference_bits(n_ineq):
+    # the reference is each group's .sum(axis=1) added to 0.0 and
+    # g0 + einsum(...), inequalities first; below 8 columns the penalty adds
+    # its columns one by one instead of summing each row
+    rng = np.random.default_rng(40 + n_ineq)
+    rows, n_eq, k = 64, 2, 2
+    values = rng.standard_normal((rows, n_ineq + n_eq))
+    grads = rng.standard_normal((rows, n_ineq + n_eq, k))
+    g0 = rng.standard_normal((rows, k))
+    # NaN and +-inf residuals and gradients, and -0.0 in g0; about half the
+    # residuals are feasible, so zero derivatives meet negative gradients
+    for a in (values, grads):
+        spoiled = rng.random(a.shape) < 0.1
+        a[spoiled] = rng.choice([np.nan, np.inf, -np.inf], size=spoiled.sum())
+    g0[rng.random(g0.shape) < 0.3] = -0.0
+    values[:8] = -np.abs(values[:8])
+    values[:8, n_ineq:] = 0.0
+    grads[:8] = -np.abs(grads[:8])
+    g0[:8] = -0.0
+    ce = ConstraintEval(values, grads, n_ineq)
+    shift = rng.uniform(-0.5, 0.5, values.shape)
+    shift[:8] = 0.0
+    with np.errstate(all="ignore"):
+        for cfg in (PenaltyConfig(eta=1e2), PenaltyConfig(eta=1e8, gamma=1.5)):
+            r = values + shift
+            iv, idv = ineq_penalty(r[:, :n_ineq], cfg.eta, cfg.gamma)
+            ev, edv = eq_penalty(r[:, n_ineq:], cfg.eta, cfg.gamma)
+            omega = 0.0 + iv.sum(axis=1)
+            omega += ev.sum(axis=1)
+            g = g0 + np.einsum("bi,bik->bk", idv, grads[:, :n_ineq])
+            g = g + np.einsum("bj,bjk->bk", edv, grads[:, n_ineq:])
+            got_omega, got_g = ce.penalty(cfg, shift, g0)
+            assert got_omega.tobytes() == omega.tobytes()
+            assert got_g.tobytes() == g.tobytes()
+            # the inequality group alone
+            alone = ConstraintEval(values[:, :n_ineq], grads[:, :n_ineq], n_ineq)
+            got_omega, got_g = alone.penalty(cfg, shift[:, :n_ineq], g0)
+            assert got_omega.tobytes() == (0.0 + iv.sum(axis=1)).tobytes()
+            assert got_g.tobytes() == (g0 + np.einsum("bi,bik->bk", idv,
+                                                      grads[:, :n_ineq])).tobytes()
+
+
 def _violations_by_max(ce, eq_tolerance):
     """``ConstraintEval.violations`` with the row maxima taken by ``.max(axis=1)``."""
     n, ineq, eq = ce.values.shape[0], ce.values[:, :ce.n_ineq], ce.values[:, ce.n_ineq:]

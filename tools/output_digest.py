@@ -26,7 +26,9 @@ time for the first 100, 100 rows in one call, and all 4096 in one call (see
 this file's own carry them: an equality alone and two inequalities beside
 two equalities (see ``EQUALITY_SPECS``).  On each, ``loss_terms_batch``'s
 records, ``solve``'s answers and ``grid_scan``'s answers are hashed (see
-``equality_bytes``).  One ``<sha256 prefix> <artifact>`` line per output.
+``equality_bytes``).  Last, the descents are hashed on the 10 rosenbrock-1c
+instances with c2 in [0.88, 1], whose line searches halve the most (see
+``defect_band``).  One ``<sha256 prefix> <artifact>`` line per output.
 
 A refactor that should not change results runs this on the parent commit and
 on the change and diffs the two outputs.  Run from a checkout's root:
@@ -219,6 +221,14 @@ def forward_bytes(net, params, batch_size) -> bytes:
     return mlp_forward(net, params[:batch_size])[0].tobytes()
 
 
+def defect_band():
+    """rosenbrock-1c and 10 sampled instances with c2 in [0.88, 1]."""
+    spec = make_problem("rosenbrock-1c")
+    params = sample_params(spec, 10, 0)
+    params[:, 1] = np.linspace(0.88, 1.0, 10)
+    return spec, params
+
+
 def outputs():
     """Yield (artifact name, bytes to hash), in a fixed order."""
     for name in problem_names():
@@ -253,16 +263,15 @@ def outputs():
         spec = make_problem(name)
         params = sample_params(spec, SOLVES, 0)
         yield f"{name}.solve-x{SOLVES}", solution_bytes(spec, params)
-    spec = make_problem("rosenbrock-1c")
-    params = sample_params(spec, 10, 0)
-    params[:, 1] = np.linspace(0.88, 1.0, 10)
-    yield "rosenbrock-1c.solve-c2-0.88-1", solution_bytes(spec, params)
+    band_spec, band = defect_band()
+    yield "rosenbrock-1c.solve-c2-0.88-1", solution_bytes(band_spec, band)
     yield from grid_bytes()
     for name in problem_names():
         spec = make_problem(name)
         params = sample_params(spec, DESCENTS, 0)
         yield f"{name}.descent-x{DESCENTS}", descent_bytes(spec, params)
     yield from equality_bytes()
+    yield "rosenbrock-1c.descent-c2-0.88-1", descent_bytes(band_spec, band)
 
 
 def digest_lines():
