@@ -17,6 +17,7 @@ place, so a failed run leaves no partial output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -410,7 +411,9 @@ def _default_text(key: _Key):
     return "problem-specific" if default is None else default
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``penalearn`` parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="penalearn",
         description=(

@@ -17,11 +17,14 @@ nonmonotone backtracking safeguard (Grippo, Lampariello & Lucidi 1986);
 trial fails tries its next halvings, up to 8 in one evaluation, and takes
 the first that passes, with the bits of halving one trial at a time.
 
-The grid scan evaluates the constraints once at every grid point and the
-objective only where they hold; with no feasible grid point it evaluates the
-objective everywhere and ranks by objective + the penalty of each chunk's kept
-residual block.  ``grid_scan`` and ``solve`` run with numpy's floating-point
-warnings silenced: the oracle ranks overflowed and NaN values as non-finite.
+One function, ``_best``, ranks the grid scan's points and ``solve``'s final
+candidates: feasible first, then by objective, and with no feasible
+candidate by objective + penalty.  It evaluates the constraints once at every
+candidate and the objective only where they hold; with no feasible candidate
+it evaluates the objective everywhere and adds the penalty of each kept
+residual block.  The answer's values are the ones the ranking computed.
+``grid_scan`` and ``solve`` run with numpy's floating-point warnings
+silenced: the oracle ranks overflowed and NaN values as non-finite.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import (DimensionError, NonFiniteError, OracleError, UnsupportedError, all_finite,
                      require, require_int)
-from .penalty import PenaltyConfig, loss_terms_batch
+from .penalty import ConstraintEval, PenaltyConfig, loss_terms_batch
 from .penalty import violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ProblemSpec
 
@@ -102,17 +105,6 @@ def _params(spec: ProblemSpec, p) -> np.ndarray:
     return p
 
 
-def _rank_values(spec, P, X):
-    """Values-only (f0, viol, pen) per row of ``X`` at ``P``: ``viol`` is the larger
-    of the two worst violations, ``pen`` objective + penalty at the default
-    ``PenaltyConfig``, and a non-finite ``f0`` or ``pen`` becomes inf."""
-    terms = loss_terms_batch(X, P, spec, _RANK_PENALTY, strict=False, grad=False)
-    max_ineq, max_eq, _ = terms.constraints.violations()
-    f0 = np.where(np.isfinite(terms.objective), terms.objective, np.inf)
-    pen = np.where(np.isfinite(terms.loss), terms.loss, np.inf)
-    return f0, np.maximum(max_ineq, max_eq), pen
-
-
 def _lowest(X, score) -> int:
     """The index of the lowest ``score``; ties go to the lexicographically
     smallest x, then to the first row."""
@@ -123,25 +115,49 @@ def _lowest(X, score) -> int:
     return int(tied[np.lexsort(X[tied].T[::-1])[0]])
 
 
-def _best(X, f0, viol, pen, tol) -> int:
-    """The oracle's one ranking rule: the index of the best row.
+def _best(spec, p, chunks, tol):
+    """The oracle's one ranking rule over the rows of the candidate blocks ``chunks``.
 
-    Feasible rows (``viol <= tol``, finite ``f0``) rank by ``f0``; with none,
-    rows rank by ``pen``.  Ties go as in ``_lowest``."""
-    feas = (viol <= tol) & np.isfinite(f0)
-    return _lowest(X, np.where(feas, f0, np.inf) if feas.any() else pen)
+    Returns ``(chunk, row, objective, worst violation)`` of the best row.
+    Feasible rows (worst violation at most ``tol``, finite objective) rank by
+    objective; with none, every row ranks by objective + penalty at the
+    default ``PenaltyConfig``, non-finite as inf.  Ties go as in ``_lowest``,
+    within each chunk and then across the chunk winners: the order is total
+    (feasible first, then score, then x, then row), so that is the row one
+    ranking of all rows picks.
 
-
-def _answer(spec, p, X, cfg: OracleConfig, t0, grid_first) -> OracleSolution:
-    """Rank the candidates ``X`` and report the best as the answer.
-
-    ``grid_first``: ``X[0]`` is the undescended grid point; ``method`` is
-    "grid" when it wins.  ``solve_time_s`` runs from ``t0`` to now."""
-    f0, viol, pen = _rank_values(spec, np.broadcast_to(p, (X.shape[0], p.size)), X)
-    best = _best(X, f0, viol, pen, cfg.feasible_tol)
-    return OracleSolution(x=X[best].copy(), objective=float(f0[best]),
-                          max_violation=float(viol[best]), solve_time_s=time.perf_counter() - t0,
-                          method="grid" if grid_first and best == 0 else "descent")
+    Each chunk's constraints are evaluated once (values only) and kept; the
+    objective only at its feasible rows, and at every row only when no chunk
+    holds a feasible row.  The evaluators are row-independent, so the
+    winner's values are those of a lone evaluation.  The caller silences
+    numpy's floating-point warnings.
+    """
+    P = np.broadcast_to(p, (max(X.shape[0] for X in chunks), p.size))
+    blocks = [spec.constraint_eval(X, P[:X.shape[0]], grad=False) for X in chunks]
+    winners = []  # (chunk, row, objective, score) of each chunk's best row
+    for c, (X, ce) in enumerate(zip(chunks, blocks)):
+        max_ineq, max_eq, _ = ce.violations()
+        rows = np.flatnonzero(np.maximum(max_ineq, max_eq) <= tol)
+        if not rows.size:
+            continue
+        X = X[rows]
+        f0, _ = spec.objective(X, P[:rows.size], grad=False)
+        f0 = np.where(np.isfinite(f0), f0, np.inf)
+        i = _lowest(X, f0)
+        if f0[i] < np.inf:
+            winners.append((c, rows[i], f0[i], f0[i]))
+    if not winners:  # each chunk's row of least objective + penalty
+        for c, (X, ce) in enumerate(zip(chunks, blocks)):
+            f0, _ = spec.objective(X, P[:X.shape[0]], grad=False)
+            score = f0 + ce.penalty(_RANK_PENALTY)[0]
+            score = np.where(np.isfinite(score), score, np.inf)
+            i = _lowest(X, score)
+            winners.append((c, i, f0[i] if np.isfinite(f0[i]) else np.inf, score[i]))
+    c, i, f0, _ = winners[_lowest(np.array([chunks[c][i] for c, i, _, _ in winners]),
+                                  np.array([score for _, _, _, score in winners]))]
+    max_ineq, max_eq, _ = ConstraintEval(blocks[c].values[i:i + 1], None,
+                                         blocks[c].n_ineq).violations()
+    return c, int(i), float(f0), float(np.maximum(max_ineq, max_eq)[0])
 
 
 @functools.lru_cache(maxsize=4)
@@ -154,38 +170,16 @@ def _mesh(dim: int, points_per_dim: int) -> np.ndarray:
     return points
 
 
-def _feasible_best(spec, P, X, ce, tol):
-    """A chunk's best feasible row as (x, f0), or ``None`` if it has none.
-
-    ``ce`` is the chunk's constraint block; the objective is evaluated only at
-    rows whose worst violation is at most ``tol``, and a feasible row also
-    needs a finite objective, as in ``_best``."""
-    max_ineq, max_eq, _ = ce.violations()
-    X = X[np.maximum(max_ineq, max_eq) <= tol]
-    if not X.shape[0]:
-        return None
-    f0, _ = spec.objective(X, P[:X.shape[0]], grad=False)
-    f0 = np.where(np.isfinite(f0), f0, np.inf)
-    i = _lowest(X, f0)
-    return (X[i], f0[i]) if f0[i] < np.inf else None
-
-
 @np.errstate(all="ignore")
 def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSolution:
     """Exhaustive scan of a regular grid over the box [-6, 6]^k.
 
     Returns the feasible grid point with the lowest objective, or, when no
     grid point is feasible, the point minimizing objective + penalty at the
-    default ``PenaltyConfig`` weight, as ``_best`` ranks in ``solve``.
-
-    Feasibility comes first: each 4,096-point chunk evaluates the constraints
-    (values only) once, at every point, and the objective only at its feasible
-    points.  ``_best``'s order is total (objective, then x), so the best of
-    the chunks' best feasible points is the point a full scan ranks first.
-    Only when no grid point is feasible with a finite objective is the
-    objective evaluated everywhere, plus the penalty of each chunk's kept
-    block, and ``_lowest`` ranks by that sum in each chunk, then across them,
-    as ``_best`` does with no feasible row.  ``p`` is checked by ``_params``.
+    default ``PenaltyConfig`` weight: ``_best`` ranks the 4,096-point chunks
+    of the grid as it ranks ``solve``'s candidates.  The answer's objective
+    and worst violation are the ones the scan computed; the winner is not
+    evaluated again.  ``p`` is checked by ``_params``.
     """
     p = _params(spec, p)
     k = spec.decision_dim
@@ -195,21 +189,10 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
 
     points = _mesh(k, cfg.grid_points_per_dim)
     chunks = [points[lo:lo + GRID_CHUNK] for lo in range(0, points.shape[0], GRID_CHUNK)]
-    P = np.broadcast_to(p, (GRID_CHUNK, p.size))
-    blocks = [spec.constraint_eval(X, P[:X.shape[0]], grad=False) for X in chunks]
-    winners = [w for X, ce in zip(chunks, blocks)
-               if (w := _feasible_best(spec, P, X, ce, cfg.feasible_tol))]
-    if not winners:  # each chunk's row of least objective + penalty, non-finite as inf
-        for X, ce in zip(chunks, blocks):
-            f0, _ = spec.objective(X, P[:X.shape[0]], grad=False)
-            score = f0 + ce.penalty(_RANK_PENALTY)[0]
-            score = np.where(np.isfinite(score), score, np.inf)
-            i = _lowest(X, score)
-            winners.append((X[i], score[i]))
-    X, score = (np.array(column) for column in zip(*winners))
-    x_best = X[_lowest(X, score)]
-    # re-evaluated alone: a 1-row call need not match its row in the chunk bit for bit
-    return _answer(spec, p, x_best[None, :], cfg, t0, grid_first=True)
+    c, i, objective, max_violation = _best(spec, p, chunks, cfg.feasible_tol)
+    return OracleSolution(x=chunks[c][i].copy(), objective=objective,
+                          max_violation=max_violation, solve_time_s=time.perf_counter() - t0,
+                          method="grid")
 
 
 def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
@@ -330,10 +313,10 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
     from the grid scan when the dimension permits.  Each start runs up to 12
     multiplier stages of ``descent_steps`` BB steps at eta = 1e2, and stops
     once a stage moves none of its shifts by more than ``feasible_tol / 10``.
-    The final iterates and the undescended grid point are ranked as in
-    ``grid_scan`` (``_best``): feasible first, then by objective, so the
-    result is never worse than ``grid_scan``; with no feasible candidate, by
-    objective + penalty at the default ``PenaltyConfig`` (a least-penalty
+    The final iterates and the undescended grid point are ranked by ``_best``,
+    as ``grid_scan`` ranks its points: feasible first, then by objective, so
+    the result is never worse than ``grid_scan``; with no feasible candidate,
+    by objective + penalty at the default ``PenaltyConfig`` (a least-penalty
     compromise).  ``method`` says whether the grid point or a descent won;
     when every start diverges, the grid point is the answer (``method`` is
     "grid"), and with no grid point (k > 3) ``OracleError`` is raised.
@@ -377,4 +360,7 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
 
     # the grid point goes first: it wins ties, so method == "grid" iff x is it
     X = X[ok] if grid_x is None else np.vstack([grid_x[None, :], X[ok]])
-    return _answer(spec, p, X, cfg, t0, grid_first=grid_x is not None)
+    _, i, objective, max_violation = _best(spec, p, [X], cfg.feasible_tol)
+    return OracleSolution(x=X[i].copy(), objective=objective, max_violation=max_violation,
+                          solve_time_s=time.perf_counter() - t0,
+                          method="grid" if grid_x is not None and i == 0 else "descent")

@@ -166,7 +166,7 @@ def resolve_net_shape(spec: ProblemSpec, cfg: TrainConfig) -> tuple[int, ...]:
 
 def _log_entry(epoch, net, inputs, raw_params, spec, cfg, t0) -> TrainLogEntry:
     outputs, _ = mlp_forward(net, inputs)
-    terms = loss_terms_batch(outputs, raw_params, spec, cfg.penalty)
+    terms = loss_terms_batch(outputs, raw_params, spec, cfg.penalty, grad=False)
     max_ineq, max_eq, _ = terms.constraints.violations(cfg.penalty.eq_tolerance)
     worst = np.maximum(max_ineq, max_eq)
     return TrainLogEntry(

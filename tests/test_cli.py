@@ -15,7 +15,8 @@ from penalearn import (
     load_model,
     save_model,
 )
-from penalearn.cli import _KEYS, main, parse_config_file
+from penalearn import cli
+from penalearn.cli import _KEYS, build_parser, main, parse_config_file
 from penalearn.errors import UsageError
 
 FAST_TRAIN = [
@@ -72,6 +73,18 @@ def test_oracle_prints_baseline_solution(capsys):
     x1, x2 = out.split("x=(")[1].split(")")[0].split(",")
     assert abs(float(x1) - 0.8082) < 1e-2
     assert abs(float(x2) - 0.5889) < 1e-2
+
+
+def test_parser_is_built_once_and_keeps_no_flag_value(monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    monkeypatch.delenv("PENALEARN_SEED", raising=False)
+    configs, real = [], cli.solve
+    monkeypatch.setattr(cli, "solve",
+                        lambda spec, p, cfg: configs.append(cfg) or real(spec, p, cfg))
+    argv = ["oracle", "--problem", "rosenbrock-1c", "--params", "25,0.3"]
+    assert run(argv + ["--seed", "5", "--starts", "2"]) == 0
+    assert run(argv) == 0
+    assert configs == [OracleConfig(seed=5, starts=2), OracleConfig()]
 
 
 def test_eval_single_instance(tmp_path, capsys):

@@ -89,9 +89,9 @@ def _count_oracle_evaluations(monkeypatch, counts):
     return calls
 
 
-def test_grid_scan_evaluates_once_per_chunk_plus_winner(monkeypatch):
-    # the constraints once per chunk, the objective only in chunks that hold a
-    # feasible point, then the evaluator once on the winner alone
+def test_grid_scan_evaluates_once_per_chunk(monkeypatch):
+    # the constraints once per chunk and the objective only in chunks that hold a
+    # feasible point; the winner's values come from its chunk, not the evaluator
     counts = _Counts(monkeypatch)
     calls = _count_oracle_evaluations(monkeypatch, counts)
     monkeypatch.setattr(oracle, "GRID_CHUNK", 10_000)
@@ -99,8 +99,8 @@ def test_grid_scan_evaluates_once_per_chunk_plus_winner(monkeypatch):
     assert chunks == 5
     grid_scan(counts.spec, np.array([1.0, 1.0]))
     # the unit disk's grid rows, x1 in [-1, 1], are rows 84-116 of 201: chunks 1 and 2
-    assert calls == [1, 0]
-    assert counts.both() == (2 + 1, chunks + 1)
+    assert calls == [0, 0]
+    assert counts.both() == (2, chunks)
 
 
 @pytest.mark.parametrize("spec", ["rosenbrock-3c", LINE], ids=["rosenbrock-3c", "line"])
@@ -108,34 +108,34 @@ def test_grid_scan_without_a_feasible_point_evaluates_constraints_once_per_chunk
         monkeypatch, spec):
     # rosenbrock-3c has no feasible point, and no grid point lies on LINE's
     # x1 + x2 = 1: the constraint pass finds none, so every chunk's objective is
-    # evaluated and penalized by the kept constraint block, then the winner alone
+    # evaluated and penalized by the kept constraint block
     counts = _Counts(monkeypatch, spec)
     calls = _count_oracle_evaluations(monkeypatch, counts)
     monkeypatch.setattr(oracle, "GRID_CHUNK", 10_000)
     grid_scan(counts.spec, np.array([1.0, 1.0]))
-    assert calls == [1, 0]
-    assert counts.both() == (5 + 1, 5 + 1)
+    assert calls == [0, 0]
+    assert counts.both() == (5, 5)
 
 
 def test_solve_evaluates_once_per_batch_of_line_search_trials_and_ranking(monkeypatch):
     # one 441-point grid chunk; the descent evaluates once per step's first
     # line-search trial and once per batch of up to 8 halvings; the final
-    # ranking once
+    # ranking the constraints once and the objective once
     counts = _Counts(monkeypatch)
     calls = _count_oracle_evaluations(monkeypatch, counts)
     cfg = OracleConfig(grid_points_per_dim=21)
     solve(counts.spec, np.array([1.0, 1.0]), cfg)
-    # grid: the constraints, the objective where they hold, then the winner
-    assert calls == [1 + 1, 133]
-    assert counts.both() == (1 + sum(calls), 1 + sum(calls))
+    # grid and ranking: the constraints, then the objective where they hold
+    assert calls == [0, 133]
+    assert counts.both() == (2 + 133, 2 + 133)
 
     counts.objective = counts.constraints = 0
     calls[:] = [0, 0]
     solve(counts.counted("rosenbrock-3c"), np.array([1.0, 1.0]), cfg)
-    # grid: the constraints find no feasible point, so the chunk's objective, then the
-    # winner; the ranking once
-    assert calls == [1 + 1, 133]
-    assert counts.both() == (1 + sum(calls), 1 + sum(calls))
+    # grid and ranking: the constraints find no feasible point, so the objective
+    # at every row
+    assert calls == [0, 133]
+    assert counts.both() == (2 + 133, 2 + 133)
 
 
 def test_training_log_and_evaluate_evaluate_once(monkeypatch):

@@ -20,6 +20,8 @@ from penalearn import (
     solve,
 )
 from penalearn import oracle
+from penalearn.penalty import loss_terms_batch
+from test_equality import LINE, LINE_IN_DISK
 
 
 def _toy_clamped():
@@ -200,21 +202,34 @@ def test_grid_scan_bits_do_not_depend_on_chunk_size(monkeypatch, name):
             assert got.max_violation == want.max_violation
 
 
+def _rank_values(spec, p, X):
+    """(objective, worst violation, objective + penalty) at every row of ``X``,
+    from one ``loss_terms_batch`` call at the default ``PenaltyConfig``, with
+    a non-finite objective or sum as inf."""
+    terms = loss_terms_batch(X, np.broadcast_to(p, (X.shape[0], p.size)), spec,
+                             oracle._RANK_PENALTY, strict=False, grad=False)
+    max_ineq, max_eq, _ = terms.constraints.violations()
+    f0 = np.where(np.isfinite(terms.objective), terms.objective, np.inf)
+    pen = np.where(np.isfinite(terms.loss), terms.loss, np.inf)
+    return f0, np.maximum(max_ineq, max_eq), pen
+
+
 def _full_penalized_scan(spec, p, cfg=OracleConfig()):
-    """The grid scan's rule, evaluated in full: objective, worst violation and
-    objective + penalty at every grid point, ``_best`` within each chunk and
-    across the chunk winners, then the winner evaluated alone.  Returns
+    """The grid scan's rule, evaluated in full and ranked at once: objective,
+    worst violation and objective + penalty at every grid point, one
+    evaluation per ``GRID_CHUNK`` rows; feasible points (finite objective)
+    first, by objective, and with none every point by objective + penalty;
+    ties by x, then by row.  The winner is then evaluated alone.  Returns
     (x, objective, max_violation)."""
     points = oracle._mesh(spec.decision_dim, cfg.grid_points_per_dim)
-    winners = []
-    for lo in range(0, points.shape[0], oracle.GRID_CHUNK):
-        X = points[lo:lo + oracle.GRID_CHUNK]
-        ranks = oracle._rank_values(spec, np.broadcast_to(p, (X.shape[0], p.size)), X)
-        i = oracle._best(X, *ranks, cfg.feasible_tol)
-        winners.append((X[i], *(r[i] for r in ranks)))
-    X, f0, viol, pen = (np.array(column) for column in zip(*winners))
-    x = X[oracle._best(X, f0, viol, pen, cfg.feasible_tol)]
-    f0, viol, _ = oracle._rank_values(spec, p[None, :], x[None, :])
+    f0, viol, pen = (np.concatenate(column) for column in zip(*(
+        _rank_values(spec, p, points[lo:lo + oracle.GRID_CHUNK])
+        for lo in range(0, points.shape[0], oracle.GRID_CHUNK))))
+    feas = (viol <= cfg.feasible_tol) & np.isfinite(f0)
+    score = np.where(feas, f0, np.inf) if feas.any() else pen
+    # lexsort is stable and sorts by its last key first: score, then x1, x2, ...
+    x = points[np.lexsort((*points.T[::-1], score))[0]]
+    f0, viol, _ = _rank_values(spec, p, x[None, :])
     return x, f0[0], viol[0]
 
 
@@ -232,9 +247,13 @@ def _defect_band():
     # c2 = 1e200 overflows it everywhere, so no grid point is feasible with a
     # finite objective and the scan ranks every point by objective + penalty
     ("rosenbrock-1c", np.array([[1e308, 1.0], [1.0, 1e200]])),
-], ids=["rosenbrock-1c", "rosenbrock-3c", "ackley-1c", "ackley-3c", "defect-band", "overflow"])
+    # no grid point lies on x1 + x2 = 1: every point is ranked by objective + penalty
+    (LINE, sample_params(LINE, 5, seed=8)),
+    (LINE_IN_DISK, sample_params(LINE_IN_DISK, 5, seed=8)),
+], ids=["rosenbrock-1c", "rosenbrock-3c", "ackley-1c", "ackley-3c", "defect-band", "overflow",
+        "line", "line-in-disk"])
 def test_grid_scan_matches_the_full_penalized_scan(name, params):
-    spec = make_problem(name)
+    spec = make_problem(name) if isinstance(name, str) else name
     for p in params:
         x, objective, max_violation = _full_penalized_scan(spec, p)
         got = grid_scan(spec, p)
@@ -406,23 +425,45 @@ def test_oracle_checks_params(oracle_fn, p, exc):
         oracle_fn(make_problem("rosenbrock-1c"), np.array(p))
 
 
+def _table(X, f0, viol):
+    """A spec whose objective and one inequality residual are ``f0`` and
+    ``viol`` at the rows of ``X``, looked up by x."""
+    table = {tuple(x): (f, v) for x, f, v in zip(X.tolist(), f0, viol)}
+
+    def column(j):
+        return lambda x, p, grad=True: (np.array([table[tuple(r)][j] for r in x.tolist()]), None)
+
+    return ProblemSpec(name="table", decision_dim=X.shape[1], param_dim=1, objective=column(0),
+                       inequalities=(Constraint(column(1), 0.0),), param_ranges=((0.0, 1.0),))
+
+
+def _best_row(X, f0, viol, tol=1e-6):
+    """``oracle._best``'s winner over the rows of ``X``, checked to be the same
+    when ``X`` is split into two chunks."""
+    spec = _table(X, f0, viol)
+    with np.errstate(all="ignore"):
+        _, row, *values = oracle._best(spec, np.zeros(1), [X], tol)
+        for cut in (1, X.shape[0] - 1):
+            c, i, *split = oracle._best(spec, np.zeros(1), [X[:cut], X[cut:]], tol)
+            assert (cut * c + i, split) == (row, values)
+    return row
+
+
 def test_best_ranks_feasible_first_then_breaks_ties_by_x():
     X = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 1.0], [-1.0, 5.0]])
-    tol = 1e-6
-    viol = np.array([0.0, 0.0, 0.0, 1.0])
-    pen = np.array([3.0, 2.0, 2.0, 0.5])
-    # feasible rows first, however low an infeasible row's penalty
-    assert oracle._best(X, np.array([3.0, 2.0, 1.0, 0.0]), viol, pen, tol) == 2
+    viol = [0.0, 0.0, 0.0, 1.0]
+    # feasible rows first, however low an infeasible row's objective
+    assert _best_row(X, [3.0, 2.0, 1.0, 0.0], viol) == 2
     # a non-finite objective is never feasible
-    assert oracle._best(X, np.array([3.0, 2.0, np.inf, 0.0]), viol, pen, tol) == 1
-    # with no feasible row, the lowest penalty wins
-    assert oracle._best(X, np.zeros(4), np.ones(4), pen, tol) == 3
+    assert _best_row(X, [3.0, 2.0, np.inf, 0.0], viol) == 1
+    # with no feasible row, the lowest objective + penalty wins
+    assert _best_row(X, [3.0, 2.0, 2.0, 0.5], [1.0] * 4) == 3
     # an objective tie goes to the lexicographically smallest x: (0, 1) < (0, 2) < (1, 0)
-    assert oracle._best(X, np.array([1.0, 1.0, 1.0, 0.0]), viol, pen, tol) == 2
-    assert oracle._best(X, np.zeros(4), np.ones(4), np.full(4, np.inf), tol) == 3
+    assert _best_row(X, [1.0, 1.0, 1.0, 0.0], viol) == 2
+    assert _best_row(X, [np.inf] * 4, [1.0] * 4) == 3
     # equal x and equal score: the first row
-    twins = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
-    assert oracle._best(twins, np.array([2.0, 1.0, 1.0]), np.zeros(3), pen[:3], tol) == 1
+    twins = np.array([[0.0, 0.5], [0.5, 0.5], [0.5, 0.5]])
+    assert _best_row(twins, [2.0, 1.0, 1.0], [0.0] * 3) == 1
 
 
 def test_grid_scan_rejects_high_dimensions():
