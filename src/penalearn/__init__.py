@@ -35,7 +35,6 @@ from .nn import (
 from .bench import (
     BenchAggregates,
     BenchReport,
-    BenchRow,
     TableRepro,
     emit_csv,
     run_benchmark,

@@ -1,12 +1,12 @@
 """Benchmark harness: trained forward pass vs per-instance oracle solves.
 
-Produces one row per parameter vector (network output, oracle output,
-objective gap, worst violation, timings) plus aggregate statistics, and
-reproduces the bundled reference instances whose interior-point baseline
-solutions are known.  The network's columns are ``training.evaluate``'s
-values, the same ones ``penalearn eval`` writes: one timed batch-1 forward
-per row, then one scoring pass.  ``emit_csv`` writes a report as CSV with
-the aggregates in a trailing ``#`` comment block.
+Produces one ``BenchReport`` of columns, one row per parameter vector
+(network output, oracle output, objective gap, worst violations, timings),
+plus aggregate statistics, and reproduces the bundled reference instances
+whose interior-point baseline solutions are known.  The network's columns
+are ``training.evaluate``'s values, the same ones ``penalearn eval`` writes:
+one timed batch-1 forward per row, then one scoring pass.  ``emit_csv``
+writes a report as CSV with the aggregates in a trailing ``#`` comment block.
 """
 
 from __future__ import annotations
@@ -24,27 +24,6 @@ from .training import columns, csv_text, evaluate
 
 FEAS_TOL_LOOSE = 0.1
 FEAS_TOL_STRICT = 1e-3
-
-
-@dataclass(frozen=True, eq=False)
-class BenchRow:
-    """One benchmark instance; oracle columns are NaN when the solve failed.
-
-    ``eq=False``: a generated ``__eq__`` would compare arrays and raise."""
-
-    params: np.ndarray
-    x_dnn: np.ndarray
-    x_oracle: np.ndarray
-    f0_dnn: float
-    f0_oracle: float
-    gap: float
-    viol_dnn: float
-    t_fwd_ns: float
-    t_oracle_ns: float
-
-    @property
-    def oracle_failed(self) -> bool:
-        return not np.isfinite(self.t_oracle_ns)
 
 
 @dataclass(frozen=True)
@@ -66,11 +45,29 @@ class BenchAggregates:
 
 @dataclass(frozen=True, eq=False)
 class BenchReport:
-    """The rows of one benchmark run and the layer sizes of the net it scored."""
+    """One benchmark run as columns, one row per parameter vector.
+
+    ``params`` (n, d), ``x_dnn`` and ``x_oracle`` (n, k), and ``f0_dnn``,
+    ``f0_oracle``, ``viol_dnn``, ``viol_oracle``, ``t_fwd_ns`` and
+    ``t_oracle_ns``, each (n,); a row whose solve failed holds NaN in every
+    oracle column.  ``layer_sizes`` are the scored net's.
+    ``eq=False``: a generated ``__eq__`` would compare arrays and raise."""
 
     problem: str
     layer_sizes: tuple[int, ...]
-    rows: tuple[BenchRow, ...]
+    params: np.ndarray
+    x_dnn: np.ndarray
+    x_oracle: np.ndarray
+    f0_dnn: np.ndarray
+    f0_oracle: np.ndarray
+    viol_dnn: np.ndarray
+    viol_oracle: np.ndarray
+    t_fwd_ns: np.ndarray
+    t_oracle_ns: np.ndarray
+
+    @property
+    def gap(self) -> np.ndarray:
+        return self.f0_dnn - self.f0_oracle
 
     @property
     def mac_count(self) -> int:
@@ -78,28 +75,25 @@ class BenchReport:
 
     @property
     def aggregates(self) -> BenchAggregates:
-        """Every aggregate, computed from the rows alone."""
-        rows, macs = self.rows, self.mac_count
-        n = len(rows)
+        """Every aggregate, computed from the columns alone."""
+        macs, n = self.mac_count, len(self.params)
         if n == 0:
             nan = float("nan")
             return BenchAggregates(False, 0, 0, nan, nan, nan, nan, nan, nan, nan, macs)
-        ok = [r for r in rows if not r.oracle_failed]
-        viol = np.array([r.viol_dnn for r in rows])
-        fwd = np.array([r.t_fwd_ns for r in rows])
-        if ok:
-            gaps = np.array([r.gap for r in ok])
-            oracle_t = np.array([r.t_oracle_ns for r in ok])
+        ok = np.isfinite(self.t_oracle_ns)
+        viol, fwd = self.viol_dnn, self.t_fwd_ns
+        if ok.any():
+            gaps = self.gap[ok]
             median_gap = float(np.median(gaps))
             p95_gap = float(np.percentile(gaps, 95))
-            median_oracle = float(np.median(oracle_t))
+            median_oracle = float(np.median(self.t_oracle_ns[ok]))
             speedup = median_oracle / float(np.median(fwd))
         else:
             median_gap = p95_gap = median_oracle = speedup = float("nan")
         return BenchAggregates(
             defined=True,
             row_count=n,
-            failure_count=n - len(ok),
+            failure_count=n - int(ok.sum()),
             median_gap=median_gap,
             p95_gap=p95_gap,
             feasible_frac_loose=float(np.mean(viol <= FEAS_TOL_LOOSE)),
@@ -119,36 +113,32 @@ def run_benchmark(
 ) -> BenchReport:
     """Score the net against the oracle on every row of ``P``.
 
-    The net's side of each row is ``evaluate``'s report for it: ``x_dnn``,
-    ``f0_dnn``, ``viol_dnn`` (the worse of its two worst violations) and
-    ``t_fwd_ns`` from one timed batch-1 forward, the same values
-    ``penalearn eval`` writes.  Each row's oracle side is one ``solve``,
-    and ``t_oracle_ns`` is that solve's own clock, ``solve_time_s``.  An
-    ``OracleError`` flags the row (NaN oracle columns) rather than aborting
+    The net's columns are one ``evaluate`` report: ``x_dnn``, ``f0_dnn``,
+    ``viol_dnn`` (the worse of the two worst violations) and ``t_fwd_ns``
+    from one timed batch-1 forward per row, the same values ``penalearn
+    eval`` writes.  Each row's oracle side is one ``solve``: ``x_oracle``,
+    ``f0_oracle``, ``viol_oracle`` (its ``max_violation``) and
+    ``t_oracle_ns``, that solve's own clock, ``solve_time_s``.  An
+    ``OracleError`` leaves the row's oracle columns NaN rather than aborting
     the run; a net that does not match the problem raises ``DimensionError``.
     """
-    k = spec.decision_dim
-    rows = []
-    for r in evaluate(net, spec, P):
+    r = evaluate(net, spec, P)
+    n, k = r.x.shape
+    x_oracle = np.full((n, k), np.nan)
+    f0_oracle, viol_oracle, t_oracle = (np.full(n, np.nan) for _ in range(3))
+    for i in range(n):
         try:
-            sol = solve(spec, r.params, oracle_cfg)
-            x_oracle, f0_oracle, t_oracle = sol.x, sol.objective, sol.solve_time_s * 1e9
+            sol = solve(spec, r.params[i], oracle_cfg)
         except OracleError:
-            x_oracle, f0_oracle, t_oracle = np.full(k, np.nan), float("nan"), float("nan")
-        rows.append(
-            BenchRow(
-                params=r.params,
-                x_dnn=r.x,
-                x_oracle=x_oracle,
-                f0_dnn=r.objective,
-                f0_oracle=f0_oracle,
-                gap=r.objective - f0_oracle,
-                viol_dnn=float(np.maximum(r.max_ineq_violation, r.max_eq_violation)),
-                t_fwd_ns=r.forward_time_s * 1e9,
-                t_oracle_ns=t_oracle,
-            )
-        )
-    return BenchReport(problem=spec.name, layer_sizes=tuple(net.layer_sizes), rows=tuple(rows))
+            continue
+        x_oracle[i], f0_oracle[i] = sol.x, sol.objective
+        viol_oracle[i], t_oracle[i] = sol.max_violation, sol.solve_time_s * 1e9
+    return BenchReport(
+        problem=spec.name, layer_sizes=tuple(net.layer_sizes), params=r.params,
+        x_dnn=r.x, x_oracle=x_oracle, f0_dnn=r.objective, f0_oracle=f0_oracle,
+        viol_dnn=np.maximum(r.max_ineq_violation, r.max_eq_violation),
+        viol_oracle=viol_oracle, t_fwd_ns=r.forward_time_s * 1e9, t_oracle_ns=t_oracle,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +150,9 @@ def emit_csv(report: BenchReport) -> str:
     d, k = report.layer_sizes[0], report.layer_sizes[-1]
     header = (columns("c", d) + columns("x_dnn", k) + columns("x_oracle", k)
               + ["f0_dnn", "f0_oracle", "gap", "viol_dnn", "t_fwd_ns", "t_oracle_ns"])
-    rows = ((*r.params.tolist(), *r.x_dnn.tolist(), *r.x_oracle.tolist(), r.f0_dnn,
-             r.f0_oracle, r.gap, r.viol_dnn, r.t_fwd_ns, r.t_oracle_ns) for r in report.rows)
+    r = report
+    rows = np.column_stack((r.params, r.x_dnn, r.x_oracle, r.f0_dnn, r.f0_oracle, r.gap,
+                            r.viol_dnn, r.t_fwd_ns, r.t_oracle_ns)).tolist()
     a = report.aggregates
     return csv_text(header, rows, comments=(
         {"problem": report.problem},
@@ -219,19 +210,12 @@ INFEASIBLE_BANNER = (
 
 
 @dataclass(frozen=True)
-class TableRow:
-    params: tuple[float, ...]
-    x_baseline: Optional[tuple[float, ...]]
-    x_oracle: np.ndarray
-    x_dnn: np.ndarray
-    viol_oracle: float
-    viol_dnn: float
-
-
-@dataclass(frozen=True)
 class TableRepro:
-    problem: str
-    rows: tuple[TableRow, ...]
+    """``run_benchmark``'s report on a problem's reference cases, with each
+    case's published baseline solution (``None`` where there is none)."""
+
+    report: BenchReport
+    baselines: tuple[Optional[tuple[float, ...]], ...]
     banner: Optional[str]
 
     def text(self) -> str:
@@ -242,20 +226,15 @@ class TableRepro:
                 return "-"
             return "(" + ", ".join(f"{float(c):.4f}" for c in v) + ")"
 
+        r = self.report
         headers = ["params", "x_baseline", "x_oracle", "x_dnn", "viol_oracle", "viol_dnn"]
         body = [
-            [
-                vec(r.params),
-                vec(r.x_baseline),
-                vec(r.x_oracle),
-                vec(r.x_dnn),
-                f"{r.viol_oracle:.3e}",
-                f"{r.viol_dnn:.3e}",
-            ]
-            for r in self.rows
+            [vec(p), vec(b), vec(xo), vec(xd), f"{vo:.3e}", f"{vd:.3e}"]
+            for p, b, xo, xd, vo, vd in zip(r.params, self.baselines, r.x_oracle, r.x_dnn,
+                                             r.viol_oracle, r.viol_dnn)
         ]
         widths = [max(len(h), *(len(row[i]) for row in body)) for i, h in enumerate(headers)]
-        lines = [f"problem: {self.problem}"]
+        lines = [f"problem: {r.problem}"]
         if self.banner:
             lines.append(self.banner)
         lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
@@ -264,24 +243,22 @@ class TableRepro:
         return "\n".join(lines) + "\n"
 
     def csv(self) -> str:
-        d = len(self.rows[0].params)
-        k = self.rows[0].x_dnn.size
+        r = self.report
+        d, k = r.layer_sizes[0], r.layer_sizes[-1]
         header = (columns("c", d) + columns("x_baseline", k) + columns("x_oracle", k)
                   + columns("x_dnn", k) + ["viol_oracle", "viol_dnn"])
-        nan_base = (float("nan"),) * k
-        rows = ((*r.params, *(r.x_baseline or nan_base), *r.x_oracle.tolist(),
-                 *r.x_dnn.tolist(), r.viol_oracle, r.viol_dnn) for r in self.rows)
+        baselines = np.array([b or (float("nan"),) * k for b in self.baselines])
+        rows = np.column_stack((r.params, baselines, r.x_oracle, r.x_dnn, r.viol_oracle,
+                                r.viol_dnn)).tolist()
         return csv_text(header, rows, comments=[self.banner] if self.banner else ())
 
 
 def table_repro(
     spec_name: str, net: Mlp, oracle_cfg: OracleConfig = OracleConfig()
 ) -> TableRepro:
-    """Side-by-side comparison on the fixed reference parameter sets.
-
-    ``x_dnn`` and ``viol_dnn`` are ``evaluate``'s values for each case, as in
-    ``run_benchmark``; a net that does not match the problem raises
-    ``DimensionError``.
+    """Side-by-side comparison on the fixed reference parameter sets:
+    ``run_benchmark`` on ``TABLE_CASES[spec_name]``, so a net that does not
+    match the problem raises ``DimensionError`` and a failed solve reads NaN.
     """
     if spec_name not in TABLE_CASES:
         raise UnsupportedError(
@@ -289,18 +266,6 @@ def table_repro(
         )
     spec = make_problem(spec_name)
     cases = TABLE_CASES[spec_name]
-    rows = []
-    for case, r in zip(cases, evaluate(net, spec, np.array([case.params for case in cases]))):
-        sol = solve(spec, r.params, oracle_cfg)
-        rows.append(
-            TableRow(
-                params=case.params,
-                x_baseline=case.baseline_x,
-                x_oracle=sol.x,
-                x_dnn=r.x,
-                viol_oracle=sol.max_violation,
-                viol_dnn=float(np.maximum(r.max_ineq_violation, r.max_eq_violation)),
-            )
-        )
-    banner = INFEASIBLE_BANNER if spec.known_infeasible else None
-    return TableRepro(problem=spec_name, rows=tuple(rows), banner=banner)
+    report = run_benchmark(spec, net, oracle_cfg, np.array([c.params for c in cases]))
+    return TableRepro(report=report, baselines=tuple(c.baseline_x for c in cases),
+                      banner=INFEASIBLE_BANNER if spec.known_infeasible else None)

@@ -335,11 +335,10 @@ def _cmd_eval(cfg: RunConfig) -> int:
         P = np.array([cfg.params])
     else:
         P = sample_params(spec, cfg.count, cfg.train.seed)
-    reports = evaluate(net, spec, P, cfg.train.penalty)
+    report = evaluate(net, spec, P, cfg.train.penalty)
     out = _default_out(cfg, ".eval.csv")
-    write_text_atomic(out, eval_reports_csv(reports, spec))
-    feasible = sum(1 for r in reports if r.feasible)
-    print(f"evaluated {len(reports)} instances; {feasible} feasible")
+    write_text_atomic(out, eval_reports_csv(report, spec))
+    print(f"evaluated {len(P)} instances; {report.feasible.sum()} feasible")
     print(f"report -> {out}")
     return 0
 

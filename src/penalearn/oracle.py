@@ -329,14 +329,13 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
 
     rng = np.random.default_rng(cfg.seed)
     lo, hi = _BOX
-    starts = [lo + (hi - lo) * rng.random(k) for _ in range(cfg.starts)]
+    X = lo + (hi - lo) * rng.random((cfg.starts, k))
     grid_x = grid_scan(spec, p, cfg).x if k <= 3 else None
     if grid_x is not None:
-        starts.append(grid_x)
-    if not starts:
+        X = np.vstack([X, grid_x[None, :]])
+    if not len(X):
         raise OracleError(f"no starting points configured for {spec.name}")
 
-    X = np.stack(starts)
     n_ineq = len(spec.inequalities)
     shift = np.zeros((X.shape[0], n_ineq + len(spec.equalities)))
     ok = np.ones(X.shape[0], dtype=bool)

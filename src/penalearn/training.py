@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -114,17 +114,21 @@ class TrainLog:
              e.elapsed_s) for e in self.entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Per-instance scorecard for one forward-pass solution."""
+    """Forward-pass scorecards, one row per parameter vector: ``params`` (n, d),
+    ``x`` (n, k), and ``objective``, ``max_ineq_violation``,
+    ``max_eq_violation``, ``feasible`` and ``forward_time_s``, each (n,).
+
+    ``eq=False``: a generated ``__eq__`` would compare arrays and raise."""
 
     params: np.ndarray
     x: np.ndarray
-    objective: float
-    max_ineq_violation: float
-    max_eq_violation: float
-    feasible: bool
-    forward_time_s: float
+    objective: np.ndarray
+    max_ineq_violation: np.ndarray
+    max_eq_violation: np.ndarray
+    feasible: np.ndarray
+    forward_time_s: np.ndarray
 
 
 def _input_transform(spec: ProblemSpec, enabled: bool):
@@ -258,16 +262,18 @@ def evaluate(
     spec: ProblemSpec,
     P: np.ndarray,
     cfg: Optional[PenaltyConfig] = None,
-) -> list[EvalReport]:
+) -> EvalReport:
     """Score the forward pass on each parameter vector, one per row of ``P``.
 
     Each row's ``x`` and ``forward_time_s`` come from its own batch-1
     forward: that is the single-instance latency the paper quotes, and a
     batched forward may round differently in the last bit.  Scoring is one
     objective, one constraint and one violations pass over all outputs; the
-    problem evaluators are elementwise per row, so each report holds the
-    same bits as scoring its row alone.  ``DimensionError`` when the net or
-    ``P``, which must be (rows, param_dim), does not fit ``spec``.
+    problem evaluators are elementwise per row, so each row of the report
+    holds the same bits as scoring that row alone.  ``params`` is a copy of
+    ``P``; zero rows give an empty report without scoring.
+    ``DimensionError`` when the net or ``P``, which must be
+    (rows, param_dim), does not fit ``spec``.
     """
     cfg = cfg if cfg is not None else PenaltyConfig()
     if net.input_dim != spec.param_dim:
@@ -278,35 +284,24 @@ def evaluate(
         raise DimensionError(
             f"net output dim {net.output_dim} != problem decision dim {spec.decision_dim}"
         )
-    P = np.asarray(P, dtype=float)
+    P = np.array(P, dtype=float)
     if P.ndim != 2 or P.shape[1] != spec.param_dim:
         raise DimensionError(f"P has shape {P.shape}, expected "
                              f"(rows, {spec.param_dim}) for {spec.name}")
-    if len(P) == 0:
-        return []
-    outputs, times = [], []
-    for row in P:
+    n = len(P)
+    X, times = np.empty((n, spec.decision_dim)), np.empty(n)
+    if n == 0:
+        return EvalReport(P, X, times, times, times, np.zeros(0, bool), times)
+    for i, row in enumerate(P):
         t0 = time.perf_counter()
         out, _ = mlp_forward(net, row[None, :])
-        times.append(time.perf_counter() - t0)
-        outputs.append(out[0])
-    X = np.stack(outputs)
+        times[i] = time.perf_counter() - t0
+        X[i] = out[0]
     # values only: no penalty and no gradient is read here
     f0, _ = spec.objective(X, P, grad=False)
     ce = spec.constraint_eval(X, P, grad=False)
     max_ineq, max_eq, feasible = ce.violations(cfg.eq_tolerance)
-    return [
-        EvalReport(
-            params=P[i].copy(),
-            x=X[i],
-            objective=float(f0[i]),
-            max_ineq_violation=float(max_ineq[i]),
-            max_eq_violation=float(max_eq[i]),
-            feasible=bool(feasible[i]),
-            forward_time_s=times[i],
-        )
-        for i in range(len(P))
-    ]
+    return EvalReport(P, X, f0, max_ineq, max_eq, feasible, times)
 
 
 def columns(name: str, n: int) -> list[str]:
@@ -317,13 +312,13 @@ def columns(name: str, n: int) -> list[str]:
 def csv_text(header, rows, comments=()) -> str:
     """Every report CSV penalearn writes: ``header``, one line per row, then comments.
 
-    Each row is a tuple, written with one ``%.17g`` template, which prints a
-    float as text that parses back to the same bits, an int as itself and a
-    bool as 0 or 1.  Each comment becomes a ``# `` line: a string as it is,
+    Each row is a sequence, written with one ``%.17g`` template, which prints
+    a float as text that parses back to the same bits, an int as itself and
+    a bool as 0 or 1.  Each comment becomes a ``# `` line: a string as it is,
     a dict as ``key=value`` tokens whose numbers go through the same template.
     """
     template = ",".join([_CELL] * len(header))
-    lines = [",".join(header), *(template % row for row in rows)]
+    lines = [",".join(header), *(template % tuple(row) for row in rows)]
     for c in comments:
         if not isinstance(c, str):
             c = " ".join(f"{k}={v if isinstance(v, str) else _CELL % v}" for k, v in c.items())
@@ -331,11 +326,12 @@ def csv_text(header, rows, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def eval_reports_csv(reports: Sequence[EvalReport], spec: ProblemSpec) -> str:
-    """CSV over ``spec``'s scorecards, one row per report; no reports: the header alone."""
+def eval_reports_csv(report: EvalReport, spec: ProblemSpec) -> str:
+    """CSV over ``spec``'s scorecards, one line per row; no rows: the header alone."""
     header = (columns("c", spec.param_dim) + columns("x", spec.decision_dim)
               + ["f0", "max_ineq_violation", "max_eq_violation", "feasible", "t_fwd_ns"])
+    r = report
     # tolist() hands %.17g Python floats: the same text as numpy scalars, sooner
-    return csv_text(header, ((*r.params.tolist(), *r.x.tolist(), r.objective,
-                              r.max_ineq_violation, r.max_eq_violation, r.feasible,
-                              r.forward_time_s * 1e9) for r in reports))
+    return csv_text(header, np.column_stack((
+        r.params, r.x, r.objective, r.max_ineq_violation, r.max_eq_violation, r.feasible,
+        r.forward_time_s * 1e9)).tolist())

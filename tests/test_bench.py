@@ -1,4 +1,6 @@
-"""Benchmark harness: rows, aggregates, CSV text, reference tables."""
+"""Benchmark harness: report columns, aggregates, CSV text, reference tables."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from penalearn import (
     problem_names,
     run_benchmark,
     sample_params,
+    solve,
     table_repro,
 )
 from penalearn.bench import FEAS_TOL_LOOSE, FEAS_TOL_STRICT, TABLE_CASES
@@ -33,34 +36,34 @@ def test_report_shape_and_times(small_report):
     _, _, report = small_report
     assert report.problem == "rosenbrock-1c"
     assert report.mac_count == 480
-    assert len(report.rows) == 6
-    for row in report.rows:
-        assert row.t_fwd_ns > 0.0
-        assert row.t_oracle_ns > 0.0
-        assert not row.oracle_failed
+    assert len(report.params) == 6
+    assert (report.t_fwd_ns > 0.0).all()
+    assert (report.t_oracle_ns > 0.0).all()
+    assert np.isfinite(report.t_oracle_ns).all()  # no solve failed
 
 
 def test_gap_nonnegative_when_both_feasible(small_report):
     spec, _, report = small_report
-    for row in report.rows:
-        if row.viol_dnn <= FEAS_TOL_STRICT and not row.oracle_failed:
-            assert row.gap >= -1e-6
+    both = (report.viol_dnn <= FEAS_TOL_STRICT) & np.isfinite(report.t_oracle_ns)
+    assert (report.gap[both] >= -1e-6).all()
 
 
 def test_aggregates_recomputable_from_rows(small_report):
     _, _, report = small_report
     a = report.aggregates
-    assert BenchReport(report.problem, report.layer_sizes, report.rows).aggregates == a
+    assert BenchReport(**{f.name: getattr(report, f.name) for f in fields(report)}
+                       ).aggregates == a
     assert a.defined and a.row_count == 6 and a.failure_count == 0
     assert 0.0 <= a.feasible_frac_strict <= a.feasible_frac_loose <= 1.0
-    gaps = sorted(r.gap for r in report.rows)
+    gaps = sorted(report.gap)
     assert a.median_gap == float(np.median(gaps))
     assert a.speedup > 1.0
 
 
-def _cells(row):
-    return [*row.params, *row.x_dnn, *row.x_oracle, row.f0_dnn, row.f0_oracle, row.gap,
-            row.viol_dnn, row.t_fwd_ns, row.t_oracle_ns]
+def _cells(report, i):
+    r = report
+    return [*r.params[i], *r.x_dnn[i], *r.x_oracle[i], r.f0_dnn[i], r.f0_oracle[i], r.gap[i],
+            r.viol_dnn[i], r.t_fwd_ns[i], r.t_oracle_ns[i]]
 
 
 def _comment_values(lines):
@@ -74,11 +77,13 @@ def test_csv_round_trip_exact(small_report):
     lines = emit_csv(report).splitlines()
     assert lines[0] == ("c1,c2,x_dnn1,x_dnn2,x_oracle1,x_oracle2,"
                         "f0_dnn,f0_oracle,gap,viol_dnn,t_fwd_ns,t_oracle_ns")
-    body = lines[1:1 + len(report.rows)]
-    for line, row in zip(body, report.rows, strict=True):
+    n = len(report.params)
+    body = lines[1:1 + n]
+    assert len(body) == n
+    for i, line in enumerate(body):
         cells = [float(c) for c in line.split(",")]
-        assert np.array_equal(cells, _cells(row))
-    comments = lines[1 + len(report.rows):]
+        assert np.array_equal(cells, _cells(report, i))
+    comments = lines[1 + n:]
     assert comments[:3] == ["# problem=rosenbrock-1c", "# mac_count=480",
                             "# rows=6 failures=0 defined=1"]
     assert len(comments) == 6
@@ -94,7 +99,9 @@ def test_csv_round_trip_exact(small_report):
 
 
 def test_empty_report_flags_undefined():
-    empty = BenchReport(problem="rosenbrock-1c", layer_sizes=(2, 20, 20, 2), rows=())
+    spec = make_problem("rosenbrock-1c")
+    empty = run_benchmark(spec, init_mlp((2, 20, 20, 2), seed=0), OracleConfig(),
+                          np.zeros((0, 2)))
     a = empty.aggregates
     assert not a.defined
     assert a.row_count == 0
@@ -140,9 +147,8 @@ def test_oracle_failures_are_flagged_not_fatal():
     assert np.isnan(a.median_gap)
     assert np.isnan(a.speedup)
     assert 0.0 <= a.feasible_frac_loose <= 1.0  # still defined from the DNN side
-    for row in report.rows:
-        assert row.oracle_failed
-        assert np.all(np.isnan(row.x_oracle))
+    assert not np.isfinite(report.t_oracle_ns).any()  # every solve failed
+    assert np.all(np.isnan(report.x_oracle))
     # the failed solves' cells are written as nan
     lines = emit_csv(report).splitlines()
     for line in lines[1:4]:
@@ -167,13 +173,13 @@ def test_emit_csv_on_an_empty_report_outside_the_registry():
 
 def test_bench_csv_net_cells_are_the_eval_csv_cells(small_report):
     spec, net, report = small_report
-    params = np.array([r.params for r in report.rows])
+    params = report.params
     bench = [ln.split(",") for ln in emit_csv(report).splitlines()]
     evals = [ln.split(",")
              for ln in eval_reports_csv(evaluate(net, spec, params), spec).splitlines()]
     assert bench[0][:4] == ["c1", "c2", "x_dnn1", "x_dnn2"] and bench[0][6] == "f0_dnn"
     assert evals[0][:5] == ["c1", "c2", "x1", "x2", "f0"]
-    for b, e in zip(bench[1:1 + len(report.rows)], evals[1:], strict=True):
+    for b, e in zip(bench[1:1 + len(params)], evals[1:], strict=True):
         assert b[:4] == e[:4]  # c1, c2, x_dnn1, x_dnn2 against c1, c2, x1, x2
         assert b[6] == e[4]  # f0_dnn against f0
 
@@ -197,14 +203,28 @@ def test_table_cases_cover_registry():
 
 
 def test_table_repro_rosenbrock(rosenbrock_model):
-    _, net, _ = rosenbrock_model
+    spec, net, _ = rosenbrock_model
     repro = table_repro("rosenbrock-1c", net)
+    r = repro.report
     assert repro.banner is None
-    assert [r.params for r in repro.rows] == [(1.0, 1.0), (5.0, 0.1), (25.0, 0.3)]
+    assert r.params.tolist() == [[1.0, 1.0], [5.0, 0.1], [25.0, 0.3]]
     text = repro.text()
     assert "x_baseline" in text and "viol_dnn" in text
     csv = repro.csv()
     assert csv.splitlines()[0].startswith("c1,c2,x_baseline1")
+    # each row's oracle columns are its own solve
+    for i, p in enumerate(r.params):
+        sol = solve(spec, p)
+        assert np.array_equal(r.x_oracle[i], sol.x)
+        assert r.f0_oracle[i] == sol.objective and r.viol_oracle[i] == sol.max_violation
+    # the text's and the CSV's cells are the report's columns, in the headers' order
+    assert len(text.splitlines()) == len(csv.splitlines()) + 1 == 5
+    for i, line in enumerate(text.splitlines()[2:]):
+        assert line.split()[-2:] == [f"{r.viol_oracle[i]:.3e}", f"{r.viol_dnn[i]:.3e}"]
+    for i, line in enumerate(csv.splitlines()[1:]):
+        assert [float(c) for c in line.split(",")] == [
+            *r.params[i], *TABLE_CASES["rosenbrock-1c"][i].baseline_x, *r.x_oracle[i],
+            *r.x_dnn[i], r.viol_oracle[i], r.viol_dnn[i]]
 
 
 def test_table_repro_infeasible_banner(rosenbrock_model):
@@ -213,7 +233,7 @@ def test_table_repro_infeasible_banner(rosenbrock_model):
     _, net, _ = rosenbrock_model
     repro = table_repro("rosenbrock-3c", net)
     assert repro.banner is not None
-    assert all(r.viol_oracle > 0.0 and r.viol_dnn > 0.0 for r in repro.rows)
+    assert (repro.report.viol_oracle > 0.0).all() and (repro.report.viol_dnn > 0.0).all()
     assert repro.banner in repro.text()
     assert repro.banner in repro.csv()
 
@@ -229,18 +249,28 @@ def test_bench_and_table_take_the_net_side_from_evaluate(name):
     spec = make_problem(name)
     net = init_mlp(spec.default_net_shape, seed=0)
     params = sample_params(spec, 3, seed=5)
-    report = run_benchmark(spec, net, OracleConfig(), params)
-    for row, r in zip(report.rows, evaluate(net, spec, params), strict=True):
-        assert np.array_equal(row.params, r.params)
-        assert np.array_equal(row.x_dnn, r.x)
-        assert row.f0_dnn == r.objective
-        assert row.viol_dnn == np.maximum(r.max_ineq_violation, r.max_eq_violation)
+    report, r = run_benchmark(spec, net, OracleConfig(), params), evaluate(net, spec, params)
+    assert np.array_equal(report.params, r.params)
+    assert np.array_equal(report.x_dnn, r.x)
+    assert np.array_equal(report.f0_dnn, r.objective)
+    assert np.array_equal(report.viol_dnn, np.maximum(r.max_ineq_violation, r.max_eq_violation))
 
     cases = np.array([c.params for c in TABLE_CASES[name]])
-    repro = table_repro(name, net)
-    for row, r in zip(repro.rows, evaluate(net, spec, cases), strict=True):
-        assert np.array_equal(row.x_dnn, r.x)
-        assert row.viol_dnn == np.maximum(r.max_ineq_violation, r.max_eq_violation)
+    repro, r = table_repro(name, net), evaluate(net, spec, cases)
+    assert np.array_equal(repro.report.x_dnn, r.x)
+    assert np.array_equal(repro.report.viol_dnn,
+                          np.maximum(r.max_ineq_violation, r.max_eq_violation))
+    # the table is the bench on the reference cases, column for column, timings aside
+    bench = run_benchmark(spec, net, OracleConfig(), cases)
+    assert repro.baselines == tuple(c.baseline_x for c in TABLE_CASES[name])
+    for f in fields(bench):
+        got, want = getattr(repro.report, f.name), getattr(bench, f.name)
+        if f.name.startswith("t_"):
+            assert got.shape == want.shape
+        elif isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+        else:
+            assert got == want, f.name
 
 
 def test_bench_and_table_reject_a_mismatched_net():

@@ -101,8 +101,8 @@ def test_penalized_gradient_through_an_equality_matches_central_differences(eta,
 def _worst_equality_violation(epochs):
     cfg = TrainConfig(epochs=epochs, sample_count=200, batch_size=50, seed=3)
     net, _ = train(LINE_IN_DISK, cfg)
-    reports = evaluate(net, LINE_IN_DISK, sample_params(LINE_IN_DISK, 200, 3))
-    return max(r.max_eq_violation for r in reports)
+    report = evaluate(net, LINE_IN_DISK, sample_params(LINE_IN_DISK, 200, 3))
+    return report.max_eq_violation.max()
 
 
 def test_training_drives_the_equality_violation_down():

@@ -329,31 +329,32 @@ def test_batched_evaluate_matches_row_by_row_scoring(name):
         spec, cfg = make_problem(name), PenaltyConfig()
     net = init_mlp(spec.default_net_shape, seed=4)
     params = sample_params(spec, 64, seed=9)
-    reports = evaluate(net, spec, params, cfg)
-    assert len(reports) == 64
-    for r, row in zip(reports, params):
+    r = evaluate(net, spec, params, cfg)
+    assert len(r.params) == 64
+    for i, row in enumerate(params):
         x = mlp_forward(net, row[None])[0][0]
         f0, _ = spec.objective(x[None], row[None])
         ce = spec.constraint_eval(x[None], row[None])
         max_ineq, max_eq, feasible = ce.violations(cfg.eq_tolerance)
-        assert np.array_equal(r.params, row)
-        assert np.array_equal(r.x, x)
-        assert r.objective == f0[0]
-        assert r.max_ineq_violation == max_ineq[0]
-        assert r.max_eq_violation == max_eq[0]
-        assert r.feasible == feasible[0]
+        assert np.array_equal(r.params[i], row)
+        assert np.array_equal(r.x[i], x)
+        assert r.objective[i] == f0[0]
+        assert r.max_ineq_violation[i] == max_ineq[0]
+        assert r.max_eq_violation[i] == max_eq[0]
+        assert r.feasible[i] == feasible[0]
     if name == "toy-eq":  # both outcomes of the equality tolerance are exercised
-        assert 0 < sum(r.max_eq_violation <= 1e-3 for r in reports) < 64
-        assert 0 < sum(r.feasible for r in reports) < 64
+        assert 0 < (r.max_eq_violation <= 1e-3).sum() < 64
+        assert 0 < r.feasible.sum() < 64
 
 
 def test_evaluate_on_zero_rows_scores_nothing(monkeypatch):
     counts = _Counts(monkeypatch)
     net = init_mlp(counts.spec.default_net_shape, seed=0)
-    reports = evaluate(net, counts.spec, np.zeros((0, 2)))
-    assert reports == []
+    report = evaluate(net, counts.spec, np.zeros((0, 2)))
+    assert report.params.shape == report.x.shape == (0, 2)
+    assert report.objective.shape == report.feasible.shape == (0,)
     assert counts.both() == (0, 0)
-    assert eval_reports_csv(reports, counts.spec) == (
+    assert eval_reports_csv(report, counts.spec) == (
         "c1,c2,x1,x2,f0,max_ineq_violation,max_eq_violation,feasible,t_fwd_ns\n")
 
 
@@ -410,11 +411,11 @@ def test_evaluate_reads_no_gradient_so_huge_params_raise_no_overflow():
     params = np.array([[1e308, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (report,) = evaluate(net, spec, params)
+        report = evaluate(net, spec, params)
     # f0 = c1 * 0 * 0 + (1 - 0.5)^2 is finite; only its gradient overflows
-    assert np.array_equal(report.x, [0.5, 0.25])
-    assert report.objective == 0.25
-    assert report.feasible
+    assert np.array_equal(report.x, [[0.5, 0.25]])
+    assert report.objective.tolist() == [0.25]
+    assert report.feasible.tolist() == [True]
     with np.errstate(all="ignore"):
-        f0, g = spec.objective(report.x[None], params)
-    assert report.objective == f0[0] and not np.isfinite(g).all()
+        f0, g = spec.objective(report.x, params)
+    assert np.array_equal(report.objective, f0) and not np.isfinite(g).all()

@@ -113,6 +113,24 @@ def test_solve_is_deterministic():
     assert a.objective == b.objective
 
 
+@pytest.mark.parametrize("starts", [0, 1, 16])
+def test_solve_starts_from_the_seeded_draws_then_the_grid_point(monkeypatch, starts):
+    # one draw of k per start, in order, from the seeded stream
+    spec, p = make_problem("rosenbrock-1c"), np.array([3.7, 0.42])
+    cfg = OracleConfig(starts=starts)
+    stages, descend = [], oracle._descend_batch
+
+    def spy(spec, p, X, shift, cfg):
+        stages.append(X.copy())
+        return descend(spec, p, X, shift, cfg)
+
+    monkeypatch.setattr(oracle, "_descend_batch", spy)
+    solve(spec, p, cfg)
+    rng, (lo, hi) = np.random.default_rng(cfg.seed), oracle._BOX
+    want = [lo + (hi - lo) * rng.random(2) for _ in range(starts)] + [grid_scan(spec, p, cfg).x]
+    assert stages[0].tobytes() == np.stack(want).tobytes()
+
+
 def test_contradictory_constraints_yield_compromise_with_violation():
     spec = make_problem("rosenbrock-3c")
     sol = solve(spec, np.array([1.0, 1.0]))

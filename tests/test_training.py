@@ -147,21 +147,30 @@ def test_evaluate_reports_are_consistent(tmp_path):
     spec = make_problem("rosenbrock-1c")
     net, _ = train(spec, TrainConfig(**FAST))
     ps = sample_params(spec, 25, seed=77)
-    reports = evaluate(net, spec, ps)
-    assert len(reports) == 25
-    for r in reports:
-        assert r.x.shape == (2,)
-        assert r.forward_time_s > 0.0
-        assert r.feasible == (r.max_ineq_violation <= 0.0 and r.max_eq_violation <= 0.0)
-        assert r.max_ineq_violation >= 0.0
+    r = evaluate(net, spec, ps)
+    assert len(r.params) == 25
+    assert r.x.shape == (25, 2)
+    assert (r.forward_time_s > 0.0).all()
+    assert np.array_equal(r.feasible,
+                          (r.max_ineq_violation <= 0.0) & (r.max_eq_violation <= 0.0))
+    assert (r.max_ineq_violation >= 0.0).all()
 
     # a saved-and-reloaded model scores identically
     path = tmp_path / "m.txt"
     save_model(net, path)
     again = evaluate(load_model(path), spec, ps)
-    for a, b in zip(reports, again):
-        assert np.array_equal(a.x, b.x)
-        assert a.objective == b.objective
+    assert np.array_equal(r.x, again.x)
+    assert np.array_equal(r.objective, again.objective)
+
+
+def test_evaluate_report_keeps_its_own_copy_of_the_params():
+    spec = make_problem("rosenbrock-1c")
+    net = init_mlp(spec.default_net_shape, seed=0)
+    P = sample_params(spec, 4, seed=2)
+    want = P.copy()
+    report = evaluate(net, spec, P)
+    P[...] = -1.0
+    assert np.array_equal(report.params, want)
 
 
 def test_evaluate_rejects_mismatched_model():
@@ -184,14 +193,19 @@ def test_evaluate_rejects_params_of_the_wrong_shape(values):
 def test_eval_reports_csv_layout():
     spec = make_problem("rosenbrock-1c")
     net, _ = train(spec, TrainConfig(**FAST))
-    reports = evaluate(net, spec, sample_params(spec, 4, seed=3))
-    text = eval_reports_csv(reports, spec)
+    r = evaluate(net, spec, sample_params(spec, 4, seed=3))
+    text = eval_reports_csv(r, spec)
     lines = text.splitlines()
     assert lines[0] == "c1,c2,x1,x2,f0,max_ineq_violation,max_eq_violation,feasible,t_fwd_ns"
     assert len(lines) == 5
     cells = lines[1].split(",")
     assert cells[7] in ("0", "1")
     assert float(cells[8]) > 0.0
+    # every cell reads back as the report's value, in the header's order
+    for i, line in enumerate(lines[1:]):
+        assert [float(c) for c in line.split(",")] == [
+            *r.params[i], *r.x[i], r.objective[i], r.max_ineq_violation[i],
+            r.max_eq_violation[i], float(r.feasible[i]), r.forward_time_s[i] * 1e9]
 
 
 def test_indicator_mode_trains_without_divergence():
