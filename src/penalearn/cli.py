@@ -1,15 +1,17 @@
 """Command-line entry point.
 
-Subcommands: ``train`` (writes a model file and a training-log CSV),
-``eval`` (per-instance scorecard CSV), ``oracle`` (solve one instance and
-print the solution), ``bench`` (benchmark-report CSV), ``table`` (comparison
-against the bundled reference instances).
+Subcommands (``_COMMANDS``): ``train`` (writes a model file and a
+training-log CSV), ``eval`` (per-instance scorecard CSV), ``oracle`` (solve
+one instance and print the solution), ``bench`` (benchmark-report CSV),
+``table`` (comparison against the bundled reference instances).
 
 Configuration comes from, in increasing precedence: built-in defaults, the
 ``PENALEARN_SEED`` environment variable (seed only), a ``key = value`` config
-file passed with ``--config``, and command-line flags.  Every key is listed
-in ``--help`` with its default and accepted range.  Exit status: 0 success,
-2 usage error (bad flags, bad config, missing inputs), 1 any other failure.
+file passed with ``--config``, which may hold every subcommand's keys, and
+command-line flags.  A subcommand takes flags for only the keys it reads; its
+``--help`` lists each with its default and accepted range.  Exit status: 0
+success, 2 usage error (bad or unread flags, bad config, missing inputs), 1
+any other failure.
 All file outputs are written to a temporary file first and renamed into
 place, so a failed run leaves no partial output.
 """
@@ -28,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bench import emit_csv, run_benchmark, table_repro
-from .errors import ConfigError, PenalearnError, RegistryError, UsageError
+from .errors import ConfigError, PenalearnError, RegistryError, UsageError, require_int
 from .nn import Mlp, load_model, save_model, write_text_atomic
 from .oracle import OracleConfig, solve
 from .penalty import PenaltyConfig
@@ -63,13 +65,6 @@ def _parse_float_tuple(text: str) -> tuple[float, ...]:
     if not ok:
         raise ValueError(f"expected comma-separated finite decimals, got {text!r}")
     return values
-
-
-def _parse_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise ValueError("must be >= 1")
-    return count
 
 
 @dataclass(frozen=True)
@@ -140,12 +135,11 @@ _KEYS: tuple[_Key, ...] = (
          _sets(OracleConfig, "descent_steps")),
     _Key("descent_lr", float, "> 0", "initial descent step size",
          _sets(OracleConfig, "descent_lr")),
-    _Key("count", _parse_count, ">= 1", "instances to sample for eval/bench"),
-    _Key("model", str, "file path", "model file to load (eval/bench/table) "),
-    _Key("out", str, "file path",
-         "output path; defaults to <problem>-derived names in the working directory"),
+    _Key("count", int, ">= 1", "instances to sample"),
+    _Key("model", str, "file path", "model file to load"),
+    _Key("out", str, "file path", "output path"),
     _Key("params", _parse_float_tuple, "comma-separated finite decimals",
-         "one explicit parameter vector (oracle, single-instance eval)", flag_only=True),
+         "one explicit parameter vector", flag_only=True),
 )
 
 _KEY_BY_NAME = {k.name: k for k in _KEYS}
@@ -157,13 +151,16 @@ class RunConfig:
     """Validated, fully-resolved settings for one subcommand invocation."""
 
     command: str
-    problem: str
+    spec: ProblemSpec
     train: TrainConfig
     oracle: OracleConfig
     count: int = 20
     model: Optional[str] = None
     out: Optional[str] = None
     params: Optional[tuple[float, ...]] = None
+
+    def __post_init__(self):
+        require_int(self, "count", 1)
 
 
 def parse_config_file(path: str) -> dict:
@@ -237,13 +234,14 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if not sets:
             own[key] = value
 
-    if not own.get("problem"):
+    name = own.pop("problem", None)
+    if not name:
         raise UsageError(
             f"no problem selected; pass --problem or put 'problem = <name>' in the "
             f"config file (registry: {', '.join(problem_names())})"
         )
     try:
-        spec = make_problem(own["problem"])
+        spec = make_problem(name)
     except RegistryError as exc:
         raise UsageError(str(exc)) from exc
     try:
@@ -251,24 +249,25 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
                                 **kwargs[TrainConfig])
         oracle_cfg = OracleConfig(**kwargs[OracleConfig])
         resolve_net_shape(spec, train_cfg)
+        run = RunConfig(args.command, spec, train_cfg, oracle_cfg, **own)
     except ConfigError as exc:
-        key = _KEY_BY_FIELD[exc.field]
+        key = _KEY_BY_FIELD.get(exc.field, exc.field)
         where = f"{given[key][1]}: key {key!r}" if key in given else f"key {key!r} (default)"
         raise UsageError(f"{where}: {exc}") from exc
-    params = own.get("params")
-    if params is not None and len(params) != spec.param_dim:
+    if run.params is not None and len(run.params) != spec.param_dim:
         raise UsageError(
             f"--params needs {spec.param_dim} decimals for {spec.name}, "
-            f"got {len(params)}"
+            f"got {len(run.params)}"
         )
-    return RunConfig(command=args.command, train=train_cfg, oracle=oracle_cfg, **own)
+    return run
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 
 
-def _load_model_for(cfg: RunConfig, spec: ProblemSpec) -> Mlp:
+def _load_model_for(cfg: RunConfig) -> Mlp:
+    spec = cfg.spec
     if not cfg.model:
         raise UsageError(f"{cfg.command} requires --model <file>")
     if not os.path.exists(cfg.model):
@@ -283,7 +282,7 @@ def _load_model_for(cfg: RunConfig, spec: ProblemSpec) -> Mlp:
 
 
 def _default_out(cfg: RunConfig, suffix: str) -> str:
-    return cfg.out if cfg.out else f"{cfg.problem}{suffix}"
+    return cfg.out if cfg.out else f"{cfg.spec.name}{suffix}"
 
 
 def _fmt_vec(v) -> str:
@@ -309,8 +308,7 @@ def _warn_params_out_of_range(spec: ProblemSpec, params) -> None:
 
 
 def _cmd_train(cfg: RunConfig) -> int:
-    spec = make_problem(cfg.problem)
-    net, log = train(spec, cfg.train)
+    net, log = train(cfg.spec, cfg.train)
     model_path = _default_out(cfg, ".model")
     log_path = (
         model_path[: -len(".model")] if model_path.endswith(".model") else model_path
@@ -319,7 +317,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     write_text_atomic(log_path, log.to_csv())
     final = log.final()
     print(
-        f"trained {cfg.problem}: {cfg.train.epochs} epochs, final loss "
+        f"trained {cfg.spec.name}: {cfg.train.epochs} epochs, final loss "
         f"{final.mean_loss:.6g}, feasible fraction {final.feasible_frac:.3f}"
     )
     print(f"model -> {model_path}")
@@ -328,14 +326,14 @@ def _cmd_train(cfg: RunConfig) -> int:
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
-    spec = make_problem(cfg.problem)
-    net = _load_model_for(cfg, spec)
+    spec = cfg.spec
+    net = _load_model_for(cfg)
     if cfg.params is not None:
         _warn_params_out_of_range(spec, cfg.params)
         P = np.array([cfg.params])
     else:
         P = sample_params(spec, cfg.count, cfg.train.seed)
-    report = evaluate(net, spec, P, cfg.train.penalty)
+    report = evaluate(net, spec, P)
     out = _default_out(cfg, ".eval.csv")
     write_text_atomic(out, eval_reports_csv(report, spec))
     print(f"evaluated {len(P)} instances; {report.feasible.sum()} feasible")
@@ -344,13 +342,12 @@ def _cmd_eval(cfg: RunConfig) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig) -> int:
-    spec = make_problem(cfg.problem)
     if cfg.params is None:
         raise UsageError("oracle requires --params c1,c2,... (one parameter vector)")
-    _warn_params_out_of_range(spec, cfg.params)
-    sol = solve(spec, np.array(cfg.params), cfg.oracle)
+    _warn_params_out_of_range(cfg.spec, cfg.params)
+    sol = solve(cfg.spec, np.array(cfg.params), cfg.oracle)
     print(
-        f"problem={cfg.problem} params={_fmt_vec(cfg.params)} x={_fmt_vec(sol.x)} "
+        f"problem={cfg.spec.name} params={_fmt_vec(cfg.params)} x={_fmt_vec(sol.x)} "
         f"objective={sol.objective:.10g} max_violation={sol.max_violation:.3e} "
         f"method={sol.method} time_s={sol.solve_time_s:.3f}"
     )
@@ -358,14 +355,14 @@ def _cmd_oracle(cfg: RunConfig) -> int:
 
 
 def _cmd_bench(cfg: RunConfig) -> int:
-    spec = make_problem(cfg.problem)
-    net = _load_model_for(cfg, spec)
+    spec = cfg.spec
+    net = _load_model_for(cfg)
     report = run_benchmark(spec, net, cfg.oracle, sample_params(spec, cfg.count, cfg.train.seed))
     out = _default_out(cfg, ".bench.csv")
     write_text_atomic(out, emit_csv(report))
     a = report.aggregates
     print(
-        f"benchmarked {cfg.problem} on {a.row_count} instances "
+        f"benchmarked {spec.name} on {a.row_count} instances "
         f"({a.failure_count} oracle failures): median gap {a.median_gap:.6g}, "
         f"feasible {a.feasible_frac_loose:.0%} @0.1 / {a.feasible_frac_strict:.0%} @1e-3, "
         f"speedup {a.speedup:.0f}x, {a.mac_count} MACs"
@@ -375,9 +372,8 @@ def _cmd_bench(cfg: RunConfig) -> int:
 
 
 def _cmd_table(cfg: RunConfig) -> int:
-    spec = make_problem(cfg.problem)
-    net = _load_model_for(cfg, spec)
-    repro = table_repro(cfg.problem, net, cfg.oracle)
+    net = _load_model_for(cfg)
+    repro = table_repro(cfg.spec.name, net, cfg.oracle)
     sys.stdout.write(repro.text())
     if cfg.out:
         write_text_atomic(cfg.out, repro.csv())
@@ -385,26 +381,38 @@ def _cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
+# name: (function, one-line help, the keys the command reads: its only flags)
 _COMMANDS = {
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "oracle": _cmd_oracle,
-    "bench": _cmd_bench,
-    "table": _cmd_table,
+    "train": (_cmd_train, "train a model and write it plus a training-log CSV",
+              "problem seed epochs samples batch_size learning_rate beta1 beta2 adam_epsilon "
+              "eta gamma penalty_mode indicator_big log_every net_shape feas_tolerance "
+              "normalize_inputs out"),
+    "eval": (_cmd_eval, "score a trained model's outputs instance by instance",
+             "problem seed count model out params"),
+    "oracle": (_cmd_oracle, "solve one instance numerically and print the solution",
+               "problem seed params grid_points starts descent_steps descent_lr"),
+    "bench": (_cmd_bench, "compare model outputs to oracle solves over sampled instances",
+              "problem seed count model out grid_points starts descent_steps descent_lr"),
+    "table": (_cmd_table, "reproduce the bundled reference-instance comparison",
+              "problem seed model out grid_points starts descent_steps descent_lr"),
 }
 
 
+# keyed by key name, or by (command, key name) where one command differs
 _OWN_DEFAULT_TEXT = {
     "problem": "required",
-    "model": "required for eval/bench/table",
+    "model": "required",
     "out": "derived from problem name",
     "params": "sampled instead",
+    ("oracle", "params"): "required",
+    ("table", "out"): "no CSV",
 }
 
 
-def _default_text(key: _Key):
-    if key.name in _OWN_DEFAULT_TEXT:
-        return _OWN_DEFAULT_TEXT[key.name]
+def _default_text(key: _Key, command: str):
+    text = _OWN_DEFAULT_TEXT.get((command, key.name), _OWN_DEFAULT_TEXT.get(key.name))
+    if text:
+        return text
     cls, fld = key.sets[0] if key.sets else (RunConfig, key.name)
     default = cls.__dataclass_fields__[fld].default
     return "problem-specific" if default is None else default
@@ -421,33 +429,25 @@ def build_parser() -> argparse.ArgumentParser:
             "numerical oracle."
         ),
         epilog=(
-            "Config file: the same keys as the long flags, one 'key = value' per "
-            "line, '#' comments allowed. Precedence: flags > config file > "
+            "Config file: one 'key = value' per line, '#' comments allowed; keys are "
+            "any subcommand's long flags, '_' for '-'. Precedence: flags > config file > "
             f"${SEED_ENV_VAR} (seed only) > defaults."
         ),
     )
-    # every subcommand takes the same flags: define them once and share them
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--config", metavar="FILE", help="key = value config file")
-    for key in _KEYS:
-        flag = "--" + key.name.replace("_", "-")
-        flags.add_argument(
-            flag,
-            metavar=key.name.upper(),
-            type=lambda text, k=key, f=flag: _convert(k, text, f"flag {f}"),
-            default=None,
-            help=f"{key.help} (default: {_default_text(key)}; range: {key.range_desc})",
-        )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    descriptions = {
-        "train": "train a model and write it plus a training-log CSV",
-        "eval": "score a trained model's outputs instance by instance",
-        "oracle": "solve one instance numerically and print the solution",
-        "bench": "compare model outputs to oracle solves over sampled instances",
-        "table": "reproduce the bundled reference-instance comparison",
-    }
-    for name, desc in descriptions.items():
-        sub.add_parser(name, help=desc, description=desc, parents=[flags])
+    for name, (_, desc, keys) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=desc, description=desc)
+        cmd.add_argument("--config", metavar="FILE",
+                         help="key = value config file; it may hold any subcommand's keys")
+        for key in (k for k in _KEYS if k.name in keys.split()):
+            flag = "--" + key.name.replace("_", "-")
+            cmd.add_argument(
+                flag,
+                metavar=key.name.upper(),
+                type=lambda text, k=key, f=flag: _convert(k, text, f"flag {f}"),
+                help=f"{key.help} (default: {_default_text(key, name)}; "
+                     f"range: {key.range_desc})",
+            )
     return parser
 
 
@@ -475,7 +475,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_run_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except UsageError as exc:
         print(f"penalearn: {exc}", file=sys.stderr)
         return 2

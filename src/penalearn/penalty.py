@@ -8,11 +8,13 @@ An indicator mode (0 inside, a large constant per violated constraint
 outside) is kept as a diagnostic: its gradient contribution is identically
 zero, which is exactly why it cannot steer training.
 
-``loss_terms_batch`` is the single place a batch of points is evaluated: one
+``loss_terms_batch`` is the one penalized evaluator of a batch of points: one
 objective call and one constraint call, returned as one ``LossTerms`` record
 that also carries the residuals: one ``ConstraintEval`` block, inequality
 columns first, which every reader slices.  Worst violations and feasibility
 come from its ``violations``, the penalty and its gradient from its ``penalty``.
+Scorers that read values only (``training.evaluate``, the oracle's ranking in
+``oracle._best``) call the problem's evaluators with ``grad=False`` instead.
 Training calls it with ``strict=True`` (shapes checked, a non-finite value
 raises ``NonFiniteError`` naming the constraint and the sample); the oracle
 calls it with ``strict=False`` (no checks, floating-point warnings silenced,

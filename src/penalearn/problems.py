@@ -65,7 +65,8 @@ class ProblemSpec:
             )
         for lo, hi in self.param_ranges:
             if lo > hi:
-                raise ValueError(f"{self.name}: range low {lo} exceeds high {hi}")
+                raise ConfigError(f"{self.name}: range low {lo} exceeds high {hi}",
+                                  "param_ranges")
         evaluators = [("objective", self.objective)] + [
             (f"constraint {i}", c.fn) for i, c in enumerate(self.inequalities + self.equalities)]
         for what, fn in evaluators:
@@ -252,7 +253,7 @@ def make_problem(name: str) -> ProblemSpec:
 def sample_params(spec: ProblemSpec, count: int, seed: int = 0) -> np.ndarray:
     """Uniform parameter samples within the spec ranges: a (count, param_dim) array."""
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ConfigError(f"count must be >= 1, got {count}", "count")
     rng = np.random.default_rng(seed)
     cols = [rng.uniform(lo, hi, size=count) for lo, hi in spec.param_ranges]
     return np.stack(cols, axis=1)

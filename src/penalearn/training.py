@@ -16,16 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, TrainingDivergedError, is_int, require, require_int
-from .nn import (
-    AdamState,
-    Mlp,
-    adam_step,
-    init_mlp,
-    load_model,
-    mlp_backward,
-    mlp_forward,
-    save_model,
-)
+from .nn import AdamState, Mlp, adam_step, init_mlp, mlp_backward, mlp_forward
 from .penalty import PenaltyConfig, loss_terms_batch
 from .penalty import violation_report, violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ProblemSpec, sample_params
@@ -38,8 +29,6 @@ __all__ = [
     "train",
     "evaluate",
     "resolve_net_shape",
-    "save_model",
-    "load_model",
 ]
 
 TRAIN_LOG_COLUMNS = ("epoch", "mean_loss", "mean_objective", "mean_penalty",
@@ -171,7 +160,7 @@ def resolve_net_shape(spec: ProblemSpec, cfg: TrainConfig) -> tuple[int, ...]:
 def _log_entry(epoch, net, inputs, raw_params, spec, cfg, t0) -> TrainLogEntry:
     outputs, _ = mlp_forward(net, inputs)
     terms = loss_terms_batch(outputs, raw_params, spec, cfg.penalty, grad=False)
-    max_ineq, max_eq, _ = terms.constraints.violations(cfg.penalty.eq_tolerance)
+    max_ineq, max_eq, _ = terms.constraints.violations()
     worst = np.maximum(max_ineq, max_eq)
     return TrainLogEntry(
         epoch=int(epoch),
@@ -221,9 +210,7 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
             batch = slice(lo_idx, lo_idx + cfg.batch_size)
             idx = order[batch]
             outputs, trace = mlp_forward(net, epoch_inputs[batch])
-            loss, grad_x = _batch_loss_guarded(
-                outputs, epoch_raw[batch], spec, cfg, epoch, idx
-            )
+            grad_x = _batch_loss_guarded(outputs, epoch_raw[batch], spec, cfg, epoch, idx)
             upstream = grad_x / idx.size  # gradient of the batch mean
             grads, _ = mlp_backward(net, trace, upstream, out=grad_buf)
             adam_step(net, state, grads, out=(net, state))
@@ -235,6 +222,8 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
 
 
 def _batch_loss_guarded(outputs, raw_params, spec, cfg, epoch, idx):
+    """The batch loss's gradient in the outputs; ``TrainingDivergedError`` when
+    a loss is non-finite or the batch mean passes ``DIVERGENCE_LIMIT``."""
     terms = loss_terms_batch(outputs, raw_params, spec, cfg.penalty)
     loss = terms.loss
     mean = float(loss.sum()) / loss.size  # loss.mean()'s bits, without its wrapper
@@ -254,7 +243,7 @@ def _batch_loss_guarded(outputs, raw_params, spec, cfg, epoch, idx):
             epoch=epoch,
             sample_index=sample,
         )
-    return loss, terms.grad
+    return terms.grad
 
 
 def evaluate(

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, config precedence, exit codes."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -24,8 +25,25 @@ FAST_TRAIN = [
 ]
 
 
+ORACLE_KEYS = ["grid_points", "starts", "descent_steps", "descent_lr"]
+# the keys each subcommand reads, which are the only flags it takes
+COMMAND_KEYS = {
+    "train": ["problem", "seed", "epochs", "samples", "batch_size", "learning_rate", "beta1",
+              "beta2", "adam_epsilon", "eta", "gamma", "penalty_mode", "indicator_big",
+              "log_every", "net_shape", "feas_tolerance", "normalize_inputs", "out"],
+    "eval": ["problem", "seed", "count", "model", "out", "params"],
+    "oracle": ["problem", "seed", "params"] + ORACLE_KEYS,
+    "bench": ["problem", "seed", "count", "model", "out"] + ORACLE_KEYS,
+    "table": ["problem", "seed", "model", "out"] + ORACLE_KEYS,
+}
+
+
 def run(argv):
     return main(argv)
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "oracle", "bench", "table"])
@@ -34,9 +52,49 @@ def test_help_exits_zero_and_lists_keys(command, capsys):
         run([command, "--help"])
     assert info.value.code == 0
     text = capsys.readouterr().out
-    for flag in ["--config"] + ["--" + key.name.replace("_", "-") for key in _KEYS]:
-        assert f"{flag} " in text
+    listed = re.findall(r"^  (--[a-z0-9-]+)", text, re.MULTILINE)
+    assert sorted(listed) == sorted(["--config"] + [_flag(k) for k in COMMAND_KEYS[command]])
     assert "range:" in text and "default:" in text
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["train", "--count", "3"], "--count"),
+    (["eval", "--epochs", "3"], "--epochs"),
+    (["oracle", "--params", "1,1", "--epochs", "3"], "--epochs"),
+    (["oracle", "--params", "1,1", "--model", "m.model"], "--model"),
+    (["bench", "--params", "1,1"], "--params"),
+    (["table", "--count", "3"], "--count"),
+])
+def test_a_flag_the_command_does_not_read_exits_2_naming_it(argv, unread, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(argv + ["--problem", "rosenbrock-1c"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
+
+
+def test_one_config_file_with_every_key_serves_all_five_commands(tmp_path, monkeypatch,
+                                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    values = dict(
+        problem="rosenbrock-1c", seed=2, epochs=2, samples=8, batch_size=4,
+        learning_rate=0.002, beta1=0.8, beta2=0.99, adam_epsilon=1e-7, eta=1e6, gamma=2,
+        penalty_mode="piecewise", indicator_big=1e9, log_every=1, net_shape="2,4,2",
+        feas_tolerance=0.2, normalize_inputs="false", grid_points=11, starts=1,
+        descent_steps=5, descent_lr=0.02, count=2,
+        # train writes the model to out; the other commands name their outputs by flag
+        model="m.model", out="m.model",
+    )
+    assert set(values) == {key.name for key in _KEYS if not key.flag_only}
+    (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    argv = ["--config", "run.cfg"]
+    assert run(["train"] + argv) == 0
+    assert run(["eval"] + argv + ["--out", "e.csv"]) == 0
+    assert len((tmp_path / "e.csv").read_text().splitlines()) == 3
+    assert run(["oracle"] + argv + ["--params", "1,1"]) == 0
+    assert run(["bench"] + argv + ["--out", "b.csv"]) == 0
+    assert run(["table"] + argv + ["--out", "t.csv"]) == 0
+    assert (tmp_path / "b.csv").exists() and (tmp_path / "t.csv").exists()
+    assert capsys.readouterr().err == ""
 
 
 def test_top_level_requires_subcommand():
@@ -122,12 +180,12 @@ def test_eval_accepts_a_negative_first_param(tmp_path):
     (["oracle", "--params", "1,1"], []),
 ])
 def test_out_of_range_params_warn_on_stderr_only(argv, warned, tmp_path, capsys):
-    model = tmp_path / "m.model"
-    save_model(init_mlp((2, 4, 2), seed=0), str(model))
-    out = tmp_path / "e.csv"
+    if argv[0] == "eval":
+        model = tmp_path / "m.model"
+        save_model(init_mlp((2, 4, 2), seed=0), str(model))
+        argv = argv + ["--model", str(model), "--out", str(tmp_path / "e.csv")]
     with np.errstate(over="ignore", invalid="ignore"):
-        code = run(argv + ["--problem", "rosenbrock-1c", "--model", str(model),
-                           "--out", str(out)])
+        code = run(argv + ["--problem", "rosenbrock-1c"])
     assert code == 0
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
@@ -189,9 +247,11 @@ def test_bad_flag_values_exit_2(capsys):
     ["oracle", "--problem", "rosenbrock-1c", "--params", "1e999,1"],
 ])
 def test_non_finite_params_exit_2_naming_the_flag(argv, tmp_path, capsys):
-    model = tmp_path / "m.model"
-    save_model(init_mlp((5, 4, 2), seed=0), str(model))
-    assert run(argv + ["--model", str(model)]) == 2
+    if argv[0] == "eval":
+        model = tmp_path / "m.model"
+        save_model(init_mlp((5, 4, 2), seed=0), str(model))
+        argv = argv + ["--model", str(model)]
+    assert run(argv) == 2
     err = capsys.readouterr().err
     assert "--params" in err and "finite" in err
 
@@ -348,24 +408,28 @@ def test_library_rejects_what_the_cli_rejects(tmp_path, make, exc):
 @pytest.mark.parametrize(
     "argv,env,cfg_text,where",
     [
-        (["--gamma", "0.5"], None, None, "flag --gamma: key 'gamma'"),
-        ([], None, "problem = rosenbrock-1c\ngamma = 0.5\n", "run.cfg:2: key 'gamma'"),
-        ([], "-1", None, "$PENALEARN_SEED: key 'seed'"),
-        (["--samples", "100"], None, "problem = rosenbrock-1c\nbatch_size = 500\n",
+        (["train", "--gamma", "0.5"], None, None, "flag --gamma: key 'gamma'"),
+        (["train"], None, "problem = rosenbrock-1c\ngamma = 0.5\n", "run.cfg:2: key 'gamma'"),
+        (["train"], "-1", None, "$PENALEARN_SEED: key 'seed'"),
+        (["train", "--samples", "100"], None, "problem = rosenbrock-1c\nbatch_size = 500\n",
          "run.cfg:2: key 'batch_size'"),
+        (["eval", "--count", "0"], None, None, "flag --count: key 'count'"),
+        # a key train does not read is still checked: one file serves every command
+        (["train"], None, "problem = rosenbrock-1c\ncount = 0\n", "run.cfg:2: key 'count'"),
     ],
-    ids=["flag", "config_file", "env_seed", "cross_field"],
+    ids=["flag", "config_file", "env_seed", "cross_field", "count_flag", "count_config_file"],
 )
 def test_config_errors_name_key_and_origin(tmp_path, monkeypatch, capsys,
                                            argv, env, cfg_text, where):
     monkeypatch.delenv("PENALEARN_SEED", raising=False)
     if env is not None:
         monkeypatch.setenv("PENALEARN_SEED", env)
+    command, argv = argv[0], argv[1:]
     if cfg_text is None:
         argv = ["--problem", "rosenbrock-1c"] + argv
     else:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(cfg_text)
         argv = ["--config", str(cfg)] + argv
-    assert run(["train"] + argv) == 2
+    assert run([command] + argv) == 2
     assert where in capsys.readouterr().err

@@ -191,6 +191,19 @@ def test_sample_params_within_ranges_and_deterministic():
         assert not np.array_equal(ps, other)
 
 
+def test_sample_params_rejects_a_count_below_one_naming_the_field():
+    with pytest.raises(ConfigError, match="count must be >= 1, got 0") as info:
+        sample_params(make_problem("rosenbrock-1c"), 0)
+    assert info.value.field == "count"
+
+
+def test_a_range_whose_low_exceeds_its_high_is_rejected_at_construction():
+    spec = make_problem("rosenbrock-1c")
+    with pytest.raises(ConfigError, match="rosenbrock-1c: range low 2 exceeds high 1") as info:
+        dataclasses.replace(spec, param_ranges=((0, 30), (2, 1)))
+    assert info.value.field == "param_ranges"
+
+
 def test_param_ranges_match_published_settings():
     rb = make_problem("rosenbrock-1c")
     assert rb.param_ranges == ((0.0, 30.0), (0.0, 1.0))
