@@ -23,7 +23,7 @@ def main():
         net, log = train(spec, TrainConfig(seed=0))
         print(f"done in {log.final().elapsed_s:.1f}s, "
               f"feasible fraction {log.final().feasible_frac:.3f}")
-        repro = table_repro(name, net, cfg)
+        repro = table_repro(spec, net, cfg)
         print(repro.text())
         print()
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import OracleError, UnsupportedError
 from .nn import Mlp, mac_count
 from .oracle import OracleConfig, solve
-from .problems import ProblemSpec, make_problem
+from .problems import ProblemSpec
 from .training import columns, csv_text, evaluate
 
 FEAS_TOL_LOOSE = 0.1
@@ -253,19 +253,15 @@ class TableRepro:
         return csv_text(header, rows, comments=[self.banner] if self.banner else ())
 
 
-def table_repro(
-    spec_name: str, net: Mlp, oracle_cfg: OracleConfig = OracleConfig()
-) -> TableRepro:
+def table_repro(spec: ProblemSpec, net: Mlp,
+                oracle_cfg: OracleConfig = OracleConfig()) -> TableRepro:
     """Side-by-side comparison on the fixed reference parameter sets:
-    ``run_benchmark`` on ``TABLE_CASES[spec_name]``, so a net that does not
+    ``run_benchmark`` on ``TABLE_CASES[spec.name]``, so a net that does not
     match the problem raises ``DimensionError`` and a failed solve reads NaN.
     """
-    if spec_name not in TABLE_CASES:
-        raise UnsupportedError(
-            f"no reference table for {spec_name!r}; have {sorted(TABLE_CASES)}"
-        )
-    spec = make_problem(spec_name)
-    cases = TABLE_CASES[spec_name]
+    if spec.name not in TABLE_CASES:
+        raise UnsupportedError(f"no reference table for {spec.name!r}; have {sorted(TABLE_CASES)}")
+    cases = TABLE_CASES[spec.name]
     report = run_benchmark(spec, net, oracle_cfg, np.array([c.params for c in cases]))
     return TableRepro(report=report, baselines=tuple(c.baseline_x for c in cases),
                       banner=INFEASIBLE_BANNER if spec.known_infeasible else None)

@@ -372,8 +372,7 @@ def _cmd_bench(cfg: RunConfig) -> int:
 
 
 def _cmd_table(cfg: RunConfig) -> int:
-    net = _load_model_for(cfg)
-    repro = table_repro(cfg.spec.name, net, cfg.oracle)
+    repro = table_repro(cfg.spec, _load_model_for(cfg), cfg.oracle)
     sys.stdout.write(repro.text())
     if cfg.out:
         write_text_atomic(cfg.out, repro.csv())
@@ -419,8 +418,8 @@ def _default_text(key: _Key, command: str):
 
 
 @functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The ``penalearn`` parser, built once per process: parsing leaves it as it was."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``penalearn`` parser and each subcommand's, built once: parsing changes none."""
     parser = argparse.ArgumentParser(
         prog="penalearn",
         description=(
@@ -435,8 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    commands = {}
     for name, (_, desc, keys) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=desc, description=desc)
+        cmd = commands[name] = sub.add_parser(name, help=desc, description=desc)
         cmd.add_argument("--config", metavar="FILE",
                          help="key = value config file; it may hold any subcommand's keys")
         for key in (k for k in _KEYS if k.name in keys.split()):
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"{key.help} (default: {_default_text(key, name)}; "
                      f"range: {key.range_desc})",
             )
-    return parser
+    return parser, commands
 
 
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
@@ -470,10 +470,12 @@ def _join_negative_params(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     argv = _join_negative_params(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args, unread = parser.parse_known_args(argv)
+        if unread:  # under the usage line of the subcommand that does not read them
+            commands[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
         cfg = build_run_config(args)
         return _COMMANDS[cfg.command][0](cfg)
     except UsageError as exc:

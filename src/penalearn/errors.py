@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -72,6 +73,17 @@ def require_int(config, field, low):
     """``require`` that ``field`` on ``config`` holds an integer >= ``low``."""
     value = getattr(config, field)
     require(is_int(value) and value >= low, field, value, f"an integer >= {low}")
+
+
+def require_real(config, field, above=-math.inf, at_least=-math.inf, below=math.inf):
+    """``require`` a finite real, not a bool, > above, >= at_least and < below at ``field``."""
+    value = getattr(config, field)
+    rule = (f"in ({above:g}, {below:g})" if below < math.inf
+            else f"> {above:g}" if above > -math.inf else f">= {at_least:g}")
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    require(real and abs(value) <= sys.float_info.max and above < value < below
+            and value >= at_least, field, value, f"a finite real number {rule}")
+    object.__setattr__(config, field, float(value))
 
 
 def all_finite(a):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionError, NonFiniteError, OracleError, UnsupportedError, all_finite,
-                     require, require_int)
+                     require_int, require_real)
 from .penalty import ConstraintEval, PenaltyConfig, loss_terms_batch
 from .penalty import violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ProblemSpec
@@ -81,8 +81,8 @@ class OracleConfig:
         require_int(self, "grid_points_per_dim", 2)
         require_int(self, "starts", 0)
         require_int(self, "descent_steps", 1)
-        require(self.descent_lr > 0, "descent_lr", self.descent_lr, "> 0")
-        require(self.feasible_tol >= 0, "feasible_tol", self.feasible_tol, ">= 0")
+        require_real(self, "descent_lr", above=0)
+        require_real(self, "feasible_tol", at_least=0)
         require_int(self, "seed", 0)
 
 
@@ -206,10 +206,10 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     rows of one evaluation, and takes the first that passes.  No row's
     arithmetic depends on another's, so its bits do not depend on which rows
     descend beside it, nor on how many halvings one evaluation tries.
-    Returns the final points, a per-row finite flag, and the unshifted
-    residual block at the final points (``ConstraintEval.values``, laid out
-    as ``shift``).  The caller silences numpy's floating-point warnings, as
-    ``solve`` does.
+    Returns the final points (a new array: ``X0`` is only read), a per-row
+    finite flag, and the unshifted residual block at the final points
+    (``ConstraintEval.values``, laid out as ``shift``).  The caller silences
+    numpy's floating-point warnings, as ``solve`` does.
     """
     P = np.broadcast_to(p, (X0.shape[0] * _HALVINGS_PER_EVAL, p.size))
 
@@ -225,14 +225,12 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
 
     # row sums are np.add.reduce(A * B, 1), as np.linalg.norm(A, axis=1) sums on real
     # input; einsum("ij,ij->i", A, B) gives the same bits only up to k = 2 columns
-    X = X0.copy()
-    F, G, R = fg(X, shift)
+    F, G, R = fg(X0, shift)
     ok = np.isfinite(F) & np.logical_and.reduce(np.isfinite(G), 1)
-    G0 = np.where(ok[:, None], G, 0.0)
-    step = cfg.descent_lr / (1.0 + np.sqrt(np.add.reduce(G0 * G0, 1)))
-    X_out, R_out = X.copy(), R.copy()  # each row's final point and residuals
-    rows = np.arange(X.shape[0])  # the working rows' places in X_out
     gnorm2 = np.add.reduce(G * G, 1)
+    step = cfg.descent_lr / (1.0 + np.sqrt(np.where(ok, gnorm2, 0.0)))
+    X, X_out, R_out = X0, X0.copy(), R.copy()  # X_out, R_out: each row's final values
+    rows = np.arange(X.shape[0])  # the working rows' places in X_out
     live = ok & (gnorm2 > 0.0)
     history = np.full((_NONMONOTONE_WINDOW, X.shape[0]), np.inf)
     history[0] = F
@@ -329,37 +327,32 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
 
     rng = np.random.default_rng(cfg.seed)
     lo, hi = _BOX
-    X = lo + (hi - lo) * rng.random((cfg.starts, k))
-    grid_x = grid_scan(spec, p, cfg).x if k <= 3 else None
-    if grid_x is not None:
-        X = np.vstack([X, grid_x[None, :]])
+    grid = [grid_scan(spec, p, cfg).x] if k <= 3 else []  # the grid point, if any
+    X = np.vstack([lo + (hi - lo) * rng.random((cfg.starts, k)), *grid])
     if not len(X):
         raise OracleError(f"no starting points configured for {spec.name}")
 
     n_ineq = len(spec.inequalities)
-    shift = np.zeros((X.shape[0], n_ineq + len(spec.equalities)))
     ok = np.ones(X.shape[0], dtype=bool)
-    running = ok.copy()
+    rows = np.arange(X.shape[0])  # the starts still running
+    shift = np.zeros((X.shape[0], n_ineq + len(spec.equalities)))  # theirs, row for row
     for _ in range(_AL_MAX_STAGES):
-        idx = np.flatnonzero(running)
-        X[idx], stage_ok, R = _descend_batch(spec, p, X[idx], shift[idx], cfg)
-        ok[idx] &= stage_ok
-        before = shift[idx]
-        shift[idx, :n_ineq] = np.maximum(0.0, before[:, :n_ineq] + R[:, :n_ineq])
-        shift[idx, n_ineq:] = before[:, n_ineq:] + R[:, n_ineq:]
+        X[rows], ok[rows], R = _descend_batch(spec, p, X[rows], shift, cfg)
+        after = shift + R
+        after[:, :n_ineq] = np.maximum(0.0, after[:, :n_ineq])
         # a shift moves by its constraint's violation, or by how far an
         # inequality with a positive multiplier sits inside its boundary
-        settled = (np.abs(shift[idx] - before) <= cfg.feasible_tol / 10).all(axis=1)
-        running[idx] = ok[idx] & ~settled
-        if not running.any():
+        keep = ok[rows] & ~(np.abs(after - shift) <= cfg.feasible_tol / 10).all(axis=1)
+        rows, shift = rows[keep], after[keep]
+        if not rows.size:
             break
-    if not ok.any() and grid_x is None:
+    if not ok.any() and not grid:
         raise OracleError(f"all {X.shape[0]} starts diverged on {spec.name} at params "
                           f"{p.tolist()}: no start had a finite loss and gradient")
 
     # the grid point goes first: it wins ties, so method == "grid" iff x is it
-    X = X[ok] if grid_x is None else np.vstack([grid_x[None, :], X[ok]])
+    X = np.vstack([*grid, X[ok]])
     _, i, objective, max_violation = _best(spec, p, [X], cfg.feasible_tol)
     return OracleSolution(x=X[i].copy(), objective=objective, max_violation=max_violation,
                           solve_time_s=time.perf_counter() - t0,
-                          method="grid" if grid_x is not None and i == 0 else "descent")
+                          method="grid" if i < len(grid) else "descent")

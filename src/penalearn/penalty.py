@@ -26,13 +26,12 @@ each and runs the per-constraint diagnosis only when a test fails.
 from __future__ import annotations
 
 import contextlib
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, all_finite, require
+from .errors import DimensionError, NonFiniteError, all_finite, require, require_real
 
 PENALTY_MODES = ("piecewise", "indicator")
 
@@ -41,8 +40,8 @@ PENALTY_MODES = ("piecewise", "indicator")
 class PenaltyConfig:
     """Penalty weight and shape.
 
-    ``eta`` weights every constraint, inequality or equality; it is one
-    positive real number, stored as a float.
+    ``eta`` weights every constraint, inequality or equality.  Each real
+    setting is a finite real number, stored as a float.
     """
 
     mode: str = "piecewise"
@@ -53,12 +52,10 @@ class PenaltyConfig:
 
     def __post_init__(self):
         require(self.mode in PENALTY_MODES, "mode", self.mode, f"one of {PENALTY_MODES}")
-        require(self.gamma >= 1.0, "gamma", self.gamma, ">= 1")
-        require(self.indicator_big > 0, "indicator_big", self.indicator_big, "> 0")
-        require(self.eq_tolerance >= 0, "eq_tolerance", self.eq_tolerance, ">= 0")
-        require(isinstance(self.eta, numbers.Real) and self.eta > 0, "eta", self.eta,
-                "a real number > 0")
-        object.__setattr__(self, "eta", float(self.eta))
+        require_real(self, "eta", above=0)
+        require_real(self, "gamma", at_least=1)
+        require_real(self, "indicator_big", above=0)
+        require_real(self, "eq_tolerance", at_least=0)
 
 
 @dataclass(frozen=True)

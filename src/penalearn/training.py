@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, TrainingDivergedError, is_int, require, require_int
+from .errors import (DimensionError, TrainingDivergedError, is_int, require, require_int,
+                     require_real)
 from .nn import AdamState, Mlp, adam_step, init_mlp, mlp_backward, mlp_forward
 from .penalty import PenaltyConfig, loss_terms_batch
 from .penalty import violation_report, violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
@@ -65,15 +66,14 @@ class TrainConfig:
                 f"an integer in [1, sample_count = {self.sample_count}]")
         require_int(self, "seed", 0)
         require_int(self, "log_every", 1)
-        require(self.learning_rate > 0, "learning_rate", self.learning_rate, "> 0")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            require(0 < value < 1, name, value, "in (0, 1)")
-        require(self.adam_epsilon > 0, "adam_epsilon", self.adam_epsilon, "> 0")
+        require_real(self, "learning_rate", above=0)
+        require_real(self, "beta1", above=0, below=1)
+        require_real(self, "beta2", above=0, below=1)
+        require_real(self, "adam_epsilon", above=0)
         shape = self.net_shape
         require(shape is None or (len(shape) >= 3 and all(is_int(s) and s >= 1 for s in shape)),
                 "net_shape", shape, "3 or more layer sizes, each an integer >= 1")
-        require(self.feas_tolerance >= 0, "feas_tolerance", self.feas_tolerance, ">= 0")
+        require_real(self, "feas_tolerance", at_least=0)
         require(isinstance(self.normalize_inputs, bool), "normalize_inputs",
                 self.normalize_inputs, "True or False")
 

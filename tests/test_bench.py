@@ -1,6 +1,6 @@
 """Benchmark harness: report columns, aggregates, CSV text, reference tables."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -204,7 +204,7 @@ def test_table_cases_cover_registry():
 
 def test_table_repro_rosenbrock(rosenbrock_model):
     spec, net, _ = rosenbrock_model
-    repro = table_repro("rosenbrock-1c", net)
+    repro = table_repro(spec, net)
     r = repro.report
     assert repro.banner is None
     assert r.params.tolist() == [[1.0, 1.0], [5.0, 0.1], [25.0, 0.3]]
@@ -231,7 +231,7 @@ def test_table_repro_infeasible_banner(rosenbrock_model):
     # model trained on -1c has the right shape for -3c; only the banner and
     # violation columns are under test here
     _, net, _ = rosenbrock_model
-    repro = table_repro("rosenbrock-3c", net)
+    repro = table_repro(make_problem("rosenbrock-3c"), net)
     assert repro.banner is not None
     assert (repro.report.viol_oracle > 0.0).all() and (repro.report.viol_dnn > 0.0).all()
     assert repro.banner in repro.text()
@@ -239,9 +239,9 @@ def test_table_repro_infeasible_banner(rosenbrock_model):
 
 
 def test_table_repro_unknown_problem(rosenbrock_model):
-    _, net, _ = rosenbrock_model
-    with pytest.raises(UnsupportedError):
-        table_repro("sphere", net)
+    spec, net, _ = rosenbrock_model
+    with pytest.raises(UnsupportedError, match="'sphere'"):
+        table_repro(replace(spec, name="sphere"), net)
 
 
 @pytest.mark.parametrize("name", problem_names())
@@ -256,7 +256,7 @@ def test_bench_and_table_take_the_net_side_from_evaluate(name):
     assert np.array_equal(report.viol_dnn, np.maximum(r.max_ineq_violation, r.max_eq_violation))
 
     cases = np.array([c.params for c in TABLE_CASES[name]])
-    repro, r = table_repro(name, net), evaluate(net, spec, cases)
+    repro, r = table_repro(spec, net), evaluate(net, spec, cases)
     assert np.array_equal(repro.report.x_dnn, r.x)
     assert np.array_equal(repro.report.viol_dnn,
                           np.maximum(r.max_ineq_violation, r.max_eq_violation))
@@ -279,4 +279,4 @@ def test_bench_and_table_reject_a_mismatched_net():
     with pytest.raises(DimensionError):
         run_benchmark(spec, net, OracleConfig(), sample_params(spec, 2, seed=0))
     with pytest.raises(DimensionError):
-        table_repro("rosenbrock-1c", net)
+        table_repro(spec, net)

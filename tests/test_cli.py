@@ -69,7 +69,10 @@ def test_a_flag_the_command_does_not_read_exits_2_naming_it(argv, unread, capsys
     with pytest.raises(SystemExit) as info:
         run(argv + ["--problem", "rosenbrock-1c"])
     assert info.value.code == 2
-    assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {unread}" in err
+    # under the usage line of the command, which lists the flags it does take
+    assert err.startswith(f"usage: penalearn {argv[0]} [-h] [--config FILE]")
 
 
 def test_one_config_file_with_every_key_serves_all_five_commands(tmp_path, monkeypatch,
@@ -234,6 +237,24 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(["oracle", "--problem", "rosenbrock-1c", "--params", "1,2,3"]) == 2
     missing = tmp_path / "no-such.model"
     assert run(["eval", "--problem", "rosenbrock-1c", "--model", str(missing)]) == 2
+    assert run(["train", "--config", str(tmp_path / "no-such.cfg")]) == 2  # unreadable
+    no_equals = tmp_path / "no-equals.cfg"
+    no_equals.write_text("problem rosenbrock-1c\n")
+    assert run(["train", "--config", str(no_equals)]) == 2
+    assert run(["train", "--problem", "rosenbrock-1c", "--normalize-inputs", "maybe"]) == 2
+    assert run(["train", "--problem", "rosenbrock-1c", "--net-shape", "2,x,2"]) == 2
+    assert run(["oracle", "--problem", "rosenbrock-1c", "--params", "1,abc"]) == 2
+    wrong_dims = tmp_path / "wrong-dims.model"  # 3 -> 2, and rosenbrock-1c maps 2 -> 2
+    save_model(init_mlp((3, 4, 2), seed=0), str(wrong_dims))
+    assert run(["eval", "--problem", "rosenbrock-1c", "--model", str(wrong_dims)]) == 2
+
+
+@pytest.mark.parametrize("text, value", [("true", True), ("YES", True), ("on", True),
+                                         ("1", True), ("false", False), ("off", False)])
+def test_normalize_inputs_reads_every_boolean_spelling(text, value):
+    parser, _ = build_parser()
+    args = parser.parse_args(["train", "--problem", "rosenbrock-1c", "--normalize-inputs", text])
+    assert cli.build_run_config(args).train.normalize_inputs is value
 
 
 def test_bad_flag_values_exit_2(capsys):
@@ -347,6 +368,13 @@ def test_failed_run_leaves_no_partial_output(tmp_path):
     assert code == 1
     assert not target.exists()
     assert not (tmp_path / "missing-dir").exists()
+    # the temp file is written, then cannot replace a directory: it is removed
+    (tmp_path / "a-dir").mkdir()
+    code = run(["train", "--problem", "rosenbrock-1c", "--out", str(tmp_path / "a-dir")]
+               + FAST_TRAIN)
+    assert code == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["a-dir"]
+    assert not any((tmp_path / "a-dir").iterdir())
 
 
 def _model_with_bad_bias(tmp_path, token):
@@ -387,6 +415,22 @@ def _model_with_bad_bias(tmp_path, token):
         (lambda _: OracleConfig(descent_steps=2.5), ConfigError),
         (lambda d: load_model(_model_with_bad_bias(d, "nan")), ModelFormatError),
         (lambda d: load_model(_model_with_bad_bias(d, "inf")), ModelFormatError),
+        (lambda _: OracleConfig(descent_lr=float("inf")), ConfigError),
+        (lambda _: OracleConfig(feasible_tol=float("inf")), ConfigError),
+        (lambda _: TrainConfig(adam_epsilon=float("inf")), ConfigError),
+        (lambda _: TrainConfig(learning_rate=float("inf")), ConfigError),
+        (lambda _: TrainConfig(feas_tolerance=float("inf")), ConfigError),
+        (lambda _: PenaltyConfig(eta=float("inf")), ConfigError),
+        (lambda _: PenaltyConfig(gamma=float("inf")), ConfigError),
+        (lambda _: PenaltyConfig(indicator_big=float("inf")), ConfigError),
+        (lambda _: PenaltyConfig(eq_tolerance=float("inf")), ConfigError),
+        (lambda _: TrainConfig(learning_rate=True), ConfigError),
+        (lambda _: TrainConfig(beta1=True), ConfigError),
+        (lambda _: PenaltyConfig(eta=True), ConfigError),
+        (lambda _: OracleConfig(descent_lr="1"), ConfigError),
+        (lambda _: TrainConfig(beta2="0.9"), ConfigError),
+        (lambda _: PenaltyConfig(gamma="2"), ConfigError),
+        (lambda _: PenaltyConfig(gamma=10**400), ConfigError),  # finite, but not as a float
     ],
     ids=["beta1", "beta2", "adam_epsilon", "feas_tolerance", "gamma_nan",
          "penalty_mode_none", "descent_lr",
@@ -394,7 +438,10 @@ def _model_with_bad_bias(tmp_path, token):
          "net_shape_float", "log_every_float", "normalize_inputs_str", "epochs_float",
          "batch_size_float", "samples_float", "seed_float", "epochs_bool", "starts_float",
          "grid_points_float", "descent_steps_float",
-         "model_nan", "model_inf"],
+         "model_nan", "model_inf", "descent_lr_inf", "feasible_tol_inf", "adam_epsilon_inf",
+         "learning_rate_inf", "feas_tolerance_inf", "eta_inf", "gamma_inf", "indicator_big_inf",
+         "eq_tolerance_inf", "learning_rate_bool", "beta1_bool", "eta_bool", "descent_lr_str",
+         "beta2_str", "gamma_str", "gamma_huge_int"],
 )
 def test_library_rejects_what_the_cli_rejects(tmp_path, make, exc):
     with pytest.raises(exc) as info:
@@ -416,8 +463,12 @@ def test_library_rejects_what_the_cli_rejects(tmp_path, make, exc):
         (["eval", "--count", "0"], None, None, "flag --count: key 'count'"),
         # a key train does not read is still checked: one file serves every command
         (["train"], None, "problem = rosenbrock-1c\ncount = 0\n", "run.cfg:2: key 'count'"),
+        # a real setting must be finite
+        (["oracle", "--params", "5,0.1", "--descent-lr", "inf"], None, None,
+         "flag --descent-lr: key 'descent_lr'"),
     ],
-    ids=["flag", "config_file", "env_seed", "cross_field", "count_flag", "count_config_file"],
+    ids=["flag", "config_file", "env_seed", "cross_field", "count_flag", "count_config_file",
+         "descent_lr_inf"],
 )
 def test_config_errors_name_key_and_origin(tmp_path, monkeypatch, capsys,
                                            argv, env, cfg_text, where):

@@ -194,6 +194,8 @@ def test_strict_mode_rejects_one_dimensional_x_and_p():
         loss_terms_batch(np.zeros(2), np.ones((1, 2)), spec, PenaltyConfig())
     with pytest.raises(DimensionError, match=r"p has shape \(2,\), problem param dim is 2"):
         loss_terms_batch(np.zeros((1, 2)), np.ones(2), spec, PenaltyConfig())
+    with pytest.raises(DimensionError, match="batch mismatch: x rows 2, p rows 3"):
+        loss_terms_batch(np.zeros((2, 2)), np.ones((3, 2)), spec, PenaltyConfig())
 
 
 def _toy(objective_grad_nan_row=None, residual=None, constraint_grad=None):

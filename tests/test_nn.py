@@ -58,6 +58,14 @@ def test_mlp_validates_construction():
     bad_w = tuple(w.copy() for w in net.weights[:-1]) + (np.full_like(net.weights[-1], np.nan),)
     with pytest.raises(NonFiniteError):
         Mlp(layer_sizes=net.layer_sizes, weights=bad_w, biases=net.biases)
+    with pytest.raises(DimensionError, match="expected 2 weight/bias tensors, got 1/2"):
+        Mlp(layer_sizes=net.layer_sizes, weights=net.weights[:1], biases=net.biases)
+    with pytest.raises(DimensionError, match=r"weight 1 has shape \(3, 1\), expected \(1, 3\)"):
+        Mlp(layer_sizes=net.layer_sizes, weights=(net.weights[0], net.weights[1].T),
+            biases=net.biases)
+    with pytest.raises(DimensionError, match=r"bias 0 has shape \(2,\), expected \(3,\)"):
+        Mlp(layer_sizes=net.layer_sizes, weights=net.weights,
+            biases=(net.biases[0][:2], net.biases[1]))
 
 
 def test_forward_requires_2d_batch():
@@ -163,6 +171,8 @@ def test_backward_rejects_stale_trace():
     with pytest.raises(TraceError, match="input dim"):
         mlp_backward(net, other_input, upstream)
     _, trace = mlp_forward(net, np.zeros((4, 2)))
+    with pytest.raises(DimensionError, match=r"upstream has shape \(4, 2\), expected \(4, 1\)"):
+        mlp_backward(net, trace, np.ones((4, 2)))
     for buf in (init_mlp((2, 4, 1)), np.zeros(net.params.size)):
         with pytest.raises(DimensionError, match="gradient buffer"):
             mlp_backward(net, trace, upstream, out=buf)
@@ -398,7 +408,8 @@ def test_model_save_leaves_no_temp_files(tmp_path):
         (lambda lines: lines[:2] + ["1.0 nope"] + lines[3:], ModelFormatError),
         (lambda lines: lines[:2] + ["1.0"] + lines[3:], ModelFormatError),  # short tensor
         (lambda lines: lines + ["0.5 0.5"], ModelFormatError),  # trailing content
-        (lambda lines: [], ModelFormatError),
+        (lambda lines: [], ModelFormatError),  # an empty file
+        (lambda lines: [""], ModelFormatError),  # one blank line
     ],
 )
 def test_model_parse_errors(tmp_path, mangle, exc):
@@ -406,7 +417,7 @@ def test_model_parse_errors(tmp_path, mangle, exc):
     path = tmp_path / "m.txt"
     save_model(net, path)
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(mangle(lines)) + "\n")
+    path.write_text("".join(line + "\n" for line in mangle(lines)))
     with pytest.raises(exc):
         load_model(path)
 

@@ -131,6 +131,50 @@ def test_solve_starts_from_the_seeded_draws_then_the_grid_point(monkeypatch, sta
     assert stages[0].tobytes() == np.stack(want).tobytes()
 
 
+# (spec, p, the number of starts each stage descends): on ackley-1c the running
+# set falls from 17 starts to 1 after stage 1; every rosenbrock-3c solve runs
+# all 12 stages; the line takes the equality branch of the shift update; at
+# c1 = 1e306, 6 of the 17 rosenbrock-1c starts overflow in stage 1 and stop
+STAGE_CASES = [
+    (make_problem("ackley-1c"), sample_params(make_problem("ackley-1c"), 60, 0)[0],
+     [17, 1, 1, 1]),
+    (make_problem("rosenbrock-3c"), np.array([1.0, 1.0]), [17] * 12),
+    (LINE, sample_params(LINE, 5, 3)[0], [17] * 4),
+    (make_problem("rosenbrock-1c"), np.array([1e306, 1.0]), [17] + [10] * 11),
+]
+
+
+@pytest.mark.parametrize("spec, p, sizes", STAGE_CASES,
+                         ids=["ackley-1c", "rosenbrock-3c", "line", "diverging-starts"])
+def test_each_stage_descends_the_starts_left_running_at_their_next_shifts(monkeypatch, spec, p,
+                                                                          sizes):
+    cfg = OracleConfig()
+    stages, descend = [], oracle._descend_batch
+
+    def spy(spec, p, X, shift, cfg):
+        out = descend(spec, p, X, shift, cfg)
+        stages.append((X.copy(), shift.copy(), out))
+        return out
+
+    monkeypatch.setattr(oracle, "_descend_batch", spy)
+    solve(spec, p, cfg)
+    assert [len(X) for X, _, _ in stages] == sizes
+    assert not stages[0][1].any()
+    n_ineq = len(spec.inequalities)
+    ineq = np.arange(stages[0][1].shape[1]) < n_ineq
+    for i, (_, s, (X_out, ok, R)) in enumerate(stages):
+        # max(0, s + r) for an inequality, s + h for an equality
+        with np.errstate(all="ignore"):  # a diverged start's residuals may be inf or nan
+            after = np.where(ineq, np.maximum(0.0, s + R), s + R)
+            running = ok & (np.abs(after - s) > cfg.feasible_tol / 10).any(axis=1)
+        if i + 1 == len(stages):  # the last stage leaves no start running, or is the 12th
+            assert not running.any() or len(stages) == oracle._AL_MAX_STAGES
+            break
+        X_next, s_next, _ = stages[i + 1]
+        assert X_next.tobytes() == X_out[running].tobytes()
+        assert s_next.tobytes() == after[running].tobytes()
+
+
 def test_contradictory_constraints_yield_compromise_with_violation():
     spec = make_problem("rosenbrock-3c")
     sol = solve(spec, np.array([1.0, 1.0]))
@@ -279,6 +323,30 @@ def test_grid_scan_matches_the_full_penalized_scan(name, params):
         assert np.float64(got.objective).tobytes() == objective.tobytes(), p
         assert np.float64(got.max_violation).tobytes() == max_violation.tobytes(), p
         assert got.method == "grid"
+
+
+def _lone_values(spec, p, x):
+    """The objective and the worst violation of one evaluation at ``x`` alone."""
+    f0, _ = spec.objective(x[None], p[None], grad=False)
+    max_ineq, max_eq, _ = spec.constraint_eval(x[None], p[None], grad=False).violations()
+    return f0[0], np.maximum(max_ineq, max_eq)[0]
+
+
+@pytest.mark.parametrize("name, params", [
+    *[(name, sample_params(make_problem(name), 5, seed=8)) for name in
+      ("rosenbrock-1c", "rosenbrock-3c", "ackley-1c", "ackley-3c")],
+    ("rosenbrock-1c", _defect_band()),
+    (LINE, sample_params(LINE, 5, seed=8)),
+    (LINE_IN_DISK, sample_params(LINE_IN_DISK, 5, seed=8)),
+], ids=["rosenbrock-1c", "rosenbrock-3c", "ackley-1c", "ackley-3c", "defect-band", "line",
+        "line-in-disk"])
+def test_solve_reports_the_values_of_a_lone_evaluation_at_its_answer(name, params):
+    spec = make_problem(name) if isinstance(name, str) else name
+    for p in params:
+        sol = solve(spec, p)
+        objective, max_violation = _lone_values(spec, p, sol.x)
+        assert np.float64(sol.objective).tobytes() == objective.tobytes(), p
+        assert np.float64(sol.max_violation).tobytes() == max_violation.tobytes(), p
 
 
 def _descent_inputs(name):
@@ -498,6 +566,9 @@ def test_solve_high_dimensional_without_grid_seed():
 def test_solve_with_no_starts_raises():
     with pytest.raises(OracleError):
         solve(_sphere_4d(), np.zeros(4), OracleConfig(starts=0))
+    # with no grid point (k = 4), every start's loss overflowing is an error too
+    with pytest.raises(OracleError, match="all 2 starts diverged on sphere-4d"):
+        solve(_sphere_4d(), np.full(4, 1e308), OracleConfig(starts=2))
 
 
 @pytest.mark.parametrize("name, p", [

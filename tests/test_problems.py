@@ -202,6 +202,8 @@ def test_a_range_whose_low_exceeds_its_high_is_rejected_at_construction():
     with pytest.raises(ConfigError, match="rosenbrock-1c: range low 2 exceeds high 1") as info:
         dataclasses.replace(spec, param_ranges=((0, 30), (2, 1)))
     assert info.value.field == "param_ranges"
+    with pytest.raises(DimensionError, match="rosenbrock-1c: 1 ranges for 2 parameters"):
+        dataclasses.replace(spec, param_ranges=((0, 30),))
 
 
 def test_param_ranges_match_published_settings():
