@@ -40,7 +40,7 @@ from .bench import (
     run_benchmark,
     table_repro,
 )
-from .oracle import OracleConfig, OracleSolution, grid_scan, solve
+from .oracle import OracleConfig, OracleSolution, grid_scan, kkt_residual, solve
 from .penalty import (
     ConstraintEval,
     LossTerms,

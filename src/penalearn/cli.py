@@ -91,7 +91,9 @@ def _sets(cls, *fields: str) -> tuple[tuple[type, str], ...]:
 _KEYS: tuple[_Key, ...] = (
     _Key("problem", str, "one of the registry names", "problem to operate on"),
     _Key("seed", int, "integer >= 0",
-         f"RNG seed; falls back to ${SEED_ENV_VAR} when set neither here nor in the config file",
+         "RNG seed (in the oracle, of the random starts, which run only when the grid start's "
+         f"answer is not certified); falls back to ${SEED_ENV_VAR} when set neither here nor "
+         "in the config file",
          _sets(TrainConfig, "seed") + _sets(OracleConfig, "seed")),
     _Key("epochs", int, ">= 1", "training epochs", _sets(TrainConfig, "epochs")),
     _Key("samples", int, ">= 1",
@@ -129,7 +131,8 @@ _KEYS: tuple[_Key, ...] = (
     _Key("grid_points", int, ">= 2", "oracle grid resolution per dimension",
          _sets(OracleConfig, "grid_points_per_dim")),
     _Key("starts", int, ">= 0",
-         "random descent starts (the grid point is always added when the dimension allows)",
+         "random descent starts, run only when the grid start's answer is not certified "
+         "(feasible with a KKT residual <= 1e-6) or the dimension allows no grid",
          _sets(OracleConfig, "starts")),
     _Key("descent_steps", int, ">= 1", "descent iterations per multiplier stage",
          _sets(OracleConfig, "descent_steps")),
@@ -441,12 +444,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                          help="key = value config file; it may hold any subcommand's keys")
         for key in (k for k in _KEYS if k.name in keys.split()):
             flag = "--" + key.name.replace("_", "-")
+            # every real setting is checked finite (errors.require_real)
+            accepted = f"finite, {key.range_desc}" if key.parse is float else key.range_desc
             cmd.add_argument(
                 flag,
                 metavar=key.name.upper(),
                 type=lambda text, k=key, f=flag: _convert(k, text, f"flag {f}"),
                 help=f"{key.help} (default: {_default_text(key, name)}; "
-                     f"range: {key.range_desc})",
+                     f"range: {accepted})",
             )
     return parser, commands
 

@@ -10,12 +10,15 @@ is 2 * eta * s).  After a stage the shift becomes max(0, s + r) for
 inequalities and s + h for equalities; a row stops once no shift moved by more
 than ``feasible_tol / 10`` (then its worst violation is at most that, and no
 inequality with a positive multiplier sits further inside its boundary), or
-after 12 stages.  Descent runs all starts as one batch, which a start leaves
-as soon as it finishes, with Barzilai-Borwein step lengths under a
-nonmonotone backtracking safeguard (Grippo, Lampariello & Lucidi 1986);
-``descent_lr`` is the initial and fallback step size.  A row whose first
-trial fails tries its next halvings, up to 8 in one evaluation, and takes
-the first that passes, with the bits of halving one trial at a time.
+after 12 stages.  ``solve`` descends the grid start alone first and runs the
+seeded random starts only when that answer is not certified: feasible, with a
+first-order (KKT) residual of at most 1e-6 (``kkt_residual``; ch. 12).  The
+certificate is local, not global.  Descent runs its starts as one batch,
+which a start leaves as soon as it finishes, with Barzilai-Borwein step
+lengths under a nonmonotone backtracking safeguard (Grippo, Lampariello &
+Lucidi 1986); ``descent_lr`` is the initial and fallback step size.  A row
+whose first trial fails tries its next halvings, up to 8 in one evaluation,
+and takes the first that passes, with the bits of halving one trial at a time.
 
 One function, ``_best``, ranks the grid scan's points and ``solve``'s final
 candidates: feasible first, then by objective, and with no feasible
@@ -58,6 +61,8 @@ _MOVE_TOL = 1e-10
 _STAGE_PENALTY = PenaltyConfig(eta=1e2, gamma=2.0)
 # rows that stay infeasible are ranked by objective + penalty at the training default
 _RANK_PENALTY = PenaltyConfig()
+# a feasible answer whose KKT residual is at most this is certified
+_KKT_BOUND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,7 @@ class OracleSolution:
     max_violation: float
     solve_time_s: float
     method: str  # "grid" (the undescended grid point won) or "descent"
+    certified: bool = False  # feasible with a KKT residual at most 1e-6 (``solve`` only)
 
 
 def _params(spec: ProblemSpec, p) -> np.ndarray:
@@ -303,35 +309,9 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     return X_out, ok, R_out
 
 
-@np.errstate(all="ignore")
-def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSolution:
-    """Multi-start descent on an augmented Lagrangian, checked against the grid.
-
-    Starts are sampled uniformly in the box [-6, 6]^k (seeded), plus one start
-    from the grid scan when the dimension permits.  Each start runs up to 12
-    multiplier stages of ``descent_steps`` BB steps at eta = 1e2, and stops
-    once a stage moves none of its shifts by more than ``feasible_tol / 10``.
-    The final iterates and the undescended grid point are ranked by ``_best``,
-    as ``grid_scan`` ranks its points: feasible first, then by objective, so
-    the result is never worse than ``grid_scan``; with no feasible candidate,
-    by objective + penalty at the default ``PenaltyConfig`` (a least-penalty
-    compromise).  ``method`` says whether the grid point or a descent won;
-    when every start diverges, the grid point is the answer (``method`` is
-    "grid"), and with no grid point (k > 3) ``OracleError`` is raised.
-    ``solve_time_s`` is the whole call's clock, grid scan included, and the
-    bench's ``t_oracle_ns``.  ``p`` is checked by ``_params``.
-    """
-    p = _params(spec, p)
-    k = spec.decision_dim
-    t0 = time.perf_counter()
-
-    rng = np.random.default_rng(cfg.seed)
-    lo, hi = _BOX
-    grid = [grid_scan(spec, p, cfg).x] if k <= 3 else []  # the grid point, if any
-    X = np.vstack([lo + (hi - lo) * rng.random((cfg.starts, k)), *grid])
-    if not len(X):
-        raise OracleError(f"no starting points configured for {spec.name}")
-
+def _stages(spec, p, X, cfg: OracleConfig):
+    """Up to 12 multiplier stages from the starts ``X``, whose rows it overwrites;
+    returns ``(X, ok)``, ``ok`` a per-row finite flag."""
     n_ineq = len(spec.inequalities)
     ok = np.ones(X.shape[0], dtype=bool)
     rows = np.arange(X.shape[0])  # the starts still running
@@ -346,13 +326,86 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
         rows, shift = rows[keep], after[keep]
         if not rows.size:
             break
-    if not ok.any() and not grid:
-        raise OracleError(f"all {X.shape[0]} starts diverged on {spec.name} at params "
-                          f"{p.tolist()}: no start had a finite loss and gradient")
+    return X, ok
 
-    # the grid point goes first: it wins ties, so method == "grid" iff x is it
-    X = np.vstack([*grid, X[ok]])
-    _, i, objective, max_violation = _best(spec, p, [X], cfg.feasible_tol)
-    return OracleSolution(x=X[i].copy(), objective=objective, max_violation=max_violation,
+
+def kkt_residual(spec: ProblemSpec, p, x, tol: float) -> float:
+    """The first-order (KKT) residual at ``x``: |g + A lam| / (1 + |g|), with g
+    the objective's gradient, A's columns the active constraints' gradients
+    (every equality, and each inequality with residual >= -``tol``) and lam
+    their least-squares multipliers, the inequalities' clamped at 0 (Nocedal &
+    Wright, ch. 12).  0 at a stationary point, inf where a gradient is not
+    finite; feasibility is the caller's check.  ``p`` is checked by ``_params``.
+    """
+    X, P = np.reshape(np.asarray(x, dtype=float), (1, -1)), _params(spec, p)[None]
+    g = spec.objective(X, P)[1][0]
+    ce = spec.constraint_eval(X, P)
+    ineq = np.arange(ce.values.shape[1]) < ce.n_ineq
+    active = ~ineq | (ce.values[0] >= -tol)
+    A = ce.grads[0, active].T
+    if not (all_finite(g) and all_finite(A)):
+        return float("inf")
+    lam = np.linalg.lstsq(A, -g)[0]
+    lam = np.where(ineq[active], np.maximum(lam, 0.0), lam)
+    return float(np.linalg.norm(g + A @ lam) / (1.0 + np.linalg.norm(g)))
+
+
+@np.errstate(all="ignore")
+def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSolution:
+    """Augmented-Lagrangian descent from the grid start, and from random starts
+    when its answer is not certified.
+
+    Each start runs up to 12 multiplier stages (``_stages``).  A feasible grid
+    point (k <= 3) descends alone first; if the better of the two by ``_best``
+    is feasible with a ``kkt_residual`` of at most 1e-6, it is the answer
+    (``certified``).  Else, and when no grid point is feasible or k > 3,
+    ``starts`` seeded uniform draws in the box [-6, 6]^k descend too, beside
+    the grid start if it has not descended yet (rows are independent, so the
+    bits are one batch's).  ``_best`` then ranks every final iterate and the
+    undescended grid point, as ``grid_scan`` ranks its points, so the result
+    is never worse than ``grid_scan``; with no feasible candidate it is the
+    least objective + penalty at the default ``PenaltyConfig``.  A
+    certificate is local, not global: a deeper basin narrower than a grid
+    cell (0.06 by default) could hide beside the grid winner.
+
+    ``method`` says whether the grid point or a descent won; when every start
+    diverges, the grid point is the answer, and with no grid point (k > 3)
+    ``OracleError`` is raised.  ``solve_time_s`` is the whole call's clock,
+    grid scan included, and the bench's ``t_oracle_ns``.  ``p`` is checked by
+    ``_params``.
+    """
+    p = _params(spec, p)
+    k, tol = spec.decision_dim, cfg.feasible_tol
+    t0 = time.perf_counter()
+    if k > 3 and not cfg.starts:
+        raise OracleError(f"no starting points configured for {spec.name}")
+
+    scan = [grid_scan(spec, p, cfg)] if k <= 3 else []
+    grid = [s.x for s in scan]  # the grid point, if any
+
+    def ranked(X, ok):
+        # the grid point goes first: it wins ties, so method == "grid" iff x is it
+        C = np.vstack([*grid, X[ok]])
+        _, i, objective, max_violation = _best(spec, p, [C], tol)
+        return C[i], i, objective, max_violation
+
+    pending, certified = grid, False  # the grid point descends with the random starts
+    X, ok = np.empty((0, k)), np.empty(0, dtype=bool)  # unless it descends alone first
+    if scan and scan[0].max_violation <= tol and scan[0].objective < np.inf:
+        pending, (X, ok) = [], _stages(spec, p, grid[0][None].copy(), cfg)
+        # the grid point is feasible, so the winner is
+        x, i, objective, max_violation = ranked(X, ok)
+        certified = kkt_residual(spec, p, x, tol) <= _KKT_BOUND
+    if not certified:
+        rng = np.random.default_rng(cfg.seed)
+        lo, hi = _BOX
+        S, S_ok = _stages(spec, p, np.vstack([lo + (hi - lo) * rng.random((cfg.starts, k)),
+                                              *pending]), cfg)
+        X, ok = np.vstack([S, X]), np.concatenate([S_ok, ok])
+        if not ok.any() and not grid:
+            raise OracleError(f"all {X.shape[0]} starts diverged on {spec.name} at params "
+                              f"{p.tolist()}: no start had a finite loss and gradient")
+        x, i, objective, max_violation = ranked(X, ok)
+    return OracleSolution(x=x.copy(), objective=objective, max_violation=max_violation,
                           solve_time_s=time.perf_counter() - t0,
-                          method="grid" if i < len(grid) else "descent")
+                          method="grid" if i < len(grid) else "descent", certified=certified)

@@ -57,6 +57,20 @@ def test_help_exits_zero_and_lists_keys(command, capsys):
     assert "range:" in text and "default:" in text
 
 
+@pytest.mark.parametrize("command", ["train", "oracle", "bench"])
+def test_help_says_each_real_key_must_be_finite(command, capsys):
+    # require_real rejects inf and nan for every real setting: the help says so
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    real = [k.name for k in _KEYS if k.parse is float and k.name in COMMAND_KEYS[command]]
+    assert real
+    for key in COMMAND_KEYS[command]:
+        entry = re.search(rf"{_flag(key)} {key.upper()} (.*?\(default: [^;]*; range: [^)]*\))",
+                          text)
+        assert ("range: finite, " in entry.group(1)) == (key in real), key
+
+
 @pytest.mark.parametrize("argv,unread", [
     (["train", "--count", "3"], "--count"),
     (["eval", "--epochs", "3"], "--epochs"),

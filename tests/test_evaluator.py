@@ -119,23 +119,33 @@ def test_grid_scan_without_a_feasible_point_evaluates_constraints_once_per_chunk
 
 def test_solve_evaluates_once_per_batch_of_line_search_trials_and_ranking(monkeypatch):
     # one 441-point grid chunk; the descent evaluates once per step's first
-    # line-search trial and once per batch of up to 8 halvings; the final
-    # ranking the constraints once and the objective once
+    # line-search trial and once per batch of up to 8 halvings; each ranking
+    # the constraints once and the objective once
     counts = _Counts(monkeypatch)
     calls = _count_oracle_evaluations(monkeypatch, counts)
     cfg = OracleConfig(grid_points_per_dim=21)
-    solve(counts.spec, np.array([1.0, 1.0]), cfg)
-    # grid and ranking: the constraints, then the objective where they hold
-    assert calls == [0, 133]
-    assert counts.both() == (2 + 133, 2 + 133)
+    assert solve(counts.spec, np.array([1.0, 1.0]), cfg).certified
+    # grid, the grid start's descent alone, the ranking, and the KKT residual's
+    # one objective and one constraint evaluation with gradients
+    assert calls == [0, 53]
+    assert counts.both() == (3 + 53, 3 + 53)
 
     counts.objective = counts.constraints = 0
     calls[:] = [0, 0]
     solve(counts.counted("rosenbrock-3c"), np.array([1.0, 1.0]), cfg)
     # grid and ranking: the constraints find no feasible point, so the objective
-    # at every row
+    # at every row; the grid point descends beside the random starts
     assert calls == [0, 133]
     assert counts.both() == (2 + 133, 2 + 133)
+
+    # forced past the certificate, the random starts descend after the grid
+    # start (131 evaluations), and every candidate is ranked once more
+    monkeypatch.setattr(oracle, "_KKT_BOUND", -1.0)
+    counts.objective = counts.constraints = 0
+    calls[:] = [0, 0]
+    assert not solve(counts.spec, np.array([1.0, 1.0]), cfg).certified
+    assert calls == [0, 53 + 131]
+    assert counts.both() == (4 + 53 + 131, 4 + 53 + 131)
 
 
 def test_training_log_and_evaluate_evaluate_once(monkeypatch):

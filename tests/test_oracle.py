@@ -1,6 +1,7 @@
 """Oracle: grid scan, multi-start penalized descent, configs, failure modes."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from penalearn import (
     ProblemSpec,
     UnsupportedError,
     grid_scan,
+    kkt_residual,
     make_problem,
     sample_params,
     solve,
@@ -113,66 +115,105 @@ def test_solve_is_deterministic():
     assert a.objective == b.objective
 
 
+def _spy_stage_batches(monkeypatch):
+    """A list that gets one entry per ``_stages`` call: the list of its
+    ``_descend_batch`` calls, each as (starts, shifts, output)."""
+    batches, stages, descend = [], oracle._stages, oracle._descend_batch
+
+    def stages_spy(spec, p, X, cfg):
+        batches.append([])
+        return stages(spec, p, X, cfg)
+
+    def descend_spy(spec, p, X, shift, cfg):
+        out = descend(spec, p, X, shift, cfg)
+        batches[-1].append((X.copy(), shift.copy(), out))
+        return out
+
+    monkeypatch.setattr(oracle, "_stages", stages_spy)
+    monkeypatch.setattr(oracle, "_descend_batch", descend_spy)
+    return batches
+
+
+def _force_fallback(monkeypatch):
+    """No KKT residual is at most -1, so no answer is certified."""
+    monkeypatch.setattr(oracle, "_KKT_BOUND", -1.0)
+
+
 @pytest.mark.parametrize("starts", [0, 1, 16])
 def test_solve_starts_from_the_seeded_draws_then_the_grid_point(monkeypatch, starts):
-    # one draw of k per start, in order, from the seeded stream
+    # one draw of k per start, in order, from the seeded stream; past the
+    # certificate the grid start has descended first, and the draws follow it
     spec, p = make_problem("rosenbrock-1c"), np.array([3.7, 0.42])
     cfg = OracleConfig(starts=starts)
-    stages, descend = [], oracle._descend_batch
-
-    def spy(spec, p, X, shift, cfg):
-        stages.append(X.copy())
-        return descend(spec, p, X, shift, cfg)
-
-    monkeypatch.setattr(oracle, "_descend_batch", spy)
-    solve(spec, p, cfg)
+    _force_fallback(monkeypatch)
+    batches = _spy_stage_batches(monkeypatch)
+    assert not solve(spec, p, cfg).certified
     rng, (lo, hi) = np.random.default_rng(cfg.seed), oracle._BOX
     want = [lo + (hi - lo) * rng.random(2) for _ in range(starts)] + [grid_scan(spec, p, cfg).x]
-    assert stages[0].tobytes() == np.stack(want).tobytes()
+    grid_start, draws = (stages[0][0] for stages in batches)
+    assert np.vstack([draws, grid_start]).tobytes() == np.stack(want).tobytes()
+
+
+def test_a_certified_solve_descends_the_grid_start_alone_and_draws_nothing(monkeypatch):
+    spec, p = make_problem("rosenbrock-1c"), np.array([3.7, 0.42])
+    batches = _spy_stage_batches(monkeypatch)
+    seeds, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: seeds.append(a) or default_rng(*a))
+    sol = solve(spec, p)
+    assert sol.certified and seeds == []
+    assert len(batches) == 1
+    assert batches[0][0][0].tobytes() == grid_scan(spec, p).x[None].tobytes()
 
 
 # (spec, p, the number of starts each stage descends): on ackley-1c the running
 # set falls from 17 starts to 1 after stage 1; every rosenbrock-3c solve runs
 # all 12 stages; the line takes the equality branch of the shift update; at
-# c1 = 1e306, 6 of the 17 rosenbrock-1c starts overflow in stage 1 and stop
+# c1 = 1e306, 6 of the 17 rosenbrock-1c starts overflow in stage 1 and stop.
+# Where the grid point is feasible, the grid start and the random starts
+# descend in two batches, and stage i counts the rows of both.  The certified
+# cases descend the grid start alone: the ackley-1c origin stops at once, and
+# at (1, 1) the disk is active
 STAGE_CASES = [
     (make_problem("ackley-1c"), sample_params(make_problem("ackley-1c"), 60, 0)[0],
-     [17, 1, 1, 1]),
-    (make_problem("rosenbrock-3c"), np.array([1.0, 1.0]), [17] * 12),
-    (LINE, sample_params(LINE, 5, 3)[0], [17] * 4),
-    (make_problem("rosenbrock-1c"), np.array([1e306, 1.0]), [17] + [10] * 11),
+     [17, 1, 1, 1], False),
+    (make_problem("rosenbrock-3c"), np.array([1.0, 1.0]), [17] * 12, False),
+    (LINE, sample_params(LINE, 5, 3)[0], [17] * 4, False),
+    (make_problem("rosenbrock-1c"), np.array([1e306, 1.0]), [17] + [10] * 11, False),
+    (make_problem("ackley-1c"), sample_params(make_problem("ackley-1c"), 60, 0)[0], [1], True),
+    (make_problem("rosenbrock-1c"), np.array([1.0, 1.0]), [1, 1, 1], True),
 ]
 
 
-@pytest.mark.parametrize("spec, p, sizes", STAGE_CASES,
-                         ids=["ackley-1c", "rosenbrock-3c", "line", "diverging-starts"])
+@pytest.mark.parametrize("spec, p, sizes, certified", STAGE_CASES,
+                         ids=["ackley-1c", "rosenbrock-3c", "line", "diverging-starts",
+                              "ackley-1c-certified", "active-disk-certified"])
 def test_each_stage_descends_the_starts_left_running_at_their_next_shifts(monkeypatch, spec, p,
-                                                                          sizes):
+                                                                          sizes, certified):
     cfg = OracleConfig()
-    stages, descend = [], oracle._descend_batch
-
-    def spy(spec, p, X, shift, cfg):
-        out = descend(spec, p, X, shift, cfg)
-        stages.append((X.copy(), shift.copy(), out))
-        return out
-
-    monkeypatch.setattr(oracle, "_descend_batch", spy)
-    solve(spec, p, cfg)
-    assert [len(X) for X, _, _ in stages] == sizes
-    assert not stages[0][1].any()
+    if not certified:
+        _force_fallback(monkeypatch)
+    batches = _spy_stage_batches(monkeypatch)
+    assert solve(spec, p, cfg).certified == certified
+    depth = max(len(stages) for stages in batches)
+    assert [sum(len(stages[i][0]) for stages in batches if i < len(stages))
+            for i in range(depth)] == sizes
+    if certified:
+        assert len(batches) == 1 and batches[0][0][0].tobytes() == grid_scan(spec, p).x.tobytes()
     n_ineq = len(spec.inequalities)
-    ineq = np.arange(stages[0][1].shape[1]) < n_ineq
-    for i, (_, s, (X_out, ok, R)) in enumerate(stages):
-        # max(0, s + r) for an inequality, s + h for an equality
-        with np.errstate(all="ignore"):  # a diverged start's residuals may be inf or nan
-            after = np.where(ineq, np.maximum(0.0, s + R), s + R)
-            running = ok & (np.abs(after - s) > cfg.feasible_tol / 10).any(axis=1)
-        if i + 1 == len(stages):  # the last stage leaves no start running, or is the 12th
-            assert not running.any() or len(stages) == oracle._AL_MAX_STAGES
-            break
-        X_next, s_next, _ = stages[i + 1]
-        assert X_next.tobytes() == X_out[running].tobytes()
-        assert s_next.tobytes() == after[running].tobytes()
+    for stages in batches:
+        assert not stages[0][1].any()
+        ineq = np.arange(stages[0][1].shape[1]) < n_ineq
+        for i, (_, s, (X_out, ok, R)) in enumerate(stages):
+            # max(0, s + r) for an inequality, s + h for an equality
+            with np.errstate(all="ignore"):  # a diverged start's residuals may be inf or nan
+                after = np.where(ineq, np.maximum(0.0, s + R), s + R)
+                running = ok & (np.abs(after - s) > cfg.feasible_tol / 10).any(axis=1)
+            if i + 1 == len(stages):  # the last stage leaves no start running, or is the 12th
+                assert not running.any() or len(stages) == oracle._AL_MAX_STAGES
+                break
+            X_next, s_next, _ = stages[i + 1]
+            assert X_next.tobytes() == X_out[running].tobytes()
+            assert s_next.tobytes() == after[running].tobytes()
 
 
 def test_contradictory_constraints_yield_compromise_with_violation():
@@ -469,6 +510,109 @@ def test_line_search_writes_into_no_array_the_objective_returned():
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
     assert got[1].all() and np.isfinite(got[0]).all()
+
+
+def test_kkt_residual_vanishes_at_the_closed_form_on_an_equality():
+    # min |x - c|^2 s.t. x1 + x2 = 1: x* = c - (lam / 2) (1, 1), lam = c1 + c2 - 1
+    for c in sample_params(LINE, 20, 3):
+        x = c - (c.sum() - 1.0) / 2.0
+        assert kkt_residual(LINE, c, x, 1e-6) <= 1e-12, c
+        # along the line, still feasible, the gradient has a part no multiple
+        # of (1, 1) cancels: 2 t (1, -1)
+        assert kkt_residual(LINE, c, x + [0.1, -0.1], 1e-6) > 1e-2, c
+
+
+def test_kkt_residual_ignores_an_inactive_inequality():
+    # min (x - 3)^2 s.t. x >= 1, at x = 4: the gradient 2 would be cancelled by
+    # the constraint's -1 at lam = 2, but its residual -3 is below -tol
+    spec, p, x = _toy_clamped(), np.array([3.0, 1.0]), np.array([4.0])
+    assert kkt_residual(spec, p, x, 1e-6) == 2.0 / 3.0
+    assert kkt_residual(spec, p, x, 3.0) == 0.0
+
+
+def test_kkt_residual_clamps_a_negative_inequality_multiplier():
+    # (0.6, 0.8) on the unit circle, with the unconstrained minimum (0.3, 0.09)
+    # inside: the gradient points out of the disk, so the fitted multiplier
+    # is negative, and clamped at 0 the constraint cancels nothing
+    spec, p, x = make_problem("rosenbrock-1c"), np.array([1.0, 0.3]), np.array([0.6, 0.8])
+    g = spec.objective(x[None], p[None])[1][0]
+    assert g @ (2.0 * x) > 0.0
+    norm = np.linalg.norm(g)
+    assert kkt_residual(spec, p, x, 1e-6) == pytest.approx(norm / (1.0 + norm), rel=1e-12)
+    assert kkt_residual(spec, p, x, 1e-6) > 0.4
+
+
+def test_kkt_residual_reads_zero_at_the_ackley_origin_without_a_warning():
+    spec = make_problem("ackley-1c")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for p in sample_params(spec, 10, 2):
+            assert kkt_residual(spec, p, np.zeros(2), 1e-6) == 0.0
+
+
+def _solution_bits(sol):
+    return (sol.x.tobytes(), np.float64(sol.objective).tobytes(),
+            np.float64(sol.max_violation).tobytes(), sol.method)
+
+
+def _solve_both_ways(monkeypatch, spec, p):
+    """``solve``'s answer, then the answer with the fallback forced."""
+    sol = solve(spec, p)
+    with monkeypatch.context() as m:
+        _force_fallback(m)
+        return sol, solve(spec, p)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("rosenbrock-1c", sample_params(make_problem("rosenbrock-1c"), 40, 0)),
+    ("rosenbrock-1c", np.vstack([_defect_band(), [p for p, _ in DEFECT_CASES], [1.0, 1.0]])),
+    ("ackley-1c", sample_params(make_problem("ackley-1c"), 20, 0)),
+], ids=["rosenbrock-1c", "defect-band", "ackley-1c"])
+def test_the_grid_start_certifies_every_1c_answer(monkeypatch, name, params):
+    spec, tol = make_problem(name), OracleConfig().feasible_tol
+    for p in params:
+        sol, fallback = _solve_both_ways(monkeypatch, spec, p)
+        assert sol.certified and not fallback.certified, p
+        assert sol.max_violation <= tol, p
+        assert kkt_residual(spec, p, sol.x, tol) <= oracle._KKT_BOUND, p
+        assert sol.objective <= fallback.objective + 1e-10 * max(1.0, abs(fallback.objective)), p
+        if name == "ackley-1c":  # the undescended origin wins both ways
+            assert _solution_bits(sol) == _solution_bits(fallback), p
+
+
+@pytest.mark.parametrize("name, params", [
+    ("rosenbrock-1c", sample_params(make_problem("rosenbrock-1c"), 20, 0)),
+    ("rosenbrock-1c", _defect_band()),
+    ("ackley-1c", sample_params(make_problem("ackley-1c"), 3, 0)),
+], ids=["rosenbrock-1c", "defect-band", "ackley-1c"])
+def test_the_fallback_answers_as_one_batch_of_every_start(monkeypatch, name, params):
+    # rows are independent, so the grid start descended first and the random
+    # starts after it give the answer of all 17 starts descended as one batch
+    spec, cfg, (lo, hi) = make_problem(name), OracleConfig(), oracle._BOX
+    _force_fallback(monkeypatch)
+    for p in params:
+        grid = grid_scan(spec, p, cfg).x
+        starts = lo + (hi - lo) * np.random.default_rng(cfg.seed).random((cfg.starts, 2))
+        with np.errstate(all="ignore"):
+            X, ok = oracle._stages(spec, p, np.vstack([starts, grid]), cfg)
+            C = np.vstack([grid, X[ok]])
+            _, i, objective, max_violation = oracle._best(spec, p, [C], cfg.feasible_tol)
+        want = (C[i].tobytes(), np.float64(objective).tobytes(),
+                np.float64(max_violation).tobytes(), "grid" if i == 0 else "descent")
+        assert _solution_bits(solve(spec, p, cfg)) == want, p
+
+
+@pytest.mark.parametrize("spec, params", [
+    (make_problem("rosenbrock-3c"), sample_params(make_problem("rosenbrock-3c"), 8, 0)),
+    (make_problem("ackley-3c"), sample_params(make_problem("ackley-3c"), 8, 0)),
+    (LINE, sample_params(LINE, 5, 3)),
+    (LINE_IN_DISK, sample_params(LINE_IN_DISK, 5, 3)),
+], ids=["rosenbrock-3c", "ackley-3c", "line", "line-in-disk"])
+def test_no_feasible_grid_point_takes_the_one_batch_of_the_fallback(monkeypatch, spec, params):
+    for p in params:
+        sol, fallback = _solve_both_ways(monkeypatch, spec, p)
+        assert not sol.certified, p
+        assert _solution_bits(sol) == _solution_bits(fallback), p
 
 
 def test_ackley_origin_found_within_grid_cell():

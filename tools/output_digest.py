@@ -10,8 +10,10 @@ The ``oracle`` lines print ``%.10g``, so ``solve`` is also called in process,
 on 50 sampled instances of each problem and on 10 rosenbrock-1c instances
 with c2 in [0.88, 1] (constraint active, the most line-search halvings), and
 the raw bytes of each solution's ``x``, ``objective``, ``max_violation`` and
-``method`` are hashed.  The grid point wins every ackley-1c solve there, so
-the descent is also hashed on its own: on 5 instances per problem,
+``method`` are hashed; a ``.certified`` line beside each of these sets
+hashes which answers ``solve`` certified, so a change in how often it falls
+back to its random starts shows.  The grid point wins every ackley-1c solve
+there, so the descent is also hashed on its own: on 5 instances per problem,
 ``_descend_batch`` runs from the starts ``solve`` builds, and the raw bytes
 of its ``x``, ``ok`` and residuals are hashed (see ``descent_bytes``).
 ``grid_scan``'s answers are hashed as ``solve``'s are, on 50 sampled
@@ -88,14 +90,22 @@ def run(argv) -> str:
     return buf.getvalue()
 
 
-def solution_bytes(spec, params, oracle_fn=solve) -> bytes:
-    """The raw bits of ``oracle_fn``'s answer on each parameter row, concatenated."""
-    out = []
-    for p in params:
-        s = oracle_fn(spec, p)
-        out += [s.x.tobytes(), np.float64(s.objective).tobytes(),
-                np.float64(s.max_violation).tobytes(), s.method.encode()]
-    return b"".join(out)
+def answers(spec, params, oracle_fn=solve) -> list:
+    """``oracle_fn``'s answer on each parameter row."""
+    return [oracle_fn(spec, p) for p in params]
+
+
+def solution_bytes(solutions) -> bytes:
+    """The raw bits of each answer's ``x``, objective, worst violation and
+    method, concatenated."""
+    return b"".join(b"".join([s.x.tobytes(), np.float64(s.objective).tobytes(),
+                              np.float64(s.max_violation).tobytes(), s.method.encode()])
+                    for s in solutions)
+
+
+def certified_bytes(solutions) -> bytes:
+    """One byte per ``solve`` answer: 1 where it is certified, else 0."""
+    return bytes(s.certified for s in solutions)
 
 
 def grid_bytes():
@@ -104,9 +114,9 @@ def grid_bytes():
     for name in problem_names():
         spec = make_problem(name)
         yield (f"{name}.grid-x{SOLVES}",
-               solution_bytes(spec, sample_params(spec, SOLVES, 0), grid_scan))
-    yield ("rosenbrock-1c.grid-overflow",
-           solution_bytes(make_problem("rosenbrock-1c"), [[1e308, 1.0], [1.0, 1e200]], grid_scan))
+               solution_bytes(answers(spec, sample_params(spec, SOLVES, 0), grid_scan)))
+    yield ("rosenbrock-1c.grid-overflow", solution_bytes(answers(
+        make_problem("rosenbrock-1c"), [[1e308, 1.0], [1.0, 1e200]], grid_scan)))
 
 
 def descent_bytes(spec, params, cfg=OracleConfig()) -> bytes:
@@ -204,10 +214,11 @@ def equality_bytes():
                 for tolerance in (0.0, 1e-2):
                     out += [a.tobytes() for a in terms.constraints.violations(tolerance)]
         yield f"{spec.name}.loss-terms-x{LOSS_ROWS}", b"".join(out)
-        yield f"{spec.name}.solve-x{solves}", solution_bytes(spec, sample_params(spec, solves, 3))
+        yield (f"{spec.name}.solve-x{solves}",
+               solution_bytes(answers(spec, sample_params(spec, solves, 3))))
     for spec, solves in EQUALITY_SPECS:
         yield (f"{spec.name}.grid-x{solves}",
-               solution_bytes(spec, sample_params(spec, solves, 3), grid_scan))
+               solution_bytes(answers(spec, sample_params(spec, solves, 3), grid_scan)))
 
 
 def forward_bytes(net, params, batch_size) -> bytes:
@@ -261,10 +272,13 @@ def outputs():
         yield f"{name}.oracle.txt", drop_timing("".join(lines)).encode()
     for name in problem_names():
         spec = make_problem(name)
-        params = sample_params(spec, SOLVES, 0)
-        yield f"{name}.solve-x{SOLVES}", solution_bytes(spec, params)
+        solutions = answers(spec, sample_params(spec, SOLVES, 0))
+        yield f"{name}.solve-x{SOLVES}", solution_bytes(solutions)
+        yield f"{name}.solve-x{SOLVES}.certified", certified_bytes(solutions)
     band_spec, band = defect_band()
-    yield "rosenbrock-1c.solve-c2-0.88-1", solution_bytes(band_spec, band)
+    solutions = answers(band_spec, band)
+    yield "rosenbrock-1c.solve-c2-0.88-1", solution_bytes(solutions)
+    yield "rosenbrock-1c.solve-c2-0.88-1.certified", certified_bytes(solutions)
     yield from grid_bytes()
     for name in problem_names():
         spec = make_problem(name)
