@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (DimensionError, NonFiniteError, OracleError, UnsupportedError, all_finite,
                      require_int, require_real)
-from .penalty import ConstraintEval, PenaltyConfig, loss_terms_batch
+from .penalty import ConstraintEval, PenaltyConfig, _row_max, loss_terms_batch
 from .penalty import violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ProblemSpec
 
@@ -142,8 +142,13 @@ def _best(spec, p, chunks, tol):
     blocks = [spec.constraint_eval(X, P[:X.shape[0]], grad=False) for X in chunks]
     winners = []  # (chunk, row, objective, score) of each chunk's best row
     for c, (X, ce) in enumerate(zip(chunks, blocks)):
-        max_ineq, max_eq, _ = ce.violations()
-        rows = np.flatnonzero(np.maximum(max_ineq, max_eq) <= tol)
+        # worst violation <= tol as one row max per column kind: with tol >= 0 these
+        # are the rows whose violations() maximum is <= tol, and NaN fails both
+        n = ce.n_ineq
+        within = _row_max(ce.values[:, :n]) <= tol if n else np.ones(X.shape[0], dtype=bool)
+        if ce.values.shape[1] > n:
+            within &= _row_max(np.abs(ce.values[:, n:])) <= tol
+        rows = np.flatnonzero(within)
         if not rows.size:
             continue
         X = X[rows]
@@ -243,7 +248,8 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     hist_pos = 1
 
     for _ in range(cfg.descent_steps):
-        if not np.logical_and.reduce(live):
+        # count_nonzero is the cheapest all-test on a short mask
+        if np.count_nonzero(live) != live.size:
             X_out[rows[~live]], R_out[rows[~live]] = X[~live], R[~live]
             rows, X, F, G, R, shift, step, gnorm2 = (
                 a[live] for a in (rows, X, F, G, R, shift, step, gnorm2))
@@ -256,7 +262,7 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
         Xt = X - t[:, None] * G
         Ft, Gt, Rt = fg(Xt, shift)
         good = accepts(Ft, Gt, ref, t, gnorm2)
-        if not np.logical_and.reduce(good):
+        if np.count_nonzero(good) != good.size:
             # a failed row tries t * 2^-j, j = 1 ... _MAX_HALVINGS - 1, in batches,
             # and the first that passes is written into the first trial's arrays;
             # with no constraint Gt is the objective's own array, not a fresh one
@@ -345,9 +351,11 @@ def kkt_residual(spec: ProblemSpec, p, x, tol: float) -> float:
     A = ce.grads[0, active].T
     if not (all_finite(g) and all_finite(A)):
         return float("inf")
-    lam = np.linalg.lstsq(A, -g)[0]
-    lam = np.where(ineq[active], np.maximum(lam, 0.0), lam)
-    return float(np.linalg.norm(g + A @ lam) / (1.0 + np.linalg.norm(g)))
+    r = g  # with no active constraint, |g| / (1 + |g|): g + A @ lam would be g + 0
+    if A.shape[1]:
+        lam = np.linalg.lstsq(A, -g)[0]
+        r = g + A @ np.where(ineq[active], np.maximum(lam, 0.0), lam)
+    return float(np.linalg.norm(r) / (1.0 + np.linalg.norm(g)))
 
 
 @np.errstate(all="ignore")

@@ -1,6 +1,7 @@
 """Oracle: grid scan, multi-start penalized descent, configs, failure modes."""
 
 import dataclasses
+import types
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from penalearn import (
     solve,
 )
 from penalearn import oracle
-from penalearn.penalty import loss_terms_batch
+from penalearn.penalty import ConstraintEval, loss_terms_batch
 from test_equality import LINE, LINE_IN_DISK
 
 
@@ -542,6 +543,17 @@ def test_kkt_residual_clamps_a_negative_inequality_multiplier():
     assert kkt_residual(spec, p, x, 1e-6) > 0.4
 
 
+def test_kkt_residual_with_no_active_constraint_is_the_scaled_gradient_norm():
+    # inside the unit disk by more than tol, nothing is fitted: |g| / (1 + |g|), bit for bit
+    spec = make_problem("rosenbrock-1c")
+    rng = np.random.default_rng(5)
+    for p in sample_params(spec, 20, 5):
+        x = rng.uniform(-0.7, 0.7, 2)
+        g = spec.objective(x[None], p[None])[1][0]
+        norm = np.linalg.norm(g)
+        assert kkt_residual(spec, p, x, 1e-6) == norm / (1.0 + norm), (p, x)
+
+
 def test_kkt_residual_reads_zero_at_the_ackley_origin_without_a_warning():
     spec = make_problem("ackley-1c")
     with warnings.catch_warnings():
@@ -694,6 +706,39 @@ def test_best_ranks_feasible_first_then_breaks_ties_by_x():
     # equal x and equal score: the first row
     twins = np.array([[0.0, 0.5], [0.5, 0.5], [0.5, 0.5]])
     assert _best_row(twins, [2.0, 1.0, 1.0], [0.0] * 3) == 1
+
+
+# residuals a grid chunk can hold: NaN, both zeros, both infinities, tol's edges
+_RESIDUALS = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-6, -1e-6, 2e-6, 5e-7, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("n_ineq, n_eq", [(1, 0), (3, 0), (0, 1), (0, 2), (1, 1), (2, 2), (0, 0)])
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+def test_best_keeps_the_rows_whose_violations_maximum_is_within_tol(n_ineq, n_eq, tol):
+    # _best's feasibility mask against the rule it replaced: violations()'s
+    # clamped inequality maximum and |equality| maximum, np.maximum'd, <= tol
+    rng = np.random.default_rng(n_ineq * 10 + n_eq)
+    values = rng.choice(_RESIDUALS, (300, n_ineq + n_eq))
+    if values.shape[1] > 1:
+        values[:, -1] = 0.0  # a column of zeros
+    evaluated = []
+
+    def objective(x, p, grad=True):
+        evaluated.append(x[:, 0].astype(int))
+        return np.zeros(x.shape[0]), None
+
+    def constraint_eval(x, p, grad=True):
+        return ConstraintEval(values[x[:, 0].astype(int)], None, n_ineq)
+
+    spec = types.SimpleNamespace(objective=objective, constraint_eval=constraint_eval)
+    X = np.arange(values.shape[0], dtype=float)[:, None]
+    max_ineq, max_eq, _ = ConstraintEval(values, None, n_ineq).violations()
+    want = np.flatnonzero(np.maximum(max_ineq, max_eq) <= tol)
+    assert 0 < want.size and (want.size < values.shape[0] or not values.shape[1])
+    with np.errstate(all="ignore"):
+        oracle._best(spec, np.zeros(1), [X], tol)
+    # the objective is evaluated at the feasible rows only, and one of them wins
+    assert len(evaluated) == 1 and evaluated[0].tobytes() == want.tobytes()
 
 
 def test_grid_scan_rejects_high_dimensions():
