@@ -323,6 +323,8 @@ def _stages(spec, p, X, cfg: OracleConfig):
     rows = np.arange(X.shape[0])  # the starts still running
     shift = np.zeros((X.shape[0], n_ineq + len(spec.equalities)))  # theirs, row for row
     for _ in range(_AL_MAX_STAGES):
+        if not rows.size:  # every start stopped, or there was none: nothing to evaluate
+            break
         X[rows], ok[rows], R = _descend_batch(spec, p, X[rows], shift, cfg)
         after = shift + R
         after[:, :n_ineq] = np.maximum(0.0, after[:, :n_ineq])
@@ -330,8 +332,6 @@ def _stages(spec, p, X, cfg: OracleConfig):
         # inequality with a positive multiplier sits inside its boundary
         keep = ok[rows] & ~(np.abs(after - shift) <= cfg.feasible_tol / 10).all(axis=1)
         rows, shift = rows[keep], after[keep]
-        if not rows.size:
-            break
     return X, ok
 
 

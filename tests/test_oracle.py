@@ -147,11 +147,13 @@ def test_solve_starts_from_the_seeded_draws_then_the_grid_point(monkeypatch, sta
     spec, p = make_problem("rosenbrock-1c"), np.array([3.7, 0.42])
     cfg = OracleConfig(starts=starts)
     _force_fallback(monkeypatch)
-    batches = _spy_stage_batches(monkeypatch)
+    seen, stages = [], oracle._stages  # the starts of each _stages call
+    monkeypatch.setattr(oracle, "_stages",
+                        lambda spec, p, X, cfg: seen.append(X.copy()) or stages(spec, p, X, cfg))
     assert not solve(spec, p, cfg).certified
     rng, (lo, hi) = np.random.default_rng(cfg.seed), oracle._BOX
     want = [lo + (hi - lo) * rng.random(2) for _ in range(starts)] + [grid_scan(spec, p, cfg).x]
-    grid_start, draws = (stages[0][0] for stages in batches)
+    grid_start, draws = seen
     assert np.vstack([draws, grid_start]).tobytes() == np.stack(want).tobytes()
 
 
@@ -783,3 +785,22 @@ def test_solve_with_grid_seed_only():
     spec = make_problem("rosenbrock-1c")
     sol = solve(spec, np.array([25.0, 0.3]), OracleConfig(starts=0))
     np.testing.assert_allclose(sol.x, [0.3, 0.09], rtol=0, atol=1e-6)
+
+
+def test_a_fallback_with_no_starts_evaluates_no_empty_batch(monkeypatch):
+    # past the certificate with starts=0 the fallback has no row to descend: it
+    # evaluates nothing, and the answer is the grid start's descent, as certified
+    spec, p, cfg = make_problem("rosenbrock-1c"), np.array([25.0, 0.3]), OracleConfig(starts=0)
+    want = solve(spec, p, cfg)
+    rows, evaluator = [], oracle.loss_terms_batch
+
+    def spy(X, *args, **kwargs):
+        rows.append(X.shape[0])
+        return evaluator(X, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "loss_terms_batch", spy)
+    _force_fallback(monkeypatch)
+    sol = solve(spec, p, cfg)
+    assert want.certified and not sol.certified
+    assert rows and min(rows) > 0
+    assert _solution_bits(sol) == _solution_bits(want)
