@@ -12,7 +12,11 @@ with c2 in [0.88, 1] (constraint active, the most line-search halvings), and
 the raw bytes of each solution's ``x``, ``objective``, ``max_violation`` and
 ``method`` are hashed; a ``.certified`` line beside each of these sets
 hashes which answers ``solve`` certified, so a change in how often it falls
-back to its random starts shows.  The grid point wins every ackley-1c solve
+back to its random starts shows, and a ``.evals`` line hashes how many
+``loss_terms_batch`` calls each solve made, so a change in how much a solve
+evaluates shows even where its answers keep their bits (see
+``counted_answers``; the three rosenbrock-1c reference cases of ``table``
+get such a line too).  The grid point wins every ackley-1c solve
 there, so the descent is also hashed on its own: on 5 instances per problem,
 ``_descend_batch`` runs from the starts ``solve`` builds, and the raw bytes
 of its ``x``, ``ok`` and residuals are hashed (see ``descent_bytes``).
@@ -27,8 +31,8 @@ time for the first 100, 100 rows in one call, and all 4096 in one call (see
 ``forward_bytes``).  No registry problem has an equality, so two specs of
 this file's own carry them: an equality alone and two inequalities beside
 two equalities (see ``EQUALITY_SPECS``).  On each, ``loss_terms_batch``'s
-records, ``solve``'s answers and ``grid_scan``'s answers are hashed (see
-``equality_bytes``).  Last, the descents are hashed on the 10 rosenbrock-1c
+records, ``solve``'s answers and evaluation counts and ``grid_scan``'s
+answers are hashed (see ``equality_bytes``).  Last, the descents are hashed on the 10 rosenbrock-1c
 instances with c2 in [0.88, 1], whose line searches halve the most (see
 ``defect_band``).  One ``<sha256 prefix> <artifact>`` line per output.
 
@@ -49,6 +53,8 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402
 
+from penalearn import oracle  # noqa: E402
+from penalearn.bench import TABLE_CASES  # noqa: E402
 from penalearn.cli import main  # noqa: E402
 from penalearn.nn import load_model, mlp_forward  # noqa: E402
 from penalearn.oracle import OracleConfig, _descend_batch, grid_scan, solve  # noqa: E402
@@ -93,6 +99,32 @@ def run(argv) -> str:
 def answers(spec, params, oracle_fn=solve) -> list:
     """``oracle_fn``'s answer on each parameter row."""
     return [oracle_fn(spec, p) for p in params]
+
+
+def counted_answers(spec, params):
+    """``solve``'s answer on each parameter row, and the raw bits of the
+    number of ``loss_terms_batch`` calls each made (int64, one per row).
+
+    The calls are counted by a wrapper set on ``penalearn.oracle`` for the
+    duration, the name the oracle evaluates through; the program is not
+    changed.
+    """
+    evaluator, calls, counts = oracle.loss_terms_batch, [0], []
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return evaluator(*args, **kwargs)
+
+    oracle.loss_terms_batch = counted
+    try:
+        solutions = []
+        for p in params:
+            calls[0] = 0
+            solutions.append(solve(spec, p))
+            counts.append(calls[0])
+    finally:
+        oracle.loss_terms_batch = evaluator
+    return solutions, np.array(counts, dtype=np.int64).tobytes()
 
 
 def solution_bytes(solutions) -> bytes:
@@ -214,8 +246,9 @@ def equality_bytes():
                 for tolerance in (0.0, 1e-2):
                     out += [a.tobytes() for a in terms.constraints.violations(tolerance)]
         yield f"{spec.name}.loss-terms-x{LOSS_ROWS}", b"".join(out)
-        yield (f"{spec.name}.solve-x{solves}",
-               solution_bytes(answers(spec, sample_params(spec, solves, 3))))
+        solutions, evals = counted_answers(spec, sample_params(spec, solves, 3))
+        yield f"{spec.name}.solve-x{solves}", solution_bytes(solutions)
+        yield f"{spec.name}.solve-x{solves}.evals", evals
     for spec, solves in EQUALITY_SPECS:
         yield (f"{spec.name}.grid-x{solves}",
                solution_bytes(answers(spec, sample_params(spec, solves, 3), grid_scan)))
@@ -272,13 +305,17 @@ def outputs():
         yield f"{name}.oracle.txt", drop_timing("".join(lines)).encode()
     for name in problem_names():
         spec = make_problem(name)
-        solutions = answers(spec, sample_params(spec, SOLVES, 0))
+        solutions, evals = counted_answers(spec, sample_params(spec, SOLVES, 0))
         yield f"{name}.solve-x{SOLVES}", solution_bytes(solutions)
         yield f"{name}.solve-x{SOLVES}.certified", certified_bytes(solutions)
+        yield f"{name}.solve-x{SOLVES}.evals", evals
     band_spec, band = defect_band()
-    solutions = answers(band_spec, band)
+    solutions, evals = counted_answers(band_spec, band)
     yield "rosenbrock-1c.solve-c2-0.88-1", solution_bytes(solutions)
     yield "rosenbrock-1c.solve-c2-0.88-1.certified", certified_bytes(solutions)
+    yield "rosenbrock-1c.solve-c2-0.88-1.evals", evals
+    yield ("rosenbrock-1c.solve-reference.evals",
+           counted_answers(band_spec, [case.params for case in TABLE_CASES["rosenbrock-1c"]])[1])
     yield from grid_bytes()
     for name in problem_names():
         spec = make_problem(name)
