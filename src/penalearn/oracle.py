@@ -16,9 +16,11 @@ first-order (KKT) residual of at most 1e-6 (``kkt_residual``; ch. 12).  The
 certificate is local, not global.  Descent runs its starts as one batch,
 which a start leaves as soon as it finishes, with Barzilai-Borwein step
 lengths under a nonmonotone backtracking safeguard (Grippo, Lampariello &
-Lucidi 1986); ``descent_lr`` is the initial and fallback step size.  A row
-whose first trial fails tries its next halvings, up to 8 in one evaluation,
-and takes the first that passes, with the bits of halving one trial at a time.
+Lucidi 1986): a stage's step k (from 0) passes its Armijo test against the
+largest of the last min(k + 1, 10) losses, the stage's start loss included.
+``descent_lr`` is the initial and fallback step size.  A row whose first
+trial fails tries its next halvings, up to 8 in one evaluation, and takes
+the first that passes, with the bits of halving one trial at a time.
 
 One function, ``_best``, ranks the grid scan's points and ``solve``'s final
 candidates: feasible first, then by objective, and with no feasible
@@ -209,8 +211,11 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
 def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     """Run every start through nonmonotone BB descent on one stage's loss.
 
-    The loss is the stage penalty with each row's residual ``shift``.  Rows
-    finish (line-search failure, zero gradient, or sub-tolerance move)
+    The loss is the stage penalty with each row's residual ``shift``.  At
+    step k (from 0) a trial passes the Armijo test against the largest of
+    the row's last min(k + 1, ``_NONMONOTONE_WINDOW``) losses, its start
+    loss included (Grippo, Lampariello & Lucidi 1986).  Rows finish
+    (line-search failure, zero gradient, or sub-tolerance move)
     independently; a finished row's point and residuals are written out and
     it leaves the working arrays.  A row whose first line-search trial fails
     tries its next halvings, up to ``_HALVINGS_PER_EVAL`` of them as extra
@@ -243,9 +248,10 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     X, X_out, R_out = X0, X0.copy(), R.copy()  # X_out, R_out: each row's final values
     rows = np.arange(X.shape[0])  # the working rows' places in X_out
     live = ok & (gnorm2 > 0.0)
-    history = np.full((_NONMONOTONE_WINDOW, X.shape[0]), np.inf)
-    history[0] = F
-    hist_pos = 1
+    # every slot starts at the start's loss, so the reference is the largest of the
+    # last min(k + 1, _NONMONOTONE_WINDOW) losses
+    history = np.tile(F, (_NONMONOTONE_WINDOW, 1))
+    hist_pos = 0
 
     for _ in range(cfg.descent_steps):
         # count_nonzero is the cheapest all-test on a short mask

@@ -127,25 +127,25 @@ def test_solve_evaluates_once_per_batch_of_line_search_trials_and_ranking(monkey
     assert solve(counts.spec, np.array([1.0, 1.0]), cfg).certified
     # grid, the grid start's descent alone, the ranking, and the KKT residual's
     # one objective and one constraint evaluation with gradients
-    assert calls == [0, 53]
-    assert counts.both() == (3 + 53, 3 + 53)
+    assert calls == [0, 49]
+    assert counts.both() == (3 + 49, 3 + 49)
 
     counts.objective = counts.constraints = 0
     calls[:] = [0, 0]
     solve(counts.counted("rosenbrock-3c"), np.array([1.0, 1.0]), cfg)
     # grid and ranking: the constraints find no feasible point, so the objective
     # at every row; the grid point descends beside the random starts
-    assert calls == [0, 133]
-    assert counts.both() == (2 + 133, 2 + 133)
+    assert calls == [0, 132]
+    assert counts.both() == (2 + 132, 2 + 132)
 
     # forced past the certificate, the random starts descend after the grid
-    # start (131 evaluations), and every candidate is ranked once more
+    # start (127 evaluations), and every candidate is ranked once more
     monkeypatch.setattr(oracle, "_KKT_BOUND", -1.0)
     counts.objective = counts.constraints = 0
     calls[:] = [0, 0]
     assert not solve(counts.spec, np.array([1.0, 1.0]), cfg).certified
-    assert calls == [0, 53 + 131]
-    assert counts.both() == (4 + 53 + 131, 4 + 53 + 131)
+    assert calls == [0, 49 + 127]
+    assert counts.both() == (4 + 49 + 127, 4 + 49 + 127)
 
 
 def test_training_log_and_evaluate_evaluate_once(monkeypatch):

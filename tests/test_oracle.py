@@ -425,6 +425,36 @@ def test_descent_rows_get_the_same_bits_as_alone(name, descent_lr):
         assert R[i].tobytes() == r1[0].tobytes(), i
 
 
+def test_the_nonmonotone_window_compares_against_the_losses_seen_so_far(monkeypatch):
+    # Grippo, Lampariello & Lucidi: a step is accepted only at a loss no higher than
+    # the largest of the last min(k + 1, 10) losses, the start's included.  At
+    # (1, 1) the disk is active; a window of inf would let the third loss jump
+    # from 0.047 to 0.32.  The accepted point after n steps is the end point of a
+    # descent capped at n steps (rows are deterministic), and its loss is the one
+    # the descent computed for that trial
+    spec, p = make_problem("rosenbrock-1c"), np.array([1.0, 1.0])
+    x0, shift = grid_scan(spec, p).x[None], np.zeros((1, 1))
+    loss_at, evaluator = {}, oracle.loss_terms_batch
+
+    def spy(X, *args, **kwargs):
+        terms = evaluator(X, *args, **kwargs)
+        loss_at.update(zip((x.tobytes() for x in X), terms.loss))
+        return terms
+
+    monkeypatch.setattr(oracle, "loss_terms_batch", spy)
+    ends = [x0.tobytes()]  # the start, then the point after each step
+    with np.errstate(all="ignore"):
+        for steps in range(1, OracleConfig().descent_steps + 1):
+            X = oracle._descend_batch(spec, p, x0, shift, OracleConfig(descent_steps=steps))[0]
+            if X.tobytes() == ends[-1]:  # the row has stopped
+                break
+            ends.append(X.tobytes())
+    losses = [loss_at[x] for x in ends]
+    assert len(losses) > 11
+    for n in range(1, len(losses)):
+        assert losses[n] <= max(losses[max(0, n - 10):n]), (n, losses[:n + 1])
+
+
 def _ledge(k):
     """sum(x - c) over R^k, with c = p, and +inf once any x_i - c_i < -10:
     a constant gradient, and a trial that steps off the ledge fails."""
