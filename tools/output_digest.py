@@ -315,7 +315,8 @@ def outputs():
     yield "rosenbrock-1c.solve-c2-0.88-1.certified", certified_bytes(solutions)
     yield "rosenbrock-1c.solve-c2-0.88-1.evals", evals
     yield ("rosenbrock-1c.solve-reference.evals",
-           counted_answers(band_spec, [case.params for case in TABLE_CASES["rosenbrock-1c"]])[1])
+           counted_answers(make_problem("rosenbrock-1c"),
+                           [case.params for case in TABLE_CASES["rosenbrock-1c"]])[1])
     yield from grid_bytes()
     for name in problem_names():
         spec = make_problem(name)
