@@ -19,7 +19,11 @@ evaluates shows even where its answers keep their bits (see
 get such a line too).  The grid point wins every ackley-1c solve
 there, so the descent is also hashed on its own: on 5 instances per problem,
 ``_descend_batch`` runs from the starts ``solve`` builds, and the raw bytes
-of its ``x``, ``ok`` and residuals are hashed (see ``descent_bytes``).
+of its ``x``, ``ok`` and residuals are hashed (see ``descent_bytes``).  A
+``.alone`` line beside each of these hashes the same descents with every
+start descended in a call of its own, the one-row descents ``solve`` runs
+from its grid start; where the rows keep their bits alone it reads as the
+batch line does.
 ``grid_scan``'s answers are hashed as ``solve``'s are, on 50 sampled
 instances of each problem and on rosenbrock-1c at (c1, c2) = (1e308, 1),
 where the objective overflows on part of the disk, and at (1, 1e200), where
@@ -32,9 +36,11 @@ time for the first 100, 100 rows in one call, and all 4096 in one call (see
 this file's own carry them: an equality alone and two inequalities beside
 two equalities (see ``EQUALITY_SPECS``).  On each, ``loss_terms_batch``'s
 records, ``solve``'s answers and evaluation counts and ``grid_scan``'s
-answers are hashed (see ``equality_bytes``).  Last, the descents are hashed on the 10 rosenbrock-1c
-instances with c2 in [0.88, 1], whose line searches halve the most (see
-``defect_band``).  One ``<sha256 prefix> <artifact>`` line per output.
+answers are hashed (see ``equality_bytes``).  Then the descents are hashed,
+in a batch and alone, on the 10 rosenbrock-1c instances with c2 in
+[0.88, 1], whose line searches halve the most (see ``defect_band``), and,
+alone, on 5 instances of each equality spec.  One ``<sha256 prefix>
+<artifact>`` line per output, 151 in all.
 
 A refactor that should not change results runs this on the parent commit and
 on the change and diffs the two outputs.  Run from a checkout's root:
@@ -151,29 +157,41 @@ def grid_bytes():
         make_problem("rosenbrock-1c"), [[1e308, 1.0], [1.0, 1e200]], grid_scan)))
 
 
-def descent_bytes(spec, params, cfg=OracleConfig()) -> bytes:
+def descent_bytes(spec, params, cfg=OracleConfig(), alone=False) -> bytes:
     """Raw bits of three descents from ``solve``'s starts on each row.
 
     The first stage at zero shift; the second from its end points, at the
-    shift ``solve`` carries into it (``max(0, r)``: the registry has
-    inequalities only); and one from the starts at a fixed shift in [0, 30),
+    shift ``solve`` carries into it (``max(0, r)`` for an inequality, ``r``
+    for an equality); and one from the starts at a fixed shift in [0, 30),
     which makes every family's penalty active, ackley-1c's disk included.
-    Floating-point warnings are silenced, as ``solve`` silences them.
+    With ``alone``, each start descends in a ``_descend_batch`` call of its
+    own and the rows' outputs are concatenated, so where rows are
+    independent the bytes are those of the one batch.  Floating-point
+    warnings are silenced, as ``solve`` silences them.
     """
-    k = spec.decision_dim
+    k, n_ineq = spec.decision_dim, len(spec.inequalities)
     # the oracle's box, [-6, 6] in every dimension
     lows, highs = np.full(k, -6.0), np.full(k, 6.0)
+
+    def descend(p, X, shift):
+        if not alone:
+            return _descend_batch(spec, p, X, shift, cfg)
+        rows = [_descend_batch(spec, p, X[i:i + 1], shift[i:i + 1], cfg)
+                for i in range(X.shape[0])]
+        return tuple(np.concatenate(a) for a in zip(*rows))
+
     out = []
     for p in params:
         rng = np.random.default_rng(cfg.seed)
         X = np.stack([lows + (highs - lows) * rng.random(k) for _ in range(cfg.starts)]
                      + [grid_scan(spec, p, cfg).x])
-        zero = np.zeros((X.shape[0], len(spec.inequalities)))
+        zero = np.zeros((X.shape[0], n_ineq + len(spec.equalities)))
         fixed = np.random.default_rng(1).uniform(0.0, 30.0, zero.shape)
         with np.errstate(all="ignore"):
-            first = _descend_batch(spec, p, X, zero, cfg)
-            runs = (first, _descend_batch(spec, p, first[0], np.maximum(0.0, first[2]), cfg),
-                    _descend_batch(spec, p, X, fixed, cfg))
+            first = descend(p, X, zero)
+            carried = first[2].copy()
+            carried[:, :n_ineq] = np.maximum(0.0, carried[:, :n_ineq])
+            runs = (first, descend(p, first[0], carried), descend(p, X, fixed))
         for run in runs:
             out += [a.tobytes() for a in run]
     return b"".join(out)
@@ -322,8 +340,13 @@ def outputs():
         spec = make_problem(name)
         params = sample_params(spec, DESCENTS, 0)
         yield f"{name}.descent-x{DESCENTS}", descent_bytes(spec, params)
+        yield f"{name}.descent-x{DESCENTS}.alone", descent_bytes(spec, params, alone=True)
     yield from equality_bytes()
     yield "rosenbrock-1c.descent-c2-0.88-1", descent_bytes(band_spec, band)
+    yield "rosenbrock-1c.descent-c2-0.88-1.alone", descent_bytes(band_spec, band, alone=True)
+    for spec, _ in EQUALITY_SPECS:
+        yield (f"{spec.name}.descent-x{DESCENTS}.alone",
+               descent_bytes(spec, sample_params(spec, DESCENTS, 3), alone=True))
 
 
 def digest_lines():
