@@ -20,7 +20,10 @@ Lucidi 1986): a stage's step k (from 0) passes its Armijo test against the
 largest of the last min(k + 1, 10) losses, the stage's start loss included.
 ``descent_lr`` is the initial and fallback step size.  A row whose first
 trial fails tries its next halvings, up to 8 in one evaluation, and takes
-the first that passes, with the bits of halving one trial at a time.
+the first that passes, with the bits of halving one trial at a time.  A lone
+start of fewer than 8 columns, such as the grid start that every certified
+solve descends, runs the same iteration on Python floats, with the same bits
+and without numpy's fixed cost per call on its 1-element arrays.
 
 One function, ``_best``, ranks the grid scan's points and ``solve``'s final
 candidates: feasible first, then by objective, and with no feasible
@@ -35,6 +38,7 @@ silenced: the oracle ranks overflowed and NaN values as non-finite.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -208,6 +212,103 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
                           method="grid")
 
 
+def _accepts(Ft, Gt, ref, t, gnorm2):
+    """Which trials are finite and pass the nonmonotone Armijo test."""
+    return (np.isfinite(Ft) & np.logical_and.reduce(np.isfinite(Gt), 1)
+            & (Ft <= ref - 1e-4 * t * gnorm2))
+
+
+def _halve(fg, X, G, shift, ref, gnorm2, trial, idx):
+    """Write into the first trial ``(Xt, Ft, Gt, Rt, t)`` of each failed row ``idx``
+    the first of t * 2^-j, j = 1 ... ``_MAX_HALVINGS`` - 1, that passes, trying up
+    to ``_HALVINGS_PER_EVAL`` per evaluation; returns the trial and the rows where
+    none passed."""
+    Xt, Ft, Gt, Rt, t = trial
+    # with no constraint Gt is the objective's own array, not a fresh one
+    if not Rt.shape[1]:
+        Gt = Gt.copy()
+    # column j is t halved j times in turn, the steps one halving per
+    # evaluation would try, subnormal rounding included
+    halves = np.full((idx.size, _MAX_HALVINGS), 0.5)
+    halves[:, 0] = t[idx]
+    halves = np.multiply.accumulate(halves, 1)
+    for j in range(1, _MAX_HALVINGS, _HALVINGS_PER_EVAL):
+        if not idx.size:
+            break
+        ts = halves[:, j:j + _HALVINGS_PER_EVAL]
+        n = ts.shape[1]
+        # row i's trials are rows i * n ... i * n + n - 1, in halving order
+        Xb = (X[idx, None] - ts[:, :, None] * G[idx, None]).reshape(-1, X.shape[1])
+        Fb, Gb, Rb = fg(Xb, np.repeat(shift[idx], n, 0))
+        passed = _accepts(Fb, Gb, np.repeat(ref[idx], n), ts.ravel(),
+                          np.repeat(gnorm2[idx], n)).reshape(-1, n)
+        any_passed = np.logical_or.reduce(passed, 1)
+        hit = np.flatnonzero(any_passed)
+        first = passed[hit].argmax(1)
+        gi, pick = idx[hit], hit * n + first
+        Xt[gi], Ft[gi], Gt[gi], Rt[gi] = Xb[pick], Fb[pick], Gb[pick], Rb[pick]
+        t[gi] = ts[hit, first]
+        idx, halves = idx[~any_passed], halves[~any_passed]
+    return (Xt, Ft, Gt, Rt, t), idx
+
+
+def _dot(a, b):
+    """a.b of two lists, added left to right, as numpy sums fewer than 8 columns."""
+    s = 0.0
+    for u, v in zip(a, b):
+        s += u * v
+    return s
+
+
+def _descend_row(fg, X0, shift, cfg: OracleConfig):
+    """``_descend_batch`` on one row of fewer than 8 columns, on Python floats.
+
+    CPython's float + - * / and ``math.sqrt`` are numpy's IEEE-754 operations;
+    each expression keeps the batch path's order and row sums go left to right,
+    so the bits are the batch path's.  A window maximum may differ from numpy's
+    only in a zero's sign, which the ``<=`` test cannot see.  Evaluations are
+    still (1, k) ``fg`` calls, and a failed first trial goes to ``_halve``.
+    """
+    F, G, R = fg(X0, shift)
+    F, G = F.item(), G[0].tolist()
+    ok = math.isfinite(F) and all(map(math.isfinite, G))
+    gnorm2 = _dot(G, G)
+    if not (ok and gnorm2 > 0.0):
+        return X0.copy(), np.array([ok]), R.copy()
+    X = X0[0].tolist()
+    step = cfg.descent_lr / (1.0 + math.sqrt(gnorm2))
+    history = [F] * _NONMONOTONE_WINDOW
+    for k in range(cfg.descent_steps):
+        ref, t = max(history), step
+        Xt = np.array([[x - t * g for x, g in zip(X, G)]])
+        trial = (Xt, *fg(Xt, shift))
+        Ft, Gt = trial[1].item(), trial[2][0].tolist()
+        if not (math.isfinite(Ft) and all(map(math.isfinite, Gt))
+                and Ft <= ref - 1e-4 * t * gnorm2):
+            trial, idx = _halve(fg, np.array([X]), np.array([G]), shift, np.array([ref]),
+                                np.array([gnorm2]), (*trial, np.array([t])),
+                                np.zeros(1, dtype=np.intp))
+            if idx.size:  # no trial passed: the row stays where it is and ends
+                break
+            Ft, Gt, t = trial[1].item(), trial[2][0].tolist(), trial[4].item()
+        Xt, Rt = trial[0][0].tolist(), trial[3]
+        sy = yy = ss = 0.0  # S.Y, Y.Y and S.S, each summed left to right
+        for a, b, c, d in zip(Xt, X, Gt, G):
+            s, y = a - b, c - d
+            sy += s * y
+            yy += y * y
+            ss += s * s
+        # min(max(...)) in this order keeps a NaN step NaN, as np.minimum and np.maximum do
+        step = min(max(sy / yy if sy > 0.0 and yy > 0.0 else t * 2.0, 1e-14), 1e3)
+        moved = math.sqrt(ss)
+        X, F, G, R = Xt, Ft, Gt, Rt
+        history[k % _NONMONOTONE_WINDOW] = F
+        gnorm2 = _dot(G, G)
+        if not (gnorm2 > 0.0 and moved > _MOVE_TOL * (1.0 + math.sqrt(_dot(X, X)))):
+            break
+    return np.array([X]), np.array([True]), R
+
+
 def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     """Run every start through nonmonotone BB descent on one stage's loss.
 
@@ -221,7 +322,9 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     tries its next halvings, up to ``_HALVINGS_PER_EVAL`` of them as extra
     rows of one evaluation, and takes the first that passes.  No row's
     arithmetic depends on another's, so its bits do not depend on which rows
-    descend beside it, nor on how many halvings one evaluation tries.
+    descend beside it, nor on how many halvings one evaluation tries.  A
+    batch of one row of fewer than 8 columns goes to ``_descend_row``, which
+    holds its scalars as Python floats and gives it the same bits.
     Returns the final points (a new array: ``X0`` is only read), a per-row
     finite flag, and the unshifted residual block at the final points
     (``ConstraintEval.values``, laid out as ``shift``).  The caller silences
@@ -234,11 +337,8 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
                                  shift=S)
         return terms.loss, terms.grad, terms.constraints.values
 
-    def accepts(Ft, Gt, ref, t, gnorm2):
-        # a finite trial that passes the nonmonotone Armijo test
-        return (np.isfinite(Ft) & np.logical_and.reduce(np.isfinite(Gt), 1)
-                & (Ft <= ref - 1e-4 * t * gnorm2))
-
+    if X0.shape[0] == 1 and X0.shape[1] < 8:
+        return _descend_row(fg, X0, shift, cfg)
     # row sums are np.add.reduce(A * B, 1), as np.linalg.norm(A, axis=1) sums on real
     # input; einsum("ij,ij->i", A, B) gives the same bits only up to k = 2 columns
     F, G, R = fg(X0, shift)
@@ -267,36 +367,10 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
         # the first trial covers every working row, without indexing
         Xt = X - t[:, None] * G
         Ft, Gt, Rt = fg(Xt, shift)
-        good = accepts(Ft, Gt, ref, t, gnorm2)
+        good = _accepts(Ft, Gt, ref, t, gnorm2)
         if np.count_nonzero(good) != good.size:
-            # a failed row tries t * 2^-j, j = 1 ... _MAX_HALVINGS - 1, in batches,
-            # and the first that passes is written into the first trial's arrays;
-            # with no constraint Gt is the objective's own array, not a fresh one
-            if not Rt.shape[1]:
-                Gt = Gt.copy()
-            idx = np.flatnonzero(~good)
-            # column j is t halved j times in turn, the steps one halving per
-            # evaluation would try, subnormal rounding included
-            halves = np.full((idx.size, _MAX_HALVINGS), 0.5)
-            halves[:, 0] = t[idx]
-            halves = np.multiply.accumulate(halves, 1)
-            for j in range(1, _MAX_HALVINGS, _HALVINGS_PER_EVAL):
-                if not idx.size:
-                    break
-                ts = halves[:, j:j + _HALVINGS_PER_EVAL]
-                n = ts.shape[1]
-                # row i's trials are rows i * n ... i * n + n - 1, in halving order
-                Xb = (X[idx, None] - ts[:, :, None] * G[idx, None]).reshape(-1, X.shape[1])
-                Fb, Gb, Rb = fg(Xb, np.repeat(shift[idx], n, 0))
-                passed = accepts(Fb, Gb, np.repeat(ref[idx], n), ts.ravel(),
-                                 np.repeat(gnorm2[idx], n)).reshape(-1, n)
-                any_passed = np.logical_or.reduce(passed, 1)
-                hit = np.flatnonzero(any_passed)
-                first = passed[hit].argmax(1)
-                gi, pick = idx[hit], hit * n + first
-                Xt[gi], Ft[gi], Gt[gi], Rt[gi] = Xb[pick], Fb[pick], Gb[pick], Rb[pick]
-                t[gi] = ts[hit, first]
-                idx, halves = idx[~any_passed], halves[~any_passed]
+            (Xt, Ft, Gt, Rt, t), idx = _halve(fg, X, G, shift, ref, gnorm2,
+                                              (Xt, Ft, Gt, Rt, t), np.flatnonzero(~good))
             # no trial passed: the row keeps its state, so it does not move and
             # ends, and its step is never read
             Xt[idx], Ft[idx], Gt[idx], Rt[idx] = X[idx], F[idx], G[idx], R[idx]

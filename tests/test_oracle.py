@@ -468,6 +468,143 @@ def _ledge(k):
                        param_ranges=((-1.0, 1.0),) * k)
 
 
+def _spec_2d(objective, name="row-case"):
+    """A spec over R^2 with one parameter, no constraint and ``objective``."""
+    return ProblemSpec(name=name, decision_dim=2, param_dim=1, objective=objective,
+                       param_ranges=((-1.0, 1.0),))
+
+
+def _x1_objective(value, slope):
+    """An objective of x1 alone: ``value(x1)``, with the gradient (``slope(x1)``, 0)
+    (not the derivative of ``value``: each case sets the two apart)."""
+
+    def objective(X, P, grad=True):
+        x1 = X[:, 0]
+        g = np.stack([slope(x1), np.zeros(len(X))], axis=1) if grad else None
+        return value(x1), g
+
+    return objective
+
+
+def _signed_zeros(x1):
+    # from x1 = 0 with gradient (1, 0) and descent_lr 2 the BB step doubles
+    # from 1 (the quotient is 0 / 0), so the accepted points are x1 = 1 - 2^k;
+    # their losses are 1, -0.0, 0.0, -1, ..., -8, then -(1e-4 * 1e3) once the
+    # step is capped at 1e3, the Armijo threshold after the window holds both zeros
+    k = np.log2(1.0 - x1)
+    return np.where(k > 10.0, -(1e-4 * 1e3), np.where(
+        k == 0.0, 1.0, np.where(k == 1.0, -0.0, np.where(k == 2.0, 0.0, 2.0 - k))))
+
+
+def _flip(x1):
+    # a trial from x1 >= 0 that passes lands at x1 < 0 with the gradient's sign
+    # flipped: s.y and y.y overflow, so the BB quotient is inf / inf, a NaN step
+    return np.where(x1 >= 0.0, 1e308, 0.0)
+
+
+ROW_CASES = {
+    "signed-zero-window": (_spec_2d(_x1_objective(_signed_zeros, np.ones_like)),
+                           [[0.0, 0.5], [-1.0, 0.5]], OracleConfig(descent_lr=2.0)),
+    "nan-step": (_spec_2d(_x1_objective(_flip, lambda x1: np.where(x1 >= 0.0, 1e154, -1e154))),
+                 [[0.0, 0.0], [1.0, 0.0]], OracleConfig(descent_lr=1e154)),
+    # the first trial from x1 = 1 lands below -10, at a loss of -inf
+    "minus-inf-trial": (_spec_2d(_x1_objective(
+        lambda x1: np.where(x1 < -10.0, -np.inf, np.cosh(x1)), np.sinh)),
+        [[1.0, 0.0], [2.0, 0.0]], OracleConfig(descent_lr=100.0)),
+    # numpy sums 7 columns left to right, as the row path does
+    "seven-columns": (ProblemSpec(name="cosh-7d", decision_dim=7, param_dim=1,
+                                  objective=lambda X, P, grad=True: (
+                                      np.add.reduce(np.cosh(X - P), 1),
+                                      np.sinh(X - P) if grad else None),
+                                  param_ranges=((-1.0, 1.0),)),
+                      np.random.default_rng(3).uniform(-3.0, 3.0, (2, 7)),
+                      OracleConfig(descent_steps=5)),
+    # every trial from x = 0 steps off the ledge (see test_line_search_tries_its_45th_trial)
+    "all-45-trials-fail": (_ledge(2), [[0.0, 0.0], [0.5, 0.0]],
+                           OracleConfig(descent_lr=40.0 * 2.0**44)),
+    "zero-gradient": (_spec_2d(_x1_objective(lambda x1: x1 * x1, lambda x1: 2.0 * x1)),
+                      [[0.0, 3.0], [1.0, 3.0]], OracleConfig()),
+    # a finite loss beside an infinite gradient
+    "non-finite-start": (_spec_2d(_x1_objective(
+        lambda x1: x1 * x1, lambda x1: np.where(x1 == 0.0, np.inf, 2.0 * x1))),
+        [[0.0, 1.0], [1.0, 1.0]], OracleConfig()),
+    "step-cap": (make_problem("rosenbrock-1c"), [[-1.5, 2.0], [0.5, 0.5]],
+                 OracleConfig(descent_steps=3)),
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_CASES))
+def test_a_lone_row_gets_the_bits_it_has_in_a_batch(monkeypatch, case):
+    # a lone row of fewer than 8 columns descends on Python floats; beside a
+    # second row it takes the batch path, and its bits must not tell the two apart
+    spec, X0, cfg = ROW_CASES[case]
+    X0 = np.array(X0)
+    p = np.ones(spec.param_dim)
+    shift = np.zeros((2, len(spec.inequalities)))
+    if shift.shape[1]:
+        shift[:] = 0.25
+    rows, descend_row = [], oracle._descend_row
+    monkeypatch.setattr(oracle, "_descend_row", lambda *a: rows.append(a) or descend_row(*a))
+    with np.errstate(all="ignore"):
+        pair = oracle._descend_batch(spec, p, X0, shift, cfg)
+        assert not rows
+        alone = oracle._descend_batch(spec, p, X0[:1], shift[:1], cfg)
+    assert len(rows) == 1
+    for a, b in zip(alone, pair):
+        assert a.shape[0] == 1 and a[0].tobytes() == b[0].tobytes(), (a, b)
+
+
+def test_row_cases_reach_the_paths_they_name():
+    # each case ends the way its name says, so the bit comparison above
+    # covers that path of the row descent
+    def run(case):
+        spec, X0, cfg = ROW_CASES[case]
+        shift = np.full((1, len(spec.inequalities)), 0.25)
+        with np.errstate(all="ignore"):
+            return oracle._descend_batch(spec, np.ones(spec.param_dim), np.array(X0[:1]),
+                                         shift, cfg)
+
+    X, ok, _ = run("signed-zero-window")
+    assert ok[0] and X[0, 0] == 1.0 - 2.0**10 - 1e3 - 1e3  # two steps at the 1e3 cap
+    X, ok, _ = run("nan-step")
+    # the first trial passed; the next step is NaN, so no trial passes after it
+    assert ok[0] and X[0, 0] == 0.0 - 1e154 / (1.0 + np.sqrt(1e154 * 1e154)) * 1e154
+    X, ok, _ = run("minus-inf-trial")
+    assert ok[0] and -10.0 <= X[0, 0] < 1.0
+    X, ok, _ = run("all-45-trials-fail")
+    assert ok[0] and X[0].tolist() == [0.0, 0.0]
+    X, ok, _ = run("zero-gradient")
+    assert ok[0] and X[0].tolist() == [0.0, 3.0]
+    X, ok, _ = run("non-finite-start")
+    assert not ok[0] and X[0].tolist() == [0.0, 1.0]
+    spec, X0, cfg = ROW_CASES["step-cap"]
+    longer = dataclasses.replace(cfg, descent_steps=4)
+    with np.errstate(all="ignore"):
+        capped = run("step-cap")[0]
+        more = oracle._descend_batch(spec, np.ones(2), np.array(X0[:1]), np.full((1, 1), 0.25),
+                                     longer)[0]
+    assert capped.tobytes() != more.tobytes()
+
+
+def test_a_row_of_8_columns_takes_the_batch_path(monkeypatch):
+    # from 8 columns numpy sums a row pairwise, not left to right, so a lone
+    # row of 8 keeps the numpy path and its bits
+    def objective(X, P, grad=True):
+        d = X - P
+        return np.add.reduce(np.cosh(d), 1), (np.sinh(d) if grad else None)
+
+    spec = ProblemSpec(name="cosh-8d", decision_dim=8, param_dim=8, objective=objective,
+                       param_ranges=((-1.0, 1.0),) * 8)
+    p = np.random.default_rng(5).uniform(-1.0, 1.0, 8)
+    X0 = np.random.default_rng(6).uniform(-3.0, 3.0, (2, 8))
+    monkeypatch.setattr(oracle, "_descend_row", None)  # calling it would raise
+    with np.errstate(all="ignore"):
+        pair = oracle._descend_batch(spec, p, X0, np.zeros((2, 0)), OracleConfig())
+        alone = oracle._descend_batch(spec, p, X0[:1], np.zeros((1, 0)), OracleConfig())
+    for a, b in zip(alone, pair):
+        assert a[0].tobytes() == b[0].tobytes()
+
+
 def test_line_search_bits_do_not_depend_on_halvings_per_eval(monkeypatch):
     # a row whose first trial fails tries its next halvings as extra rows of
     # one evaluation; at descent_lr=1e6 most trials fail, and at 45 one
