@@ -75,15 +75,20 @@ def require_int(config, field, low):
     require(is_int(value) and value >= low, field, value, f"an integer >= {low}")
 
 
-def require_real(config, field, above=-math.inf, at_least=-math.inf, below=math.inf):
-    """``require`` a finite real, not a bool, > above, >= at_least and < below at ``field``."""
-    value = getattr(config, field)
+def real_value(field, value, above=-math.inf, at_least=-math.inf, below=math.inf):
+    """``value`` as a float, once ``require`` holds that it is a finite real, not
+    a bool, > above, >= at_least and < below."""
     rule = (f"in ({above:g}, {below:g})" if below < math.inf
             else f"> {above:g}" if above > -math.inf else f">= {at_least:g}")
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     require(real and abs(value) <= sys.float_info.max and above < value < below
             and value >= at_least, field, value, f"a finite real number {rule}")
-    object.__setattr__(config, field, float(value))
+    return float(value)
+
+
+def require_real(config, field, **bounds):
+    """``real_value`` of ``field`` on ``config``, stored back as a float."""
+    object.__setattr__(config, field, real_value(field, getattr(config, field), **bounds))
 
 
 def all_finite(a):

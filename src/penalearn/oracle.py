@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionError, NonFiniteError, OracleError, UnsupportedError, all_finite,
-                     require_int, require_real)
+                     real_value, require_int, require_real)
 from .penalty import ConstraintEval, PenaltyConfig, _row_max, loss_terms_batch
 from .penalty import violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ProblemSpec
@@ -421,9 +421,16 @@ def kkt_residual(spec: ProblemSpec, p, x, tol: float) -> float:
     (every equality, and each inequality with residual >= -``tol``) and lam
     their least-squares multipliers, the inequalities' clamped at 0 (Nocedal &
     Wright, ch. 12).  0 at a stationary point, inf where a gradient is not
-    finite; feasibility is the caller's check.  ``p`` is checked by ``_params``.
+    finite; feasibility is the caller's check.  ``p`` is checked by ``_params``,
+    and before anything is evaluated ``x`` must hold ``decision_dim`` values
+    (``DimensionError``) and ``tol`` be a finite real >= 0 (``ConfigError``
+    naming ``tol``).
     """
-    X, P = np.reshape(np.asarray(x, dtype=float), (1, -1)), _params(spec, p)[None]
+    P = _params(spec, p)[None]
+    X = np.asarray(x, dtype=float).reshape(1, -1)
+    if X.size != spec.decision_dim:
+        raise DimensionError(f"x has {X.size} values, {spec.name} takes {spec.decision_dim}")
+    tol = real_value("tol", tol, at_least=0)
     g = spec.objective(X, P)[1][0]
     ce = spec.constraint_eval(X, P)
     ineq = np.arange(ce.values.shape[1]) < ce.n_ineq

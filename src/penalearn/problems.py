@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, RegistryError
+from .errors import ConfigError, DimensionError, RegistryError, is_int, require
 from .penalty import ConstraintEval
 
 # evaluator: (x[batch,k], p[batch,d], grad=True) -> (values[batch], grads[batch,k] or None)
@@ -251,9 +251,15 @@ def make_problem(name: str) -> ProblemSpec:
 # operations
 
 def sample_params(spec: ProblemSpec, count: int, seed: int = 0) -> np.ndarray:
-    """Uniform parameter samples within the spec ranges: a (count, param_dim) array."""
+    """Uniform parameter samples within the spec ranges: a (count, param_dim) array.
+
+    ``count`` must be an integer >= 1 and ``seed`` an integer >= 0 (numpy's
+    integers included, a bool not), or ``ConfigError`` names the field.
+    """
+    require(is_int(count), "count", count, "an integer")
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}", "count")
+    require(is_int(seed) and seed >= 0, "seed", seed, "an integer >= 0")
     rng = np.random.default_rng(seed)
     cols = [rng.uniform(lo, hi, size=count) for lo, hi in spec.param_ranges]
     return np.stack(cols, axis=1)

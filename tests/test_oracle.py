@@ -723,6 +723,55 @@ def test_kkt_residual_with_no_active_constraint_is_the_scaled_gradient_norm():
         assert kkt_residual(spec, p, x, 1e-6) == norm / (1.0 + norm), (p, x)
 
 
+def _counting_evaluators(spec, calls):
+    """``spec`` with its objective and constraint block counted into ``calls``."""
+    objective, constraint_eval = spec.objective, spec.constraint_eval
+
+    def counted_objective(*args, **kwargs):
+        calls.append("objective")
+        return objective(*args, **kwargs)
+
+    def counted_constraints(*args, **kwargs):
+        calls.append("constraints")
+        return constraint_eval(*args, **kwargs)
+
+    spec = dataclasses.replace(spec, objective=counted_objective)
+    object.__setattr__(spec, "constraint_eval", counted_constraints)
+    return spec
+
+
+@pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], np.zeros((2, 2))],
+                         ids=["short", "long", "four"])
+def test_kkt_residual_rejects_an_x_of_the_wrong_size_before_evaluating(x):
+    # a 1-value x raised a bare IndexError from the objective; a 3-value x
+    # ran the objective on the wrong shape first
+    calls = []
+    spec = _counting_evaluators(make_problem("rosenbrock-1c"), calls)
+    with pytest.raises(DimensionError, match="x has"):
+        kkt_residual(spec, [1.0, 1.0], x, 1e-6)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6, True, "1e-6", None])
+def test_kkt_residual_rejects_a_tol_that_is_not_a_finite_real_at_least_0(tol):
+    # NaN dropped every inequality: at rosenbrock-1c (1, 1)'s answer it read
+    # 0.179 where 1e-6 reads 2.9e-12
+    calls = []
+    spec = _counting_evaluators(make_problem("rosenbrock-1c"), calls)
+    with pytest.raises(ConfigError) as info:
+        kkt_residual(spec, [1.0, 1.0], [0.8, 0.6], tol)
+    assert info.value.field == "tol" and calls == []
+
+
+def test_kkt_residual_takes_numpy_reals_with_the_bits_of_floats():
+    spec, p = make_problem("rosenbrock-1c"), np.array([1.0, 1.0])
+    x = solve(spec, p).x
+    want = kkt_residual(spec, p, x, 1e-6)
+    assert want <= oracle._KKT_BOUND
+    assert kkt_residual(spec, p, x, np.float64(1e-6)) == want
+    assert kkt_residual(spec, p, x, 0) == kkt_residual(spec, p, x, 0.0)
+
+
 def test_kkt_residual_reads_zero_at_the_ackley_origin_without_a_warning():
     spec = make_problem("ackley-1c")
     with warnings.catch_warnings():

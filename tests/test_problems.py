@@ -197,6 +197,27 @@ def test_sample_params_rejects_a_count_below_one_naming_the_field():
     assert info.value.field == "count"
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None])
+def test_sample_params_rejects_a_count_that_is_not_an_integer(count):
+    # numpy raised a bare TypeError at 2.5 and drew one sample at True
+    with pytest.raises(ConfigError) as info:
+        sample_params(make_problem("rosenbrock-1c"), count)
+    assert info.value.field == "count"
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "7", None])
+def test_sample_params_rejects_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # numpy raised a bare ValueError at -1 and drew a fresh entropy seed at None
+    with pytest.raises(ConfigError) as info:
+        sample_params(make_problem("rosenbrock-1c"), 3, seed)
+    assert info.value.field == "seed"
+
+
+def test_sample_params_takes_numpy_integers():
+    spec = make_problem("rosenbrock-1c")
+    assert np.array_equal(sample_params(spec, np.int64(3), np.int64(5)), sample_params(spec, 3, 5))
+
+
 def test_a_range_whose_low_exceeds_its_high_is_rejected_at_construction():
     spec = make_problem("rosenbrock-1c")
     with pytest.raises(ConfigError, match="rosenbrock-1c: range low 2 exceeds high 1") as info:
