@@ -274,7 +274,7 @@ def _descend_row(fg, X0, shift, cfg: OracleConfig):
     ok = math.isfinite(F) and all(map(math.isfinite, G))
     gnorm2 = _dot(G, G)
     if not (ok and gnorm2 > 0.0):
-        return X0.copy(), np.array([ok]), R.copy()
+        return X0.copy(), np.array([ok]), R
     X = X0[0].tolist()
     step = cfg.descent_lr / (1.0 + math.sqrt(gnorm2))
     history = [F] * _NONMONOTONE_WINDOW

@@ -468,9 +468,9 @@ def _ledge(k):
                        param_ranges=((-1.0, 1.0),) * k)
 
 
-def _spec_2d(objective, name="row-case"):
+def _spec_2d(objective):
     """A spec over R^2 with one parameter, no constraint and ``objective``."""
-    return ProblemSpec(name=name, decision_dim=2, param_dim=1, objective=objective,
+    return ProblemSpec(name="row-case", decision_dim=2, param_dim=1, objective=objective,
                        param_ranges=((-1.0, 1.0),))
 
 
@@ -507,6 +507,9 @@ ROW_CASES = {
                            [[0.0, 0.5], [-1.0, 0.5]], OracleConfig(descent_lr=2.0)),
     "nan-step": (_spec_2d(_x1_objective(_flip, lambda x1: np.where(x1 >= 0.0, 1e154, -1e154))),
                  [[0.0, 0.0], [1.0, 0.0]], OracleConfig(descent_lr=1e154)),
+    # t * |g|^2 overflows, but the Armijo margin (1e-4 * t) * |g|^2 does not
+    "huge-margin": (_spec_2d(_x1_objective(_flip, lambda x1: np.full_like(x1, 1e154))),
+                    [[0.0, 0.0], [1.0, 0.0]], OracleConfig(descent_lr=5e154, descent_steps=1)),
     # the first trial from x1 = 1 lands below -10, at a loss of -inf
     "minus-inf-trial": (_spec_2d(_x1_objective(
         lambda x1: np.where(x1 < -10.0, -np.inf, np.cosh(x1)), np.sinh)),
@@ -539,10 +542,7 @@ def test_a_lone_row_gets_the_bits_it_has_in_a_batch(monkeypatch, case):
     # second row it takes the batch path, and its bits must not tell the two apart
     spec, X0, cfg = ROW_CASES[case]
     X0 = np.array(X0)
-    p = np.ones(spec.param_dim)
-    shift = np.zeros((2, len(spec.inequalities)))
-    if shift.shape[1]:
-        shift[:] = 0.25
+    p, shift = np.ones(spec.param_dim), np.full((2, len(spec.inequalities)), 0.25)
     rows, descend_row = [], oracle._descend_row
     monkeypatch.setattr(oracle, "_descend_row", lambda *a: rows.append(a) or descend_row(*a))
     with np.errstate(all="ignore"):
@@ -569,6 +569,8 @@ def test_row_cases_reach_the_paths_they_name():
     X, ok, _ = run("nan-step")
     # the first trial passed; the next step is NaN, so no trial passes after it
     assert ok[0] and X[0, 0] == 0.0 - 1e154 / (1.0 + np.sqrt(1e154 * 1e154)) * 1e154
+    X, ok, _ = run("huge-margin")
+    assert ok[0] and X[0, 0] == 0.0 - 5e154 / (1.0 + np.sqrt(1e154 * 1e154)) * 1e154
     X, ok, _ = run("minus-inf-trial")
     assert ok[0] and -10.0 <= X[0, 0] < 1.0
     X, ok, _ = run("all-45-trials-fail")
@@ -597,10 +599,11 @@ def test_a_row_of_8_columns_takes_the_batch_path(monkeypatch):
                        param_ranges=((-1.0, 1.0),) * 8)
     p = np.random.default_rng(5).uniform(-1.0, 1.0, 8)
     X0 = np.random.default_rng(6).uniform(-3.0, 3.0, (2, 8))
+    cfg = OracleConfig(descent_steps=5)  # stopped short of the minimum, where rounding shows
     monkeypatch.setattr(oracle, "_descend_row", None)  # calling it would raise
     with np.errstate(all="ignore"):
-        pair = oracle._descend_batch(spec, p, X0, np.zeros((2, 0)), OracleConfig())
-        alone = oracle._descend_batch(spec, p, X0[:1], np.zeros((1, 0)), OracleConfig())
+        pair = oracle._descend_batch(spec, p, X0, np.zeros((2, 0)), cfg)
+        alone = oracle._descend_batch(spec, p, X0[:1], np.zeros((1, 0)), cfg)
     for a, b in zip(alone, pair):
         assert a[0].tobytes() == b[0].tobytes()
 
