@@ -335,7 +335,9 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     def fg(X, S):
         terms = loss_terms_batch(X, P[:X.shape[0]], spec, _STAGE_PENALTY, strict=False,
                                  shift=S)
-        return terms.loss, terms.grad, terms.constraints.values
+        # with no constraint the gradient is the objective's own, of any float type;
+        # widened, it gets the double arithmetic that the row path's floats get
+        return terms.loss, np.asarray(terms.grad, dtype=float), terms.constraints.values
 
     if X0.shape[0] == 1 and X0.shape[1] < 8:
         return _descend_row(fg, X0, shift, cfg)

@@ -522,6 +522,14 @@ ROW_CASES = {
                                   param_ranges=((-1.0, 1.0),)),
                       np.random.default_rng(3).uniform(-3.0, 3.0, (2, 7)),
                       OracleConfig(descent_steps=5)),
+    # a float32 gradient: both paths do their arithmetic in doubles
+    "float32-gradient": (ProblemSpec(name="cosh-3d-f32", decision_dim=3, param_dim=1,
+                                     objective=lambda X, P, grad=True: (
+                                         np.add.reduce(np.cosh(X - P), 1),
+                                         np.sinh(X - P).astype(np.float32) if grad else None),
+                                     param_ranges=((-1.0, 1.0),)),
+                         np.random.default_rng(3).uniform(-3.0, 3.0, (2, 3)),
+                         OracleConfig(descent_steps=5)),
     # every trial from x = 0 steps off the ledge (see test_line_search_tries_its_45th_trial)
     "all-45-trials-fail": (_ledge(2), [[0.0, 0.0], [0.5, 0.0]],
                            OracleConfig(descent_lr=40.0 * 2.0**44)),
