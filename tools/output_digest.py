@@ -39,8 +39,13 @@ records, ``solve``'s answers and evaluation counts and ``grid_scan``'s
 answers are hashed (see ``equality_bytes``).  Then the descents are hashed,
 in a batch and alone, on the 10 rosenbrock-1c instances with c2 in
 [0.88, 1], whose line searches halve the most (see ``defect_band``), and,
-alone, on 5 instances of each equality spec.  One ``<sha256 prefix>
-<artifact>`` line per output, 151 in all.
+alone, on 5 instances of each equality spec.  Last, ``loss_terms_batch``'s
+records at 1, 3 and 17 rows of each registry problem, strict and unchecked
+with a shift, at boundary points, signed zeros, NaN and +-inf, and the
+penalty of hand-built residual blocks that hold the same edges, under the
+default ``PenaltyConfig``, gamma 1 and 3 and the indicator (see
+``edge_loss_bytes``).  One ``<sha256 prefix> <artifact>`` line per output,
+163 in all.
 
 A refactor that should not change results runs this on the parent commit and
 on the change and diffs the two outputs.  Run from a checkout's root:
@@ -64,7 +69,7 @@ from penalearn.bench import TABLE_CASES  # noqa: E402
 from penalearn.cli import main  # noqa: E402
 from penalearn.nn import load_model, mlp_forward  # noqa: E402
 from penalearn.oracle import OracleConfig, _descend_batch, grid_scan, solve  # noqa: E402
-from penalearn.penalty import PenaltyConfig, loss_terms_batch  # noqa: E402
+from penalearn.penalty import ConstraintEval, PenaltyConfig, loss_terms_batch  # noqa: E402
 from penalearn.problems import (Constraint, ProblemSpec, make_problem, problem_names,  # noqa: E402
                                 sample_params)
 
@@ -272,6 +277,88 @@ def equality_bytes():
                solution_bytes(answers(spec, sample_params(spec, solves, 3), grid_scan)))
 
 
+EDGE_ROWS = (1, 3, 17)
+EDGE_CONFIGS = (PenaltyConfig(), PenaltyConfig(gamma=1.0), PenaltyConfig(gamma=3.0),
+                PenaltyConfig(mode="indicator"))
+# points on a registry boundary (residual 0.0: the unit disk at (1, 0) and
+# (0.6, -0.8), ackley's disk at (3, 4), x1 = -2.5 and x2 = -1) and at signed
+# zeros, where the objective gradients have -0.0 components; then points that
+# make the residuals or the objective NaN or +-inf
+FINITE_EDGES = ((-0.0, -0.0), (1.0, 0.0), (0.0, -0.0), (3.0, 4.0), (-2.5, -1.0), (0.6, -0.8))
+NONFINITE_EDGES = ((np.nan, 0.5), (np.inf, 0.0), (-np.inf, 1.0), (0.5, -np.inf), (0.0, np.nan))
+# residuals of a hand-built block, laid out row after row across its columns
+EDGE_RESIDUALS = (-0.0, 0.0, np.nan, np.inf, -np.inf, 0.5, -0.5, -np.nan, 2.0, -3.0)
+
+
+def _edge_rows(rng, rows, edges):
+    """``rows`` points in [-3, 3)^2 whose first rows are ``edges``, in order."""
+    X = rng.uniform(-3.0, 3.0, (rows, 2))
+    used = min(rows, len(edges))
+    X[:used] = edges[:used]
+    return X
+
+
+def _terms_bytes(terms):
+    """The raw bits of a ``LossTerms`` record: loss, objective, penalty, grad
+    (when computed), the residual block and its ``violations()``."""
+    arrays = [terms.loss, terms.objective, terms.penalty, terms.constraints.values,
+              *terms.constraints.violations()]
+    if terms.grad is not None:
+        arrays.append(terms.grad)
+    return b"".join(a.tobytes() for a in arrays)
+
+
+def edge_loss_bytes():
+    """Yield (artifact name, raw bits) of ``loss_terms_batch`` at edge points.
+
+    For each registry problem and each row count of ``EDGE_ROWS``: strict
+    records at finite points that start with ``FINITE_EDGES``, and unchecked
+    records, with and without gradients, at points that alternate the
+    non-finite and the finite edges, under a shift that makes a third of
+    the shifted residuals exactly 0.0 (NaN where the residual is not finite)
+    and a third -0.0 shifts.  Then ``ConstraintEval.penalty`` of
+    hand-built blocks of the problem's column count, all inequalities, all
+    equalities and (with 3 columns) one inequality, whose residuals cycle
+    through ``EDGE_RESIDUALS``, against an objective gradient with -0.0
+    components, without and with the shift.  Each under every
+    ``EDGE_CONFIGS``, with numpy's floating-point warnings silenced where
+    the values are not finite.
+    """
+    mixed = tuple(e for pair in zip(NONFINITE_EDGES, FINITE_EDGES) for e in pair)
+    mixed += FINITE_EDGES[len(NONFINITE_EDGES):]
+    for name in problem_names():
+        spec = make_problem(name)
+        m = len(spec.inequalities + spec.equalities)
+        for rows in EDGE_ROWS:
+            rng = np.random.default_rng(rows)
+            P = sample_params(spec, rows, 5)
+            X = _edge_rows(rng, rows, FINITE_EDGES)
+            Xn = _edge_rows(rng, rows, mixed)
+            shift = rng.uniform(-1.0, 1.0, (rows, m))
+            with np.errstate(all="ignore"):
+                shift[::3] = -spec.constraint_eval(Xn, P, grad=False).values[::3]
+            shift[1::3] = -0.0
+            V = np.resize(np.array(EDGE_RESIDUALS), (rows, m))
+            G = rng.standard_normal((rows, m, 2))
+            G[rng.random(G.shape) < 0.3] = -0.0
+            g0 = rng.standard_normal((rows, 2))
+            g0[::2, 0] = -0.0
+            out = []
+            for cfg in EDGE_CONFIGS:
+                out.append(_terms_bytes(loss_terms_batch(X, P, spec, cfg)))
+                for grad in (True, False):
+                    out.append(_terms_bytes(loss_terms_batch(Xn, P, spec, cfg, strict=False,
+                                                             shift=shift, grad=grad)))
+                for n_ineq in sorted({m, 0, min(m, 1)}):
+                    ce = ConstraintEval(V, G, n_ineq)
+                    with np.errstate(all="ignore"):
+                        for s in (None, shift):
+                            penalty, grad = ce.penalty(cfg, s, g0)
+                            out += [penalty.tobytes(), grad.tobytes()]
+                        out += [a.tobytes() for a in ce.violations()]
+            yield f"{name}.loss-terms-edges-x{rows}", b"".join(out)
+
+
 def forward_bytes(net, params, batch_size) -> bytes:
     """Raw bits of ``mlp_forward`` on ``params`` in calls of ``batch_size`` rows.
 
@@ -347,6 +434,7 @@ def outputs():
     for spec, _ in EQUALITY_SPECS:
         yield (f"{spec.name}.descent-x{DESCENTS}.alone",
                descent_bytes(spec, sample_params(spec, DESCENTS, 3), alone=True))
+    yield from edge_loss_bytes()
 
 
 def digest_lines():
