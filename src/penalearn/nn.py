@@ -59,6 +59,9 @@ from .errors import (
     NonFiniteError,
     TraceError,
     all_finite,
+    is_int,
+    require,
+    require_real,
 )
 
 MODEL_FORMAT_HEADER = "penalearn-model v1"
@@ -164,8 +167,15 @@ class Mlp:
 
 
 def init_mlp(layer_sizes, seed=0) -> Mlp:
-    """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases."""
+    """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases.
+
+    ``seed`` is an integer >= 0 or a tuple or list of them (numpy's integers
+    included, a bool not), or ``ConfigError`` names it.
+    """
     sizes = _check_layer_sizes(layer_sizes)
+    entropy = seed if isinstance(seed, (tuple, list)) else (seed,)
+    require(all(is_int(s) and s >= 0 for s in entropy), "seed", seed,
+            "an integer >= 0 or a tuple of them")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -294,14 +304,17 @@ class AdamState:
     @classmethod
     def for_net(cls, net: Mlp, learning_rate=1e-3, beta1=0.9, beta2=0.999,
                 epsilon=1e-8) -> "AdamState":
-        return cls(
-            m=np.zeros_like(net.params),
-            v=np.zeros_like(net.params),
-            beta1=float(beta1),
-            beta2=float(beta2),
-            epsilon=float(epsilon),
-            learning_rate=float(learning_rate),
-        )
+        """Zero moments for ``net``.  Each setting is a finite real number in
+        ``TrainConfig``'s range, stored as a float: ``learning_rate`` and
+        ``epsilon`` > 0, ``beta1`` and ``beta2`` in (0, 1); else ``ConfigError``
+        names it."""
+        state = cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params), beta1=beta1,
+                    beta2=beta2, epsilon=epsilon, learning_rate=learning_rate)
+        require_real(state, "learning_rate", above=0)
+        require_real(state, "beta1", above=0, below=1)
+        require_real(state, "beta2", above=0, below=1)
+        require_real(state, "epsilon", above=0)
+        return state
 
 
 def adam_step(

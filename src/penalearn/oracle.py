@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionError, NonFiniteError, OracleError, UnsupportedError, all_finite,
-                     real_value, require_int, require_real)
+                     real_value, require, require_int, require_real)
 from .penalty import ConstraintEval, PenaltyConfig, _row_max, loss_terms_batch
 from .penalty import violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ProblemSpec
@@ -196,8 +196,10 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
     default ``PenaltyConfig`` weight: ``_best`` ranks the 4,096-point chunks
     of the grid as it ranks ``solve``'s candidates.  The answer's objective
     and worst violation are the ones the scan computed; the winner is not
-    evaluated again.  ``p`` is checked by ``_params``.
+    evaluated again.  ``p`` is checked by ``_params``, and ``cfg`` must be an
+    ``OracleConfig`` (``ConfigError`` naming ``cfg``).
     """
+    require(isinstance(cfg, OracleConfig), "cfg", cfg, "an OracleConfig")
     p = _params(spec, p)
     k = spec.decision_dim
     if k > 3:
@@ -469,8 +471,10 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
     diverges, the grid point is the answer, and with no grid point (k > 3)
     ``OracleError`` is raised.  ``solve_time_s`` is the whole call's clock,
     grid scan included, and the bench's ``t_oracle_ns``.  ``p`` is checked by
-    ``_params``.
+    ``_params``, and ``cfg`` must be an ``OracleConfig`` (``ConfigError`` naming
+    ``cfg``).
     """
+    require(isinstance(cfg, OracleConfig), "cfg", cfg, "an OracleConfig")
     p = _params(spec, p)
     k, tol = spec.decision_dim, cfg.feasible_tol
     t0 = time.perf_counter()

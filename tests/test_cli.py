@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 
 from penalearn import (
+    AdamState,
     ConfigError,
     ModelFormatError,
     OracleConfig,
     PenaltyConfig,
     TrainConfig,
+    grid_scan,
     init_mlp,
     load_model,
+    make_problem,
     save_model,
+    solve,
 )
 from penalearn import cli
 from penalearn.cli import _KEYS, build_parser, main, parse_config_file
@@ -464,6 +468,52 @@ def test_library_rejects_what_the_cli_rejects(tmp_path, make, exc):
         assert info.value.line_number == 4
     else:
         assert isinstance(info.value, ValueError) and info.value.field
+
+
+def _adam(**settings):
+    return AdamState.for_net(init_mlp((2, 3, 2)), **settings)
+
+
+_SPEC = make_problem("rosenbrock-1c")
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: init_mlp((2, 3, 2), seed=-1), "seed"),
+    (lambda: init_mlp((2, 3, 2), seed=1.5), "seed"),
+    (lambda: init_mlp((2, 3, 2), seed=True), "seed"),
+    (lambda: init_mlp((2, 3, 2), seed=(3, -1)), "seed"),
+    (lambda: _adam(learning_rate=0.0), "learning_rate"),
+    (lambda: _adam(learning_rate=-1e-3), "learning_rate"),
+    (lambda: _adam(learning_rate=float("inf")), "learning_rate"),
+    (lambda: _adam(beta1=0.0), "beta1"),
+    (lambda: _adam(beta1=1.0), "beta1"),
+    (lambda: _adam(beta1=float("nan")), "beta1"),
+    (lambda: _adam(beta2=1.0), "beta2"),
+    (lambda: _adam(beta2=-0.5), "beta2"),
+    (lambda: _adam(epsilon=0.0), "epsilon"),
+    (lambda: _adam(epsilon=float("nan")), "epsilon"),
+    (lambda: solve(_SPEC, [1.0, 0.5], TrainConfig()), "cfg"),
+    (lambda: solve(_SPEC, [1.0, 0.5], {"starts": 4}), "cfg"),
+    (lambda: grid_scan(_SPEC, [1.0, 0.5], None), "cfg"),
+], ids=["seed_negative", "seed_float", "seed_bool", "seed_tuple_negative",
+        "learning_rate_zero", "learning_rate_negative", "learning_rate_inf", "beta1_zero",
+        "beta1_one", "beta1_nan", "beta2_one", "beta2_negative", "epsilon_zero",
+        "epsilon_nan", "solve_train_config", "solve_dict", "grid_scan_none"])
+def test_library_entry_points_reject_bad_settings_naming_them(make, field):
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert info.value.field == field and field in str(info.value)
+
+
+def test_library_entry_points_keep_the_settings_they_accept():
+    net = init_mlp((2, 3, 2), seed=(3, 1))
+    assert net.params.tobytes() == init_mlp((2, 3, 2), seed=[3, 1]).params.tobytes()
+    assert init_mlp((2, 3, 2), seed=np.int64(4)).params.tobytes() == \
+        init_mlp((2, 3, 2), seed=4).params.tobytes()
+    state = _adam(learning_rate=1, beta1=np.float64(0.5), beta2=0.25, epsilon=1e-12)
+    settings = (state.learning_rate, state.beta1, state.beta2, state.epsilon)
+    assert settings == (1.0, 0.5, 0.25, 1e-12)
+    assert all(type(value) is float for value in settings)
 
 
 @pytest.mark.parametrize(

@@ -148,6 +148,63 @@ def test_constraint_eval_rejects_the_wrong_width():
     assert spec.constraint_eval(np.zeros(2), np.ones(2)).values.shape == (1, 1)
 
 
+def _scalar_value(x, p, grad=True):
+    # one value and one (k,) gradient for every row: both broadcast down the block
+    return 0.75, (np.array([0.5, -2.0]) if grad else None)
+
+
+def _float32_value(x, p, grad=True):
+    # float32 outputs: the residual is their float32 difference, widened
+    v = (x[:, 0] * x[:, 1] + 0.1).astype(np.float32)
+    return v, (x[:, ::-1].astype(np.float32) if grad else None)
+
+
+def _float64_value(x, p, grad=True):
+    return x[:, 0] - p[:, 1], (np.stack([np.ones(len(x)), np.zeros(len(x))], 1)
+                               if grad else None)
+
+
+_KINDS = {"scalar": (_scalar_value, 1.0), "float32": (_float32_value, 1.1),
+          "float64": (_float64_value, -0.3)}
+
+
+def _expected_column(fn, bound, x, p):
+    """The residual column and gradient block one constraint contributes."""
+    v, g = fn(x, p)
+    column = np.broadcast_to(np.subtract(v, bound), (len(x),)).astype(np.float64)
+    return column, np.broadcast_to(g, x.shape).astype(np.float64)
+
+
+@pytest.mark.parametrize("kinds, n_ineq", [
+    ("scalar", 1), ("float32", 1), ("float64", 0),
+    ("scalar,float32,float64", 3), ("float32,scalar,float64", 1),
+])
+def test_constraint_eval_broadcasts_and_widens_what_the_evaluators_return(kinds, n_ineq):
+    kinds = kinds.split(",")
+    cons = tuple(Constraint(*_KINDS[kind]) for kind in kinds)
+    spec = dataclasses.replace(make_problem("rosenbrock-1c"), inequalities=cons[:n_ineq],
+                               equalities=cons[n_ineq:])
+    rng = np.random.default_rng(8)
+    for rows in (1, 5):
+        x, p = rng.uniform(-2.0, 2.0, (rows, 2)), rng.uniform(0.0, 1.0, (rows, 2))
+        ce = spec.constraint_eval(x, p)
+        assert ce.n_ineq == n_ineq
+        assert ce.values.dtype == np.float64 and ce.values.shape == (rows, len(cons))
+        assert ce.grads.dtype == np.float64 and ce.grads.shape == (rows, len(cons), 2)
+        for i, c in enumerate(cons):
+            column, grads = _expected_column(c.fn, c.bound, x, p)
+            assert ce.values[:, i].tobytes() == column.tobytes()
+            assert ce.grads[:, i].tobytes() == grads.tobytes()
+        values_only = spec.constraint_eval(x, p, grad=False)
+        assert values_only.grads is None
+        assert values_only.values.tobytes() == ce.values.tobytes()
+    # the float32 residual is not the one of the widened value
+    if "float32" in kinds:
+        i = kinds.index("float32")
+        v32 = _float32_value(x, p)[0]
+        assert ce.values[:, i].tobytes() != (v32.astype(np.float64) - 1.1).tobytes()
+
+
 def _two_args(x, p):
     return x[:, 0].copy(), np.ones_like(x)
 
