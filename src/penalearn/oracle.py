@@ -120,9 +120,11 @@ def _params(spec: ProblemSpec, p) -> np.ndarray:
 def _lowest(X, score) -> int:
     """The index of the lowest ``score``; ties go to the lexicographically
     smallest x, then to the first row."""
-    tied = np.flatnonzero(score == score.min())
-    if tied.size == 1:
-        return int(tied[0])
+    i = int(score.argmin())  # the first lowest
+    tied = score == score[i]
+    if np.count_nonzero(tied) == 1:
+        return i
+    tied = tied.nonzero()[0]
     # lexsort is stable and sorts by its last key first
     return int(tied[np.lexsort(X[tied].T[::-1])[0]])
 
@@ -150,14 +152,16 @@ def _best(spec, p, chunks, tol):
     for c, (X, ce) in enumerate(zip(chunks, blocks)):
         # worst violation <= tol as one row max per column kind: with tol >= 0 these
         # are the rows whose violations() maximum is <= tol, and NaN fails both
-        n = ce.n_ineq
-        within = _row_max(ce.values[:, :n]) <= tol if n else np.ones(X.shape[0], dtype=bool)
-        if ce.values.shape[1] > n:
-            within &= _row_max(np.abs(ce.values[:, n:])) <= tol
-        rows = np.flatnonzero(within)
-        if not rows.size:
+        ineq, eq = ce._split(ce.values)
+        within = np.ones(X.shape[0], dtype=bool) if ineq is None else _row_max(ineq) <= tol
+        if eq is not None:
+            within &= _row_max(np.abs(eq)) <= tol
+        # most chunks of a small feasible set hold no feasible row: a count
+        # finds that at a fraction of the cost of listing the rows
+        if not np.count_nonzero(within):
             continue
-        X = X[rows]
+        rows = within.nonzero()[0]
+        X = X.take(rows, 0)  # X[rows], without fancy indexing's fixed cost
         f0, _ = spec.objective(X, P[:rows.size], grad=False)
         f0 = np.where(np.isfinite(f0), f0, np.inf)
         i = _lowest(X, f0)
@@ -170,8 +174,10 @@ def _best(spec, p, chunks, tol):
             score = np.where(np.isfinite(score), score, np.inf)
             i = _lowest(X, score)
             winners.append((c, i, f0[i] if np.isfinite(f0[i]) else np.inf, score[i]))
-    c, i, f0, _ = winners[_lowest(np.array([chunks[c][i] for c, i, _, _ in winners]),
-                                  np.array([score for _, _, _, score in winners]))]
+    if len(winners) > 1:
+        winners = [winners[_lowest(np.array([chunks[c][i] for c, i, _, _ in winners]),
+                                   np.array([score for _, _, _, score in winners]))]]
+    c, i, f0, _ = winners[0]
     max_ineq, max_eq, _ = ConstraintEval(blocks[c].values[i:i + 1], None,
                                          blocks[c].n_ineq).violations()
     return c, int(i), float(f0), float(np.maximum(max_ineq, max_eq)[0])
@@ -215,8 +221,9 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
 
 
 def _accepts(Ft, Gt, ref, t, gnorm2):
-    """Which trials are finite and pass the nonmonotone Armijo test."""
-    return (np.isfinite(Ft) & np.logical_and.reduce(np.isfinite(Gt), 1)
+    """Which trials are finite and pass the nonmonotone Armijo test; ``Gt`` has
+    one more axis than ``Ft``, the last, and ``ref`` and ``gnorm2`` broadcast."""
+    return (np.isfinite(Ft) & np.logical_and.reduce(np.isfinite(Gt), -1)
             & (Ft <= ref - 1e-4 * t * gnorm2))
 
 
@@ -242,10 +249,10 @@ def _halve(fg, X, G, shift, ref, gnorm2, trial, idx):
         # row i's trials are rows i * n ... i * n + n - 1, in halving order
         Xb = (X[idx, None] - ts[:, :, None] * G[idx, None]).reshape(-1, X.shape[1])
         Fb, Gb, Rb = fg(Xb, np.repeat(shift[idx], n, 0))
-        passed = _accepts(Fb, Gb, np.repeat(ref[idx], n), ts.ravel(),
-                          np.repeat(gnorm2[idx], n)).reshape(-1, n)
+        passed = _accepts(Fb.reshape(-1, n), Gb.reshape(-1, n, X.shape[1]), ref[idx, None],
+                          ts, gnorm2[idx, None])
         any_passed = np.logical_or.reduce(passed, 1)
-        hit = np.flatnonzero(any_passed)
+        hit = any_passed.nonzero()[0]
         first = passed[hit].argmax(1)
         gi, pick = idx[hit], hit * n + first
         Xt[gi], Ft[gi], Gt[gi], Rt[gi] = Xb[pick], Fb[pick], Gb[pick], Rb[pick]
@@ -282,31 +289,33 @@ def _descend_row(fg, X0, shift, cfg: OracleConfig):
     history = [F] * _NONMONOTONE_WINDOW
     for k in range(cfg.descent_steps):
         ref, t = max(history), step
-        Xt = np.array([[x - t * g for x, g in zip(X, G)]])
-        trial = (Xt, *fg(Xt, shift))
-        Ft, Gt = trial[1].item(), trial[2][0].tolist()
-        if not (math.isfinite(Ft) and all(map(math.isfinite, Gt))
-                and Ft <= ref - 1e-4 * t * gnorm2):
+        xt = [x - t * g for x, g in zip(X, G)]
+        Xt = np.array([xt])
+        Ft, Gt, Rt = fg(Xt, shift)
+        ft, gt = Ft.item(), Gt[0].tolist()
+        if not (math.isfinite(ft) and all(map(math.isfinite, gt))
+                and ft <= ref - 1e-4 * t * gnorm2):
             trial, idx = _halve(fg, np.array([X]), np.array([G]), shift, np.array([ref]),
-                                np.array([gnorm2]), (*trial, np.array([t])),
+                                np.array([gnorm2]), (Xt, Ft, Gt, Rt, np.array([t])),
                                 np.zeros(1, dtype=np.intp))
             if idx.size:  # no trial passed: the row stays where it is and ends
                 break
-            Ft, Gt, t = trial[1].item(), trial[2][0].tolist(), trial[4].item()
-        Xt, Rt = trial[0][0].tolist(), trial[3]
-        sy = yy = ss = 0.0  # S.Y, Y.Y and S.S, each summed left to right
-        for a, b, c, d in zip(Xt, X, Gt, G):
+            Xt, Ft, Gt, Rt, t = trial
+            xt, ft, gt, t = Xt[0].tolist(), Ft.item(), Gt[0].tolist(), t.item()
+        # S.Y, Y.Y and S.S, and the new point's G.G and X.X, each summed left to right
+        sy = yy = ss = gnorm2 = xx = 0.0
+        for a, b, c, d in zip(xt, X, gt, G):
             s, y = a - b, c - d
             sy += s * y
             yy += y * y
             ss += s * s
+            gnorm2 += c * c
+            xx += a * a
         # min(max(...)) in this order keeps a NaN step NaN, as np.minimum and np.maximum do
         step = min(max(sy / yy if sy > 0.0 and yy > 0.0 else t * 2.0, 1e-14), 1e3)
-        moved = math.sqrt(ss)
-        X, F, G, R = Xt, Ft, Gt, Rt
-        history[k % _NONMONOTONE_WINDOW] = F
-        gnorm2 = _dot(G, G)
-        if not (gnorm2 > 0.0 and moved > _MOVE_TOL * (1.0 + math.sqrt(_dot(X, X)))):
+        X, G, R = xt, gt, Rt
+        history[k % _NONMONOTONE_WINDOW] = ft
+        if not (gnorm2 > 0.0 and math.sqrt(ss) > _MOVE_TOL * (1.0 + math.sqrt(xx))):
             break
     return np.array([X]), np.array([True]), R
 
@@ -374,7 +383,7 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
         good = _accepts(Ft, Gt, ref, t, gnorm2)
         if np.count_nonzero(good) != good.size:
             (Xt, Ft, Gt, Rt, t), idx = _halve(fg, X, G, shift, ref, gnorm2,
-                                              (Xt, Ft, Gt, Rt, t), np.flatnonzero(~good))
+                                              (Xt, Ft, Gt, Rt, t), (~good).nonzero()[0])
             # no trial passed: the row keeps its state, so it does not move and
             # ends, and its step is never read
             Xt[idx], Ft[idx], Gt[idx], Rt[idx] = X[idx], F[idx], G[idx], R[idx]
@@ -403,18 +412,23 @@ def _stages(spec, p, X, cfg: OracleConfig):
     """Up to 12 multiplier stages from the starts ``X``, whose rows it overwrites;
     returns ``(X, ok)``, ``ok`` a per-row finite flag."""
     n_ineq = len(spec.inequalities)
+    m = n_ineq + len(spec.equalities)
     ok = np.ones(X.shape[0], dtype=bool)
     rows = np.arange(X.shape[0])  # the starts still running
-    shift = np.zeros((X.shape[0], n_ineq + len(spec.equalities)))  # theirs, row for row
+    shift = np.zeros((X.shape[0], m))  # theirs, row for row
     for _ in range(_AL_MAX_STAGES):
         if not rows.size:  # every start stopped, or there was none: nothing to evaluate
             break
         X[rows], ok[rows], R = _descend_batch(spec, p, X[rows], shift, cfg)
         after = shift + R
-        after[:, :n_ineq] = np.maximum(0.0, after[:, :n_ineq])
+        if n_ineq == m:
+            after = np.maximum(0.0, after)
+        elif n_ineq:
+            after[:, :n_ineq] = np.maximum(0.0, after[:, :n_ineq])
         # a shift moves by its constraint's violation, or by how far an
         # inequality with a positive multiplier sits inside its boundary
-        keep = ok[rows] & ~(np.abs(after - shift) <= cfg.feasible_tol / 10).all(axis=1)
+        keep = ok[rows] & ~np.logical_and.reduce(np.abs(after - shift) <= cfg.feasible_tol / 10,
+                                                 1)
         rows, shift = rows[keep], after[keep]
     return X, ok
 
@@ -434,7 +448,12 @@ def kkt_residual(spec: ProblemSpec, p, x, tol: float) -> float:
     X = np.asarray(x, dtype=float).reshape(1, -1)
     if X.size != spec.decision_dim:
         raise DimensionError(f"x has {X.size} values, {spec.name} takes {spec.decision_dim}")
-    tol = real_value("tol", tol, at_least=0)
+    return _kkt(spec, P, X, real_value("tol", tol, at_least=0))
+
+
+def _kkt(spec, P, X, tol) -> float:
+    """``kkt_residual`` at the one row of ``X``, with ``P`` its (1, d) parameters
+    and no input checks."""
     g = spec.objective(X, P)[1][0]
     ce = spec.constraint_eval(X, P)
     ineq = np.arange(ce.values.shape[1]) < ce.n_ineq
@@ -446,7 +465,13 @@ def kkt_residual(spec: ProblemSpec, p, x, tol: float) -> float:
     if A.shape[1]:
         lam = np.linalg.lstsq(A, -g)[0]
         r = g + A @ np.where(ineq[active], np.maximum(lam, 0.0), lam)
-    return float(np.linalg.norm(r) / (1.0 + np.linalg.norm(g)))
+    return _norm(r) / (1.0 + _norm(g))
+
+
+def _norm(v) -> float:
+    """``np.linalg.norm`` of a real vector: the root of the same dot product."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 @np.errstate(all="ignore")
@@ -496,7 +521,7 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
         pending, (X, ok) = [], _stages(spec, p, grid[0][None].copy(), cfg)
         # the grid point is feasible, so the winner is
         x, i, objective, max_violation = ranked(X, ok)
-        certified = kkt_residual(spec, p, x, tol) <= _KKT_BOUND
+        certified = _kkt(spec, p[None], x[None], tol) <= _KKT_BOUND
     if not certified:
         rng = np.random.default_rng(cfg.seed)
         lo, hi = _BOX

@@ -11,8 +11,11 @@ zero, which is exactly why it cannot steer training.
 ``loss_terms_batch`` is the one penalized evaluator of a batch of points: one
 objective call and one constraint call, returned as one ``LossTerms`` record
 that also carries the residuals: one ``ConstraintEval`` block, inequality
-columns first, which every reader slices.  Worst violations and feasibility
-come from its ``violations``, the penalty and its gradient from its ``penalty``.
+columns first, which every reader splits at ``n_ineq`` (a block of one kind
+is read whole, not sliced).  Worst violations and feasibility come from its
+``violations``, the penalty and its gradient from its ``penalty``, which
+calls ``ineq_penalty``'s and ``eq_penalty``'s bodies without their input
+checks and starts its row total at the first group's sums.
 Scorers that read values only (``training.evaluate``, the oracle's ranking in
 ``oracle._best``) call the problem's evaluators with ``grad=False`` instead.
 Training calls it with ``strict=True`` (shapes checked, a non-finite value
@@ -72,6 +75,15 @@ class ConstraintEval:
     grads: Optional[np.ndarray]
     n_ineq: int
 
+    def _split(self, a):
+        """(inequality part, equality part) of ``a``, laid out as ``values``,
+        each ``None`` when it has no column; a block of one kind is its own
+        part, not sliced."""
+        n, m = self.n_ineq, self.values.shape[1]
+        if n == m:
+            return (a if m else None), None
+        return (a[:, :n] if n else None), (a[:, n:] if n else a)
+
     def violations(self, eq_tolerance=0.0):
         """Worst violations per row: (max_ineq, max_eq, feasible) arrays.
 
@@ -81,10 +93,10 @@ class ConstraintEval:
         ``np.maximum``: the values of ``.max(axis=1)``, NaN where it gives NaN,
         at a fraction of its cost on a tall block of a few columns.
         """
-        ineq, eq = self.values[:, :self.n_ineq], self.values[:, self.n_ineq:]
+        ineq, eq = self._split(self.values)
         n = self.values.shape[0]
-        worst_ineq = _row_max(ineq) if ineq.shape[1] else np.zeros(n)
-        max_eq = _row_max(np.abs(eq)) if eq.shape[1] else np.zeros(n)
+        worst_ineq = np.zeros(n) if ineq is None else _row_max(ineq)
+        max_eq = np.zeros(n) if eq is None else _row_max(np.abs(eq))
         feasible = (worst_ineq <= 0.0) & (max_eq <= eq_tolerance)
         return np.maximum(worst_ineq, 0.0), max_eq, feasible
 
@@ -98,27 +110,38 @@ class ConstraintEval:
         added, then the equality term; ``None`` does no gradient work.
         """
         r = self.values if shift is None else self.values + shift
-        r_ineq, r_eq = r[:, :self.n_ineq], r[:, self.n_ineq:]
-        omega = np.zeros(r.shape[0])
+        r_ineq, r_eq = self._split(r)
+        g_ineq, g_eq = (None, None) if grad is None else self._split(self.grads)
+        omega = None  # the total: the first part added to 0.0, as a total from +0.0 is
         if cfg.mode == "indicator":
-            if r_ineq.shape[1]:
-                omega += (r_ineq > 0.0).sum(axis=1)
-            if r_eq.shape[1]:
-                omega += (np.abs(r_eq) > cfg.eq_tolerance).sum(axis=1)
-            # the indicator is flat on both sides of the boundary: zero gradient
-            omega *= cfg.indicator_big
+            if r_ineq is not None:
+                omega = _add(omega, (r_ineq > 0.0).sum(axis=1))
+            if r_eq is not None:
+                omega = _add(omega, (np.abs(r_eq) > cfg.eq_tolerance).sum(axis=1))
+            if omega is not None:
+                # the indicator is flat on both sides of the boundary: zero gradient
+                omega *= cfg.indicator_big
         else:
-            if r_ineq.shape[1]:
-                values, derivs = ineq_penalty(r_ineq, cfg.eta, cfg.gamma, grad is not None)
-                omega += _row_sum(values)
+            if r_ineq is not None:
+                values, derivs = _ineq_terms(r_ineq, cfg.eta, cfg.gamma, grad is not None)
+                omega = _add(omega, _row_sum(values))
                 if grad is not None:
-                    grad = grad + np.einsum("bi,bik->bk", derivs, self.grads[:, :self.n_ineq])
-            if r_eq.shape[1]:
-                values, derivs = eq_penalty(r_eq, cfg.eta, cfg.gamma, grad is not None)
-                omega += _row_sum(values)
+                    grad = grad + np.einsum("bi,bik->bk", derivs, g_ineq)
+            if r_eq is not None:
+                values, derivs = _eq_terms(r_eq, cfg.eta, cfg.gamma, grad is not None)
+                omega = _add(omega, _row_sum(values))
                 if grad is not None:
-                    grad = grad + np.einsum("bj,bjk->bk", derivs, self.grads[:, self.n_ineq:])
-        return omega, grad
+                    grad = grad + np.einsum("bj,bjk->bk", derivs, g_eq)
+        return (np.zeros(r.shape[0]) if omega is None else omega), grad
+
+
+def _add(total, part):
+    """``total + part``, in place; with no ``total`` yet, ``part + 0.0``: the
+    bits of a total that starts at +0.0."""
+    if total is None:
+        return part + 0.0
+    total += part
+    return total
 
 
 def _row_sum(values):
@@ -144,11 +167,46 @@ def _row_sum(values):
 
 
 def _row_max(values):
-    """The maximum of each row of a (rows, >= 1 columns) array, as a new array."""
+    """The maximum of each row of a (rows, >= 1 columns) array; one column is
+    returned as a view, more as a new array."""
+    if values.shape[1] == 1:
+        return values[:, 0]
     out = values[:, 0].copy()
     for j in range(1, values.shape[1]):
         np.maximum(out, values[:, j], out=out)
     return out
+
+
+def _slope(a, gamma):
+    """a ** (gamma - 1); at gamma 2 that is ``a`` itself, which numpy's
+    ``a ** 1.0`` would only copy."""
+    return a if gamma == 2.0 else a ** (gamma - 1.0)
+
+
+def _ineq_terms(r, eta, gamma, grad):
+    """``ineq_penalty`` of a float array ``r``, with no input checks."""
+    pos = np.maximum(r, 0.0)
+    value = eta * pos**gamma
+    # gamma >= 1 so pos**(gamma-1) is finite; at r == 0 it is 0 for gamma > 1
+    # and 1 for gamma == 1, but the mask keeps the derivative one-sided (0 at 0).
+    deriv = np.where(r > 0.0, eta * gamma * _slope(pos, gamma), 0.0) if grad else None
+    return value, deriv
+
+
+def _eq_terms(r, eta, gamma, grad):
+    """``eq_penalty`` of a float array ``r``, with no input checks."""
+    mag = np.abs(r)
+    value = eta * mag**gamma
+    deriv = (np.where(r != 0.0, eta * gamma * _slope(mag, gamma) * np.sign(r), 0.0)
+             if grad else None)
+    return value, deriv
+
+
+def _scalar_out(r, value, deriv):
+    """A 0-d residual's penalty and derivative as floats (the derivative may be None)."""
+    if r.ndim == 0:
+        return float(value), deriv if deriv is None else float(deriv)
+    return value, deriv
 
 
 def ineq_penalty(residual, eta, gamma, grad=True):
@@ -159,14 +217,7 @@ def ineq_penalty(residual, eta, gamma, grad=True):
     returns ``None`` for the derivative.
     """
     r = np.asarray(residual, dtype=float)
-    pos = np.maximum(r, 0.0)
-    value = eta * pos**gamma
-    # gamma >= 1 so pos**(gamma-1) is finite; at r == 0 it is 0 for gamma > 1
-    # and 1 for gamma == 1, but the mask keeps the derivative one-sided (0 at 0).
-    deriv = np.where(r > 0.0, eta * gamma * pos ** (gamma - 1.0), 0.0) if grad else None
-    if r.ndim == 0:
-        return float(value), deriv if deriv is None else float(deriv)
-    return value, deriv
+    return _scalar_out(r, *_ineq_terms(r, eta, gamma, grad))
 
 
 def eq_penalty(residual, eta, gamma, grad=True):
@@ -177,13 +228,7 @@ def eq_penalty(residual, eta, gamma, grad=True):
     ``grad=False`` returns ``None`` for it.
     """
     r = np.asarray(residual, dtype=float)
-    mag = np.abs(r)
-    value = eta * mag**gamma
-    deriv = (np.where(r != 0.0, eta * gamma * mag ** (gamma - 1.0) * np.sign(r), 0.0)
-             if grad else None)
-    if r.ndim == 0:
-        return float(value), deriv if deriv is None else float(deriv)
-    return value, deriv
+    return _scalar_out(r, *_eq_terms(r, eta, gamma, grad))
 
 
 @dataclass(frozen=True)

@@ -86,19 +86,24 @@ class ProblemSpec:
         """
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
-        x = x if x.ndim >= 2 else np.atleast_2d(x)
-        p = p if p.ndim >= 2 else np.atleast_2d(p)
-        if x.shape[1:] != (self.decision_dim,):
+        if x.ndim < 2:
+            x = np.atleast_2d(x)
+        if p.ndim < 2:
+            p = np.atleast_2d(p)
+        n, k = x.shape[0], self.decision_dim
+        if x.shape[1:] != (k,):
             raise DimensionError(f"{self.name}: x has shape {x.shape}, "
-                                 f"problem decision dim is {self.decision_dim}")
+                                 f"problem decision dim is {k}")
         cons = self.inequalities + self.equalities
-        values = np.empty((x.shape[0], len(cons)))
-        grads = np.empty((x.shape[0], len(cons), x.shape[1])) if grad else None
+        values = np.empty((n, len(cons)))
+        grads = np.empty((n, len(cons), k)) if grad else None
         for i, c in enumerate(cons):
             v, g = c.fn(x, p, grad=grad)
-            np.subtract(v, c.bound, out=values[:, i])
+            # the difference in the evaluator's own type (float32 stays float32),
+            # written into the float64 column, which broadcasts a scalar
+            np.subtract(v, c.bound, values[:, i])
             if grad:
-                grads[:, i, :] = g
+                grads[:, i] = g
         return ConstraintEval(values, grads, len(self.inequalities))
 
 
@@ -114,8 +119,8 @@ def rosenbrock_objective(x, p, grad=True):
     if not grad:
         return f, None
     g = np.empty((len(f), 2))
-    np.subtract(-4.0 * c1 * x1 * d, 2.0 * e, out=g[:, 0])
-    np.multiply(2.0 * c1, d, out=g[:, 1])
+    np.subtract(-4.0 * c1 * x1 * d, 2.0 * e, g[:, 0])
+    np.multiply(2.0 * c1, d, g[:, 1])
     return f, g
 
 
@@ -123,22 +128,26 @@ def ackley_objective(x, p, grad=True):
     # gradient of the sqrt term is undefined at c3*(x1^2+x2^2) == 0; the zero
     # vector is returned there (valid subgradient, and the optimum in practice)
     x1, x2 = x[:, 0], x[:, 1]
-    c1, c2, c3, c4, c5 = (p[:, i] for i in range(5))
+    c1, c2, c3, c4, c5 = p[:, 0], p[:, 1], p[:, 2], p[:, 3], p[:, 4]
     s = x1 * x1 + x2 * x2
     u = np.sqrt(c3 * s)
     exp1 = np.exp(-c2 * u)
-    cos_sum = np.cos(2.0 * np.pi * x1) + np.cos(2.0 * np.pi * x2)
+    w1, w2 = 2.0 * np.pi * x1, 2.0 * np.pi * x2
+    cos_sum = np.cos(w1) + np.cos(w2)
     exp2 = np.exp(c4 * cos_sum)
     f = -c1 * exp1 - exp2 + np.e + c5
     if not grad:
         return f, None
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_u = np.where(u > 0.0, 1.0 / np.where(u > 0.0, u, 1.0), 0.0)
+    # 1 / u where u > 0, else 0; the divisor is positive or +inf, so no
+    # division by zero and no NaN
+    positive = u > 0.0
+    inv_u = np.where(positive, 1.0 / np.where(positive, u, 1.0), 0.0)
     coef = c1 * c2 * exp1 * c3 * inv_u
+    wave = 2.0 * np.pi * c4
     g = np.empty((len(f), 2))
-    np.add(coef * x1, 2.0 * np.pi * c4 * np.sin(2.0 * np.pi * x1) * exp2, out=g[:, 0])
-    np.add(coef * x2, 2.0 * np.pi * c4 * np.sin(2.0 * np.pi * x2) * exp2, out=g[:, 1])
+    np.add(coef * x1, wave * np.sin(w1) * exp2, g[:, 0])
+    np.add(coef * x2, wave * np.sin(w2) * exp2, g[:, 1])
     return f, g
 
 
