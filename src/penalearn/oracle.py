@@ -465,13 +465,7 @@ def _kkt(spec, P, X, tol) -> float:
     if A.shape[1]:
         lam = np.linalg.lstsq(A, -g)[0]
         r = g + A @ np.where(ineq[active], np.maximum(lam, 0.0), lam)
-    return _norm(r) / (1.0 + _norm(g))
-
-
-def _norm(v) -> float:
-    """``np.linalg.norm`` of a real vector: the root of the same dot product."""
-    v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
+    return float(np.linalg.norm(r) / (1.0 + np.linalg.norm(g)))
 
 
 @np.errstate(all="ignore")

@@ -13,9 +13,7 @@ objective call and one constraint call, returned as one ``LossTerms`` record
 that also carries the residuals: one ``ConstraintEval`` block, inequality
 columns first, which every reader splits at ``n_ineq`` (a block of one kind
 is read whole, not sliced).  Worst violations and feasibility come from its
-``violations``, the penalty and its gradient from its ``penalty``, which
-calls ``ineq_penalty``'s and ``eq_penalty``'s bodies without their input
-checks and starts its row total at the first group's sums.
+``violations``, the penalty and its gradient from its ``penalty``.
 Scorers that read values only (``training.evaluate``, the oracle's ranking in
 ``oracle._best``) call the problem's evaluators with ``grad=False`` instead.
 Training calls it with ``strict=True`` (shapes checked, a non-finite value
@@ -123,12 +121,12 @@ class ConstraintEval:
                 omega *= cfg.indicator_big
         else:
             if r_ineq is not None:
-                values, derivs = _ineq_terms(r_ineq, cfg.eta, cfg.gamma, grad is not None)
+                values, derivs = ineq_penalty(r_ineq, cfg.eta, cfg.gamma, grad is not None)
                 omega = _add(omega, _row_sum(values))
                 if grad is not None:
                     grad = grad + np.einsum("bi,bik->bk", derivs, g_ineq)
             if r_eq is not None:
-                values, derivs = _eq_terms(r_eq, cfg.eta, cfg.gamma, grad is not None)
+                values, derivs = eq_penalty(r_eq, cfg.eta, cfg.gamma, grad is not None)
                 omega = _add(omega, _row_sum(values))
                 if grad is not None:
                     grad = grad + np.einsum("bj,bjk->bk", derivs, g_eq)
@@ -183,32 +181,6 @@ def _slope(a, gamma):
     return a if gamma == 2.0 else a ** (gamma - 1.0)
 
 
-def _ineq_terms(r, eta, gamma, grad):
-    """``ineq_penalty`` of a float array ``r``, with no input checks."""
-    pos = np.maximum(r, 0.0)
-    value = eta * pos**gamma
-    # gamma >= 1 so pos**(gamma-1) is finite; at r == 0 it is 0 for gamma > 1
-    # and 1 for gamma == 1, but the mask keeps the derivative one-sided (0 at 0).
-    deriv = np.where(r > 0.0, eta * gamma * _slope(pos, gamma), 0.0) if grad else None
-    return value, deriv
-
-
-def _eq_terms(r, eta, gamma, grad):
-    """``eq_penalty`` of a float array ``r``, with no input checks."""
-    mag = np.abs(r)
-    value = eta * mag**gamma
-    deriv = (np.where(r != 0.0, eta * gamma * _slope(mag, gamma) * np.sign(r), 0.0)
-             if grad else None)
-    return value, deriv
-
-
-def _scalar_out(r, value, deriv):
-    """A 0-d residual's penalty and derivative as floats (the derivative may be None)."""
-    if r.ndim == 0:
-        return float(value), deriv if deriv is None else float(deriv)
-    return value, deriv
-
-
 def ineq_penalty(residual, eta, gamma, grad=True):
     """Penalty and d(penalty)/d(residual) for one inequality residual.
 
@@ -217,7 +189,14 @@ def ineq_penalty(residual, eta, gamma, grad=True):
     returns ``None`` for the derivative.
     """
     r = np.asarray(residual, dtype=float)
-    return _scalar_out(r, *_ineq_terms(r, eta, gamma, grad))
+    pos = np.maximum(r, 0.0)
+    value = eta * pos**gamma
+    # gamma >= 1 so pos**(gamma-1) is finite; at r == 0 it is 0 for gamma > 1
+    # and 1 for gamma == 1, but the mask keeps the derivative one-sided (0 at 0).
+    deriv = np.where(r > 0.0, eta * gamma * _slope(pos, gamma), 0.0) if grad else None
+    if r.ndim == 0:
+        return float(value), deriv if deriv is None else float(deriv)
+    return value, deriv
 
 
 def eq_penalty(residual, eta, gamma, grad=True):
@@ -228,7 +207,13 @@ def eq_penalty(residual, eta, gamma, grad=True):
     ``grad=False`` returns ``None`` for it.
     """
     r = np.asarray(residual, dtype=float)
-    return _scalar_out(r, *_eq_terms(r, eta, gamma, grad))
+    mag = np.abs(r)
+    value = eta * mag**gamma
+    deriv = (np.where(r != 0.0, eta * gamma * _slope(mag, gamma) * np.sign(r), 0.0)
+             if grad else None)
+    if r.ndim == 0:
+        return float(value), deriv if deriv is None else float(deriv)
+    return value, deriv
 
 
 @dataclass(frozen=True)

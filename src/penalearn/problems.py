@@ -86,17 +86,14 @@ class ProblemSpec:
         """
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
-        if x.ndim < 2:
-            x = np.atleast_2d(x)
-        if p.ndim < 2:
-            p = np.atleast_2d(p)
-        n, k = x.shape[0], self.decision_dim
-        if x.shape[1:] != (k,):
+        x = x if x.ndim >= 2 else np.atleast_2d(x)
+        p = p if p.ndim >= 2 else np.atleast_2d(p)
+        if x.shape[1:] != (self.decision_dim,):
             raise DimensionError(f"{self.name}: x has shape {x.shape}, "
-                                 f"problem decision dim is {k}")
+                                 f"problem decision dim is {self.decision_dim}")
         cons = self.inequalities + self.equalities
-        values = np.empty((n, len(cons)))
-        grads = np.empty((n, len(cons), k)) if grad else None
+        values = np.empty((x.shape[0], len(cons)))
+        grads = np.empty((x.shape[0], len(cons), x.shape[1])) if grad else None
         for i, c in enumerate(cons):
             v, g = c.fn(x, p, grad=grad)
             # the difference in the evaluator's own type (float32 stays float32),
