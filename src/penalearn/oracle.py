@@ -412,19 +412,15 @@ def _stages(spec, p, X, cfg: OracleConfig):
     """Up to 12 multiplier stages from the starts ``X``, whose rows it overwrites;
     returns ``(X, ok)``, ``ok`` a per-row finite flag."""
     n_ineq = len(spec.inequalities)
-    m = n_ineq + len(spec.equalities)
     ok = np.ones(X.shape[0], dtype=bool)
     rows = np.arange(X.shape[0])  # the starts still running
-    shift = np.zeros((X.shape[0], m))  # theirs, row for row
+    shift = np.zeros((X.shape[0], n_ineq + len(spec.equalities)))  # theirs, row for row
     for _ in range(_AL_MAX_STAGES):
         if not rows.size:  # every start stopped, or there was none: nothing to evaluate
             break
         X[rows], ok[rows], R = _descend_batch(spec, p, X[rows], shift, cfg)
         after = shift + R
-        if n_ineq == m:
-            after = np.maximum(0.0, after)
-        elif n_ineq:
-            after[:, :n_ineq] = np.maximum(0.0, after[:, :n_ineq])
+        after[:, :n_ineq] = np.maximum(0.0, after[:, :n_ineq])
         # a shift moves by its constraint's violation, or by how far an
         # inequality with a positive multiplier sits inside its boundary
         keep = ok[rows] & ~np.logical_and.reduce(np.abs(after - shift) <= cfg.feasible_tol / 10,
