@@ -46,7 +46,8 @@ import numpy as np
 
 from .errors import (DimensionError, NonFiniteError, OracleError, UnsupportedError, all_finite,
                      real_value, require, require_int, require_real)
-from .penalty import ConstraintEval, PenaltyConfig, _row_max, loss_terms_batch
+from .penalty import (ConstraintEval, PenaltyConfig, _ineq_penalty_row, _row_max,
+                      loss_terms_batch)
 from .penalty import violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ProblemSpec
 
@@ -269,39 +270,92 @@ def _dot(a, b):
     return s
 
 
-def _descend_row(fg, X0, shift, cfg: OracleConfig):
+def _row_terms(spec, p, points, shift):
+    """The stage loss of each point of ``points`` (lists of floats) at the
+    parameters ``p`` and the residual shift ``shift`` (lists of floats):
+    one ``(loss, gradient list, residual list)`` per point, the residuals
+    unshifted and laid out as ``shift``.
+
+    Its float backend runs when the objective and every constraint carry a
+    ``row`` form (see ``problems``) and every constraint is an inequality:
+    each point is evaluated on Python floats, with the penalty of
+    ``penalty._ineq_penalty_row``, and gets the bits ``loss_terms_batch``
+    gives its row wherever they are finite.  Otherwise the points are one
+    ``loss_terms_batch`` call.
+    """
+    try:
+        f_row = spec.objective.row
+        rows = [(c.fn.row, c.bound) for c in spec.inequalities]
+    except AttributeError:
+        rows = None
+    if rows is None or spec.equalities:
+        n = len(points)
+        terms = loss_terms_batch(np.array(points), np.array([p] * n), spec, _STAGE_PENALTY,
+                                 strict=False, shift=np.array([shift] * n))
+        # with no constraint the gradient is the objective's own, of any float type;
+        # widened, it gets the double arithmetic that the descent's floats get
+        return list(zip(terms.loss.tolist(), np.asarray(terms.grad, dtype=float).tolist(),
+                        terms.constraints.values.tolist()))
+    out = []
+    for x in points:
+        f, g = f_row(x, p)
+        values, grads = [], []
+        for c_row, bound in rows:
+            v, gc = c_row(x, p)
+            values.append(v - bound)
+            grads.append(gc)
+        omega, g = _ineq_penalty_row(values, grads, shift, _STAGE_PENALTY.eta, g)
+        out.append((f + omega, g, values))
+    return out
+
+
+def _search_row(spec, p, X, G, shift, ref, gnorm2, t):
+    """The line search of ``_descend_batch`` for one row, on lists: the first of
+    the steps t * 2^-j, j = 0 ... ``_MAX_HALVINGS`` - 1, whose trial passes, as
+    ``(x, loss, gradient, residuals, step)``, or ``None`` when none does.
+
+    The first trial is evaluated alone, then up to ``_HALVINGS_PER_EVAL``
+    halvings per ``_row_terms`` call, each step halved from the one before.
+    """
+    steps, left = [t], _MAX_HALVINGS - 1
+    while True:
+        points = [[x - s * g for x, g in zip(X, G)] for s in steps]
+        for s, x, (f, g, r) in zip(steps, points, _row_terms(spec, p, points, shift)):
+            if math.isfinite(f) and all(map(math.isfinite, g)) and f <= ref - 1e-4 * s * gnorm2:
+                return x, f, g, r, s
+        if not left:
+            return None
+        s, steps = steps[-1], []
+        for _ in range(min(left, _HALVINGS_PER_EVAL)):
+            s *= 0.5
+            steps.append(s)
+        left -= len(steps)
+
+
+def _descend_row(spec, p, X0, shift, cfg: OracleConfig):
     """``_descend_batch`` on one row of fewer than 8 columns, on Python floats.
 
     CPython's float + - * / and ``math.sqrt`` are numpy's IEEE-754 operations;
     each expression keeps the batch path's order and row sums go left to right,
     so the bits are the batch path's.  A window maximum may differ from numpy's
-    only in a zero's sign, which the ``<=`` test cannot see.  Evaluations are
-    still (1, k) ``fg`` calls, and a failed first trial goes to ``_halve``.
+    only in a zero's sign, which the ``<=`` test cannot see.  Every evaluation
+    is a ``_row_terms`` call, where the batch path makes a ``loss_terms_batch``
+    call: the first trial alone, then a failed one's halvings in groups.
     """
-    F, G, R = fg(X0, shift)
-    F, G = F.item(), G[0].tolist()
+    p, shift = p.tolist(), shift[0].tolist()
+    X = X0[0].tolist()
+    [(F, G, R)] = _row_terms(spec, p, [X], shift)
     ok = math.isfinite(F) and all(map(math.isfinite, G))
     gnorm2 = _dot(G, G)
     if not (ok and gnorm2 > 0.0):
-        return X0.copy(), np.array([ok]), R
-    X = X0[0].tolist()
+        return X0.copy(), np.array([ok]), np.array([R])
     step = cfg.descent_lr / (1.0 + math.sqrt(gnorm2))
     history = [F] * _NONMONOTONE_WINDOW
     for k in range(cfg.descent_steps):
-        ref, t = max(history), step
-        xt = [x - t * g for x, g in zip(X, G)]
-        Xt = np.array([xt])
-        Ft, Gt, Rt = fg(Xt, shift)
-        ft, gt = Ft.item(), Gt[0].tolist()
-        if not (math.isfinite(ft) and all(map(math.isfinite, gt))
-                and ft <= ref - 1e-4 * t * gnorm2):
-            trial, idx = _halve(fg, np.array([X]), np.array([G]), shift, np.array([ref]),
-                                np.array([gnorm2]), (Xt, Ft, Gt, Rt, np.array([t])),
-                                np.zeros(1, dtype=np.intp))
-            if idx.size:  # no trial passed: the row stays where it is and ends
-                break
-            Xt, Ft, Gt, Rt, t = trial
-            xt, ft, gt, t = Xt[0].tolist(), Ft.item(), Gt[0].tolist(), t.item()
+        trial = _search_row(spec, p, X, G, shift, max(history), gnorm2, step)
+        if trial is None:  # no trial passed: the row stays where it is and ends
+            break
+        xt, ft, gt, rt, t = trial
         # S.Y, Y.Y and S.S, and the new point's G.G and X.X, each summed left to right
         sy = yy = ss = gnorm2 = xx = 0.0
         for a, b, c, d in zip(xt, X, gt, G):
@@ -313,11 +367,11 @@ def _descend_row(fg, X0, shift, cfg: OracleConfig):
             xx += a * a
         # min(max(...)) in this order keeps a NaN step NaN, as np.minimum and np.maximum do
         step = min(max(sy / yy if sy > 0.0 and yy > 0.0 else t * 2.0, 1e-14), 1e3)
-        X, G, R = xt, gt, Rt
+        X, G, R = xt, gt, rt
         history[k % _NONMONOTONE_WINDOW] = ft
         if not (gnorm2 > 0.0 and math.sqrt(ss) > _MOVE_TOL * (1.0 + math.sqrt(xx))):
             break
-    return np.array([X]), np.array([True]), R
+    return np.array([X]), np.array([True]), np.array([R])
 
 
 def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
@@ -341,6 +395,8 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     (``ConstraintEval.values``, laid out as ``shift``).  The caller silences
     numpy's floating-point warnings, as ``solve`` does.
     """
+    if X0.shape[0] == 1 and X0.shape[1] < 8:
+        return _descend_row(spec, p, X0, shift, cfg)
     P = np.broadcast_to(p, (X0.shape[0] * _HALVINGS_PER_EVAL, p.size))
 
     def fg(X, S):
@@ -350,8 +406,6 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
         # widened, it gets the double arithmetic that the row path's floats get
         return terms.loss, np.asarray(terms.grad, dtype=float), terms.constraints.values
 
-    if X0.shape[0] == 1 and X0.shape[1] < 8:
-        return _descend_row(fg, X0, shift, cfg)
     # row sums are np.add.reduce(A * B, 1), as np.linalg.norm(A, axis=1) sums on real
     # input; einsum("ij,ij->i", A, B) gives the same bits only up to k = 2 columns
     F, G, R = fg(X0, shift)

@@ -32,7 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, all_finite, require, require_real
+from .errors import (DimensionError, NonFiniteError, all_finite, real_value, require,
+                     require_real)
 
 PENALTY_MODES = ("piecewise", "indicator")
 
@@ -121,16 +122,42 @@ class ConstraintEval:
                 omega *= cfg.indicator_big
         else:
             if r_ineq is not None:
-                values, derivs = ineq_penalty(r_ineq, cfg.eta, cfg.gamma, grad is not None)
+                values, derivs = _ineq_penalty(r_ineq, cfg.eta, cfg.gamma, grad is not None)
                 omega = _add(omega, _row_sum(values))
                 if grad is not None:
                     grad = grad + np.einsum("bi,bik->bk", derivs, g_ineq)
             if r_eq is not None:
-                values, derivs = eq_penalty(r_eq, cfg.eta, cfg.gamma, grad is not None)
+                values, derivs = _eq_penalty(r_eq, cfg.eta, cfg.gamma, grad is not None)
                 omega = _add(omega, _row_sum(values))
                 if grad is not None:
                     grad = grad + np.einsum("bj,bjk->bk", derivs, g_eq)
         return (np.zeros(r.shape[0]) if omega is None else omega), grad
+
+
+def _ineq_penalty_row(values, grads, shift, eta, grad):
+    """``ConstraintEval.penalty`` of one point's inequality residuals at
+    ``PenaltyConfig(eta=eta, gamma=2.0)`` and ``shift``, on Python floats:
+    (penalty, ``grad`` + the penalty's gradient).
+
+    ``values`` and ``shift`` are lists, one float per column, ``grads`` one
+    gradient list per column and ``grad`` the objective's gradient list.
+    The operations are the block's, in its order: pos = max(r + s, 0),
+    eta * (pos * pos) per column, summed left to right from +0.0, and
+    component k of the gradient gains ((0.0 + d0 * G0k) + d1 * G1k) + ...,
+    as ``np.einsum`` sums it for 2 or more decision variables.  With fewer
+    than 8 columns, where numpy's row sum also runs left to right, the bits
+    are the block's wherever its values are finite.
+    """
+    if not values:
+        return 0.0, grad
+    omega, dg = 0.0, [0.0] * len(grad)
+    for v, s, g in zip(values, shift, grads):
+        r = v + s
+        pos = max(r, 0.0)  # a NaN stays NaN, as np.maximum keeps it
+        omega += eta * (pos * pos)
+        d = eta * 2.0 * pos if r > 0.0 else 0.0
+        dg = [a + d * b for a, b in zip(dg, g)]
+    return omega, [a + b for a, b in zip(grad, dg)]
 
 
 def _add(total, part):
@@ -186,8 +213,20 @@ def ineq_penalty(residual, eta, gamma, grad=True):
 
     Zero on the feasible side (residual <= 0); eta*residual^gamma outside.
     Elementwise over arrays; scalars in, scalars out.  ``grad=False``
-    returns ``None`` for the derivative.
+    returns ``None`` for the derivative.  ``eta`` must be a finite real > 0
+    and ``gamma`` a finite real >= 1, as in ``PenaltyConfig`` (``ConfigError``
+    naming the argument).
     """
+    return _ineq_penalty(residual, *_weights(eta, gamma), grad)
+
+
+def _weights(eta, gamma):
+    """(``eta``, ``gamma``) as floats, checked as ``PenaltyConfig`` checks them."""
+    return real_value("eta", eta, above=0), real_value("gamma", gamma, at_least=1)
+
+
+def _ineq_penalty(residual, eta, gamma, grad):
+    """``ineq_penalty`` without the checks of ``eta`` and ``gamma``."""
     r = np.asarray(residual, dtype=float)
     pos = np.maximum(r, 0.0)
     value = eta * pos**gamma
@@ -204,8 +243,14 @@ def eq_penalty(residual, eta, gamma, grad=True):
 
     The derivative is eta*gamma*|r|^(gamma-1)*sign(r), taken as 0 at r == 0
     (the subgradient choice that keeps feasible points gradient-free);
-    ``grad=False`` returns ``None`` for it.
+    ``grad=False`` returns ``None`` for it.  ``eta`` and ``gamma`` are
+    checked as ``ineq_penalty`` checks them.
     """
+    return _eq_penalty(residual, *_weights(eta, gamma), grad)
+
+
+def _eq_penalty(residual, eta, gamma, grad):
+    """``eq_penalty`` without the checks of ``eta`` and ``gamma``."""
     r = np.asarray(residual, dtype=float)
     mag = np.abs(r)
     value = eta * mag**gamma

@@ -20,6 +20,15 @@ very expressions the gradient path uses.  Every caller passes ``grad=``, and
 a ``ProblemSpec`` whose evaluators cannot take it is a ``ConfigError``.
 ``ProblemSpec.constraint_eval`` evaluates every constraint into one residual
 block, the inequalities first (``ConstraintEval``).
+
+The rosenbrock objective and the disk and coordinate constraints also carry
+a ``row`` attribute, ``row(x, p) -> (value, gradient list)`` on one point's
+Python floats (``x`` and ``p`` sequences of floats): the batch evaluator's
+formula, written once for both, so its IEEE-754 operations run in the same
+order and give the batch's bits wherever the batch's value is finite.  The
+oracle's lone descents evaluate through them (``oracle._row_terms``); ackley
+has none, since ``math``'s exp, cos and sin may differ from numpy's in the
+last bit.
 """
 
 from __future__ import annotations
@@ -107,18 +116,32 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 # objectives
 
-def rosenbrock_objective(x, p, grad=True):
-    x1, x2 = x[:, 0], x[:, 1]
-    c1, c2 = p[:, 0], p[:, 1]
+def _rosenbrock(x1, x2, c1, c2, grad):
+    """(f, df/dx1, df/dx2) of arrays or of one point's floats; without ``grad``
+    the derivatives are ``None``."""
     d = x2 - x1 * x1
     e = c2 - x1
     f = c1 * d * d + e * e  # e * e has the bits of e ** 2
     if not grad:
+        return f, None, None
+    return f, -4.0 * c1 * x1 * d - 2.0 * e, 2.0 * c1 * d
+
+
+def rosenbrock_objective(x, p, grad=True):
+    f, g1, g2 = _rosenbrock(x[:, 0], x[:, 1], p[:, 0], p[:, 1], grad)
+    if not grad:
         return f, None
     g = np.empty((len(f), 2))
-    np.subtract(-4.0 * c1 * x1 * d, 2.0 * e, g[:, 0])
-    np.multiply(2.0 * c1, d, g[:, 1])
+    g[:, 0], g[:, 1] = g1, g2
     return f, g
+
+
+def _rosenbrock_row(x, p):
+    f, g1, g2 = _rosenbrock(x[0], x[1], p[0], p[1], True)
+    return f, [g1, g2]
+
+
+rosenbrock_objective.row = _rosenbrock_row
 
 
 def ackley_objective(x, p, grad=True):
@@ -150,9 +173,15 @@ def ackley_objective(x, p, grad=True):
 
 # constraint evaluators
 
+def _disk(x1, x2):
+    return x1 * x1 + x2 * x2  # x * x has the bits of x ** 2
+
+
 def disk_constraint(x, p, grad=True):
-    v = x[:, 0] ** 2 + x[:, 1] ** 2
-    return v, 2.0 * x if grad else None
+    return _disk(x[:, 0], x[:, 1]), 2.0 * x if grad else None
+
+
+disk_constraint.row = lambda x, p: (_disk(x[0], x[1]), [2.0 * x[0], 2.0 * x[1]])
 
 
 def coordinate_constraint(index):
@@ -163,6 +192,12 @@ def coordinate_constraint(index):
             g[:, index] = 1.0
         return x[:, index].copy(), g
 
+    def row(x, p):
+        g = [0.0] * len(x)
+        g[index] = 1.0
+        return x[index], g
+
+    fn.row = row
     return fn
 
 

@@ -434,14 +434,20 @@ def test_the_nonmonotone_window_compares_against_the_losses_seen_so_far(monkeypa
     # the descent computed for that trial
     spec, p = make_problem("rosenbrock-1c"), np.array([1.0, 1.0])
     x0, shift = grid_scan(spec, p).x[None], np.zeros((1, 1))
-    loss_at, evaluator = {}, oracle.loss_terms_batch
+    loss_at, evaluator, row_terms = {}, oracle.loss_terms_batch, oracle._row_terms
 
     def spy(X, *args, **kwargs):
         terms = evaluator(X, *args, **kwargs)
         loss_at.update(zip((x.tobytes() for x in X), terms.loss))
         return terms
 
+    def row_spy(spec, p, points, shift):  # the lone row's evaluations
+        out = row_terms(spec, p, points, shift)
+        loss_at.update((np.array(x).tobytes(), f) for x, (f, _, _) in zip(points, out))
+        return out
+
     monkeypatch.setattr(oracle, "loss_terms_batch", spy)
+    monkeypatch.setattr(oracle, "_row_terms", row_spy)
     ends = [x0.tobytes()]  # the start, then the point after each step
     with np.errstate(all="ignore"):
         for steps in range(1, OracleConfig().descent_steps + 1):
@@ -616,19 +622,128 @@ def test_a_row_of_8_columns_takes_the_batch_path(monkeypatch):
         assert a[0].tobytes() == b[0].tobytes()
 
 
+def _row_points(spec, rng):
+    """(points, parameters, shifts), one row each: seeded points in [-6, 6]^2,
+    points on each constraint's boundary, signed zeros, points whose values
+    overflow, and NaN and +-inf coordinates; the shifts are zero, positive,
+    -0.0 and random in turn, and every fifth one puts a residual exactly at 0."""
+    m = len(spec.inequalities)
+    edges = [(1.0, 0.0), (0.6, -0.8), (0.0, -1.0), (-2.5, -1.0), (-2.5, 0.0), (0.0, -0.0),
+             (-0.0, -0.0), (-0.0, 0.0), (1e155, 1.0), (1.0, -1e200), (-1e300, 1e300),
+             (np.nan, 0.5), (0.5, np.nan), (np.inf, 0.0), (-np.inf, 1.0), (0.5, -np.inf),
+             (np.inf, -np.inf)]
+    X = np.vstack([rng.uniform(-6.0, 6.0, (3000, 2)), np.array(edges * 8)])
+    P = sample_params(spec, len(X), 9)
+    P[::7, 0] = 1e308  # -4 * c1 overflows
+    P[3::11] = [0.0, -0.0]
+    shift = np.zeros((len(X), m))
+    shift[1::4] = rng.uniform(0.0, 30.0, (len(shift[1::4]), m))
+    shift[2::4] = -0.0
+    shift[3::4] = rng.uniform(-30.0, 30.0, (len(shift[3::4]), m))
+    with np.errstate(all="ignore"):
+        shift[::5] = -spec.constraint_eval(X[::5], P[::5], grad=False).values
+    return X, P, shift
+
+
+@pytest.mark.parametrize("name", ["rosenbrock-1c", "rosenbrock-3c"])
+def test_the_float_row_evaluation_has_the_bits_of_loss_terms_batch(name):
+    # where the batch's value is finite the float backend gives its bits, the
+    # signs of zeros included; where it is not, the float value is not finite either
+    spec = make_problem(name)
+    X, P, shift = _row_points(spec, np.random.default_rng(31))
+
+    def same(a, b, where):
+        assert np.isfinite(a) == np.isfinite(b), where
+        if np.isfinite(b):
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), where
+
+    with np.errstate(all="ignore"):
+        for i in range(len(X)):
+            [(f, g, r)] = oracle._row_terms(spec, P[i].tolist(), [X[i].tolist()],
+                                            shift[i].tolist())
+            t = loss_terms_batch(X[i:i + 1], P[i:i + 1], spec, oracle._STAGE_PENALTY,
+                                 strict=False, shift=shift[i:i + 1])
+            assert len(g) == 2 and len(r) == len(spec.inequalities)
+            same(f, t.loss[0], (i, "loss"))
+            for j in range(2):
+                same(g[j], t.grad[0, j], (i, "grad", j))
+            for j in range(len(r)):
+                same(r[j], t.constraints.values[0, j], (i, "residual", j))
+
+
+def _without_rows(spec):
+    """``spec`` with each evaluator wrapped in a plain function, which has no ``row``."""
+    def plain(fn):
+        return lambda x, p, grad=True: fn(x, p, grad=grad)
+
+    return dataclasses.replace(spec, objective=plain(spec.objective),
+                               inequalities=tuple(Constraint(plain(c.fn), c.bound)
+                                                  for c in spec.inequalities))
+
+
+BACKEND_CASES = {
+    # from (0, 0) at (c1, c2) = (30, 0.5) a first trial overshoots
+    "first-trial-fails": ([0.0, 0.0], [30.0, 0.5], 0.0, OracleConfig(descent_lr=100.0)),
+    "all-45-trials-fail": ([0.3, 0.2], [1.0, 0.5], 0.0, OracleConfig(descent_lr=1e300)),
+    "step-cap": ([-1.5, 2.0], [1.0, 0.5], 0.0, OracleConfig(descent_steps=3)),
+    "non-finite-start": ([1e155, 1.0], [1.0, 0.5], 0.0, OracleConfig()),
+    "disk-active": ([0.6, 0.3], [1.0, 1.0], 0.0, OracleConfig()),
+    "disk-active-shifted": ([0.6, 0.3], [1.0, 1.0], 0.25, OracleConfig()),
+}
+
+
+@pytest.mark.parametrize("case", list(BACKEND_CASES))
+@pytest.mark.parametrize("name", ["rosenbrock-1c", "rosenbrock-3c"])
+def test_a_lone_row_descends_to_the_same_bits_on_either_backend(monkeypatch, name, case):
+    # the registry's evaluators carry row forms and take the float backend; the
+    # same evaluators wrapped in plain functions take the numpy one
+    x0, p, s, cfg = BACKEND_CASES[case]
+    spec = make_problem(name)
+    X0, p = np.array([x0]), np.array(p)
+    shift = np.full((1, len(spec.inequalities)), s)
+    batches, evaluator = [], oracle.loss_terms_batch
+    monkeypatch.setattr(oracle, "loss_terms_batch",
+                        lambda X, *a, **k: batches.append(len(X)) or evaluator(X, *a, **k))
+    with np.errstate(all="ignore"):
+        floats = oracle._descend_batch(spec, p, X0, shift, cfg)
+        assert not batches
+        arrays = oracle._descend_batch(_without_rows(spec), p, X0, shift, cfg)
+    assert batches
+    for a, b in zip(floats, arrays):
+        assert a.tobytes() == b.tobytes(), (a, b)
+    # each case reaches the path it names
+    if case == "first-trial-fails":
+        assert max(batches) > 1  # a halving group
+    elif case == "all-45-trials-fail":
+        assert batches == [1, 1, 8, 8, 8, 8, 8, 4] and floats[0].tobytes() == X0.tobytes()
+    elif case == "step-cap":
+        longer = dataclasses.replace(cfg, descent_steps=4)
+        with np.errstate(all="ignore"):
+            more = oracle._descend_batch(spec, p, X0, shift, longer)[0]
+        assert floats[0].tobytes() != more.tobytes()
+    elif case == "non-finite-start":
+        assert batches == [1] and not floats[1][0]
+    else:  # the disk's penalty is active at the end
+        assert floats[2][0, 0] + s > 0.0
+
+
 def test_line_search_bits_do_not_depend_on_halvings_per_eval(monkeypatch):
     # a row whose first trial fails tries its next halvings as extra rows of
     # one evaluation; at descent_lr=1e6 most trials fail, and at 45 one
     # evaluation holds every halving a step may try
     spec = make_problem("rosenbrock-1c")
-    evaluator = oracle.loss_terms_batch
     calls = [0]
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return evaluator(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(oracle, "loss_terms_batch", counted)
+    # a lone rosenbrock row evaluates on floats, through _row_terms alone; the
+    # batch path calls loss_terms_batch
+    monkeypatch.setattr(oracle, "loss_terms_batch", counted(oracle.loss_terms_batch))
+    monkeypatch.setattr(oracle, "_row_terms", counted(oracle._row_terms))
     runs, evaluations = {}, {}
     for per_eval in (1, 2, 8, 45):
         monkeypatch.setattr(oracle, "_HALVINGS_PER_EVAL", per_eval)
@@ -1019,13 +1134,18 @@ def test_a_fallback_with_no_starts_evaluates_no_empty_batch(monkeypatch):
     # evaluates nothing, and the answer is the grid start's descent, as certified
     spec, p, cfg = make_problem("rosenbrock-1c"), np.array([25.0, 0.3]), OracleConfig(starts=0)
     want = solve(spec, p, cfg)
-    rows, evaluator = [], oracle.loss_terms_batch
+    rows, evaluator, row_terms = [], oracle.loss_terms_batch, oracle._row_terms
 
     def spy(X, *args, **kwargs):
         rows.append(X.shape[0])
         return evaluator(X, *args, **kwargs)
 
+    def row_spy(spec, p, points, shift):
+        rows.append(len(points))
+        return row_terms(spec, p, points, shift)
+
     monkeypatch.setattr(oracle, "loss_terms_batch", spy)
+    monkeypatch.setattr(oracle, "_row_terms", row_spy)
     _force_fallback(monkeypatch)
     sol = solve(spec, p, cfg)
     assert want.certified and not sol.certified

@@ -100,6 +100,32 @@ def test_config_validation():
             PenaltyConfig(**{removed: 1e8})
 
 
+@pytest.mark.parametrize("penalty_fn", [ineq_penalty, eq_penalty])
+@pytest.mark.parametrize("field, value", [
+    ("eta", -1.0), ("eta", 0.0), ("eta", float("nan")), ("eta", float("inf")), ("eta", True),
+    ("eta", "1e8"), ("gamma", 0.5), ("gamma", float("nan")), ("gamma", -float("inf")),
+    ("gamma", True), ("gamma", None)])
+def test_the_exported_penalties_check_eta_and_gamma_as_penalty_config_does(penalty_fn, field,
+                                                                           value):
+    # ineq_penalty(0.5, -1.0, 0.5) returned -0.707; a NaN eta returned NaN and
+    # eta=True passed
+    weights = {"eta": 1e8, "gamma": 2.0, field: value}
+    with pytest.raises(ConfigError) as err:
+        penalty_fn(0.5, **weights)
+    assert err.value.field == field and field in str(err.value)
+    with pytest.raises(ConfigError):
+        PenaltyConfig(**weights)
+
+
+def test_the_exported_penalties_take_numpy_and_integer_weights_with_the_bits_of_floats():
+    r = np.array([-0.5, 0.0, 0.25, 3.0])
+    for penalty_fn in (ineq_penalty, eq_penalty):
+        want = penalty_fn(r, 1e8, 2.0)
+        for eta, gamma in ((np.float64(1e8), 2), (100000000, np.float32(2.0))):
+            got = penalty_fn(r, eta, gamma)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_zero_penalty_inside_feasible_set():
     cfg = PenaltyConfig()
     rng = np.random.default_rng(2)

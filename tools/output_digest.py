@@ -13,7 +13,7 @@ the raw bytes of each solution's ``x``, ``objective``, ``max_violation`` and
 ``method`` are hashed; a ``.certified`` line beside each of these sets
 hashes which answers ``solve`` certified, so a change in how often it falls
 back to its random starts shows, and a ``.evals`` line hashes how many
-``loss_terms_batch`` calls each solve made, so a change in how much a solve
+evaluations each solve made, so a change in how much a solve
 evaluates shows even where its answers keep their bits (see
 ``counted_answers``; the three rosenbrock-1c reference cases of ``table``
 get such a line too).  The grid point wins every ackley-1c solve
@@ -114,19 +114,29 @@ def answers(spec, params, oracle_fn=solve) -> list:
 
 def counted_answers(spec, params):
     """``solve``'s answer on each parameter row, and the raw bits of the
-    number of ``loss_terms_batch`` calls each made (int64, one per row).
+    number of evaluations each made (int64, one per row).
 
-    The calls are counted by a wrapper set on ``penalearn.oracle`` for the
-    duration, the name the oracle evaluates through; the program is not
-    changed.
+    An evaluation is a ``loss_terms_batch`` call, or a ``_row_terms`` call,
+    the one-row descent's evaluator, with the ``loss_terms_batch`` call that
+    its numpy backend makes inside it not counted again.  The calls are
+    counted by wrappers set on ``penalearn.oracle`` for the duration, the
+    names the oracle evaluates through; the program is not changed.
     """
-    evaluator, calls, counts = oracle.loss_terms_batch, [0], []
+    saved, calls, depth, counts = {}, [0], [0], []
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return evaluator(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += not depth[0]  # an outermost call
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
 
-    oracle.loss_terms_batch = counted
+    for name in ("loss_terms_batch", "_row_terms"):
+        saved[name] = getattr(oracle, name)
+        setattr(oracle, name, counted(saved[name]))
     try:
         solutions = []
         for p in params:
@@ -134,7 +144,8 @@ def counted_answers(spec, params):
             solutions.append(solve(spec, p))
             counts.append(calls[0])
     finally:
-        oracle.loss_terms_batch = evaluator
+        for name, fn in saved.items():
+            setattr(oracle, name, fn)
     return solutions, np.array(counts, dtype=np.int64).tobytes()
 
 
