@@ -23,7 +23,10 @@ trial fails tries its next halvings, up to 8 in one evaluation, and takes
 the first that passes, with the bits of halving one trial at a time.  A lone
 start of fewer than 8 columns, such as the grid start that every certified
 solve descends, runs the same iteration on Python floats, with the same bits
-and without numpy's fixed cost per call on its 1-element arrays.
+and without numpy's fixed cost per call on its 1-element arrays.  Its
+evaluations run on floats too where the objective and every constraint have
+a float ``row`` form and every constraint is an inequality (``_row_terms``),
+again with the batch's bits; elsewhere each is one ``loss_terms_batch`` call.
 
 One function, ``_best``, ranks the grid scan's points and ``solve``'s final
 candidates: feasible first, then by objective, and with no feasible

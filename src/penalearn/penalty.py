@@ -22,6 +22,13 @@ calls it with ``strict=False`` (no checks, floating-point warnings silenced,
 non-finite rows come back as inf/nan and lose the line search).  Strict mode
 tests the objective's and the constraints' outputs with one whole-array test
 each and runs the per-constraint diagnosis only when a test fails.
+
+``_ineq_penalty_row`` is the one other form of the penalty: one point's
+inequality columns at gamma 2 on Python floats, the penalty of the oracle's
+lone descents (``oracle._row_terms``), in ``ConstraintEval.penalty``'s order
+and with its bits.  The exported ``ineq_penalty`` and ``eq_penalty`` check
+``eta`` and ``gamma`` as ``PenaltyConfig`` does; the block calls their
+unchecked bodies, whose weights its config has already checked.
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ block, the inequalities first (``ConstraintEval``).
 The rosenbrock objective and the disk and coordinate constraints also carry
 a ``row`` attribute, ``row(x, p) -> (value, gradient list)`` on one point's
 Python floats (``x`` and ``p`` sequences of floats): the batch evaluator's
-formula, written once for both, so its IEEE-754 operations run in the same
-order and give the batch's bits wherever the batch's value is finite.  The
+formula, written once for both where that costs the batch nothing, so its
+IEEE-754 operations run in the same order and give the batch's bits
+wherever the batch's value is finite.  The
 oracle's lone descents evaluate through them (``oracle._row_terms``); ackley
 has none, since ``math``'s exp, cos and sin may differ from numpy's in the
 last bit.
@@ -173,15 +174,16 @@ def ackley_objective(x, p, grad=True):
 
 # constraint evaluators
 
-def _disk(x1, x2):
-    return x1 * x1 + x2 * x2  # x * x has the bits of x ** 2
-
-
 def disk_constraint(x, p, grad=True):
-    return _disk(x[:, 0], x[:, 1]), 2.0 * x if grad else None
+    v = x[:, 0] ** 2 + x[:, 1] ** 2
+    return v, 2.0 * x if grad else None
 
 
-disk_constraint.row = lambda x, p: (_disk(x[0], x[1]), [2.0 * x[0], 2.0 * x[1]])
+# numpy's x ** 2 is x * x; a float's ** 2 would call pow and raise on overflow.
+# The batch form keeps ** 2: numpy squares a strided column faster than it
+# multiplies it by itself (4.9 against 7.9 us per 4,096-row grid chunk on a
+# 2-CPU x86-64 machine)
+disk_constraint.row = lambda x, p: (x[0] * x[0] + x[1] * x[1], [2.0 * x[0], 2.0 * x[1]])
 
 
 def coordinate_constraint(index):
