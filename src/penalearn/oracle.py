@@ -273,6 +273,15 @@ def _dot(a, b):
     return s
 
 
+def _stage_terms(spec, X, P, S):
+    """(loss, gradient, residuals) of the stage loss at the points ``X``, the
+    parameters ``P`` and the residual shifts ``S``: one ``loss_terms_batch`` call."""
+    terms = loss_terms_batch(X, P, spec, _STAGE_PENALTY, strict=False, shift=S)
+    # with no constraint the gradient is the objective's own, of any float type;
+    # widened, it gets the double arithmetic that the row path's floats get
+    return terms.loss, np.asarray(terms.grad, dtype=float), terms.constraints.values
+
+
 def _row_terms(spec, p, points, shift):
     """The stage loss of each point of ``points`` (lists of floats) at the
     parameters ``p`` and the residual shift ``shift`` (lists of floats):
@@ -293,12 +302,8 @@ def _row_terms(spec, p, points, shift):
         rows = None
     if rows is None or spec.equalities:
         n = len(points)
-        terms = loss_terms_batch(np.array(points), np.array([p] * n), spec, _STAGE_PENALTY,
-                                 strict=False, shift=np.array([shift] * n))
-        # with no constraint the gradient is the objective's own, of any float type;
-        # widened, it gets the double arithmetic that the descent's floats get
-        return list(zip(terms.loss.tolist(), np.asarray(terms.grad, dtype=float).tolist(),
-                        terms.constraints.values.tolist()))
+        F, G, R = _stage_terms(spec, np.array(points), np.array([p] * n), np.array([shift] * n))
+        return list(zip(F.tolist(), G.tolist(), R.tolist()))
     out = []
     for x in points:
         f, g = f_row(x, p)
@@ -403,11 +408,7 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     P = np.broadcast_to(p, (X0.shape[0] * _HALVINGS_PER_EVAL, p.size))
 
     def fg(X, S):
-        terms = loss_terms_batch(X, P[:X.shape[0]], spec, _STAGE_PENALTY, strict=False,
-                                 shift=S)
-        # with no constraint the gradient is the objective's own, of any float type;
-        # widened, it gets the double arithmetic that the row path's floats get
-        return terms.loss, np.asarray(terms.grad, dtype=float), terms.constraints.values
+        return _stage_terms(spec, X, P[:X.shape[0]], S)
 
     # row sums are np.add.reduce(A * B, 1), as np.linalg.norm(A, axis=1) sums on real
     # input; einsum("ij,ij->i", A, B) gives the same bits only up to k = 2 columns

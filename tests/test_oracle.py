@@ -626,7 +626,8 @@ def _row_points(spec, rng):
     """(points, parameters, shifts), one row each: seeded points in [-6, 6]^2,
     points on each constraint's boundary, signed zeros, points whose values
     overflow, and NaN and +-inf coordinates; the shifts are zero, positive,
-    -0.0 and random in turn, and every fifth one puts a residual exactly at 0."""
+    -0.0 and random in turn, every fifth one puts a residual exactly at 0, and
+    some first columns are NaN."""
     m = len(spec.inequalities)
     edges = [(1.0, 0.0), (0.6, -0.8), (0.0, -1.0), (-2.5, -1.0), (-2.5, 0.0), (0.0, -0.0),
              (-0.0, -0.0), (-0.0, 0.0), (1e155, 1.0), (1.0, -1e200), (-1e300, 1e300),
@@ -642,6 +643,7 @@ def _row_points(spec, rng):
     shift[3::4] = rng.uniform(-30.0, 30.0, (len(shift[3::4]), m))
     with np.errstate(all="ignore"):
         shift[::5] = -spec.constraint_eval(X[::5], P[::5], grad=False).values
+    shift[6::13, 0] = np.nan  # the block keeps a NaN penalty NaN, and so must the row
     return X, P, shift
 
 
