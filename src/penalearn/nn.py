@@ -68,7 +68,12 @@ MODEL_FORMAT_HEADER = "penalearn-model v1"
 
 
 def _check_layer_sizes(layer_sizes):
-    sizes = tuple(int(s) for s in layer_sizes)
+    """``layer_sizes`` as a tuple of ints: integers of any integral type, not a
+    bool (``ConfigError`` naming ``layer_sizes``), at least 3 of them, each
+    >= 1 (``DimensionError``)."""
+    sizes = tuple(layer_sizes)
+    require(all(map(is_int, sizes)), "layer_sizes", layer_sizes, "integers")
+    sizes = tuple(map(int, sizes))
     if len(sizes) < 3:
         raise DimensionError(
             f"need at least one hidden layer (got layer sizes {sizes})"

@@ -22,11 +22,11 @@ largest of the last min(k + 1, 10) losses, the stage's start loss included.
 trial fails tries its next halvings, up to 8 in one evaluation, and takes
 the first that passes, with the bits of halving one trial at a time.  A lone
 start of fewer than 8 columns, such as the grid start that every certified
-solve descends, runs the same iteration on Python floats, with the same bits
-and without numpy's fixed cost per call on its 1-element arrays.  Its
-evaluations run on floats too where the objective and every constraint have
-a float ``row`` form and every constraint is an inequality (``_row_terms``),
-again with the batch's bits; elsewhere each is one ``loss_terms_batch`` call.
+solve descends, runs the same iteration on Python floats, one trial at a
+time, with the same bits and without numpy's fixed cost per call, where the
+objective and every constraint have a float ``row`` form and every
+constraint is an inequality (``_row_forms``); other lone starts take the
+batch path.
 
 One function, ``_best``, ranks the grid scan's points and ``solve``'s final
 candidates: feasible first, then by objective, and with no feasible
@@ -59,7 +59,7 @@ from .problems import ProblemSpec
 GRID_CHUNK = 4096
 # line-search trials per BB step: the first trial, then up to 44 halvings
 _MAX_HALVINGS = 45
-# a row whose first trial fails tries up to this many of its next halvings per evaluation
+# on the batch path, a row whose first trial fails tries up to this many halvings per evaluation
 _HALVINGS_PER_EVAL = 8
 _NONMONOTONE_WINDOW = 10
 _AL_MAX_STAGES = 12
@@ -265,102 +265,72 @@ def _halve(fg, X, G, shift, ref, gnorm2, trial, idx):
     return (Xt, Ft, Gt, Rt, t), idx
 
 
-def _dot(a, b):
-    """a.b of two lists, added left to right, as numpy sums fewer than 8 columns."""
-    s = 0.0
-    for u, v in zip(a, b):
-        s += u * v
-    return s
-
-
-def _stage_terms(spec, X, P, S):
-    """(loss, gradient, residuals) of the stage loss at the points ``X``, the
-    parameters ``P`` and the residual shifts ``S``: one ``loss_terms_batch`` call."""
-    terms = loss_terms_batch(X, P, spec, _STAGE_PENALTY, strict=False, shift=S)
-    # with no constraint the gradient is the objective's own, of any float type;
-    # widened, it gets the double arithmetic that the row path's floats get
-    return terms.loss, np.asarray(terms.grad, dtype=float), terms.constraints.values
-
-
-def _row_terms(spec, p, points, shift):
-    """The stage loss of each point of ``points`` (lists of floats) at the
-    parameters ``p`` and the residual shift ``shift`` (lists of floats):
-    one ``(loss, gradient list, residual list)`` per point, the residuals
-    unshifted and laid out as ``shift``.
-
-    Its float backend runs when the objective and every constraint carry a
-    ``row`` form (see ``problems``) and every constraint is an inequality:
-    each point is evaluated on Python floats, with the penalty of
-    ``penalty._ineq_penalty_row``, and gets the bits ``loss_terms_batch``
-    gives its row wherever they are finite.  Otherwise the points are one
-    ``loss_terms_batch`` call.
-    """
+def _row_forms(spec):
+    """``(objective row, [(constraint row, bound), ...])``, the float forms of
+    ``spec``'s evaluators (see ``problems``), or ``None`` unless the objective
+    and every inequality carry a ``row`` and ``spec`` has no equality."""
+    if spec.equalities:
+        return None
     try:
-        f_row = spec.objective.row
-        rows = [(c.fn.row, c.bound) for c in spec.inequalities]
+        return spec.objective.row, [(c.fn.row, c.bound) for c in spec.inequalities]
     except AttributeError:
-        rows = None
-    if rows is None or spec.equalities:
-        n = len(points)
-        F, G, R = _stage_terms(spec, np.array(points), np.array([p] * n), np.array([shift] * n))
-        return list(zip(F.tolist(), G.tolist(), R.tolist()))
-    out = []
-    for x in points:
-        f, g = f_row(x, p)
-        values, grads = [], []
-        for c_row, bound in rows:
-            v, gc = c_row(x, p)
-            values.append(v - bound)
-            grads.append(gc)
-        omega, g = _ineq_penalty_row(values, grads, shift, _STAGE_PENALTY.eta, g)
-        out.append((f + omega, g, values))
-    return out
+        return None
 
 
-def _search_row(spec, p, X, G, shift, ref, gnorm2, t):
+def _row_terms(forms, p, x, shift):
+    """``(loss, gradient list, residual list)`` of the stage loss at the point
+    ``x``, the parameters ``p`` and the residual shift ``shift`` (lists of
+    floats), on Python floats through the ``_row_forms`` ``forms``; the
+    residuals are unshifted.  Wherever ``loss_terms_batch`` gives the point's
+    row finite values, these are its bits."""
+    f_row, rows = forms
+    f, g = f_row(x, p)
+    values, grads = [], []
+    for c_row, bound in rows:
+        v, gc = c_row(x, p)
+        values.append(v - bound)
+        grads.append(gc)
+    omega, g = _ineq_penalty_row(values, grads, shift, _STAGE_PENALTY.eta, g)
+    return f + omega, g, values
+
+
+def _search_row(forms, p, X, G, shift, ref, gnorm2, t):
     """The line search of ``_descend_batch`` for one row, on lists: the first of
     the steps t * 2^-j, j = 0 ... ``_MAX_HALVINGS`` - 1, whose trial passes, as
-    ``(x, loss, gradient, residuals, step)``, or ``None`` when none does.
-
-    The first trial is evaluated alone, then up to ``_HALVINGS_PER_EVAL``
-    halvings per ``_row_terms`` call, each step halved from the one before.
-    """
-    steps, left = [t], _MAX_HALVINGS - 1
-    while True:
-        points = [[x - s * g for x, g in zip(X, G)] for s in steps]
-        for s, x, (f, g, r) in zip(steps, points, _row_terms(spec, p, points, shift)):
-            if math.isfinite(f) and all(map(math.isfinite, g)) and f <= ref - 1e-4 * s * gnorm2:
-                return x, f, g, r, s
-        if not left:
-            return None
-        s, steps = steps[-1], []
-        for _ in range(min(left, _HALVINGS_PER_EVAL)):
-            s *= 0.5
-            steps.append(s)
-        left -= len(steps)
+    ``(x, loss, gradient, residuals, step)``, or ``None`` when none does.  One
+    ``_row_terms`` call per trial, each step halved from the one before."""
+    for _ in range(_MAX_HALVINGS):
+        x = [a - t * g for a, g in zip(X, G)]
+        f, g, r = _row_terms(forms, p, x, shift)
+        if math.isfinite(f) and all(map(math.isfinite, g)) and f <= ref - 1e-4 * t * gnorm2:
+            return x, f, g, r, t
+        t *= 0.5
+    return None
 
 
-def _descend_row(spec, p, X0, shift, cfg: OracleConfig):
-    """``_descend_batch`` on one row of fewer than 8 columns, on Python floats.
+def _descend_row(forms, p, X0, shift, cfg: OracleConfig):
+    """``_descend_batch`` on one row of fewer than 8 columns, on Python floats,
+    evaluated through the ``_row_forms`` ``forms``.
 
     CPython's float + - * / and ``math.sqrt`` are numpy's IEEE-754 operations;
     each expression keeps the batch path's order and row sums go left to right,
     so the bits are the batch path's.  A window maximum may differ from numpy's
-    only in a zero's sign, which the ``<=`` test cannot see.  Every evaluation
-    is a ``_row_terms`` call, where the batch path makes a ``loss_terms_batch``
-    call: the first trial alone, then a failed one's halvings in groups.
+    only in a zero's sign, which the ``<=`` test cannot see.  Each trial is one
+    ``_row_terms`` call, and the line search stops at the first that passes.
     """
     p, shift = p.tolist(), shift[0].tolist()
     X = X0[0].tolist()
-    [(F, G, R)] = _row_terms(spec, p, [X], shift)
+    F, G, R = _row_terms(forms, p, X, shift)
     ok = math.isfinite(F) and all(map(math.isfinite, G))
-    gnorm2 = _dot(G, G)
+    gnorm2 = 0.0  # G.G, summed left to right, as numpy sums fewer than 8 columns
+    for g in G:
+        gnorm2 += g * g
     if not (ok and gnorm2 > 0.0):
         return X0.copy(), np.array([ok]), np.array([R])
     step = cfg.descent_lr / (1.0 + math.sqrt(gnorm2))
     history = [F] * _NONMONOTONE_WINDOW
     for k in range(cfg.descent_steps):
-        trial = _search_row(spec, p, X, G, shift, max(history), gnorm2, step)
+        trial = _search_row(forms, p, X, G, shift, max(history), gnorm2, step)
         if trial is None:  # no trial passed: the row stays where it is and ends
             break
         xt, ft, gt, rt, t = trial
@@ -397,18 +367,23 @@ def _descend_batch(spec, p, X0, shift, cfg: OracleConfig):
     arithmetic depends on another's, so its bits do not depend on which rows
     descend beside it, nor on how many halvings one evaluation tries.  A
     batch of one row of fewer than 8 columns goes to ``_descend_row``, which
-    holds its scalars as Python floats and gives it the same bits.
+    holds its scalars as Python floats and gives it the same bits, when
+    ``spec``'s evaluators have float forms (``_row_forms``).
     Returns the final points (a new array: ``X0`` is only read), a per-row
     finite flag, and the unshifted residual block at the final points
     (``ConstraintEval.values``, laid out as ``shift``).  The caller silences
     numpy's floating-point warnings, as ``solve`` does.
     """
-    if X0.shape[0] == 1 and X0.shape[1] < 8:
-        return _descend_row(spec, p, X0, shift, cfg)
+    forms = _row_forms(spec) if X0.shape[0] == 1 and X0.shape[1] < 8 else None
+    if forms is not None:
+        return _descend_row(forms, p, X0, shift, cfg)
     P = np.broadcast_to(p, (X0.shape[0] * _HALVINGS_PER_EVAL, p.size))
 
     def fg(X, S):
-        return _stage_terms(spec, X, P[:X.shape[0]], S)
+        terms = loss_terms_batch(X, P[:X.shape[0]], spec, _STAGE_PENALTY, strict=False, shift=S)
+        # with no constraint the gradient is the objective's own, of any float type;
+        # widened, it gets the double arithmetic that the row path's floats get
+        return terms.loss, np.asarray(terms.grad, dtype=float), terms.constraints.values
 
     # row sums are np.add.reduce(A * B, 1), as np.linalg.norm(A, axis=1) sums on real
     # input; einsum("ij,ij->i", A, B) gives the same bits only up to k = 2 columns

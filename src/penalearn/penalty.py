@@ -25,8 +25,8 @@ each and runs the per-constraint diagnosis only when a test fails.
 
 ``_ineq_penalty_row`` is the one other form of the penalty: one point's
 inequality columns at gamma 2 on Python floats, the penalty of the oracle's
-lone descents (``oracle._row_terms``), in ``ConstraintEval.penalty``'s order
-and with its bits.  The exported ``ineq_penalty`` and ``eq_penalty`` check
+row path (``oracle._row_terms``), in ``ConstraintEval.penalty``'s order and
+with its bits.  The exported ``ineq_penalty`` and ``eq_penalty`` check
 ``eta`` and ``gamma`` as ``PenaltyConfig`` does; the block calls their
 unchecked bodies, whose weights its config has already checked.
 """
@@ -296,8 +296,10 @@ def loss_terms_batch(x, p, problem, cfg: PenaltyConfig, strict: bool = True,
     The penalty is ``ConstraintEval.penalty`` of the constraint block, at
     ``shift`` (see there); ``constraints`` keeps the unshifted residuals.
     ``grad=False`` does no gradient work: the same values, with every
-    gradient field ``None``.
+    gradient field ``None``.  ``cfg`` must be a ``PenaltyConfig`` (``ConfigError``
+    naming ``cfg``).
     """
+    require(isinstance(cfg, PenaltyConfig), "cfg", cfg, "a PenaltyConfig")
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if strict:

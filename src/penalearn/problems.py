@@ -26,10 +26,11 @@ a ``row`` attribute, ``row(x, p) -> (value, gradient list)`` on one point's
 Python floats (``x`` and ``p`` sequences of floats): the batch evaluator's
 formula, written once for both where that costs the batch nothing, so its
 IEEE-754 operations run in the same order and give the batch's bits
-wherever the batch's value is finite.  The
-oracle's lone descents evaluate through them (``oracle._row_terms``); ackley
-has none, since ``math``'s exp, cos and sin may differ from numpy's in the
-last bit.
+wherever the batch's value is finite.  A lone
+oracle descent evaluates through them (``oracle._row_terms``) when the
+objective and every constraint have one; ackley has none, since ``math``'s
+exp, cos and sin may differ from numpy's in the last bit, so its lone
+descents take the batch path.
 """
 
 from __future__ import annotations

@@ -179,8 +179,9 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
     parameter gradient is the gradient of the batch mean of objective +
     penalty.  Every step calls ``mlp_forward``, ``loss_terms_batch``,
     ``mlp_backward`` and ``adam_step`` once each.  Fully deterministic for a
-    fixed config.
+    fixed config.  ``cfg`` must be a ``TrainConfig`` (``ConfigError`` naming ``cfg``).
     """
+    require(isinstance(cfg, TrainConfig), "cfg", cfg, "a TrainConfig")
     shape = resolve_net_shape(spec, cfg)
     raw = sample_params(spec, cfg.sample_count, cfg.seed)
     mid, half = _input_transform(spec, cfg.normalize_inputs)
@@ -262,9 +263,11 @@ def evaluate(
     holds the same bits as scoring that row alone.  ``params`` is a copy of
     ``P``; zero rows give an empty report without scoring.
     ``DimensionError`` when the net or ``P``, which must be
-    (rows, param_dim), does not fit ``spec``.
+    (rows, param_dim), does not fit ``spec``; ``ConfigError`` naming ``cfg``
+    unless it is ``None`` or a ``PenaltyConfig``.
     """
     cfg = cfg if cfg is not None else PenaltyConfig()
+    require(isinstance(cfg, PenaltyConfig), "cfg", cfg, "a PenaltyConfig")
     if net.input_dim != spec.param_dim:
         raise DimensionError(
             f"net input dim {net.input_dim} != problem param dim {spec.param_dim}"

@@ -15,10 +15,14 @@ from penalearn import (
     TrainConfig,
     grid_scan,
     init_mlp,
+    evaluate,
     load_model,
+    loss_terms_batch,
+    mac_count,
     make_problem,
     save_model,
     solve,
+    train,
 )
 from penalearn import cli
 from penalearn.cli import _KEYS, build_parser, main, parse_config_file
@@ -514,6 +518,26 @@ def test_library_entry_points_keep_the_settings_they_accept():
     settings = (state.learning_rate, state.beta1, state.beta2, state.epsilon)
     assert settings == (1.0, 0.5, 0.25, 1e-12)
     assert all(type(value) is float for value in settings)
+    sizes = init_mlp((np.int64(2), 3, np.int32(2))).layer_sizes
+    assert sizes == (2, 3, 2) and all(type(s) is int for s in sizes)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: init_mlp((2, 1.5, 2)), "layer_sizes"),
+    (lambda: init_mlp((2, True, 2)), "layer_sizes"),
+    (lambda: init_mlp((2, "3", 2)), "layer_sizes"),
+    (lambda: mac_count((2, 1.5, 2)), "layer_sizes"),
+    (lambda: loss_terms_batch(np.zeros((1, 2)), np.ones((1, 2)), _SPEC, None), "cfg"),
+    (lambda: train(_SPEC, None), "cfg"),
+    (lambda: evaluate(init_mlp((2, 3, 2)), _SPEC, np.ones((1, 2)), cfg="x"), "cfg"),
+], ids=["init_mlp_float_size", "init_mlp_bool_size", "init_mlp_str_size", "mac_count_float_size",
+        "loss_terms_batch_none", "train_none", "evaluate_str"])
+def test_layer_sizes_and_cfg_arguments_are_checked_naming_them(make, field):
+    # a size is an integer, as TrainConfig's net_shape is: int() would truncate
+    # 1.5 to 1 and take True as 1; a cfg of the wrong type raises no bare AttributeError
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert info.value.field == field and field in str(info.value)
 
 
 @pytest.mark.parametrize(

@@ -441,9 +441,9 @@ def test_the_nonmonotone_window_compares_against_the_losses_seen_so_far(monkeypa
         loss_at.update(zip((x.tobytes() for x in X), terms.loss))
         return terms
 
-    def row_spy(spec, p, points, shift):  # the lone row's evaluations
-        out = row_terms(spec, p, points, shift)
-        loss_at.update((np.array(x).tobytes(), f) for x, (f, _, _) in zip(points, out))
+    def row_spy(forms, p, x, shift):  # the lone row's evaluations
+        out = row_terms(forms, p, x, shift)
+        loss_at[np.array(x).tobytes()] = out[0]
         return out
 
     monkeypatch.setattr(oracle, "loss_terms_batch", spy)
@@ -474,10 +474,28 @@ def _ledge(k):
                        param_ranges=((-1.0, 1.0),) * k)
 
 
+def _with_row(spec):
+    """``spec`` with a ``row`` form on its objective, so that a lone row takes
+    the row path: the batch objective at one row, its gradient widened to
+    floats as ``_descend_batch`` widens it."""
+    objective = spec.objective
+
+    def batch(X, P, grad=True):
+        return objective(X, P, grad=grad)
+
+    def row(x, p):
+        f, g = objective(np.array([x]), np.array([p]))
+        return float(f[0]), g[0].tolist()
+
+    batch.row = row
+    return dataclasses.replace(spec, objective=batch)
+
+
 def _spec_2d(objective):
-    """A spec over R^2 with one parameter, no constraint and ``objective``."""
-    return ProblemSpec(name="row-case", decision_dim=2, param_dim=1, objective=objective,
-                       param_ranges=((-1.0, 1.0),))
+    """A spec over R^2 with one parameter, no constraint and ``objective``, given
+    a row form."""
+    return _with_row(ProblemSpec(name="row-case", decision_dim=2, param_dim=1,
+                                 objective=objective, param_ranges=((-1.0, 1.0),)))
 
 
 def _x1_objective(value, slope):
@@ -521,23 +539,24 @@ ROW_CASES = {
         lambda x1: np.where(x1 < -10.0, -np.inf, np.cosh(x1)), np.sinh)),
         [[1.0, 0.0], [2.0, 0.0]], OracleConfig(descent_lr=100.0)),
     # numpy sums 7 columns left to right, as the row path does
-    "seven-columns": (ProblemSpec(name="cosh-7d", decision_dim=7, param_dim=1,
-                                  objective=lambda X, P, grad=True: (
-                                      np.add.reduce(np.cosh(X - P), 1),
-                                      np.sinh(X - P) if grad else None),
-                                  param_ranges=((-1.0, 1.0),)),
+    "seven-columns": (_with_row(ProblemSpec(name="cosh-7d", decision_dim=7, param_dim=1,
+                                            objective=lambda X, P, grad=True: (
+                                                np.add.reduce(np.cosh(X - P), 1),
+                                                np.sinh(X - P) if grad else None),
+                                            param_ranges=((-1.0, 1.0),))),
                       np.random.default_rng(3).uniform(-3.0, 3.0, (2, 7)),
                       OracleConfig(descent_steps=5)),
     # a float32 gradient: both paths do their arithmetic in doubles
-    "float32-gradient": (ProblemSpec(name="cosh-3d-f32", decision_dim=3, param_dim=1,
-                                     objective=lambda X, P, grad=True: (
-                                         np.add.reduce(np.cosh(X - P), 1),
-                                         np.sinh(X - P).astype(np.float32) if grad else None),
-                                     param_ranges=((-1.0, 1.0),)),
+    "float32-gradient": (_with_row(ProblemSpec(name="cosh-3d-f32", decision_dim=3, param_dim=1,
+                                               objective=lambda X, P, grad=True: (
+                                                   np.add.reduce(np.cosh(X - P), 1),
+                                                   np.sinh(X - P).astype(np.float32)
+                                                   if grad else None),
+                                               param_ranges=((-1.0, 1.0),))),
                          np.random.default_rng(3).uniform(-3.0, 3.0, (2, 3)),
                          OracleConfig(descent_steps=5)),
     # every trial from x = 0 steps off the ledge (see test_line_search_tries_its_45th_trial)
-    "all-45-trials-fail": (_ledge(2), [[0.0, 0.0], [0.5, 0.0]],
+    "all-45-trials-fail": (_with_row(_ledge(2)), [[0.0, 0.0], [0.5, 0.0]],
                            OracleConfig(descent_lr=40.0 * 2.0**44)),
     "zero-gradient": (_spec_2d(_x1_objective(lambda x1: x1 * x1, lambda x1: 2.0 * x1)),
                       [[0.0, 3.0], [1.0, 3.0]], OracleConfig()),
@@ -568,15 +587,21 @@ def test_a_lone_row_gets_the_bits_it_has_in_a_batch(monkeypatch, case):
         assert a.shape[0] == 1 and a[0].tobytes() == b[0].tobytes(), (a, b)
 
 
-def test_row_cases_reach_the_paths_they_name():
-    # each case ends the way its name says, so the bit comparison above
-    # covers that path of the row descent
+def test_row_cases_reach_the_paths_they_name(monkeypatch):
+    # each case ends the way its name says, on the row path, so the bit
+    # comparison above covers that path of the row descent
+    rows, descend_row = [], oracle._descend_row
+    monkeypatch.setattr(oracle, "_descend_row", lambda *a: rows.append(a) or descend_row(*a))
+
     def run(case):
         spec, X0, cfg = ROW_CASES[case]
         shift = np.full((1, len(spec.inequalities)), 0.25)
+        n = len(rows)
         with np.errstate(all="ignore"):
-            return oracle._descend_batch(spec, np.ones(spec.param_dim), np.array(X0[:1]),
-                                         shift, cfg)
+            out = oracle._descend_batch(spec, np.ones(spec.param_dim), np.array(X0[:1]),
+                                        shift, cfg)
+        assert len(rows) == n + 1, case
+        return out
 
     X, ok, _ = run("signed-zero-window")
     assert ok[0] and X[0, 0] == 1.0 - 2.0**10 - 1e3 - 1e3  # two steps at the 1e3 cap
@@ -604,13 +629,13 @@ def test_row_cases_reach_the_paths_they_name():
 
 def test_a_row_of_8_columns_takes_the_batch_path(monkeypatch):
     # from 8 columns numpy sums a row pairwise, not left to right, so a lone
-    # row of 8 keeps the numpy path and its bits
+    # row of 8 keeps the numpy path and its bits, though its objective has a row form
     def objective(X, P, grad=True):
         d = X - P
         return np.add.reduce(np.cosh(d), 1), (np.sinh(d) if grad else None)
 
-    spec = ProblemSpec(name="cosh-8d", decision_dim=8, param_dim=8, objective=objective,
-                       param_ranges=((-1.0, 1.0),) * 8)
+    spec = _with_row(ProblemSpec(name="cosh-8d", decision_dim=8, param_dim=8,
+                                 objective=objective, param_ranges=((-1.0, 1.0),) * 8))
     p = np.random.default_rng(5).uniform(-1.0, 1.0, 8)
     X0 = np.random.default_rng(6).uniform(-3.0, 3.0, (2, 8))
     cfg = OracleConfig(descent_steps=5)  # stopped short of the minimum, where rounding shows
@@ -618,6 +643,21 @@ def test_a_row_of_8_columns_takes_the_batch_path(monkeypatch):
     with np.errstate(all="ignore"):
         pair = oracle._descend_batch(spec, p, X0, np.zeros((2, 0)), cfg)
         alone = oracle._descend_batch(spec, p, X0[:1], np.zeros((1, 0)), cfg)
+    for a, b in zip(alone, pair):
+        assert a[0].tobytes() == b[0].tobytes()
+
+
+def test_a_lone_row_with_an_equality_takes_the_batch_path(monkeypatch):
+    # the row path charges no equality: a spec with one descends a lone row on
+    # the batch path, though its objective and inequality carry row forms
+    line = Constraint(lambda X, P, grad=True: (X[:, 0] + X[:, 1],
+                                               np.ones_like(X) if grad else None), 1.0)
+    spec = dataclasses.replace(make_problem("rosenbrock-1c"), equalities=(line,))
+    X0, p, shift = np.array([[0.3, 0.2], [0.5, 0.5]]), np.array([1.0, 0.5]), np.full((2, 2), 0.25)
+    monkeypatch.setattr(oracle, "_descend_row", None)  # calling it would raise
+    with np.errstate(all="ignore"):
+        pair = oracle._descend_batch(spec, p, X0, shift, OracleConfig())
+        alone = oracle._descend_batch(spec, p, X0[:1], shift[:1], OracleConfig())
     for a, b in zip(alone, pair):
         assert a[0].tobytes() == b[0].tobytes()
 
@@ -649,7 +689,7 @@ def _row_points(spec, rng):
 
 @pytest.mark.parametrize("name", ["rosenbrock-1c", "rosenbrock-3c"])
 def test_the_float_row_evaluation_has_the_bits_of_loss_terms_batch(name):
-    # where the batch's value is finite the float backend gives its bits, the
+    # where the batch's value is finite the float evaluation gives its bits, the
     # signs of zeros included; where it is not, the float value is not finite either
     spec = make_problem(name)
     X, P, shift = _row_points(spec, np.random.default_rng(31))
@@ -659,10 +699,10 @@ def test_the_float_row_evaluation_has_the_bits_of_loss_terms_batch(name):
         if np.isfinite(b):
             assert np.float64(a).tobytes() == np.float64(b).tobytes(), where
 
+    forms = oracle._row_forms(spec)
     with np.errstate(all="ignore"):
         for i in range(len(X)):
-            [(f, g, r)] = oracle._row_terms(spec, P[i].tolist(), [X[i].tolist()],
-                                            shift[i].tolist())
+            f, g, r = oracle._row_terms(forms, P[i].tolist(), X[i].tolist(), shift[i].tolist())
             t = loss_terms_batch(X[i:i + 1], P[i:i + 1], spec, oracle._STAGE_PENALTY,
                                  strict=False, shift=shift[i:i + 1])
             assert len(g) == 2 and len(r) == len(spec.inequalities)
@@ -697,8 +737,8 @@ BACKEND_CASES = {
 @pytest.mark.parametrize("case", list(BACKEND_CASES))
 @pytest.mark.parametrize("name", ["rosenbrock-1c", "rosenbrock-3c"])
 def test_a_lone_row_descends_to_the_same_bits_on_either_backend(monkeypatch, name, case):
-    # the registry's evaluators carry row forms and take the float backend; the
-    # same evaluators wrapped in plain functions take the numpy one
+    # the registry's evaluators carry row forms, so a lone row takes the row
+    # path; the same evaluators wrapped in plain functions take the batch path
     x0, p, s, cfg = BACKEND_CASES[case]
     spec = make_problem(name)
     X0, p = np.array([x0]), np.array(p)
@@ -729,6 +769,35 @@ def test_a_lone_row_descends_to_the_same_bits_on_either_backend(monkeypatch, nam
         assert floats[2][0, 0] + s > 0.0
 
 
+def test_the_row_line_search_evaluates_no_trial_after_the_first_that_passes(monkeypatch):
+    # each search tries t, t/2, ... one _row_terms call per trial, so a search
+    # that takes the step t * 2^-j made j + 1 calls and one that fails made 45
+    x0, p, _, cfg = BACKEND_CASES["first-trial-fails"]
+    calls, searches = [0], []
+    row_terms, search_row = oracle._row_terms, oracle._search_row
+
+    def row_spy(*args):
+        calls[0] += 1
+        return row_terms(*args)
+
+    def search_spy(*args):
+        calls[0] = 0
+        trial = search_row(*args)
+        steps = [args[-1]]  # t, then each step halved from the one before
+        while len(steps) < oracle._MAX_HALVINGS:
+            steps.append(steps[-1] * 0.5)
+        searches.append(len(steps) if trial is None else steps.index(trial[4]) + 1)
+        assert calls[0] == searches[-1], searches
+        return trial
+
+    monkeypatch.setattr(oracle, "_row_terms", row_spy)
+    monkeypatch.setattr(oracle, "_search_row", search_spy)
+    with np.errstate(all="ignore"):
+        oracle._descend_batch(make_problem("rosenbrock-1c"), np.array(p), np.array([x0]),
+                              np.zeros((1, 1)), cfg)
+    assert max(searches) > 2  # some search passed past its second trial
+
+
 def test_line_search_bits_do_not_depend_on_halvings_per_eval(monkeypatch):
     # a row whose first trial fails tries its next halvings as extra rows of
     # one evaluation; at descent_lr=1e6 most trials fail, and at 45 one
@@ -742,11 +811,11 @@ def test_line_search_bits_do_not_depend_on_halvings_per_eval(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # a lone rosenbrock row evaluates on floats, through _row_terms alone; the
-    # batch path calls loss_terms_batch
+    # a lone rosenbrock row evaluates on floats, through _row_terms alone, one
+    # trial per call; the batch path calls loss_terms_batch
     monkeypatch.setattr(oracle, "loss_terms_batch", counted(oracle.loss_terms_batch))
     monkeypatch.setattr(oracle, "_row_terms", counted(oracle._row_terms))
-    runs, evaluations = {}, {}
+    runs, evaluations, row_evaluations = {}, {}, {}
     for per_eval in (1, 2, 8, 45):
         monkeypatch.setattr(oracle, "_HALVINGS_PER_EVAL", per_eval)
         out = []
@@ -761,28 +830,33 @@ def test_line_search_bits_do_not_depend_on_halvings_per_eval(monkeypatch):
             X0 = np.random.default_rng(23).uniform(-6.0, 6.0, size=(6, 4))
             out += [a.tobytes() for a in oracle._descend_batch(
                 _ledge(4), np.zeros(4), X0, np.zeros((6, 0)), OracleConfig(descent_lr=1e6))]
-        calls[0] = 0
-        s = solve(spec, np.array([1.0, 1.0]))
-        evaluations[per_eval] = calls[0]
-        out += [s.x.tobytes(), np.float64(s.objective).tobytes(),
-                np.float64(s.max_violation).tobytes(), s.method.encode()]
+        # the grid start's lone descent on the row path, then on the batch path
+        for solve_spec, counts in ((spec, row_evaluations), (_without_rows(spec), evaluations)):
+            calls[0] = 0
+            s = solve(solve_spec, np.array([1.0, 1.0]))
+            counts[per_eval] = calls[0]
+            out += [s.x.tobytes(), np.float64(s.objective).tobytes(),
+                    np.float64(s.max_violation).tobytes(), s.method.encode()]
         runs[per_eval] = out
     for per_eval in (2, 8, 45):
         assert runs[per_eval] == runs[1], per_eval
     assert evaluations[8] < evaluations[1]
+    assert len(set(row_evaluations.values())) == 1, row_evaluations
 
 
 @pytest.mark.parametrize("per_eval", [1, 8, 45])
 def test_line_search_tries_its_45th_trial_and_no_more(monkeypatch, per_eval):
     # from x = 0 the ledge's gradient is 1, so the first step is lr / 2 and
-    # trial j (0-based) steps lr / 2^(j+1); only a step of at most 10 passes
+    # trial j (0-based) steps lr / 2^(j+1); only a step of at most 10 passes.
+    # The lone row takes the batch path, and with a row form the row path
     monkeypatch.setattr(oracle, "_HALVINGS_PER_EVAL", per_eval)
-    spec, X0, shift = _ledge(1), np.zeros((1, 1)), np.zeros((1, 0))
-    for lr, x in ((20.0 * 2.0**44, -10.0), (40.0 * 2.0**44, 0.0)):
-        cfg = OracleConfig(descent_lr=lr, descent_steps=1)
-        with np.errstate(all="ignore"):  # the BB quotient is 0 / 0
-            X, ok, _ = oracle._descend_batch(spec, np.zeros(1), X0, shift, cfg)
-        assert ok[0] and X[0, 0] == x, lr
+    X0, shift = np.zeros((1, 1)), np.zeros((1, 0))
+    for spec in (_ledge(1), _with_row(_ledge(1))):
+        for lr, x in ((20.0 * 2.0**44, -10.0), (40.0 * 2.0**44, 0.0)):
+            cfg = OracleConfig(descent_lr=lr, descent_steps=1)
+            with np.errstate(all="ignore"):  # the BB quotient is 0 / 0
+                X, ok, _ = oracle._descend_batch(spec, np.zeros(1), X0, shift, cfg)
+            assert ok[0] and X[0, 0] == x, (spec.objective, lr)
 
 
 def test_line_search_writes_into_no_array_the_objective_returned():
@@ -1142,9 +1216,9 @@ def test_a_fallback_with_no_starts_evaluates_no_empty_batch(monkeypatch):
         rows.append(X.shape[0])
         return evaluator(X, *args, **kwargs)
 
-    def row_spy(spec, p, points, shift):
-        rows.append(len(points))
-        return row_terms(spec, p, points, shift)
+    def row_spy(*args):  # one point
+        rows.append(1)
+        return row_terms(*args)
 
     monkeypatch.setattr(oracle, "loss_terms_batch", spy)
     monkeypatch.setattr(oracle, "_row_terms", row_spy)

@@ -117,21 +117,16 @@ def counted_answers(spec, params):
     number of evaluations each made (int64, one per row).
 
     An evaluation is a ``loss_terms_batch`` call, or a ``_row_terms`` call,
-    the one-row descent's evaluator, with the ``loss_terms_batch`` call that
-    its numpy backend makes inside it not counted again.  The calls are
-    counted by wrappers set on ``penalearn.oracle`` for the duration, the
-    names the oracle evaluates through; the program is not changed.
+    the one-row descent's evaluator of one trial.  The calls are counted by
+    wrappers set on ``penalearn.oracle`` for the duration, the names the
+    oracle evaluates through; the program is not changed.
     """
-    saved, calls, depth, counts = {}, [0], [0], []
+    saved, calls, counts = {}, [0], []
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            calls[0] += not depth[0]  # an outermost call
-            depth[0] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                depth[0] -= 1
+            calls[0] += 1
+            return fn(*args, **kwargs)
         return wrapper
 
     for name in ("loss_terms_batch", "_row_terms"):
