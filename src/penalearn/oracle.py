@@ -36,6 +36,17 @@ it evaluates the objective everywhere and adds the penalty of each kept
 residual block.  The answer's values are the ones the ranking computed.
 ``grid_scan`` and ``solve`` run with numpy's floating-point warnings
 silenced: the oracle ranks overflowed and NaN values as non-finite.
+
+A constraint evaluator with a ``param_free = True`` attribute declares that
+it does not read ``p`` (see ``problems``); the registry's disk and
+coordinate constraints do.  When every constraint of a spec declares it,
+its feasible set is the same for every instance, so the first
+``grid_scan`` of a constraint set, grid and ``feasible_tol`` keeps the grid
+points where every constraint holds (``_subgrid``), and later scans rank
+only those.  Where none is kept (the ``-3c`` problems), or none has a
+finite objective, the scan takes the whole grid.  The ranking's order is
+total and the evaluators are row-independent, so the answer and its values
+are those of a scan of the whole grid.
 """
 
 from __future__ import annotations
@@ -133,7 +144,24 @@ def _lowest(X, score) -> int:
     return int(tied[np.lexsort(X[tied].T[::-1])[0]])
 
 
-def _best(spec, p, chunks, tol):
+def _within(ce, tol):
+    """The rows of the residual block ``ce`` whose worst violation is at most
+    ``tol``: one row max per column kind, which with ``tol`` >= 0 are the rows
+    whose ``violations()`` maximum is at most ``tol``; NaN fails both."""
+    ineq, eq = ce._split(ce.values)
+    within = np.ones(ce.values.shape[0], dtype=bool) if ineq is None else _row_max(ineq) <= tol
+    if eq is not None:
+        within &= _row_max(np.abs(eq)) <= tol
+    return within
+
+
+def _constraint_blocks(spec, p, chunks):
+    """The value-only residual block of each of the candidate blocks ``chunks``."""
+    P = np.broadcast_to(p, (max(X.shape[0] for X in chunks), p.size))
+    return [spec.constraint_eval(X, P[:X.shape[0]], grad=False) for X in chunks]
+
+
+def _best(spec, p, chunks, tol, blocks=None):
     """The oracle's one ranking rule over the rows of the candidate blocks ``chunks``.
 
     Returns ``(chunk, row, objective, worst violation)`` of the best row.
@@ -144,22 +172,19 @@ def _best(spec, p, chunks, tol):
     (feasible first, then score, then x, then row), so that is the row one
     ranking of all rows picks.
 
-    Each chunk's constraints are evaluated once (values only) and kept; the
-    objective only at its feasible rows, and at every row only when no chunk
-    holds a feasible row.  The evaluators are row-independent, so the
-    winner's values are those of a lone evaluation.  The caller silences
-    numpy's floating-point warnings.
+    Each chunk's constraints are evaluated once (values only) and kept, or
+    taken from ``blocks`` when the caller has evaluated them; the objective
+    only at its feasible rows, and at every row only when no chunk holds a
+    feasible row.  The evaluators are row-independent, so the winner's
+    values are those of a lone evaluation.  The caller silences numpy's
+    floating-point warnings.
     """
+    if blocks is None:
+        blocks = _constraint_blocks(spec, p, chunks)
     P = np.broadcast_to(p, (max(X.shape[0] for X in chunks), p.size))
-    blocks = [spec.constraint_eval(X, P[:X.shape[0]], grad=False) for X in chunks]
     winners = []  # (chunk, row, objective, score) of each chunk's best row
     for c, (X, ce) in enumerate(zip(chunks, blocks)):
-        # worst violation <= tol as one row max per column kind: with tol >= 0 these
-        # are the rows whose violations() maximum is <= tol, and NaN fails both
-        ineq, eq = ce._split(ce.values)
-        within = np.ones(X.shape[0], dtype=bool) if ineq is None else _row_max(ineq) <= tol
-        if eq is not None:
-            within &= _row_max(np.abs(eq)) <= tol
+        within = _within(ce, tol)
         # most chunks of a small feasible set hold no feasible row: a count
         # finds that at a fraction of the cost of listing the rows
         if not np.count_nonzero(within):
@@ -197,6 +222,33 @@ def _mesh(dim: int, points_per_dim: int) -> np.ndarray:
     return points
 
 
+@functools.lru_cache(maxsize=8)
+def _subgrid(constraints, dim: int, points_per_dim: int, tol: float) -> list:
+    """The slot of one constraint set on one grid: empty until the first scan
+    that meets them puts in the grid points where each holds (``_within``),
+    in grid order, as one read-only array.  Only constraints that do not read
+    ``p`` have a slot (``_subgrid_slot``), so it serves every instance and
+    every objective that shares them."""
+    return []
+
+
+def _subgrid_slot(spec: ProblemSpec, cfg: OracleConfig):
+    """``_subgrid``'s slot for ``spec``'s constraints (each ``Constraint``'s
+    evaluator and bound) on ``cfg``'s grid, or ``None`` unless every
+    constraint evaluator declares ``param_free`` and every bound hashes."""
+    if not all(getattr(c.fn, "param_free", False) for c in spec.inequalities + spec.equalities):
+        return None
+    try:
+        return _subgrid((spec.inequalities, spec.equalities), spec.decision_dim,
+                        cfg.grid_points_per_dim, cfg.feasible_tol)
+    except TypeError:  # a bound numpy cannot hash, such as an array
+        return None
+
+
+def _chunks(points):
+    return [points[lo:lo + GRID_CHUNK] for lo in range(0, points.shape[0], GRID_CHUNK)]
+
+
 @np.errstate(all="ignore")
 def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSolution:
     """Exhaustive scan of a regular grid over the box [-6, 6]^k.
@@ -204,11 +256,17 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
     Returns the feasible grid point with the lowest objective, or, when no
     grid point is feasible, the point minimizing objective + penalty at the
     default ``PenaltyConfig`` weight: ``_best`` ranks the 4,096-point chunks
-    of the grid as it ranks ``solve``'s candidates.  The answer's objective
-    and worst violation are the ones the scan computed; the winner is not
-    evaluated again.  ``p`` is checked by ``_params``, and ``cfg`` must be an
-    ``OracleConfig`` (``ConfigError`` naming ``cfg``).
+    of the grid as it ranks ``solve``'s candidates.  When no constraint
+    reads ``p`` (each evaluator declares ``param_free``), the first scan of
+    a constraint set and grid keeps its feasible points (``_subgrid``), and
+    later scans rank only those, falling back to the whole grid when none
+    has a finite objective; the order is total, so the winner and its
+    values are the same.  The answer's objective and worst violation are
+    the ones the scan computed; the winner is not evaluated again.  ``spec``
+    must be a ``ProblemSpec`` and ``cfg`` an ``OracleConfig`` (``ConfigError``
+    naming the argument), and ``p`` is checked by ``_params``.
     """
+    require(isinstance(spec, ProblemSpec), "spec", spec, "a ProblemSpec")
     require(isinstance(cfg, OracleConfig), "cfg", cfg, "an OracleConfig")
     p = _params(spec, p)
     k = spec.decision_dim
@@ -216,12 +274,26 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
         raise UnsupportedError(f"grid scan supports decision dim <= 3, got {k}")
     t0 = time.perf_counter()
 
+    def answer(chunks, c, i, objective, max_violation):
+        return OracleSolution(x=chunks[c][i].copy(), objective=objective,
+                              max_violation=max_violation,
+                              solve_time_s=time.perf_counter() - t0, method="grid")
+
     points = _mesh(k, cfg.grid_points_per_dim)
-    chunks = [points[lo:lo + GRID_CHUNK] for lo in range(0, points.shape[0], GRID_CHUNK)]
-    c, i, objective, max_violation = _best(spec, p, chunks, cfg.feasible_tol)
-    return OracleSolution(x=chunks[c][i].copy(), objective=objective,
-                          max_violation=max_violation, solve_time_s=time.perf_counter() - t0,
-                          method="grid")
+    slot = _subgrid_slot(spec, cfg)
+    if slot and slot[0].shape[0]:
+        chunks = _chunks(slot[0])
+        best = _best(spec, p, chunks, cfg.feasible_tol)
+        if best[2] < np.inf:  # else no feasible point has a finite objective
+            return answer(chunks, *best)
+    chunks, blocks = _chunks(points), None
+    if slot == []:  # the first scan of these constraints: keep their feasible points
+        blocks = _constraint_blocks(spec, p, chunks)
+        feasible = points.compress(np.concatenate([_within(ce, cfg.feasible_tol)
+                                                   for ce in blocks]), 0)
+        feasible.flags.writeable = False
+        slot.append(feasible)
+    return answer(chunks, *_best(spec, p, chunks, cfg.feasible_tol, blocks))
 
 
 def _accepts(Ft, Gt, ref, t, gnorm2):
@@ -468,11 +540,13 @@ def kkt_residual(spec: ProblemSpec, p, x, tol: float) -> float:
     (every equality, and each inequality with residual >= -``tol``) and lam
     their least-squares multipliers, the inequalities' clamped at 0 (Nocedal &
     Wright, ch. 12).  0 at a stationary point, inf where a gradient is not
-    finite; feasibility is the caller's check.  ``p`` is checked by ``_params``,
-    and before anything is evaluated ``x`` must hold ``decision_dim`` values
-    (``DimensionError``) and ``tol`` be a finite real >= 0 (``ConfigError``
-    naming ``tol``).
+    finite; feasibility is the caller's check.  ``spec`` must be a
+    ``ProblemSpec`` (``ConfigError`` naming ``spec``), ``p`` is checked by
+    ``_params``, and before anything is evaluated ``x`` must hold
+    ``decision_dim`` values (``DimensionError``) and ``tol`` be a finite real
+    >= 0 (``ConfigError`` naming ``tol``).
     """
+    require(isinstance(spec, ProblemSpec), "spec", spec, "a ProblemSpec")
     P = _params(spec, p)[None]
     X = np.asarray(x, dtype=float).reshape(1, -1)
     if X.size != spec.decision_dim:
@@ -518,10 +592,11 @@ def solve(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> OracleSol
     ``method`` says whether the grid point or a descent won; when every start
     diverges, the grid point is the answer, and with no grid point (k > 3)
     ``OracleError`` is raised.  ``solve_time_s`` is the whole call's clock,
-    grid scan included, and the bench's ``t_oracle_ns``.  ``p`` is checked by
-    ``_params``, and ``cfg`` must be an ``OracleConfig`` (``ConfigError`` naming
-    ``cfg``).
+    grid scan included, and the bench's ``t_oracle_ns``.  ``spec`` must be a
+    ``ProblemSpec`` and ``cfg`` an ``OracleConfig`` (``ConfigError`` naming the
+    argument), and ``p`` is checked by ``_params``.
     """
+    require(isinstance(spec, ProblemSpec), "spec", spec, "a ProblemSpec")
     require(isinstance(cfg, OracleConfig), "cfg", cfg, "an OracleConfig")
     p = _params(spec, p)
     k, tol = spec.decision_dim, cfg.feasible_tol

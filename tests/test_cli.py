@@ -16,10 +16,12 @@ from penalearn import (
     grid_scan,
     init_mlp,
     evaluate,
+    kkt_residual,
     load_model,
     loss_terms_batch,
     mac_count,
     make_problem,
+    sample_params,
     save_model,
     solve,
     train,
@@ -499,10 +501,16 @@ _SPEC = make_problem("rosenbrock-1c")
     (lambda: solve(_SPEC, [1.0, 0.5], TrainConfig()), "cfg"),
     (lambda: solve(_SPEC, [1.0, 0.5], {"starts": 4}), "cfg"),
     (lambda: grid_scan(_SPEC, [1.0, 0.5], None), "cfg"),
+    (lambda: grid_scan(None, [1.0, 0.5]), "spec"),
+    (lambda: solve("rosenbrock-1c", [1.0, 0.5]), "spec"),
+    (lambda: kkt_residual(None, [1.0, 0.5], [0.0, 0.0], 1e-6), "spec"),
+    (lambda: sample_params(None, 3), "spec"),
 ], ids=["seed_negative", "seed_float", "seed_bool", "seed_tuple_negative",
         "learning_rate_zero", "learning_rate_negative", "learning_rate_inf", "beta1_zero",
         "beta1_one", "beta1_nan", "beta2_one", "beta2_negative", "epsilon_zero",
-        "epsilon_nan", "solve_train_config", "solve_dict", "grid_scan_none"])
+        "epsilon_nan", "solve_train_config", "solve_dict", "grid_scan_none",
+        "grid_scan_spec_none", "solve_spec_name", "kkt_residual_spec_none",
+        "sample_params_spec_none"])
 def test_library_entry_points_reject_bad_settings_naming_them(make, field):
     with pytest.raises(ConfigError) as info:
         make()

@@ -89,7 +89,14 @@ def _count_oracle_evaluations(monkeypatch, counts):
     return calls
 
 
-def test_grid_scan_evaluates_once_per_chunk(monkeypatch):
+@pytest.fixture
+def cold_grid_cache():
+    """No constraint set's feasible grid points are cached when the test starts,
+    whichever tests ran before it."""
+    oracle._subgrid.cache_clear()
+
+
+def test_grid_scan_evaluates_once_per_chunk(monkeypatch, cold_grid_cache):
     # the constraints once per chunk and the objective only in chunks that hold a
     # feasible point; the winner's values come from its chunk, not the evaluator
     counts = _Counts(monkeypatch)
@@ -101,51 +108,66 @@ def test_grid_scan_evaluates_once_per_chunk(monkeypatch):
     # the unit disk's grid rows, x1 in [-1, 1], are rows 84-116 of 201: chunks 1 and 2
     assert calls == [0, 0]
     assert counts.both() == (2, chunks)
+    # the disk does not read p, so the first scan kept its 877 feasible points, one
+    # chunk, and a scan at other parameters evaluates only those
+    grid_scan(counts.spec, np.array([2.0, 0.5]))
+    assert calls == [0, 0]
+    assert counts.both() == (2 + 1, chunks + 1)
 
 
 @pytest.mark.parametrize("spec", ["rosenbrock-3c", LINE], ids=["rosenbrock-3c", "line"])
 def test_grid_scan_without_a_feasible_point_evaluates_constraints_once_per_chunk(
-        monkeypatch, spec):
+        monkeypatch, cold_grid_cache, spec):
     # rosenbrock-3c has no feasible point, and no grid point lies on LINE's
     # x1 + x2 = 1: the constraint pass finds none, so every chunk's objective is
-    # evaluated and penalized by the kept constraint block
+    # evaluated and penalized by the kept constraint block; rosenbrock-3c's first
+    # scan ranks with the blocks that found its empty feasible set, and a later
+    # scan, which finds it cached, scans the whole grid as the first did
     counts = _Counts(monkeypatch, spec)
     calls = _count_oracle_evaluations(monkeypatch, counts)
     monkeypatch.setattr(oracle, "GRID_CHUNK", 10_000)
     grid_scan(counts.spec, np.array([1.0, 1.0]))
     assert calls == [0, 0]
     assert counts.both() == (5, 5)
+    grid_scan(counts.spec, np.array([2.0, 0.5]))
+    assert calls == [0, 0]
+    assert counts.both() == (5 + 5, 5 + 5)
 
 
-def test_solve_evaluates_once_per_batch_of_line_search_trials_and_ranking(monkeypatch):
+def test_solve_evaluates_once_per_batch_of_line_search_trials_and_ranking(
+        monkeypatch, cold_grid_cache):
     # one 441-point grid chunk; the descent evaluates once per step's first
     # line-search trial and once per batch of up to 8 halvings; each ranking
-    # the constraints once and the objective once
+    # the constraints once and the objective once.  Each solve runs twice: the
+    # first scan of a constraint set ranks the blocks that found its feasible
+    # points, and the second ranks those points alone, one chunk as well
     counts = _Counts(monkeypatch)
     calls = _count_oracle_evaluations(monkeypatch, counts)
     cfg = OracleConfig(grid_points_per_dim=21)
-    assert solve(counts.spec, np.array([1.0, 1.0]), cfg).certified
+
+    def twice(spec):
+        """The evaluation counts of two solves of ``spec`` at (1, 1), each from zero."""
+        seen = []
+        for _ in range(2):
+            counts.objective = counts.constraints = 0
+            calls[:] = [0, 0]
+            seen.append((solve(spec, np.array([1.0, 1.0]), cfg).certified, list(calls),
+                         counts.both()))
+        return seen
+
     # grid, the grid start's descent alone, the ranking, and the KKT residual's
     # one objective and one constraint evaluation with gradients
-    assert calls == [0, 49]
-    assert counts.both() == (3 + 49, 3 + 49)
+    assert twice(counts.spec) == [(True, [0, 49], (3 + 49, 3 + 49))] * 2
 
-    counts.objective = counts.constraints = 0
-    calls[:] = [0, 0]
-    solve(counts.counted("rosenbrock-3c"), np.array([1.0, 1.0]), cfg)
     # grid and ranking: the constraints find no feasible point, so the objective
     # at every row; the grid point descends beside the random starts
-    assert calls == [0, 132]
-    assert counts.both() == (2 + 132, 2 + 132)
+    assert twice(counts.counted("rosenbrock-3c")) == [(False, [0, 132], (2 + 132, 2 + 132))] * 2
 
     # forced past the certificate, the random starts descend after the grid
     # start (127 evaluations), and every candidate is ranked once more
     monkeypatch.setattr(oracle, "_KKT_BOUND", -1.0)
-    counts.objective = counts.constraints = 0
-    calls[:] = [0, 0]
-    assert not solve(counts.spec, np.array([1.0, 1.0]), cfg).certified
-    assert calls == [0, 49 + 127]
-    assert counts.both() == (4 + 49 + 127, 4 + 49 + 127)
+    oracle._subgrid.cache_clear()
+    assert twice(counts.spec) == [(False, [0, 49 + 127], (4 + 49 + 127, 4 + 49 + 127))] * 2
 
 
 def test_training_log_and_evaluate_evaluate_once(monkeypatch):

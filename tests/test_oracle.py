@@ -24,6 +24,7 @@ from penalearn import (
 )
 from penalearn import oracle
 from penalearn.penalty import ConstraintEval, loss_terms_batch
+from penalearn.problems import disk_constraint
 from test_equality import LINE, LINE_IN_DISK
 
 
@@ -367,6 +368,86 @@ def test_grid_scan_matches_the_full_penalized_scan(name, params):
         assert np.float64(got.objective).tobytes() == objective.tobytes(), p
         assert np.float64(got.max_violation).tobytes() == max_violation.tobytes(), p
         assert got.method == "grid"
+
+
+def _undeclared(spec):
+    """``spec`` with each constraint evaluator behind a plain wrapper that
+    declares nothing, so each of its scans evaluates the whole grid."""
+    def plain(fn):
+        return lambda x, p, grad=True: fn(x, p, grad=grad)
+
+    return dataclasses.replace(spec, **{
+        kind: tuple(Constraint(plain(c.fn), c.bound) for c in getattr(spec, kind))
+        for kind in ("inequalities", "equalities")})
+
+
+def _answer_bytes(s):
+    return b"".join([s.x.tobytes(), np.float64(s.objective).tobytes(),
+                     np.float64(s.max_violation).tobytes(), s.method.encode()])
+
+
+@pytest.mark.parametrize("name", ["rosenbrock-1c", "rosenbrock-3c", "ackley-1c", "ackley-3c"])
+def test_grid_scan_has_the_same_bits_with_and_without_the_param_free_declaration(name):
+    # every scan after the first ranks only the cached feasible points; the -3c
+    # problems cache none, and at (1, 1e200) the objective overflows at every
+    # cached point, so those scans fall back to the whole grid
+    spec = make_problem(name)
+    plain = _undeclared(spec)
+    params = list(sample_params(spec, 50, seed=12))
+    if name == "rosenbrock-1c":
+        params += [np.array([1e308, 1.0]), np.array([1.0, 1e200])]
+    oracle._subgrid.cache_clear()
+    for p in params:
+        assert _answer_bytes(grid_scan(spec, p)) == _answer_bytes(grid_scan(plain, p)), p
+    assert oracle._subgrid.cache_info()[:2] == (len(params) - 1, 1)  # hits, misses
+
+
+def test_a_constraint_that_reads_p_keeps_the_full_scan():
+    # x1^2 + x2^2 <= c2 reads p, so it declares nothing: were the feasible points
+    # of the small disk kept, the scan at c2 = 1 would miss the unit disk's winner
+    def disk(x, p, grad=True):
+        return x[:, 0] ** 2 + x[:, 1] ** 2 - p[:, 1], (2.0 * x if grad else None)
+
+    spec = dataclasses.replace(make_problem("rosenbrock-1c"), name="rosenbrock-disk-c2",
+                               inequalities=(Constraint(disk, 0.0),))
+    oracle._subgrid.cache_clear()
+    for p in (np.array([1.0, 0.04]), np.array([1.0, 1.0])):
+        x, objective, max_violation = _full_penalized_scan(spec, p)
+        got = grid_scan(spec, p)
+        assert got.x.tobytes() == x.tobytes(), p
+        assert np.float64(got.objective).tobytes() == objective.tobytes(), p
+        assert np.float64(got.max_violation).tobytes() == max_violation.tobytes(), p
+        s = solve(spec, p)
+        assert s.certified and s.objective <= objective, p
+    assert oracle._subgrid.cache_info().currsize == 0
+
+
+def test_each_bound_tolerance_and_grid_gets_its_own_feasible_points():
+    # rosenbrock's unconstrained minimum (c2, c2^2) lies in the disk of radius 5,
+    # outside the unit disk and inside it widened by a tolerance of 0.5 (at c2 =
+    # 0.9); and the winner on the 201-point grid is no point of the 101-point one
+    base = make_problem("rosenbrock-1c")
+    oracle._subgrid.cache_clear()
+    for p in (np.array([1.0, 1.0]), np.array([3.0, 0.9])):
+        for bound in (1.0, 25.0):
+            spec = dataclasses.replace(base, inequalities=(Constraint(disk_constraint, bound),))
+            for tol in (1e-6, 0.5):
+                for n in (201, 101):
+                    cfg = OracleConfig(grid_points_per_dim=n, feasible_tol=tol)
+                    assert (_answer_bytes(grid_scan(spec, p, cfg))
+                            == _answer_bytes(grid_scan(_undeclared(spec), p, cfg))), (
+                        p, bound, tol, n)
+    assert oracle._subgrid.cache_info()[:2] == (8, 8)  # hits, misses
+
+
+def test_a_bound_that_cannot_be_hashed_keeps_the_full_scan():
+    # a 0-d array bound evaluates as its float does, but cannot key the cache
+    base = make_problem("rosenbrock-1c")
+    spec = dataclasses.replace(base, inequalities=(Constraint(disk_constraint, np.array(1.0)),))
+    oracle._subgrid.cache_clear()
+    for p in sample_params(base, 3, seed=2):
+        assert _answer_bytes(grid_scan(spec, p)) == _answer_bytes(grid_scan(base, p)), p
+    assert oracle._subgrid.cache_info()[:2] == (2, 1)  # base's scans: hits, misses
 
 
 def _lone_values(spec, p, x):

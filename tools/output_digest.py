@@ -28,10 +28,15 @@ batch line does.
 instances of each problem and on rosenbrock-1c at (c1, c2) = (1e308, 1),
 where the objective overflows on part of the disk, and at (1, 1e200), where
 it overflows everywhere and the scan ranks every grid point by objective +
-penalty (see ``grid_bytes``).  The CSVs show a net's outputs only as
-17-digit text, so the raw bytes of ``mlp_forward``'s outputs from each
-trained model are hashed too, on 4096 sampled parameter rows: one row at a
-time for the first 100, 100 rows in one call, and all 4096 in one call (see
+penalty (see ``grid_bytes``).  The registry's constraints declare that they
+do not read ``p`` (``param_free``), so after a problem's first scan
+``grid_scan`` ranks only the feasible grid points it kept; a ``.full`` line
+beside each problem's 50 scans hashes them again on a copy of the spec whose
+constraints declare nothing, so that each scans the whole grid, and reads
+as the line beside it.  The CSVs show a net's outputs only as 17-digit
+text, so the raw bytes of ``mlp_forward``'s outputs from each trained model
+are hashed too, on 4096 sampled parameter rows: one row at a time for the
+first 100, 100 rows in one call, and all 4096 in one call (see
 ``forward_bytes``).  No registry problem has an equality, so two specs of
 this file's own carry them: an equality alone and two inequalities beside
 two equalities (see ``EQUALITY_SPECS``).  On each, ``loss_terms_batch``'s
@@ -45,7 +50,7 @@ with a shift, at boundary points, signed zeros, NaN and +-inf, and the
 penalty of hand-built residual blocks that hold the same edges, under the
 default ``PenaltyConfig``, gamma 1 and 3 and the indicator (see
 ``edge_loss_bytes``).  One ``<sha256 prefix> <artifact>`` line per output,
-163 in all.
+167 in all.
 
 A refactor that should not change results runs this on the parent commit and
 on the change and diffs the two outputs.  Run from a checkout's root:
@@ -54,6 +59,7 @@ on the change and diffs the two outputs.  Run from a checkout's root:
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -157,13 +163,27 @@ def certified_bytes(solutions) -> bytes:
     return bytes(s.certified for s in solutions)
 
 
+def undeclared(spec):
+    """``spec`` with each constraint evaluator behind a plain wrapper that
+    declares nothing: no ``param_free``."""
+    def plain(fn):
+        return lambda x, p, grad=True: fn(x, p, grad=grad)
+
+    return dataclasses.replace(spec, **{
+        kind: tuple(Constraint(plain(c.fn), c.bound) for c in getattr(spec, kind))
+        for kind in ("inequalities", "equalities")})
+
+
 def grid_bytes():
     """Yield (artifact name, raw bits of ``grid_scan``'s answers) per problem,
-    then for the two rosenbrock-1c overflow cases."""
+    and on its ``undeclared`` copy, then for the two rosenbrock-1c overflow
+    cases."""
     for name in problem_names():
         spec = make_problem(name)
-        yield (f"{name}.grid-x{SOLVES}",
-               solution_bytes(answers(spec, sample_params(spec, SOLVES, 0), grid_scan)))
+        params = sample_params(spec, SOLVES, 0)
+        yield f"{name}.grid-x{SOLVES}", solution_bytes(answers(spec, params, grid_scan))
+        yield (f"{name}.grid-x{SOLVES}.full",
+               solution_bytes(answers(undeclared(spec), params, grid_scan)))
     yield ("rosenbrock-1c.grid-overflow", solution_bytes(answers(
         make_problem("rosenbrock-1c"), [[1e308, 1.0], [1.0, 1e200]], grid_scan)))
 
