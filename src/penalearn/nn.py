@@ -424,9 +424,9 @@ def save_model(net: Mlp, path) -> None:
 def load_model(path) -> Mlp:
     """Read a model file written by save_model; exact weight round trip.
 
-    Every tensor line is parsed straight into its slice of the flat parameter
-    vector; a malformed or non-finite value raises ModelFormatError with the
-    line number.
+    Each tensor line's count is checked before anything is allocated for the
+    next, and the flat parameter vector is joined at the end; a malformed or
+    non-finite value raises ModelFormatError with the line number.
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -443,8 +443,7 @@ def load_model(path) -> Mlp:
         raise ModelFormatError(f"bad layer-sizes line: {exc}", line_number=2) from exc
     sizes = _check_layer_sizes(sizes)
 
-    params = np.empty(sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:])))
-    start = 0
+    tensors = []
     lineno = 2
     for t in range(len(sizes) - 1):
         fan_out, fan_in = sizes[t + 1], sizes[t]
@@ -473,11 +472,10 @@ def load_model(path) -> Mlp:
                     f"non-finite value in {kind} tensor for layer {t}",
                     line_number=lineno,
                 )
-            params[start:start + count] = values
-            start += count
+            tensors.append(values)
     extra = [ln for ln in lines[lineno:] if ln.strip()]
     if extra:
         raise ModelFormatError(
             "trailing content after final tensor", line_number=lineno + 1
         )
-    return Mlp._from_params(sizes, params)
+    return Mlp._from_params(sizes, np.concatenate(tensors))

@@ -40,13 +40,13 @@ silenced: the oracle ranks overflowed and NaN values as non-finite.
 A constraint evaluator with a ``param_free = True`` attribute declares that
 it does not read ``p`` (see ``problems``); the registry's disk and
 coordinate constraints do.  When every constraint of a spec declares it,
-its feasible set is the same for every instance, so the first
-``grid_scan`` of a constraint set, grid and ``feasible_tol`` keeps the grid
-points where every constraint holds (``_subgrid``), and later scans rank
-only those.  Where none is kept (the ``-3c`` problems), or none has a
-finite objective, the scan takes the whole grid.  The ranking's order is
-total and the evaluators are row-independent, so the answer and its values
-are those of a scan of the whole grid.
+its feasible set is the same for every instance, so the grid points where
+every constraint holds are one cached value of the spec, grid and
+``feasible_tol`` (``_feasible_points``, found at ``p`` = 0 in a pass of
+its own), and each scan ranks only those.  Where none is kept (the ``-3c``
+problems), or none has a finite objective, the scan takes the whole grid.
+The ranking's order is total and the evaluators are row-independent, so the
+answer and its values are those of a scan of the whole grid.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ import numpy as np
 
 from .errors import (DimensionError, NonFiniteError, OracleError, UnsupportedError, all_finite,
                      real_value, require, require_int, require_real)
-from .penalty import (ConstraintEval, PenaltyConfig, _ineq_penalty_row, _row_max,
-                      loss_terms_batch)
+from .penalty import PenaltyConfig, _ineq_penalty_row, loss_terms_batch
 from .penalty import violation_report_batch  # noqa: F401 -- wrapped by perfbench/layers.py:targets()
 from .problems import ProblemSpec
 
@@ -144,24 +143,7 @@ def _lowest(X, score) -> int:
     return int(tied[np.lexsort(X[tied].T[::-1])[0]])
 
 
-def _within(ce, tol):
-    """The rows of the residual block ``ce`` whose worst violation is at most
-    ``tol``: one row max per column kind, which with ``tol`` >= 0 are the rows
-    whose ``violations()`` maximum is at most ``tol``; NaN fails both."""
-    ineq, eq = ce._split(ce.values)
-    within = np.ones(ce.values.shape[0], dtype=bool) if ineq is None else _row_max(ineq) <= tol
-    if eq is not None:
-        within &= _row_max(np.abs(eq)) <= tol
-    return within
-
-
-def _constraint_blocks(spec, p, chunks):
-    """The value-only residual block of each of the candidate blocks ``chunks``."""
-    P = np.broadcast_to(p, (max(X.shape[0] for X in chunks), p.size))
-    return [spec.constraint_eval(X, P[:X.shape[0]], grad=False) for X in chunks]
-
-
-def _best(spec, p, chunks, tol, blocks=None):
+def _best(spec, p, chunks, tol):
     """The oracle's one ranking rule over the rows of the candidate blocks ``chunks``.
 
     Returns ``(chunk, row, objective, worst violation)`` of the best row.
@@ -172,19 +154,17 @@ def _best(spec, p, chunks, tol, blocks=None):
     (feasible first, then score, then x, then row), so that is the row one
     ranking of all rows picks.
 
-    Each chunk's constraints are evaluated once (values only) and kept, or
-    taken from ``blocks`` when the caller has evaluated them; the objective
-    only at its feasible rows, and at every row only when no chunk holds a
-    feasible row.  The evaluators are row-independent, so the winner's
-    values are those of a lone evaluation.  The caller silences numpy's
-    floating-point warnings.
+    Each chunk's constraints are evaluated once (values only) and kept; the
+    objective only at its feasible rows, and at every row only when no chunk
+    holds a feasible row.  The evaluators are row-independent, so the
+    winner's values are those of a lone evaluation.  The caller silences
+    numpy's floating-point warnings.
     """
-    if blocks is None:
-        blocks = _constraint_blocks(spec, p, chunks)
     P = np.broadcast_to(p, (max(X.shape[0] for X in chunks), p.size))
+    blocks = [spec.constraint_eval(X, P[:X.shape[0]], grad=False) for X in chunks]
     winners = []  # (chunk, row, objective, score) of each chunk's best row
     for c, (X, ce) in enumerate(zip(chunks, blocks)):
-        within = _within(ce, tol)
+        within = ce.worst() <= tol  # NaN is never within
         # most chunks of a small feasible set hold no feasible row: a count
         # finds that at a fraction of the cost of listing the rows
         if not np.count_nonzero(within):
@@ -207,9 +187,9 @@ def _best(spec, p, chunks, tol, blocks=None):
         winners = [winners[_lowest(np.array([chunks[c][i] for c, i, _, _ in winners]),
                                    np.array([score for _, _, _, score in winners]))]]
     c, i, f0, _ = winners[0]
-    max_ineq, max_eq, _ = ConstraintEval(blocks[c].values[i:i + 1], None,
-                                         blocks[c].n_ineq).violations()
-    return c, int(i), float(f0), float(np.maximum(max_ineq, max_eq)[0])
+    # the winner chunk's worst again: keeping every chunk's would cost a
+    # whole-grid scan more, in freshly touched pages, than this one pass
+    return c, int(i), float(f0), float(blocks[c].worst()[i])
 
 
 @functools.lru_cache(maxsize=4)
@@ -223,26 +203,19 @@ def _mesh(dim: int, points_per_dim: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _subgrid(constraints, dim: int, points_per_dim: int, tol: float) -> list:
-    """The slot of one constraint set on one grid: empty until the first scan
-    that meets them puts in the grid points where each holds (``_within``),
-    in grid order, as one read-only array.  Only constraints that do not read
-    ``p`` have a slot (``_subgrid_slot``), so it serves every instance and
-    every objective that shares them."""
-    return []
-
-
-def _subgrid_slot(spec: ProblemSpec, cfg: OracleConfig):
-    """``_subgrid``'s slot for ``spec``'s constraints (each ``Constraint``'s
-    evaluator and bound) on ``cfg``'s grid, or ``None`` unless every
-    constraint evaluator declares ``param_free`` and every bound hashes."""
-    if not all(getattr(c.fn, "param_free", False) for c in spec.inequalities + spec.equalities):
-        return None
-    try:
-        return _subgrid((spec.inequalities, spec.equalities), spec.decision_dim,
-                        cfg.grid_points_per_dim, cfg.feasible_tol)
-    except TypeError:  # a bound numpy cannot hash, such as an array
-        return None
+def _feasible_points(spec: ProblemSpec, points_per_dim: int, tol: float) -> np.ndarray:
+    """The grid points where each of ``spec``'s constraints holds (worst
+    violation at most ``tol``), in grid order, as one read-only array; built
+    once per equal spec, resolution and ``tol``.  The constraints are
+    evaluated at ``p`` = 0: the caller passes only specs whose every
+    constraint evaluator declares ``param_free``."""
+    points = _mesh(spec.decision_dim, points_per_dim)
+    P = np.zeros((GRID_CHUNK, spec.param_dim))
+    feasible = points.compress(np.concatenate([
+        spec.constraint_eval(X, P[:X.shape[0]], grad=False).worst() <= tol
+        for X in _chunks(points)]), 0)
+    feasible.flags.writeable = False
+    return feasible
 
 
 def _chunks(points):
@@ -257,14 +230,15 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
     grid point is feasible, the point minimizing objective + penalty at the
     default ``PenaltyConfig`` weight: ``_best`` ranks the 4,096-point chunks
     of the grid as it ranks ``solve``'s candidates.  When no constraint
-    reads ``p`` (each evaluator declares ``param_free``), the first scan of
-    a constraint set and grid keeps its feasible points (``_subgrid``), and
-    later scans rank only those, falling back to the whole grid when none
-    has a finite objective; the order is total, so the winner and its
-    values are the same.  The answer's objective and worst violation are
-    the ones the scan computed; the winner is not evaluated again.  ``spec``
-    must be a ``ProblemSpec`` and ``cfg`` an ``OracleConfig`` (``ConfigError``
-    naming the argument), and ``p`` is checked by ``_params``.
+    reads ``p`` (each evaluator declares ``param_free``) and ``spec``
+    hashes, the scan ranks only the feasible points (``_feasible_points``,
+    cached per equal spec, grid and ``feasible_tol``), falling back to the
+    whole grid when none is kept or none has a finite objective; the order
+    is total, so the winner and its values are the same.  The answer's
+    objective and worst violation are the ones the scan computed; the
+    winner is not evaluated again.  ``spec`` must be a ``ProblemSpec`` and
+    ``cfg`` an ``OracleConfig`` (``ConfigError`` naming the argument), and
+    ``p`` is checked by ``_params``.
     """
     require(isinstance(spec, ProblemSpec), "spec", spec, "a ProblemSpec")
     require(isinstance(cfg, OracleConfig), "cfg", cfg, "an OracleConfig")
@@ -280,20 +254,22 @@ def grid_scan(spec: ProblemSpec, p, cfg: OracleConfig = OracleConfig()) -> Oracl
                               solve_time_s=time.perf_counter() - t0, method="grid")
 
     points = _mesh(k, cfg.grid_points_per_dim)
-    slot = _subgrid_slot(spec, cfg)
-    if slot and slot[0].shape[0]:
-        chunks = _chunks(slot[0])
+    kept = points[:0]
+    if all(getattr(c.fn, "param_free", False) for c in spec.inequalities + spec.equalities):
+        try:
+            # hashed apart from the cached call, whose evaluators may raise a TypeError too
+            hash(spec)
+        except TypeError:  # a field that cannot be hashed, such as an array bound
+            pass
+        else:
+            kept = _feasible_points(spec, cfg.grid_points_per_dim, cfg.feasible_tol)
+    if kept.shape[0]:
+        chunks = _chunks(kept)
         best = _best(spec, p, chunks, cfg.feasible_tol)
         if best[2] < np.inf:  # else no feasible point has a finite objective
             return answer(chunks, *best)
-    chunks, blocks = _chunks(points), None
-    if slot == []:  # the first scan of these constraints: keep their feasible points
-        blocks = _constraint_blocks(spec, p, chunks)
-        feasible = points.compress(np.concatenate([_within(ce, cfg.feasible_tol)
-                                                   for ce in blocks]), 0)
-        feasible.flags.writeable = False
-        slot.append(feasible)
-    return answer(chunks, *_best(spec, p, chunks, cfg.feasible_tol, blocks))
+    chunks = _chunks(points)
+    return answer(chunks, *_best(spec, p, chunks, cfg.feasible_tol))
 
 
 def _accepts(Ft, Gt, ref, t, gnorm2):

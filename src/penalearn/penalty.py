@@ -106,6 +106,19 @@ class ConstraintEval:
         feasible = (worst_ineq <= 0.0) & (max_eq <= eq_tolerance)
         return np.maximum(worst_ineq, 0.0), max_eq, feasible
 
+    def worst(self):
+        """Each row's worst violation: the larger of ``violations()``'s first
+        two arrays, with the bits of their ``np.maximum``; NaN where either is."""
+        ineq, eq = self._split(self.values)
+        if ineq is None:
+            return np.zeros(self.values.shape[0]) if eq is None else _row_max(np.abs(eq))
+        worst = _row_max(ineq)
+        # clamped in place only where _row_max made a new array: one column is a view of values
+        worst = np.maximum(worst, 0.0, out=worst if ineq.shape[1] > 1 else None)
+        if eq is not None:
+            np.maximum(worst, _row_max(np.abs(eq)), out=worst)
+        return worst
+
     def penalty(self, cfg: PenaltyConfig, shift=None, grad=None):
         """(penalty per row at ``cfg``, ``grad`` + the penalty's gradient in x).
 
@@ -203,8 +216,8 @@ def _row_max(values):
     returned as a view, more as a new array."""
     if values.shape[1] == 1:
         return values[:, 0]
-    out = values[:, 0].copy()
-    for j in range(1, values.shape[1]):
+    out = np.maximum(values[:, 0], values[:, 1])
+    for j in range(2, values.shape[1]):
         np.maximum(out, values[:, j], out=out)
     return out
 

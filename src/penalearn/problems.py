@@ -36,13 +36,16 @@ A constraint evaluator that does not read ``p`` says so with a
 ``param_free = True`` attribute, as the disk and coordinate constraints do:
 their feasible set is then the same for every instance.  When every
 constraint of a spec declares it, ``oracle.grid_scan`` finds the feasible
-grid points once per constraint set and grid, and later scans rank only
-those.  Leave it off an evaluator that reads ``p``: a scan would then rank
-the feasible points of another instance.
+grid points once per equal spec and grid, and every scan ranks only those.
+Specs made by separate ``make_problem`` calls are equal, since
+``coordinate_constraint`` returns one evaluator per index.  Leave the
+attribute off an evaluator that reads ``p``: a scan would then rank the
+feasible points of another instance.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -196,6 +199,7 @@ disk_constraint.row = lambda x, p: (x[0] * x[0] + x[1] * x[1], [2.0 * x[0], 2.0 
 disk_constraint.param_free = True
 
 
+@functools.cache
 def coordinate_constraint(index):
     def fn(x, p, grad=True):
         g = None

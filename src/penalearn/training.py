@@ -160,14 +160,12 @@ def resolve_net_shape(spec: ProblemSpec, cfg: TrainConfig) -> tuple[int, ...]:
 def _log_entry(epoch, net, inputs, raw_params, spec, cfg, t0) -> TrainLogEntry:
     outputs, _ = mlp_forward(net, inputs)
     terms = loss_terms_batch(outputs, raw_params, spec, cfg.penalty, grad=False)
-    max_ineq, max_eq, _ = terms.constraints.violations()
-    worst = np.maximum(max_ineq, max_eq)
     return TrainLogEntry(
         epoch=int(epoch),
         mean_loss=float(terms.loss.mean()),
         mean_objective=float(terms.objective.mean()),
         mean_penalty=float(terms.penalty.mean()),
-        feasible_frac=float((worst <= cfg.feas_tolerance).mean()),
+        feasible_frac=float((terms.constraints.worst() <= cfg.feas_tolerance).mean()),
         elapsed_s=time.perf_counter() - t0,
     )
 

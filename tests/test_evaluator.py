@@ -91,9 +91,9 @@ def _count_oracle_evaluations(monkeypatch, counts):
 
 @pytest.fixture
 def cold_grid_cache():
-    """No constraint set's feasible grid points are cached when the test starts,
-    whichever tests ran before it."""
-    oracle._subgrid.cache_clear()
+    """No spec's feasible grid points are cached when the test starts, whichever
+    tests ran before it."""
+    oracle._feasible_points.cache_clear()
 
 
 def test_grid_scan_evaluates_once_per_chunk(monkeypatch, cold_grid_cache):
@@ -105,33 +105,35 @@ def test_grid_scan_evaluates_once_per_chunk(monkeypatch, cold_grid_cache):
     chunks = -(-201**2 // 10_000)
     assert chunks == 5
     grid_scan(counts.spec, np.array([1.0, 1.0]))
-    # the unit disk's grid rows, x1 in [-1, 1], are rows 84-116 of 201: chunks 1 and 2
+    # the disk does not read p, so a cold scan finds its 877 feasible points in a
+    # pass of its own over the grid's chunks, then ranks those points, one chunk
     assert calls == [0, 0]
-    assert counts.both() == (2, chunks)
-    # the disk does not read p, so the first scan kept its 877 feasible points, one
-    # chunk, and a scan at other parameters evaluates only those
+    assert counts.both() == (1, chunks + 1)
+    # a scan at other parameters finds them cached and evaluates only those
     grid_scan(counts.spec, np.array([2.0, 0.5]))
     assert calls == [0, 0]
-    assert counts.both() == (2 + 1, chunks + 1)
+    assert counts.both() == (1 + 1, chunks + 1 + 1)
 
 
-@pytest.mark.parametrize("spec", ["rosenbrock-3c", LINE], ids=["rosenbrock-3c", "line"])
+@pytest.mark.parametrize("spec, cold", [("rosenbrock-3c", (5, 10)), (LINE, (5, 5))],
+                         ids=["rosenbrock-3c", "line"])
 def test_grid_scan_without_a_feasible_point_evaluates_constraints_once_per_chunk(
-        monkeypatch, cold_grid_cache, spec):
+        monkeypatch, cold_grid_cache, spec, cold):
     # rosenbrock-3c has no feasible point, and no grid point lies on LINE's
     # x1 + x2 = 1: the constraint pass finds none, so every chunk's objective is
-    # evaluated and penalized by the kept constraint block; rosenbrock-3c's first
-    # scan ranks with the blocks that found its empty feasible set, and a later
-    # scan, which finds it cached, scans the whole grid as the first did
+    # evaluated and penalized by the kept constraint block; rosenbrock-3c's
+    # constraints do not read p, so its cold scan first finds its empty feasible
+    # set in a pass of its own, and a later scan, which finds it cached, scans the
+    # whole grid as the first did
     counts = _Counts(monkeypatch, spec)
     calls = _count_oracle_evaluations(monkeypatch, counts)
     monkeypatch.setattr(oracle, "GRID_CHUNK", 10_000)
     grid_scan(counts.spec, np.array([1.0, 1.0]))
     assert calls == [0, 0]
-    assert counts.both() == (5, 5)
+    assert counts.both() == cold
     grid_scan(counts.spec, np.array([2.0, 0.5]))
     assert calls == [0, 0]
-    assert counts.both() == (5 + 5, 5 + 5)
+    assert counts.both() == (cold[0] + 5, cold[1] + 5)
 
 
 def test_solve_evaluates_once_per_batch_of_line_search_trials_and_ranking(
@@ -139,8 +141,8 @@ def test_solve_evaluates_once_per_batch_of_line_search_trials_and_ranking(
     # one 441-point grid chunk; the descent evaluates once per step's first
     # line-search trial and once per batch of up to 8 halvings; each ranking
     # the constraints once and the objective once.  Each solve runs twice: the
-    # first scan of a constraint set ranks the blocks that found its feasible
-    # points, and the second ranks those points alone, one chunk as well
+    # first, cold, scan finds the feasible points in a constraint pass of its
+    # own, one more constraint evaluation, and the second finds them cached
     counts = _Counts(monkeypatch)
     calls = _count_oracle_evaluations(monkeypatch, counts)
     cfg = OracleConfig(grid_points_per_dim=21)
@@ -157,17 +159,20 @@ def test_solve_evaluates_once_per_batch_of_line_search_trials_and_ranking(
 
     # grid, the grid start's descent alone, the ranking, and the KKT residual's
     # one objective and one constraint evaluation with gradients
-    assert twice(counts.spec) == [(True, [0, 49], (3 + 49, 3 + 49))] * 2
+    assert twice(counts.spec) == [(True, [0, 49], (3 + 49, 1 + 3 + 49)),
+                                  (True, [0, 49], (3 + 49, 3 + 49))]
 
     # grid and ranking: the constraints find no feasible point, so the objective
     # at every row; the grid point descends beside the random starts
-    assert twice(counts.counted("rosenbrock-3c")) == [(False, [0, 132], (2 + 132, 2 + 132))] * 2
+    assert twice(counts.counted("rosenbrock-3c")) == [(False, [0, 132], (2 + 132, 1 + 2 + 132)),
+                                                    (False, [0, 132], (2 + 132, 2 + 132))]
 
     # forced past the certificate, the random starts descend after the grid
     # start (127 evaluations), and every candidate is ranked once more
     monkeypatch.setattr(oracle, "_KKT_BOUND", -1.0)
-    oracle._subgrid.cache_clear()
-    assert twice(counts.spec) == [(False, [0, 49 + 127], (4 + 49 + 127, 4 + 49 + 127))] * 2
+    oracle._feasible_points.cache_clear()
+    assert twice(counts.spec) == [(False, [0, 49 + 127], (4 + 49 + 127, 1 + 4 + 49 + 127)),
+                                  (False, [0, 49 + 127], (4 + 49 + 127, 4 + 49 + 127))]
 
 
 def test_training_log_and_evaluate_evaluate_once(monkeypatch):

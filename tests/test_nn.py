@@ -422,6 +422,15 @@ def test_model_parse_errors(tmp_path, mangle, exc):
         load_model(path)
 
 
+def test_model_tensor_counts_are_checked_before_anything_is_allocated(tmp_path):
+    # these sizes would take 128 EB of parameters: the short tensor line is the error
+    path = tmp_path / "m.txt"
+    path.write_text("penalearn-model v1\n2 4000000000 4000000000 2\n1 2\n")
+    with pytest.raises(ModelFormatError, match="has 2 values, expected 8000000000") as info:
+        load_model(path)
+    assert info.value.line_number == 3
+
+
 def test_model_parse_error_carries_line_number(tmp_path):
     net = init_mlp((2, 3, 2), seed=1)
     path = tmp_path / "m.txt"

@@ -19,6 +19,7 @@ from penalearn import (
     grid_scan,
     kkt_residual,
     make_problem,
+    problem_names,
     sample_params,
     solve,
 )
@@ -396,10 +397,10 @@ def test_grid_scan_has_the_same_bits_with_and_without_the_param_free_declaration
     params = list(sample_params(spec, 50, seed=12))
     if name == "rosenbrock-1c":
         params += [np.array([1e308, 1.0]), np.array([1.0, 1e200])]
-    oracle._subgrid.cache_clear()
+    oracle._feasible_points.cache_clear()
     for p in params:
         assert _answer_bytes(grid_scan(spec, p)) == _answer_bytes(grid_scan(plain, p)), p
-    assert oracle._subgrid.cache_info()[:2] == (len(params) - 1, 1)  # hits, misses
+    assert oracle._feasible_points.cache_info()[:2] == (len(params) - 1, 1)  # hits, misses
 
 
 def test_a_constraint_that_reads_p_keeps_the_full_scan():
@@ -410,7 +411,7 @@ def test_a_constraint_that_reads_p_keeps_the_full_scan():
 
     spec = dataclasses.replace(make_problem("rosenbrock-1c"), name="rosenbrock-disk-c2",
                                inequalities=(Constraint(disk, 0.0),))
-    oracle._subgrid.cache_clear()
+    oracle._feasible_points.cache_clear()
     for p in (np.array([1.0, 0.04]), np.array([1.0, 1.0])):
         x, objective, max_violation = _full_penalized_scan(spec, p)
         got = grid_scan(spec, p)
@@ -419,7 +420,7 @@ def test_a_constraint_that_reads_p_keeps_the_full_scan():
         assert np.float64(got.max_violation).tobytes() == max_violation.tobytes(), p
         s = solve(spec, p)
         assert s.certified and s.objective <= objective, p
-    assert oracle._subgrid.cache_info().currsize == 0
+    assert oracle._feasible_points.cache_info().currsize == 0
 
 
 def test_each_bound_tolerance_and_grid_gets_its_own_feasible_points():
@@ -427,7 +428,7 @@ def test_each_bound_tolerance_and_grid_gets_its_own_feasible_points():
     # outside the unit disk and inside it widened by a tolerance of 0.5 (at c2 =
     # 0.9); and the winner on the 201-point grid is no point of the 101-point one
     base = make_problem("rosenbrock-1c")
-    oracle._subgrid.cache_clear()
+    oracle._feasible_points.cache_clear()
     for p in (np.array([1.0, 1.0]), np.array([3.0, 0.9])):
         for bound in (1.0, 25.0):
             spec = dataclasses.replace(base, inequalities=(Constraint(disk_constraint, bound),))
@@ -437,17 +438,31 @@ def test_each_bound_tolerance_and_grid_gets_its_own_feasible_points():
                     assert (_answer_bytes(grid_scan(spec, p, cfg))
                             == _answer_bytes(grid_scan(_undeclared(spec), p, cfg))), (
                         p, bound, tol, n)
-    assert oracle._subgrid.cache_info()[:2] == (8, 8)  # hits, misses
+    assert oracle._feasible_points.cache_info()[:2] == (8, 8)  # hits, misses
 
 
 def test_a_bound_that_cannot_be_hashed_keeps_the_full_scan():
     # a 0-d array bound evaluates as its float does, but cannot key the cache
     base = make_problem("rosenbrock-1c")
     spec = dataclasses.replace(base, inequalities=(Constraint(disk_constraint, np.array(1.0)),))
-    oracle._subgrid.cache_clear()
+    oracle._feasible_points.cache_clear()
     for p in sample_params(base, 3, seed=2):
         assert _answer_bytes(grid_scan(spec, p)) == _answer_bytes(grid_scan(base, p)), p
-    assert oracle._subgrid.cache_info()[:2] == (2, 1)  # base's scans: hits, misses
+    assert oracle._feasible_points.cache_info()[:2] == (2, 1)  # base's scans: hits, misses
+
+
+def test_specs_made_apart_share_their_feasible_points():
+    # specs made by separate make_problem calls are equal, so a fresh rosenbrock-3c
+    # spec finds the first one's entry, and nine of them evict nothing
+    for name in problem_names():
+        assert make_problem(name) == make_problem(name), name
+    oracle._feasible_points.cache_clear()
+    p = np.array([1.0, 1.0])
+    grid_scan(make_problem("rosenbrock-1c"), p)
+    for _ in range(9):
+        grid_scan(make_problem("rosenbrock-3c"), p)
+    grid_scan(make_problem("rosenbrock-1c"), p)
+    assert oracle._feasible_points.cache_info()[:2] == (8 + 1, 2)  # hits, misses
 
 
 def _lone_values(spec, p, x):

@@ -334,6 +334,8 @@ def test_violations_row_maxima_have_the_bits_of_max_axis_1():
                                                residuals(rows, n_eq, [])]), None, n_ineq)
                 for got, want in zip(ce.violations(0.5), _violations_by_max(ce, 0.5)):
                     assert got.tobytes() == want.tobytes(), (rows, n_ineq, n_eq)
+                want = np.maximum(*_violations_by_max(ce, 0.5)[:2])
+                assert ce.worst().tobytes() == want.tobytes(), (rows, n_ineq, n_eq)
                 # a NaN with its sign bit set (what x86 makes of inf - inf): NaN where
                 # .max gives NaN, but .max itself gives +nan or -nan for it depending on
                 # its place and the column count, so its sign is not compared
@@ -342,3 +344,5 @@ def test_violations_row_maxima_have_the_bits_of_max_axis_1():
                                                residuals(rows, n_eq, [nan])]), None, n_ineq)
                 for got, want in zip(ce.violations(0.5), _violations_by_max(ce, 0.5)):
                     assert np.array_equal(got, want, equal_nan=True), (rows, n_ineq, n_eq)
+                want = np.maximum(*_violations_by_max(ce, 0.5)[:2])
+                assert np.array_equal(ce.worst(), want, equal_nan=True), (rows, n_ineq, n_eq)

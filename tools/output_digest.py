@@ -29,8 +29,8 @@ instances of each problem and on rosenbrock-1c at (c1, c2) = (1e308, 1),
 where the objective overflows on part of the disk, and at (1, 1e200), where
 it overflows everywhere and the scan ranks every grid point by objective +
 penalty (see ``grid_bytes``).  The registry's constraints declare that they
-do not read ``p`` (``param_free``), so after a problem's first scan
-``grid_scan`` ranks only the feasible grid points it kept; a ``.full`` line
+do not read ``p`` (``param_free``), so ``grid_scan`` ranks only the
+feasible grid points it keeps for each spec; a ``.full`` line
 beside each problem's 50 scans hashes them again on a copy of the spec whose
 constraints declare nothing, so that each scans the whole grid, and reads
 as the line beside it.  The CSVs show a net's outputs only as 17-digit
