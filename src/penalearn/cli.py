@@ -30,7 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bench import emit_csv, run_benchmark, table_repro
-from .errors import ConfigError, PenalearnError, RegistryError, UsageError, require_int
+from .errors import (ConfigError, ModelFormatError, PenalearnError, RegistryError, UsageError,
+                     require_int)
 from .nn import Mlp, load_model, save_model, write_text_atomic
 from .oracle import OracleConfig, solve
 from .penalty import PenaltyConfig
@@ -275,7 +276,10 @@ def _load_model_for(cfg: RunConfig) -> Mlp:
         raise UsageError(f"{cfg.command} requires --model <file>")
     if not os.path.exists(cfg.model):
         raise UsageError(f"model file not found: {cfg.model}")
-    net = load_model(cfg.model)
+    try:
+        net = load_model(cfg.model)
+    except ModelFormatError as exc:  # say where, as a config file error does
+        raise type(exc)(f"{cfg.model}:{exc.line_number}: {exc}", exc.line_number) from None
     if net.input_dim != spec.param_dim or net.output_dim != spec.decision_dim:
         raise UsageError(
             f"model {cfg.model} maps {net.input_dim} -> {net.output_dim}, but "

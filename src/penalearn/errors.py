@@ -78,13 +78,14 @@ def require_int(config, field, low):
 def real_value(field, value, above=-math.inf, at_least=-math.inf, below=math.inf):
     """``value`` as a float, once ``require`` holds that it is a finite real, not
     a bool, > above, >= at_least and < below."""
-    rule = (f"in ({above:g}, {below:g})" if below < math.inf
-            else f"> {above:g}" if above > -math.inf else f">= {at_least:g}")
+    rule = (f" in ({above:g}, {below:g})" if below < math.inf
+            else f" > {above:g}" if above > -math.inf
+            else f" >= {at_least:g}" if at_least > -math.inf else "")
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if real and not isinstance(value, numbers.Integral):
         value = float(value)  # a float32 compared with the double bounds would overflow
     require(real and abs(value) <= sys.float_info.max and above < value < below
-            and value >= at_least, field, value, f"a finite real number {rule}")
+            and value >= at_least, field, value, f"a finite real number{rule}")
     return float(value)
 
 

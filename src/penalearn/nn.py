@@ -296,7 +296,11 @@ def mlp_backward(
 class AdamState:
     """First/second moment vectors, in the layout of ``Mlp.params``, plus the
     ADAM hyperparameters.  ``adam_step(..., out=(net, state))`` updates
-    ``m``, ``v`` and ``step_count`` in place."""
+    ``m``, ``v`` and ``step_count`` in place.
+
+    Each setting is a finite real number in ``TrainConfig``'s range, stored
+    as a float: ``learning_rate`` and ``epsilon`` > 0, ``beta1`` and
+    ``beta2`` in (0, 1); else ``ConfigError`` names it."""
 
     m: np.ndarray
     v: np.ndarray
@@ -306,20 +310,18 @@ class AdamState:
     epsilon: float = 1e-8
     learning_rate: float = 1e-3
 
+    def __post_init__(self):
+        require_real(self, "learning_rate", above=0)
+        require_real(self, "beta1", above=0, below=1)
+        require_real(self, "beta2", above=0, below=1)
+        require_real(self, "epsilon", above=0)
+
     @classmethod
     def for_net(cls, net: Mlp, learning_rate=1e-3, beta1=0.9, beta2=0.999,
                 epsilon=1e-8) -> "AdamState":
-        """Zero moments for ``net``.  Each setting is a finite real number in
-        ``TrainConfig``'s range, stored as a float: ``learning_rate`` and
-        ``epsilon`` > 0, ``beta1`` and ``beta2`` in (0, 1); else ``ConfigError``
-        names it."""
-        state = cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params), beta1=beta1,
-                    beta2=beta2, epsilon=epsilon, learning_rate=learning_rate)
-        require_real(state, "learning_rate", above=0)
-        require_real(state, "beta1", above=0, below=1)
-        require_real(state, "beta2", above=0, below=1)
-        require_real(state, "epsilon", above=0)
-        return state
+        """Zero moments for ``net``."""
+        return cls(m=np.zeros_like(net.params), v=np.zeros_like(net.params), beta1=beta1,
+                   beta2=beta2, epsilon=epsilon, learning_rate=learning_rate)
 
 
 def adam_step(
@@ -438,10 +440,9 @@ def load_model(path) -> Mlp:
             line_number=1,
         )
     try:
-        sizes = tuple(int(tok) for tok in lines[1].split())
-    except (IndexError, ValueError) as exc:
+        sizes = _check_layer_sizes(int(tok) for tok in lines[1].split())
+    except (IndexError, ValueError, DimensionError) as exc:
         raise ModelFormatError(f"bad layer-sizes line: {exc}", line_number=2) from exc
-    sizes = _check_layer_sizes(sizes)
 
     tensors = []
     lineno = 2

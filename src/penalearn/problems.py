@@ -14,6 +14,11 @@ The -3c variants have empty feasible sets as stated (x1 <= -2.5 contradicts
 the unit disk); they are registered anyway as penalty-compromise stress tests
 and carry ``known_infeasible=True``.
 
+``make_problem`` builds a new spec on every call from one registry row (a
+landscape's objective and parameter ranges, a constraint set, the default
+net's hidden layers).  It looks the objective up at that call, so a spec
+made after this module's objective is replaced holds the replacement.
+
 Evaluators follow ``fn(x, p, grad=True) -> (values, grads or None)`` on a
 batch; ``grad=False`` returns ``(values, None)``, the values computed by the
 very expressions the gradient path uses.  Every caller passes ``grad=``, and
@@ -37,8 +42,9 @@ A constraint evaluator that does not read ``p`` says so with a
 their feasible set is then the same for every instance.  When every
 constraint of a spec declares it, ``oracle.grid_scan`` finds the feasible
 grid points once per equal spec and grid, and every scan ranks only those.
-Specs made by separate ``make_problem`` calls are equal, since
-``coordinate_constraint`` returns one evaluator per index.  Leave the
+Specs made by separate ``make_problem`` calls are equal, and so are specs
+built apart from ``coordinate_constraint``, which returns one evaluator per
+index.  Leave the
 attribute off an evaluator that reads ``p``: a scan would then rank the
 feasible points of another instance.
 """
@@ -47,12 +53,14 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, RegistryError, is_int, require
+from .errors import (ConfigError, DimensionError, RegistryError, is_int, real_value, require,
+                     require_int)
 from .penalty import ConstraintEval
 
 # evaluator: (x[batch,k], p[batch,d], grad=True) -> (values[batch], grads[batch,k] or None)
@@ -80,15 +88,20 @@ class ProblemSpec:
     known_infeasible: bool = False
 
     def __post_init__(self):
+        require_int(self, "decision_dim", 1)
+        require_int(self, "param_dim", 1)
         if len(self.param_ranges) != self.param_dim:
             raise DimensionError(
                 f"{self.name}: {len(self.param_ranges)} ranges for "
                 f"{self.param_dim} parameters"
             )
         for lo, hi in self.param_ranges:
-            if lo > hi:
+            width = real_value("param_ranges", hi) - real_value("param_ranges", lo)
+            if width < 0:
                 raise ConfigError(f"{self.name}: range low {lo} exceeds high {hi}",
                                   "param_ranges")
+            # sample_params draws from it, and numpy's uniform needs a finite width
+            require(width < math.inf, "param_ranges", (lo, hi), "a range of finite width")
         evaluators = [("objective", self.objective)] + [
             (f"constraint {i}", c.fn) for i, c in enumerate(self.inequalities + self.equalities)]
         for what, fn in evaluators:
@@ -221,74 +234,35 @@ def coordinate_constraint(index):
 # ---------------------------------------------------------------------------
 # registry
 
-_ROSENBROCK_RANGES = ((0.0, 30.0), (0.0, 1.0))
-_ACKLEY_RANGES = ((0.0, 30.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 30.0))
-_DEEP_SHAPE_TAIL = (10, 20, 20, 20, 10, 2)
+# a landscape: () -> (objective, parameter ranges), a call so that make_problem
+# looks the objective up when it runs
+_LANDSCAPES = {
+    "rosenbrock": lambda: (rosenbrock_objective, ((0.0, 30.0), (0.0, 1.0))),
+    "ackley": lambda: (ackley_objective,
+                       ((0.0, 30.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 30.0))),
+}
 
 
-def _rosenbrock_1c():
-    return ProblemSpec(
-        name="rosenbrock-1c",
-        decision_dim=2,
-        param_dim=2,
-        objective=rosenbrock_objective,
-        inequalities=(Constraint(disk_constraint, 1.0),),
-        param_ranges=_ROSENBROCK_RANGES,
-        default_net_shape=(2, 20, 20, 2),
-    )
+def _disk(bound):
+    """The constraint fields of a spec whose one constraint is x1^2+x2^2 <= bound."""
+    return {"inequalities": (Constraint(disk_constraint, bound),)}
 
 
-def _rosenbrock_3c():
-    return ProblemSpec(
-        name="rosenbrock-3c",
-        decision_dim=2,
-        param_dim=2,
-        objective=rosenbrock_objective,
-        inequalities=(
-            Constraint(disk_constraint, 1.0),
-            Constraint(coordinate_constraint(0), -2.5),
-            Constraint(coordinate_constraint(1), -1.0),
-        ),
-        param_ranges=_ROSENBROCK_RANGES,
-        default_net_shape=(2,) + _DEEP_SHAPE_TAIL,
-        known_infeasible=True,
-    )
+# x1 <= -2.5 contradicts the unit disk: no point satisfies all three
+_THREE_CONSTRAINTS = {
+    "inequalities": (Constraint(disk_constraint, 1.0),
+                     Constraint(coordinate_constraint(0), -2.5),
+                     Constraint(coordinate_constraint(1), -1.0)),
+    "known_infeasible": True,
+}
+_DEEP = (10, 20, 20, 20, 10)
 
-
-def _ackley_1c():
-    return ProblemSpec(
-        name="ackley-1c",
-        decision_dim=2,
-        param_dim=5,
-        objective=ackley_objective,
-        inequalities=(Constraint(disk_constraint, 25.0),),
-        param_ranges=_ACKLEY_RANGES,
-        default_net_shape=(5,) + _DEEP_SHAPE_TAIL,
-    )
-
-
-def _ackley_3c():
-    return ProblemSpec(
-        name="ackley-3c",
-        decision_dim=2,
-        param_dim=5,
-        objective=ackley_objective,
-        inequalities=(
-            Constraint(disk_constraint, 1.0),
-            Constraint(coordinate_constraint(0), -2.5),
-            Constraint(coordinate_constraint(1), -1.0),
-        ),
-        param_ranges=_ACKLEY_RANGES,
-        default_net_shape=(5,) + _DEEP_SHAPE_TAIL,
-        known_infeasible=True,
-    )
-
-
+# name: (landscape, constraint fields, hidden layer sizes of the default net)
 _REGISTRY = {
-    "rosenbrock-1c": _rosenbrock_1c,
-    "rosenbrock-3c": _rosenbrock_3c,
-    "ackley-1c": _ackley_1c,
-    "ackley-3c": _ackley_3c,
+    "rosenbrock-1c": ("rosenbrock", _disk(1.0), (20, 20)),
+    "rosenbrock-3c": ("rosenbrock", _THREE_CONSTRAINTS, _DEEP),
+    "ackley-1c": ("ackley", _disk(25.0), _DEEP),
+    "ackley-3c": ("ackley", _THREE_CONSTRAINTS, _DEEP),
 }
 
 
@@ -297,12 +271,21 @@ def problem_names() -> tuple[str, ...]:
 
 
 def make_problem(name: str) -> ProblemSpec:
-    try:
-        return _REGISTRY[name]()
-    except KeyError:
-        raise RegistryError(
-            f"unknown problem {name!r}; known problems: {', '.join(_REGISTRY)}"
-        ) from None
+    """A new spec of the registered problem ``name`` on every call."""
+    if name not in _REGISTRY:
+        raise RegistryError(f"unknown problem {name!r}; known problems: {', '.join(_REGISTRY)}")
+    landscape, constraints, hidden = _REGISTRY[name]
+    objective, ranges = _LANDSCAPES[landscape]()
+    decision_dim = 2
+    return ProblemSpec(
+        name=name,
+        decision_dim=decision_dim,
+        param_dim=len(ranges),
+        objective=objective,
+        param_ranges=ranges,
+        default_net_shape=(len(ranges),) + hidden + (decision_dim,),
+        **constraints,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,8 @@ class TrainConfig:
         require_real(self, "beta1", above=0, below=1)
         require_real(self, "beta2", above=0, below=1)
         require_real(self, "adam_epsilon", above=0)
+        require(isinstance(self.penalty, PenaltyConfig), "penalty", self.penalty,
+                "a PenaltyConfig")
         shape = self.net_shape
         require(shape is None or (len(shape) >= 3 and all(is_int(s) and s >= 1 for s in shape)),
                 "net_shape", shape, "3 or more layer sizes, each an integer >= 1")

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, config precedence, exit codes."""
 
+import dataclasses
 import os
 import re
 
@@ -380,6 +381,20 @@ def test_corrupt_model_exits_1(tmp_path, capsys):
     assert "penalearn:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "bench", "table"])
+@pytest.mark.parametrize("body, where, error", [
+    ("penalearn-model v1\n2 200000 200000 2\n0.5 0.5\n", 3, "ModelFormatError"),
+    ("penalearn-model v2\n2 20 20 2\n", 1, "ModelVersionError"),
+    ("penalearn-model v1\n2 0 2\n", 2, "ModelFormatError"),
+], ids=["weight_count", "v2_header", "zero_layer_size"])
+def test_a_malformed_model_file_exits_1_naming_its_file_and_line(tmp_path, capsys, command,
+                                                                 body, where, error):
+    bad = tmp_path / "bad.model"
+    bad.write_text(body)
+    assert run([command, "--problem", "rosenbrock-1c", "--model", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"penalearn: {error}: {bad}:{where}: ")
+
+
 def test_net_shape_must_match_problem(tmp_path):
     assert run(["train", "--problem", "rosenbrock-1c", "--net-shape", "3,4,2"]) == 2
     assert run(["train", "--problem", "rosenbrock-1c", "--net-shape", "2,4,3"]) == 2
@@ -480,7 +495,15 @@ def _adam(**settings):
     return AdamState.for_net(init_mlp((2, 3, 2)), **settings)
 
 
+def _adam_state(**settings):
+    return AdamState(np.zeros(3), np.zeros(3), **settings)
+
+
 _SPEC = make_problem("rosenbrock-1c")
+
+
+def _spec(**fields):
+    return dataclasses.replace(_SPEC, **fields)
 
 
 @pytest.mark.parametrize("make, field", [
@@ -505,12 +528,33 @@ _SPEC = make_problem("rosenbrock-1c")
     (lambda: solve("rosenbrock-1c", [1.0, 0.5]), "spec"),
     (lambda: kkt_residual(None, [1.0, 0.5], [0.0, 0.0], 1e-6), "spec"),
     (lambda: sample_params(None, 3), "spec"),
+    (lambda: _adam_state(learning_rate=-1.0), "learning_rate"),
+    (lambda: _adam_state(beta1=2.0), "beta1"),
+    (lambda: _adam_state(beta2=True), "beta2"),
+    (lambda: _adam_state(epsilon=float("nan")), "epsilon"),
+    (lambda: TrainConfig(penalty=None), "penalty"),
+    (lambda: TrainConfig(penalty={"eta": 1.0}), "penalty"),
+    (lambda: _spec(decision_dim=0), "decision_dim"),
+    (lambda: _spec(decision_dim="2"), "decision_dim"),
+    (lambda: _spec(decision_dim=2.0), "decision_dim"),
+    (lambda: _spec(param_dim="2"), "param_dim"),
+    (lambda: _spec(param_dim=0, param_ranges=()), "param_dim"),
+    (lambda: _spec(param_ranges=((0.0, 30.0), (0.0, float("nan")))), "param_ranges"),
+    (lambda: _spec(param_ranges=((float("-inf"), 30.0), (0.0, 1.0))), "param_ranges"),
+    (lambda: _spec(param_ranges=((0.0, 30.0), ("0", 1.0))), "param_ranges"),
+    (lambda: _spec(param_ranges=((-1e308, 1e308), (0.0, 1.0))), "param_ranges"),
 ], ids=["seed_negative", "seed_float", "seed_bool", "seed_tuple_negative",
         "learning_rate_zero", "learning_rate_negative", "learning_rate_inf", "beta1_zero",
         "beta1_one", "beta1_nan", "beta2_one", "beta2_negative", "epsilon_zero",
         "epsilon_nan", "solve_train_config", "solve_dict", "grid_scan_none",
         "grid_scan_spec_none", "solve_spec_name", "kkt_residual_spec_none",
-        "sample_params_spec_none"])
+        "sample_params_spec_none", "adam_state_learning_rate", "adam_state_beta1",
+        "adam_state_beta2_bool", "adam_state_epsilon_nan", "train_config_penalty_none",
+        "train_config_penalty_dict", "problem_spec_decision_dim_zero",
+        "problem_spec_decision_dim_str", "problem_spec_decision_dim_float",
+        "problem_spec_param_dim_str", "problem_spec_param_dim_zero",
+        "problem_spec_range_nan", "problem_spec_range_inf", "problem_spec_range_str",
+        "problem_spec_range_too_wide"])
 def test_library_entry_points_reject_bad_settings_naming_them(make, field):
     with pytest.raises(ConfigError) as info:
         make()

@@ -56,6 +56,30 @@ def test_registry_metadata():
     assert len(ak3.inequalities) == 3 and ak3.known_infeasible
 
 
+@pytest.mark.parametrize("landscape", ["rosenbrock", "ackley"])
+def test_a_spec_made_after_its_objective_is_replaced_holds_the_replacement(monkeypatch,
+                                                                          landscape):
+    # make_problem looks the objective up when it runs, not at import: perfbench's
+    # traced runs replace it this way and expect the specs they make to hold it
+    from penalearn import problems
+    original = getattr(problems, f"{landscape}_objective")
+
+    def replacement(x, p, grad=True):
+        return original(x, p, grad=grad)
+
+    monkeypatch.setattr(problems, f"{landscape}_objective", replacement)
+    for name in (f"{landscape}-1c", f"{landscape}-3c"):
+        assert make_problem(name).objective is replacement
+    monkeypatch.undo()
+    assert make_problem(f"{landscape}-1c").objective is original
+
+
+def test_make_problem_returns_a_new_equal_spec_on_every_call():
+    for name in ALL_NAMES:
+        first, second = make_problem(name), make_problem(name)
+        assert first is not second and first == second and hash(first) == hash(second)
+
+
 def test_rosenbrock_hand_values():
     spec = make_problem("rosenbrock-1c")
     f, g = _objective_at(spec, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
