@@ -120,7 +120,9 @@ def run_benchmark(
     ``f0_oracle``, ``viol_oracle`` (its ``max_violation``) and
     ``t_oracle_ns``, that solve's own clock, ``solve_time_s``.  An
     ``OracleError`` leaves the row's oracle columns NaN rather than aborting
-    the run; a net that does not match the problem raises ``DimensionError``.
+    the run; a net that does not match the problem raises ``DimensionError``,
+    and ``evaluate``'s ``ConfigError`` names a ``spec`` or ``net`` of the
+    wrong type.
     """
     r = evaluate(net, spec, P)
     n, k = r.x.shape
@@ -178,29 +180,20 @@ class TableCase:
     baseline_x: Optional[tuple[float, ...]]
 
 
-# Interior-point baseline solutions for the bundled reference instances.
-# The -3c variants have no baseline: their feasible sets are empty.
+# Each landscape's reference parameter sets, with the interior-point baseline
+# solution of its one-constraint problem.  The -3c variants take the same
+# parameter sets with no baseline: their feasible sets are empty.
+_REFERENCE = {
+    "rosenbrock": (((1.0, 1.0), (0.8082, 0.5889)),
+                   ((5.0, 0.1), (0.1000, 0.0100)),
+                   ((25.0, 0.3), (0.3000, 0.0900))),
+    "ackley": (((20.0, 0.2, 0.05, 0.05, 20.0), (5.8e-12, 1.2e-12)),
+               ((20.0, 0.2, 0.5, 0.5, 20.0), (1.7e-11, 3.5e-11)),
+               ((20.0, 0.05, 0.5, 0.5, 20.0), (1e-11, 1.2e-11))),
+}
 TABLE_CASES: dict[str, tuple[TableCase, ...]] = {
-    "rosenbrock-1c": (
-        TableCase((1.0, 1.0), (0.8082, 0.5889)),
-        TableCase((5.0, 0.1), (0.1000, 0.0100)),
-        TableCase((25.0, 0.3), (0.3000, 0.0900)),
-    ),
-    "rosenbrock-3c": (
-        TableCase((1.0, 1.0), None),
-        TableCase((5.0, 0.1), None),
-        TableCase((25.0, 0.3), None),
-    ),
-    "ackley-1c": (
-        TableCase((20.0, 0.2, 0.05, 0.05, 20.0), (5.8e-12, 1.2e-12)),
-        TableCase((20.0, 0.2, 0.5, 0.5, 20.0), (1.7e-11, 3.5e-11)),
-        TableCase((20.0, 0.05, 0.5, 0.5, 20.0), (1e-11, 1.2e-11)),
-    ),
-    "ackley-3c": (
-        TableCase((20.0, 0.2, 0.05, 0.05, 20.0), None),
-        TableCase((20.0, 0.2, 0.5, 0.5, 20.0), None),
-        TableCase((20.0, 0.05, 0.5, 0.5, 20.0), None),
-    ),
+    f"{landscape}-{n}c": tuple(TableCase(p, x if n == 1 else None) for p, x in cases)
+    for landscape, cases in _REFERENCE.items() for n in (1, 3)
 }
 
 INFEASIBLE_BANNER = (

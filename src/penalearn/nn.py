@@ -1,7 +1,8 @@
 """Dense MLP forward/backward pass, ADAM updates, and the MAC-count cost model.
 
 Everything is plain float64 numpy.  A forward pass never writes its net.
-``mlp_backward`` and ``adam_step`` write their results into an ``out`` the
+``mlp_backward`` returns the parameter gradient alone, not the gradient in
+the inputs.  It and ``adam_step`` write their results into an ``out`` the
 caller owns, or into fresh outputs when ``out`` is None; ``train`` keeps one
 gradient buffer per call and steps its net and state in place, so no step
 allocates a net or rebinds its views.  A trace, upstream or gradient passed
@@ -35,12 +36,15 @@ when that overflows.
 
 Parameter layout: an Mlp keeps all of its parameters in one contiguous
 float64 vector ``params`` in model-file order W0, b0, W1, b1, ..., each weight
-row-major.  ``weights`` and ``biases`` are reshaped views into that vector,
-and so are the forward's bound views, so an in-place write to any of them
-reaches the next forward.  Gradients and the ADAM moments are flat vectors in
-the same layout, so an ADAM step is a handful of whole-vector operations.
-Because ADAM is elementwise, that gives the same bits as updating tensor by
-tensor.
+row-major, and ``Mlp(layer_sizes, params)`` is the only way to make one.  A
+C-contiguous float64 vector passed in is kept, not copied; any other is
+converted, since a strided one would send ``dot`` down another BLAS path.
+``weights`` and ``biases`` are reshaped views into that vector, and so are
+the forward's bound views, so an in-place write to any of them, or to the
+caller's vector, reaches the next forward.  Gradients and the ADAM moments
+are flat vectors in the same layout, so an ADAM step is a handful of
+whole-vector operations.  Because ADAM is elementwise, that gives the same
+bits as updating tensor by tensor.
 """
 
 from __future__ import annotations
@@ -98,11 +102,13 @@ def _split(sizes, flat):
 class Mlp:
     """Feed-forward network: tanh hidden layers, identity output layer.
 
-    ``weights[t]`` has shape (layer_sizes[t+1], layer_sizes[t]), rows are
-    fan-out, and ``biases[t]`` has length layer_sizes[t+1].  Construction
-    copies the given tensors into the flat ``params`` vector (see the module
-    docstring) after checking their shapes and finiteness.  Equality is
-    identity; compare ``layer_sizes`` and ``params`` for value equality.
+    ``params`` is the flat vector of the module docstring's layout, kept
+    without a copy when it is C-contiguous float64: 1-D with one finite value
+    per parameter, else ``DimensionError`` or ``NonFiniteError``.
+    ``weights[t]`` is a view of shape (layer_sizes[t+1], layer_sizes[t]),
+    rows are fan-out, and ``biases[t]`` one of length layer_sizes[t+1].
+    Equality is identity; compare ``layer_sizes`` and ``params`` for value
+    equality.
 
     ``_layers`` holds, per layer, the (``weights[t].T``, ``biases[t][None, :]``)
     views that ``mlp_forward`` runs on, bound once here so a batch-1 forward
@@ -110,53 +116,26 @@ class Mlp:
     """
 
     layer_sizes: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    params: np.ndarray = field(init=False, repr=False)
+    params: np.ndarray
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _layers: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         sizes = _check_layer_sizes(self.layer_sizes)
-        if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
+        params = np.ascontiguousarray(self.params, dtype=float)
+        count = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
+        if params.shape != (count,):
             raise DimensionError(
-                f"expected {len(sizes) - 1} weight/bias tensors, got "
-                f"{len(self.weights)}/{len(self.biases)}"
+                f"params has shape {params.shape}, expected ({count},) for layer sizes {sizes}"
             )
-        tensors = []
-        for t, (w, b) in enumerate(zip(self.weights, self.biases)):
-            w = np.asarray(w, dtype=float)
-            b = np.asarray(b, dtype=float)
-            want = (sizes[t + 1], sizes[t])
-            if w.shape != want:
-                raise DimensionError(f"weight {t} has shape {w.shape}, expected {want}")
-            if b.shape != (sizes[t + 1],):
-                raise DimensionError(
-                    f"bias {t} has shape {b.shape}, expected ({sizes[t + 1]},)"
-                )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise NonFiniteError(f"layer {t} contains non-finite parameters")
-            tensors += [w.ravel(), b]
-        self._bind(sizes, np.concatenate(tensors))
-
-    def _bind(self, sizes, params):
-        object.__setattr__(self, "layer_sizes", sizes)
-        object.__setattr__(self, "params", params)
+        if not all_finite(params):
+            raise NonFiniteError("params contains non-finite entries")
         weights, biases = _split(sizes, params)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "biases", biases)
-        object.__setattr__(self, "_layers",
-                           tuple((w.T, b[None, :]) for w, b in zip(weights, biases)))
-
-    @classmethod
-    def _from_params(cls, sizes, params) -> "Mlp":
-        """Wrap a flat vector without re-validating it.
-
-        For internal callers whose sizes are already checked and whose vector
-        is known finite or is guarded elsewhere (the training loss check).
-        """
-        net = object.__new__(cls)
-        net._bind(sizes, params)
-        return net
+        layers = tuple((w.T, b[None, :]) for w, b in zip(weights, biases))
+        for name, value in (("layer_sizes", sizes), ("params", params), ("weights", weights),
+                            ("biases", biases), ("_layers", layers)):
+            object.__setattr__(self, name, value)
 
     @property
     def input_dim(self) -> int:
@@ -182,13 +161,11 @@ def init_mlp(layer_sizes, seed=0) -> Mlp:
     require(all(is_int(s) and s >= 0 for s in entropy), "seed", seed,
             "an integer >= 0 or a tuple of them")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
+    parts = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(layer_sizes=sizes, weights=tuple(weights), biases=tuple(biases))
+        parts += [rng.uniform(-limit, limit, size=fan_out * fan_in), np.zeros(fan_out)]
+    return Mlp(sizes, np.concatenate(parts))
 
 
 @dataclass(frozen=True)
@@ -250,13 +227,13 @@ def _check_trace(net: Mlp, trace: ForwardTrace):
 
 def mlp_backward(
     net: Mlp, trace: ForwardTrace, upstream: np.ndarray, out: Mlp | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-mode gradients for the summed batch loss.
+) -> np.ndarray:
+    """Reverse-mode parameter gradient of the summed batch loss.
 
     ``upstream`` is dL/d(output) per sample, shape (batch, k).  Returns the
     gradient of sum-over-batch L with respect to every parameter, as one flat
-    vector in the layout of ``net.params``, plus dL/d(input) per sample for
-    diagnostics.
+    vector in the layout of ``net.params``.  Nothing is propagated past layer
+    0: the gradient in the inputs is not computed.
 
     ``out``, an Mlp of ``net.layer_sizes``, receives the gradient: each
     weight and bias gradient is written straight into its bound view, and
@@ -271,7 +248,7 @@ def mlp_backward(
             f"({trace.batch_size}, {net.output_dim})"
         )
     if out is None:
-        out = Mlp._from_params(net.layer_sizes, np.empty_like(net.params))
+        out = Mlp(net.layer_sizes, np.zeros_like(net.params))
     elif not isinstance(out, Mlp) or out.layer_sizes != net.layer_sizes:
         raise DimensionError(
             f"gradient buffer must be an Mlp of layer sizes {net.layer_sizes}, got "
@@ -283,13 +260,13 @@ def mlp_backward(
         a_prev = trace.inputs if t == 0 else trace.post_activations[t - 1]
         np.dot(delta.T, a_prev, out=out.weights[t])
         np.add.reduce(delta, 0, None, out.biases[t])  # delta.sum(axis=0, out=...)
-        delta = delta.dot(net.weights[t])  # a fresh array; `upstream` is never written
         if t > 0:
+            delta = delta.dot(net.weights[t])  # a fresh array; `upstream` is never written
             # tanh'(z) = 1 - tanh(z)^2, and post_activations[t-1] = tanh(z)
             slope = a_prev ** 2
             np.subtract(1.0, slope, out=slope)
             delta *= slope
-    return out.params, delta
+    return out.params
 
 
 @dataclass(frozen=True)
@@ -344,7 +321,7 @@ def adam_step(
     b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.learning_rate
     t = state.step_count + 1
     if out is None:
-        out = (Mlp._from_params(net.layer_sizes, np.empty_like(net.params)),
+        out = (Mlp(net.layer_sizes, np.zeros_like(net.params)),
                AdamState(np.empty_like(state.m), np.empty_like(state.v), t, b1, b2, eps, lr))
     new_net, new_state = out
     shapes = (np.shape(grad), state.m.shape, state.v.shape,
@@ -479,4 +456,4 @@ def load_model(path) -> Mlp:
         raise ModelFormatError(
             "trailing content after final tensor", line_number=lineno + 1
         )
-    return Mlp._from_params(sizes, np.concatenate(tensors))
+    return Mlp(sizes, np.concatenate(tensors))

@@ -69,10 +69,18 @@ Evaluator = Callable[..., tuple[np.ndarray, Optional[np.ndarray]]]
 
 @dataclass(frozen=True)
 class Constraint:
-    """One constraint: evaluator plus its bound (f(x;p) <= bound, or = bound)."""
+    """One constraint: evaluator plus its bound (f(x;p) <= bound, or = bound).
+
+    ``bound`` is a real number or a 0-d array of one, infinities allowed;
+    NaN or anything else is a ``ConfigError`` naming it.  It is kept as given."""
 
     fn: Evaluator
     bound: float
+
+    def __post_init__(self):
+        bound = np.asarray(self.bound)
+        require(bound.ndim == 0 and bound.dtype.kind in "iuf" and not np.isnan(bound),
+                "bound", self.bound, "a real number, not NaN")
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,13 @@ class ProblemSpec:
     known_infeasible: bool = False
 
     def __post_init__(self):
+        # stored as tuples, so a spec built from lists equals and hashes as one
+        # built from tuples (the oracle caches feasible grid points per spec)
+        for attr, value in (("inequalities", tuple(self.inequalities)),
+                            ("equalities", tuple(self.equalities)),
+                            ("param_ranges", tuple(map(tuple, self.param_ranges))),
+                            ("default_net_shape", tuple(self.default_net_shape))):
+            object.__setattr__(self, attr, value)
         require_int(self, "decision_dim", 1)
         require_int(self, "param_dim", 1)
         if len(self.param_ranges) != self.param_dim:
@@ -102,15 +117,17 @@ class ProblemSpec:
                                   "param_ranges")
             # sample_params draws from it, and numpy's uniform needs a finite width
             require(width < math.inf, "param_ranges", (lo, hi), "a range of finite width")
-        evaluators = [("objective", self.objective)] + [
-            (f"constraint {i}", c.fn) for i, c in enumerate(self.inequalities + self.equalities)]
-        for what, fn in evaluators:
+        n_ineq = len(self.inequalities)
+        evaluators = [("objective", "objective", self.objective)] + [
+            (f"constraint {i}", "inequalities" if i < n_ineq else "equalities", c.fn)
+            for i, c in enumerate(self.inequalities + self.equalities)]
+        for what, field, fn in evaluators:
             try:
                 inspect.signature(fn).bind(None, None, grad=False)
             except TypeError:
                 raise ConfigError(f"{self.name}: the {what} evaluator "
                                   f"{getattr(fn, '__qualname__', fn)} cannot be called "
-                                  f"as fn(x, p, grad=...)") from None
+                                  f"as fn(x, p, grad=...) ({field})", field) from None
 
     def constraint_eval(self, x: np.ndarray, p: np.ndarray, grad: bool = True) -> ConstraintEval:
         """Evaluate every constraint on a batch into one residual block.

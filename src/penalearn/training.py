@@ -141,7 +141,7 @@ def _fold_input_transform(net: Mlp, mid: np.ndarray, half: np.ndarray) -> Mlp:
     W' = W/half (columnwise) and b' = b - W (mid/half); the fold is exact up
     to one float rounding per entry.
     """
-    folded = Mlp._from_params(net.layer_sizes, net.params.copy())
+    folded = Mlp(net.layer_sizes, net.params.copy())
     folded.weights[0][...] = net.weights[0] / half[None, :]
     folded.biases[0][...] = net.biases[0] - net.weights[0] @ (mid / half)
     return folded
@@ -179,8 +179,10 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
     parameter gradient is the gradient of the batch mean of objective +
     penalty.  Every step calls ``mlp_forward``, ``loss_terms_batch``,
     ``mlp_backward`` and ``adam_step`` once each.  Fully deterministic for a
-    fixed config.  ``cfg`` must be a ``TrainConfig`` (``ConfigError`` naming ``cfg``).
+    fixed config.  ``spec`` must be a ``ProblemSpec`` and ``cfg`` a
+    ``TrainConfig``, or ``ConfigError`` names the argument.
     """
+    require(isinstance(spec, ProblemSpec), "spec", spec, "a ProblemSpec")
     require(isinstance(cfg, TrainConfig), "cfg", cfg, "a TrainConfig")
     shape = resolve_net_shape(spec, cfg)
     raw = sample_params(spec, cfg.sample_count, cfg.seed)
@@ -198,7 +200,7 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
     shuffle_rng = np.random.default_rng((cfg.seed, 2))
     # every step's gradient lands in this one buffer, and ADAM updates `net`
     # and `state` in place, so no step rebuilds a net's views
-    grad_buf = Mlp._from_params(shape, np.zeros_like(net.params))
+    grad_buf = Mlp(net.layer_sizes, np.zeros_like(net.params))
 
     t0 = time.perf_counter()
     entries = [_log_entry(0, net, inputs, raw, spec, cfg, t0)]
@@ -213,7 +215,7 @@ def train(spec: ProblemSpec, cfg: TrainConfig) -> tuple[Mlp, TrainLog]:
             outputs, trace = mlp_forward(net, epoch_inputs[batch])
             grad_x = _batch_loss_guarded(outputs, epoch_raw[batch], spec, cfg, epoch, idx)
             upstream = grad_x / idx.size  # gradient of the batch mean
-            grads, _ = mlp_backward(net, trace, upstream, out=grad_buf)
+            grads = mlp_backward(net, trace, upstream, out=grad_buf)
             adam_step(net, state, grads, out=(net, state))
         if epoch % cfg.log_every == 0 or epoch == cfg.epochs:
             entries.append(_log_entry(epoch, net, inputs, raw, spec, cfg, t0))
@@ -263,10 +265,13 @@ def evaluate(
     holds the same bits as scoring that row alone.  ``params`` is a copy of
     ``P``; zero rows give an empty report without scoring.
     ``DimensionError`` when the net or ``P``, which must be
-    (rows, param_dim), does not fit ``spec``; ``ConfigError`` naming ``cfg``
-    unless it is ``None`` or a ``PenaltyConfig``.
+    (rows, param_dim), does not fit ``spec``; ``ConfigError`` naming the
+    argument unless ``net`` is an ``Mlp``, ``spec`` a ``ProblemSpec`` and
+    ``cfg`` ``None`` or a ``PenaltyConfig``.
     """
     cfg = cfg if cfg is not None else PenaltyConfig()
+    require(isinstance(net, Mlp), "net", net, "an Mlp")
+    require(isinstance(spec, ProblemSpec), "spec", spec, "a ProblemSpec")
     require(isinstance(cfg, PenaltyConfig), "cfg", cfg, "a PenaltyConfig")
     if net.input_dim != spec.param_dim:
         raise DimensionError(

@@ -53,16 +53,12 @@ SPEEDUP_THRESHOLD = float(os.environ.get("PENALEARN_SPEEDUP_THRESHOLD", "10"))
 def _chain_loss_and_grads(net, p_row, spec, pcfg):
     out, trace = mlp_forward(net, p_row)
     terms = loss_terms_batch(out, p_row, spec, pcfg)
-    grads, _ = mlp_backward(net, trace, terms.grad)
+    grads = mlp_backward(net, trace, terms.grad)
     return float(terms.loss[0]), grads, out[0]
 
 
 def _perturbed(net, direction, h):
-    return Mlp(
-        layer_sizes=net.layer_sizes,
-        weights=tuple(w + h * d for w, d in zip(net.weights, direction.weights)),
-        biases=tuple(b + h * d for b, d in zip(net.biases, direction.biases)),
-    )
+    return Mlp(net.layer_sizes, net.params + h * direction)
 
 
 def _smooth_config(spec, net, p_row, pcfg):
@@ -101,12 +97,11 @@ def test_criterion_1_gradient_fidelity():
             if not _smooth_config(spec, net, p_row, pcfg):
                 continue
             _, grads, _ = _chain_loss_and_grads(net, p_row, spec, pcfg)
-            direction = Mlp(
-                layer_sizes=shape,
-                weights=tuple(rng.normal(size=w.shape) for w in net.weights),
-                biases=tuple(rng.normal(size=b.shape) for b in net.biases),
-            )
-            analytic = float(grads @ direction.params)
+            # every weight, then every bias, packed in model-file order
+            ws = [rng.normal(size=w.shape) for w in net.weights]
+            bs = [rng.normal(size=b.shape) for b in net.biases]
+            direction = np.concatenate([a.ravel() for pair in zip(ws, bs) for a in pair])
+            analytic = float(grads @ direction)
             h = 1e-6
             lp, _, _ = _chain_loss_and_grads(_perturbed(net, direction, h), p_row, spec, pcfg)
             lm, _, _ = _chain_loss_and_grads(_perturbed(net, direction, -h), p_row, spec, pcfg)

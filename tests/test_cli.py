@@ -10,6 +10,7 @@ import pytest
 from penalearn import (
     AdamState,
     ConfigError,
+    Constraint,
     ModelFormatError,
     OracleConfig,
     PenaltyConfig,
@@ -22,6 +23,7 @@ from penalearn import (
     loss_terms_batch,
     mac_count,
     make_problem,
+    run_benchmark,
     sample_params,
     save_model,
     solve,
@@ -30,6 +32,7 @@ from penalearn import (
 from penalearn import cli
 from penalearn.cli import _KEYS, build_parser, main, parse_config_file
 from penalearn.errors import UsageError
+from penalearn.problems import disk_constraint
 
 FAST_TRAIN = [
     "--epochs", "30", "--samples", "80", "--batch-size", "20", "--log-every", "10",
@@ -543,6 +546,16 @@ def _spec(**fields):
     (lambda: _spec(param_ranges=((float("-inf"), 30.0), (0.0, 1.0))), "param_ranges"),
     (lambda: _spec(param_ranges=((0.0, 30.0), ("0", 1.0))), "param_ranges"),
     (lambda: _spec(param_ranges=((-1e308, 1e308), (0.0, 1.0))), "param_ranges"),
+    (lambda: train("x", TrainConfig()), "spec"),
+    (lambda: evaluate(init_mlp((2, 3, 2)), "x", np.ones((1, 2))), "spec"),
+    (lambda: evaluate("x", _SPEC, np.ones((1, 2))), "net"),
+    (lambda: run_benchmark("x", init_mlp((2, 3, 2)), OracleConfig(), np.ones((1, 2))), "spec"),
+    (lambda: run_benchmark(_SPEC, "x", OracleConfig(), np.ones((1, 2))), "net"),
+    (lambda: Constraint(disk_constraint, float("nan")), "bound"),
+    (lambda: Constraint(disk_constraint, "a"), "bound"),
+    (lambda: _spec(objective=None), "objective"),
+    (lambda: _spec(inequalities=(Constraint(None, 1.0),)), "inequalities"),
+    (lambda: _spec(equalities=(Constraint(None, 0.0),)), "equalities"),
 ], ids=["seed_negative", "seed_float", "seed_bool", "seed_tuple_negative",
         "learning_rate_zero", "learning_rate_negative", "learning_rate_inf", "beta1_zero",
         "beta1_one", "beta1_nan", "beta2_one", "beta2_negative", "epsilon_zero",
@@ -554,7 +567,10 @@ def _spec(**fields):
         "problem_spec_decision_dim_str", "problem_spec_decision_dim_float",
         "problem_spec_param_dim_str", "problem_spec_param_dim_zero",
         "problem_spec_range_nan", "problem_spec_range_inf", "problem_spec_range_str",
-        "problem_spec_range_too_wide"])
+        "problem_spec_range_too_wide", "train_spec_str", "evaluate_spec_str",
+        "evaluate_net_str", "run_benchmark_spec_str", "run_benchmark_net_str",
+        "constraint_bound_nan", "constraint_bound_str", "problem_spec_objective_none",
+        "problem_spec_inequality_none", "problem_spec_equality_none"])
 def test_library_entry_points_reject_bad_settings_naming_them(make, field):
     with pytest.raises(ConfigError) as info:
         make()
@@ -572,6 +588,8 @@ def test_library_entry_points_keep_the_settings_they_accept():
     assert all(type(value) is float for value in settings)
     sizes = init_mlp((np.int64(2), 3, np.int32(2))).layer_sizes
     assert sizes == (2, 3, 2) and all(type(s) is int for s in sizes)
+    for bound in (1, 1.0, np.float32(1.5), np.int64(-2), np.array(1.0), float("inf"), -np.inf):
+        assert Constraint(disk_constraint, bound).bound is bound
 
 
 @pytest.mark.parametrize("make, field", [

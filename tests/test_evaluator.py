@@ -444,9 +444,9 @@ def test_value_only_evaluation_has_the_bits_of_the_full_one(name, shifted, mode)
 def test_evaluate_reads_no_gradient_so_huge_params_raise_no_overflow():
     spec = make_problem("rosenbrock-1c")
     sizes = spec.default_net_shape
-    weights = tuple(np.zeros((b, a)) for a, b in zip(sizes[:-1], sizes[1:]))
-    biases = tuple(np.zeros(b) for b in sizes[1:-1]) + (np.array([0.5, 0.25]),)
-    net = Mlp(layer_sizes=sizes, weights=weights, biases=biases)
+    flat = np.zeros(sum(b * (a + 1) for a, b in zip(sizes[:-1], sizes[1:])))
+    flat[-2:] = [0.5, 0.25]  # the output bias, last in model-file order; all else zero
+    net = Mlp(sizes, flat)
     params = np.array([[1e308, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -55,17 +55,29 @@ def test_mlp_validates_construction():
     with pytest.raises(DimensionError):
         init_mlp((4, 0, 2))
     net = init_mlp((2, 3, 1))
-    bad_w = tuple(w.copy() for w in net.weights[:-1]) + (np.full_like(net.weights[-1], np.nan),)
+    bad = net.params.copy()
+    bad[-4] = np.nan  # in the last weight
     with pytest.raises(NonFiniteError):
-        Mlp(layer_sizes=net.layer_sizes, weights=bad_w, biases=net.biases)
-    with pytest.raises(DimensionError, match="expected 2 weight/bias tensors, got 1/2"):
-        Mlp(layer_sizes=net.layer_sizes, weights=net.weights[:1], biases=net.biases)
-    with pytest.raises(DimensionError, match=r"weight 1 has shape \(3, 1\), expected \(1, 3\)"):
-        Mlp(layer_sizes=net.layer_sizes, weights=(net.weights[0], net.weights[1].T),
-            biases=net.biases)
-    with pytest.raises(DimensionError, match=r"bias 0 has shape \(2,\), expected \(3,\)"):
-        Mlp(layer_sizes=net.layer_sizes, weights=net.weights,
-            biases=(net.biases[0][:2], net.biases[1]))
+        Mlp(net.layer_sizes, bad)
+    with pytest.raises(DimensionError, match=r"params has shape \(12,\), expected \(13,\)"):
+        Mlp(net.layer_sizes, net.params[:-1])
+    with pytest.raises(DimensionError, match=r"params has shape \(1, 13\), expected \(13,\)"):
+        Mlp(net.layer_sizes, net.params[None, :])
+    with pytest.raises(DimensionError):
+        Mlp((2, 0, 1), np.zeros(0))
+
+
+def test_mlp_keeps_a_contiguous_float_vector_and_converts_any_other():
+    net = init_mlp((2, 3, 1), seed=1)
+    same = Mlp(net.layer_sizes, net.params)
+    assert same.params is net.params
+    same.params[0] += 1.0
+    assert net.weights[0][0, 0] == same.weights[0][0, 0]
+    wide = np.repeat(net.params, 2)[::2]  # every second entry: a strided view
+    for given in (wide, net.params.tolist(), net.params.astype(np.float32)):
+        built = Mlp(net.layer_sizes, given)
+        assert built.params.dtype == np.float64 and built.params.flags.c_contiguous
+        assert np.array_equal(built.params, np.asarray(given, dtype=float))
 
 
 def test_forward_requires_2d_batch():
@@ -89,7 +101,7 @@ def test_forward_matches_hand_computation():
     b1 = np.array([0.1, 0.2])
     w2 = np.array([[2.0, 3.0]])
     b2 = np.array([-0.4])
-    net = Mlp(layer_sizes=(1, 2, 1), weights=(w1, w2), biases=(b1, b2))
+    net = Mlp((1, 2, 1), np.concatenate([w1.ravel(), b1, w2.ravel(), b2]))
     x = np.array([[0.7], [-1.3]])
     out, trace = mlp_forward(net, x)
     expected = (np.tanh(x * w1.T + b1) @ w2.T) + b2
@@ -114,8 +126,7 @@ def test_forward_matches_out_of_place_reference_bits(shape, batch_size):
     rng = np.random.default_rng(batch_size)
     net = init_mlp(shape, seed=4)
     # nonzero biases, so the in-place bias add is exercised
-    net = Mlp._from_params(net.layer_sizes,
-                           net.params + rng.normal(scale=0.3, size=net.params.size))
+    net = Mlp(net.layer_sizes, net.params + rng.normal(scale=0.3, size=net.params.size))
     tall = rng.uniform(-1.0, 1.0, size=(2 * batch_size, shape[0]))
     # row-major, every second row of a taller array, and column-major inputs
     for batch in (tall[:batch_size].copy(), tall[::2],
@@ -180,14 +191,12 @@ def test_backward_rejects_stale_trace():
 
 def _loss_and_param_grads(net, batch, upstream):
     out, trace = mlp_forward(net, batch)
-    grads, input_grads = mlp_backward(net, trace, upstream)
-    return float(np.sum(out * upstream)), grads, input_grads
+    grads = mlp_backward(net, trace, upstream)
+    return float(np.sum(out * upstream)), grads
 
 
 def _perturbed(net, direction, h):
-    ws = tuple(w + h * dw for w, dw in zip(net.weights, direction.weights))
-    bs = tuple(b + h * db for b, db in zip(net.biases, direction.biases))
-    return Mlp(layer_sizes=net.layer_sizes, weights=ws, biases=bs)
+    return Mlp(net.layer_sizes, net.params + h * direction)
 
 
 def test_backward_matches_finite_differences():
@@ -199,46 +208,24 @@ def test_backward_matches_finite_differences():
         net = init_mlp(shape, seed=100 + trial)
         batch = rng.uniform(-1.5, 1.5, size=(6, shape[0]))
         upstream = rng.normal(size=(6, shape[-1]))
-        _, grads, _ = _loss_and_param_grads(net, batch, upstream)
+        _, grads = _loss_and_param_grads(net, batch, upstream)
 
-        direction = Mlp(
-            layer_sizes=shape,
-            weights=tuple(rng.normal(size=w.shape) for w in net.weights),
-            biases=tuple(rng.normal(size=b.shape) for b in net.biases),
-        )
-        analytic = float(grads @ direction.params)
+        # every weight, then every bias, packed in model-file order
+        ws = [rng.normal(size=w.shape) for w in net.weights]
+        bs = [rng.normal(size=b.shape) for b in net.biases]
+        direction = np.concatenate([a.ravel() for pair in zip(ws, bs) for a in pair])
+        analytic = float(grads @ direction)
         h = 1e-6
-        lp, _, _ = _loss_and_param_grads(_perturbed(net, direction, h), batch, upstream)
-        lm, _, _ = _loss_and_param_grads(_perturbed(net, direction, -h), batch, upstream)
+        lp, _ = _loss_and_param_grads(_perturbed(net, direction, h), batch, upstream)
+        lm, _ = _loss_and_param_grads(_perturbed(net, direction, -h), batch, upstream)
         fd = (lp - lm) / (2 * h)
         assert abs(fd - analytic) / max(abs(analytic), 1e-12) < 1e-7
-
-
-def test_input_gradients_match_finite_differences():
-    rng = np.random.default_rng(19)
-    net = init_mlp((2, 6, 3), seed=5)
-    batch = rng.uniform(-1, 1, size=(4, 2))
-    upstream = rng.normal(size=(4, 3))
-    _, _, input_grads = _loss_and_param_grads(net, batch, upstream)
-    h = 1e-6
-    for i in range(batch.shape[0]):
-        for j in range(batch.shape[1]):
-            bp, bm = batch.copy(), batch.copy()
-            bp[i, j] += h
-            bm[i, j] -= h
-            fd = (
-                float(np.sum(mlp_forward(net, bp)[0] * upstream))
-                - float(np.sum(mlp_forward(net, bm)[0] * upstream))
-            ) / (2 * h)
-            assert abs(fd - input_grads[i, j]) < 1e-7
 
 
 def test_adam_single_step_from_zero_state():
     # unit gradient, zero init, default hyperparameters: the first step is
     # -lr / sqrt(1 + eps) = -0.000999999995
-    w1 = np.zeros((1, 1))
-    w2 = np.zeros((1, 1))
-    net = Mlp(layer_sizes=(1, 1, 1), weights=(w1, w2), biases=(np.zeros(1), np.zeros(1)))
+    net = Mlp((1, 1, 1), np.zeros(4))  # W0, b0, W1, b1
     state = AdamState.for_net(net)
     grads = np.array([1.0, 0.0, 0.0, 0.0])  # W0, b0, W1, b1
     new_net, new_state = adam_step(net, state, grads)
@@ -251,11 +238,7 @@ def test_adam_sequence_matches_scalar_recomputation():
     """Drive one scalar weight for 25 steps; recompute the recursion inline."""
     rng = np.random.default_rng(23)
     gs = rng.normal(size=25)
-    net = Mlp(
-        layer_sizes=(1, 1, 1),
-        weights=(np.array([[0.3]]), np.array([[0.0]])),
-        biases=(np.zeros(1), np.zeros(1)),
-    )
+    net = Mlp((1, 1, 1), np.array([0.3, 0.0, 0.0, 0.0]))  # W0, b0, W1, b1
     lr, b1, b2, eps = 2e-3, 0.9, 0.999, 1e-8
     state = AdamState.for_net(net, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
 
@@ -326,7 +309,7 @@ def _steps_with_buffers(net, state, batches, in_place):
     buf = init_mlp(net.layer_sizes, seed=99) if in_place else None
     for batch, upstream in batches:
         _, trace = mlp_forward(net, batch)
-        g, _ = mlp_backward(net, trace, upstream, out=buf)
+        g = mlp_backward(net, trace, upstream, out=buf)
         grads.append(g.copy())
         net, state = adam_step(net, state, g, out=(net, state) if in_place else None)
     return net, state, grads
@@ -356,9 +339,9 @@ def test_in_place_step_keeps_the_forward_views_bound():
     state = AdamState.for_net(net, learning_rate=0.1)
     batch = rng.uniform(-1, 1, (5, 2))
     before, trace = mlp_forward(net, batch)
-    grads, _ = mlp_backward(net, trace, rng.normal(size=(5, 3)))
+    grads = mlp_backward(net, trace, rng.normal(size=(5, 3)))
     adam_step(net, state, grads, out=(net, state))
-    rebuilt = Mlp(layer_sizes=net.layer_sizes, weights=net.weights, biases=net.biases)
+    rebuilt = Mlp(net.layer_sizes, net.params.copy())
     after = mlp_forward(net, batch)[0]
     assert not np.array_equal(after, before)
     assert np.array_equal(after, mlp_forward(rebuilt, batch)[0])

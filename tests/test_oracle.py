@@ -465,6 +465,20 @@ def test_specs_made_apart_share_their_feasible_points():
     assert oracle._feasible_points.cache_info()[:2] == (8 + 1, 2)  # hits, misses
 
 
+def test_a_spec_built_from_lists_equals_hashes_and_caches_as_the_tuple_one():
+    base = make_problem("rosenbrock-1c")
+    listed = ProblemSpec(name=base.name, decision_dim=2, param_dim=2, objective=base.objective,
+                         inequalities=[Constraint(disk_constraint, 1.0)], equalities=[],
+                         param_ranges=[[0, 30], [0, 1]], default_net_shape=[2, 20, 20, 2])
+    assert listed == base and hash(listed) == hash(base)
+    assert listed.param_ranges == ((0, 30), (0, 1)) and listed.default_net_shape == (2, 20, 20, 2)
+    oracle._feasible_points.cache_clear()
+    p = np.array([1.0, 1.0])
+    first = _answer_bytes(grid_scan(listed, p))
+    assert _answer_bytes(grid_scan(listed, p)) == first == _answer_bytes(grid_scan(base, p))
+    assert oracle._feasible_points.cache_info()[:2] == (2, 1)  # hits, misses
+
+
 def _lone_values(spec, p, x):
     """The objective and the worst violation of one evaluation at ``x`` alone."""
     f0, _ = spec.objective(x[None], p[None], grad=False)
