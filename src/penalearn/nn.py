@@ -131,11 +131,13 @@ class Mlp:
             )
         if not all_finite(params):
             raise NonFiniteError("params contains non-finite entries")
+        object.__setattr__(self, "layer_sizes", sizes)
+        object.__setattr__(self, "params", params)
         weights, biases = _split(sizes, params)
-        layers = tuple((w.T, b[None, :]) for w, b in zip(weights, biases))
-        for name, value in (("layer_sizes", sizes), ("params", params), ("weights", weights),
-                            ("biases", biases), ("_layers", layers)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
+        object.__setattr__(self, "_layers",
+                           tuple((w.T, b[None, :]) for w, b in zip(weights, biases)))
 
     @property
     def input_dim(self) -> int:
