@@ -98,11 +98,10 @@ class ProblemSpec:
     def __post_init__(self):
         # stored as tuples, so a spec built from lists equals and hashes as one
         # built from tuples (the oracle caches feasible grid points per spec)
-        for attr, value in (("inequalities", tuple(self.inequalities)),
-                            ("equalities", tuple(self.equalities)),
-                            ("param_ranges", tuple(map(tuple, self.param_ranges))),
-                            ("default_net_shape", tuple(self.default_net_shape))):
-            object.__setattr__(self, attr, value)
+        object.__setattr__(self, "inequalities", tuple(self.inequalities))
+        object.__setattr__(self, "equalities", tuple(self.equalities))
+        object.__setattr__(self, "param_ranges", tuple(map(tuple, self.param_ranges)))
+        object.__setattr__(self, "default_net_shape", tuple(self.default_net_shape))
         require_int(self, "decision_dim", 1)
         require_int(self, "param_dim", 1)
         if len(self.param_ranges) != self.param_dim:
